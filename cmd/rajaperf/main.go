@@ -23,6 +23,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -86,16 +87,12 @@ func realMain() int {
 		resume    = flag.Bool("resume", false, "skip campaign specs whose recorded profile exists and validates (runs crash recovery first)")
 
 		// Distributed fabric: -fabric N forks N local worker processes and
-		// shards the campaign across them; -worker-of/-worker-shard/
-		// -worker-campaign are the internal worker-mode entry those forks
-		// use.
+		// shards the campaign across them; -fabric-worker is the internal
+		// worker-mode entry those forks use.
 		fabricN       = flag.Int("fabric", 0, "run the campaign distributed: fork this many local worker processes and shard specs across them (implies -campaign concurrency; clamped to the plan's spec count)")
 		fabricRespawn = flag.Int("fabric-respawn", 3, "restart budget per fabric shard: respawn a dead worker up to this many times with exponential backoff (0 = dead capacity stays lost)")
-		hedgeFactor   = flag.Float64("hedge", 4, "hedged redispatch: duplicate a spec in flight longer than this multiple of the campaign's running p95 onto an idle worker (0 = off)")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "on SIGTERM, let in-flight fabric specs finish for up to this long before canceling hard")
-		workerOf      = flag.String("worker-of", "", "internal: run as a fabric worker dialing this coordinator address")
-		workerShard   = flag.Int("worker-shard", 0, "internal: this fabric worker's shard index")
-		workerCamp    = flag.String("worker-campaign", "", "internal: the campaign identity this fabric worker belongs to")
+		fabricWorker  = flag.Bool("fabric-worker", false, "internal: run as a fabric worker on the socket inherited from the coordinator")
 
 		// Resilience: deterministic fault injection and the machinery that
 		// absorbs faults — retry with backoff, run watchdogs, a circuit
@@ -141,11 +138,15 @@ func realMain() int {
 	// campaign, forked by a coordinating rajaperf -fabric run. It skips
 	// every other mode — the coordinator owns planning, telemetry
 	// exposition, and reporting; the worker just executes assigned specs
-	// until told bye.
-	if *workerOf != "" {
+	// until the coordinator closes its end of the socket.
+	if *fabricWorker {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 		defer stop()
-		if err := fabric.RunWorker(ctx, *workerOf, *workerShard, *workerCamp); err != nil {
+		conn, err := fabric.InheritedConn()
+		if err == nil {
+			err = fabric.RunWorker(ctx, conn)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "rajaperf:", err)
 			return 1
 		}
@@ -240,7 +241,7 @@ func realMain() int {
 			maxAttempts: *maxAttempts, runTimeout: *runTimeout,
 			stallTimeout: *stallT, breaker: *breaker, faults: inj,
 			faultSpec: *faults, fabric: *fabricN, outdirSet: outdirSet,
-			respawn: *fabricRespawn, hedge: *hedgeFactor, drainTimeout: *drainTimeout,
+			respawn: *fabricRespawn, drainTimeout: *drainTimeout,
 			bus: bus,
 		})
 		if err != nil {
@@ -300,11 +301,9 @@ type campaignArgs struct {
 	// fabric > 0 runs the campaign distributed across that many forked
 	// local worker processes (clamped to the plan's spec count).
 	fabric int
-	// respawn is the per-shard restart budget for dead fabric workers;
-	// hedge the speculative-redispatch factor over the running p95; and
-	// drainTimeout the SIGTERM grace for in-flight specs.
+	// respawn is the per-shard restart budget for dead fabric workers,
+	// and drainTimeout the SIGTERM grace for in-flight specs.
 	respawn      int
-	hedge        float64
 	drainTimeout time.Duration
 	// outdirSet records whether -outdir was given explicitly: the fabric
 	// refuses to run against the flag's "." default, which would litter
@@ -384,12 +383,12 @@ func runCampaign(a campaignArgs) (int, error) {
 		Campaign:     a.outdir,
 	}
 
-	// Distributed mode: stand up the coordinator, fork the worker fleet,
-	// rendezvous, and hand the coordinator to the orchestrator as its
-	// execution backend. The orchestrator's concurrency matches the fleet
-	// (capacity one spec in flight per worker). The same fork path serves
-	// initial spawn and supervision: a dead worker respawns through it
-	// under the -fabric-respawn budget.
+	// Distributed mode: the coordinator forks the worker fleet, one
+	// socketpair per worker, and becomes the orchestrator's execution
+	// backend. The orchestrator's concurrency matches the fleet (capacity
+	// one spec in flight per worker). The same fork path serves initial
+	// spawn and supervision: a dead worker respawns through it under the
+	// -fabric-respawn budget.
 	var coord *fabric.Coordinator
 	var spawner *workerSpawner
 	var drainDone chan struct{}
@@ -398,10 +397,11 @@ func runCampaign(a campaignArgs) (int, error) {
 		if a.outdir == "" || !a.outdirSet {
 			return 2, errors.New("-fabric requires -outdir (workers stream profiles and shard WALs there)")
 		}
-		if spawner, err = newWorkerSpawner(a.outdir); err != nil {
+		if spawner, err = newWorkerSpawner(); err != nil {
 			return 1, err
 		}
-		cfg := fabric.Config{
+		defer spawner.reap()
+		coord, err = fabric.NewCoordinator(fabric.Config{
 			Workers: a.fabric,
 			Worker: fabric.WorkerConfig{
 				OutDir:       a.outdir,
@@ -410,36 +410,18 @@ func runCampaign(a campaignArgs) (int, error) {
 				StallTimeout: a.stallTimeout,
 				Faults:       a.faultSpec,
 			},
-			HedgeFactor: a.hedge,
-			Chaos:       a.faults,
-			Bus:         a.bus,
-			Campaign:    a.outdir,
-		}
-		if a.respawn > 0 {
-			cfg.Spawn = spawner.spawn
-			cfg.Respawn = resilience.Policy{MaxAttempts: a.respawn,
-				BaseDelay: 200 * time.Millisecond, MaxDelay: 2 * time.Second}
-		}
-		coord, err = fabric.NewCoordinator(cfg)
+			Spawn: spawner.spawn,
+			Respawn: resilience.Policy{MaxAttempts: a.respawn,
+				BaseDelay: 200 * time.Millisecond, MaxDelay: 2 * time.Second},
+			Faults:   a.faults,
+			Bus:      a.bus,
+			Campaign: a.outdir,
+		})
 		if err != nil {
 			return 1, err
 		}
 		defer coord.Close()
-		spawner.setAddr(coord.Addr())
-		for i := 0; i < a.fabric; i++ {
-			if err := spawner.spawn(i); err != nil {
-				spawner.reap()
-				return 1, err
-			}
-		}
-		defer spawner.reap()
-		waitCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
-		err = coord.AwaitReady(waitCtx)
-		cancel()
-		if err != nil {
-			return 1, err
-		}
-		log.Info("fabric ready", "workers", a.fabric, "addr", coord.Addr())
+		log.Info("fabric ready", "workers", a.fabric)
 		opts.Executor = coord
 		opts.Workers = a.fabric
 
@@ -479,9 +461,9 @@ func runCampaign(a campaignArgs) (int, error) {
 		// signal goroutine when no SIGTERM ever arrived.
 		hardCancel()
 		<-drainDone
-		// Dismiss the fleet (bye frames), reap the forked workers, then
-		// fold their shard WALs into the root manifest — the merge is
-		// byte-deterministic regardless of worker completion order.
+		// Dismiss the fleet (EOF to every worker), reap the forked
+		// workers, then fold their shard WALs into the root manifest — the
+		// merge is byte-deterministic regardless of worker completion order.
 		coord.Close()
 		spawner.reap()
 		if _, applied, ferr := campaign.FinalizeShards(a.outdir); ferr != nil {
@@ -489,7 +471,7 @@ func runCampaign(a campaignArgs) (int, error) {
 		} else {
 			log.Info("fabric finished", "steals", coord.Steals(),
 				"redispatched", coord.Redispatches(), "respawned", coord.Respawns(),
-				"hedged", coord.Hedges(), "shard_entries_merged", applied)
+				"shard_entries_merged", applied)
 		}
 	}
 	printerDone()
@@ -578,57 +560,45 @@ func resolveMetricsAddr(metricsAddr, pprofHTTP string) (string, error) {
 }
 
 // workerSpawner forks fabric worker processes of this same binary, each
-// dialing the coordinator with its shard index and campaign identity.
-// Worker stderr passes through, so a worker's failure diagnostics reach
-// the operator. One spawner serves both the initial fleet and the
-// coordinator's respawn supervision, so every forked process — original
-// or replacement — is tracked for reaping.
+// on its own socketpair with the coordinator. Worker stderr passes
+// through, so a worker's failure diagnostics reach the operator. One
+// spawner serves both the initial fleet and the coordinator's respawn
+// supervision, so every forked process — original or replacement — is
+// tracked for reaping.
 type workerSpawner struct {
-	bin      string
-	campaign string
+	bin string
 
 	mu   sync.Mutex
-	addr string // set once the coordinator is listening; respawn goroutines read it
 	cmds []*exec.Cmd
 }
 
-// setAddr records the coordinator's listen address once it is known.
-func (s *workerSpawner) setAddr(addr string) {
-	s.mu.Lock()
-	s.addr = addr
-	s.mu.Unlock()
-}
-
-func newWorkerSpawner(campaignID string) (*workerSpawner, error) {
+func newWorkerSpawner() (*workerSpawner, error) {
 	bin, err := os.Executable()
 	if err != nil {
 		return nil, fmt.Errorf("fabric: locate worker binary: %w", err)
 	}
-	return &workerSpawner{bin: bin, campaign: campaignID}, nil
+	return &workerSpawner{bin: bin}, nil
 }
 
-// spawn forks one worker for the shard. Safe for concurrent use (the
-// coordinator's supervisors call it from respawn goroutines).
-func (s *workerSpawner) spawn(shard int) error {
-	s.mu.Lock()
-	addr := s.addr
-	s.mu.Unlock()
-	cmd := exec.Command(s.bin, "-worker-of", addr,
-		"-worker-shard", strconv.Itoa(shard),
-		"-worker-campaign", s.campaign, "-quiet")
+// spawn forks one worker and returns the coordinator's end of its
+// socketpair. Safe for concurrent use (the coordinator's supervisors
+// call it from respawn goroutines).
+func (s *workerSpawner) spawn() (net.Conn, error) {
+	cmd := exec.Command(s.bin, "-fabric-worker", "-quiet")
 	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("fabric: start worker %d: %w", shard, err)
+	conn, err := fabric.StartWorker(cmd)
+	if err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	s.cmds = append(s.cmds, cmd)
 	s.mu.Unlock()
-	return nil
+	return conn, nil
 }
 
-// reap waits for forked workers to exit (they do, once the coordinator
-// says bye or their connection drops), escalating to SIGKILL after a
-// grace period. Idempotent: safe to call on already-reaped commands.
+// reap waits for forked workers to exit (they do once the coordinator
+// closes their sockets), escalating to SIGKILL after a grace period.
+// Idempotent: safe to call on already-reaped commands.
 func (s *workerSpawner) reap() {
 	s.mu.Lock()
 	cmds := s.cmds

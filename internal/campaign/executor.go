@@ -10,9 +10,10 @@ package campaign
 //     the semantics campaigns have always had. The orchestrator uses it
 //     when Options.Executor is nil.
 //   - fabric.Coordinator (internal/fabric): shards specs across worker
-//     processes over localhost TCP with work-stealing rebalancing,
-//     per-shard WALs, and failure-domain isolation. It satisfies this
-//     interface, so the orchestrator drives both identically.
+//     processes it spawns, one socketpair each, with work-stealing
+//     rebalancing, per-shard WALs, and failure-domain isolation. It
+//     satisfies this interface, so the orchestrator drives both
+//     identically.
 
 import (
 	"context"

@@ -174,6 +174,25 @@ type SpecResult struct {
 	KernelsFailed int
 }
 
+// Entry is the manifest record of a terminal result: the shape both the
+// root WAL and the fabric's shard WALs journal, so the shard merge
+// reconciles them field by field.
+func (sr SpecResult) Entry() ManifestEntry {
+	e := ManifestEntry{
+		Spec:     sr.Spec,
+		Status:   sr.Status,
+		WallSec:  sr.Elapsed.Seconds(),
+		Attempts: sr.Attempts,
+	}
+	if sr.Path != "" {
+		e.File = filepath.Base(sr.Path)
+	}
+	if sr.Err != nil {
+		e.Error = sr.Err.Error()
+	}
+	return e
+}
+
 // Result summarizes a campaign.
 type Result struct {
 	Specs    []SpecResult // one per plan spec, in plan order
@@ -326,18 +345,7 @@ func Run(ctx context.Context, plan Plan, opts Options) (*Result, error) {
 			res.Skipped++
 		}
 		if opts.OutDir != "" && isManifestStatus(sr.Status) {
-			e := ManifestEntry{
-				Spec:     sr.Spec,
-				Status:   sr.Status,
-				WallSec:  sr.Elapsed.Seconds(),
-				Attempts: sr.Attempts,
-			}
-			if sr.Path != "" {
-				e.File = filepath.Base(sr.Path)
-			}
-			if sr.Err != nil {
-				e.Error = sr.Err.Error()
-			}
+			e := sr.Entry()
 			man.Entries[sr.Spec.ID()] = e
 			if err := jl.Append(sr.Spec.ID(), e, opts.Faults); err != nil {
 				if sr.Status == StatusDone {

@@ -1,15 +1,13 @@
 package fabric
 
-// Self-healing acceptance: seeded network chaos, worker.crash events,
-// respawn supervision, hedged redispatch, and graceful drain. The
-// headline test is the DESIGN.md chaos drill — a 4-worker campaign under
-// every net.* fault plus two worker crashes must converge to the same
-// normalized profiles as a fault-free single-process run, with every
-// crashed worker respawned and full fleet capacity restored.
+// Self-healing acceptance: worker.crash events, respawn supervision,
+// the heartbeat stall watchdog, and graceful drain. The headline test is
+// the DESIGN.md crash drill — a 4-worker campaign with two worker
+// crashes must converge to the same normalized profiles as a fault-free
+// single-process run, with every crashed worker respawned and full fleet
+// capacity restored.
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"net"
 	"reflect"
@@ -24,9 +22,8 @@ import (
 	"rajaperf/internal/telemetry"
 )
 
-// TestChaosConvergence is the chaos drill: every transport fault armed
-// at once (delay, drop, dup, corrupt) on both directions of every
-// connection, plus two worker.crash events — and the campaign must
+// TestChaosConvergence is the crash drill: two worker.crash events kill
+// the workers the first two assignments land on — and the campaign must
 // still produce exactly the fault-free result. Run under -race in CI.
 func TestChaosConvergence(t *testing.T) {
 	plan := testPlan()
@@ -47,23 +44,18 @@ func TestChaosConvergence(t *testing.T) {
 		t.Fatalf("solo campaign: %d done, want %d", soloRes.Done, len(specs))
 	}
 
-	// The drill: the same fault spec drives the coordinator's chaos
-	// transport + worker.crash decisions and, forwarded through the
-	// welcome frame, each worker's own chaos transport.
-	const faultSpec = "net.delay:0.05,net.drop:0.05,net.dup:0.05,net.corrupt:0.02,worker.crash:2,seed=11"
-	inj, err := resilience.ParseFaults(faultSpec)
+	// The drill: worker.crash is decided coordinator-side, at dispatch.
+	inj, err := resilience.ParseFaults("worker.crash:2,seed=11")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	cfg := Config{
-		Workers: 4,
-		Worker: WorkerConfig{OutDir: dir, Faults: faultSpec,
-			HeartbeatEvery: 100 * time.Millisecond},
-		Campaign:    dir,
-		Metrics:     new(telemetry.Registry),
-		Chaos:       inj,
-		ResendEvery: 100 * time.Millisecond,
+		Workers:  4,
+		Worker:   WorkerConfig{OutDir: dir, HeartbeatEvery: 100 * time.Millisecond},
+		Campaign: dir,
+		Metrics:  new(telemetry.Registry),
+		Faults:   inj,
 		Respawn: resilience.Policy{MaxAttempts: 10,
 			BaseDelay: 10 * time.Millisecond, MaxDelay: 50 * time.Millisecond},
 	}
@@ -80,9 +72,7 @@ func TestChaosConvergence(t *testing.T) {
 			res.Done, res.Failed, len(specs))
 	}
 
-	// Every crashed worker respawned (worker.crash:2 guarantees at least
-	// two deaths; corrupt-frame teardowns may add more) and the fleet
-	// back at full strength.
+	// Every crashed worker respawned and the fleet back at full strength.
 	if got := f.coord.Respawns(); got < 2 {
 		t.Errorf("respawns = %d, want >= 2 (worker.crash:2 killed two workers)", got)
 	}
@@ -131,10 +121,10 @@ func TestChaosConvergence(t *testing.T) {
 		sRecs, sMeta := normalize(sp)
 		cRecs, cMeta := normalize(cp)
 		if !reflect.DeepEqual(sRecs, cRecs) {
-			t.Errorf("%s: records differ between fault-free and chaos runs", id)
+			t.Errorf("%s: records differ between fault-free and crash-drill runs", id)
 		}
 		if !reflect.DeepEqual(sMeta, cMeta) {
-			t.Errorf("%s: metadata differs between fault-free and chaos runs:\n%v\n%v",
+			t.Errorf("%s: metadata differs between fault-free and crash-drill runs:\n%v\n%v",
 				id, sMeta, cMeta)
 		}
 	}
@@ -155,10 +145,7 @@ func TestWorkerRespawn(t *testing.T) {
 	}
 	f := startFleet(t, cfg)
 
-	f.mu.Lock()
-	victim := f.cmds[0].Process
-	f.mu.Unlock()
-	if err := victim.Kill(); err != nil {
+	if err := f.process(0).Kill(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -182,61 +169,71 @@ func TestWorkerRespawn(t *testing.T) {
 	f.stop()
 }
 
-// TestHedgedRedispatch: SIGSTOP the worker holding a spec once the
-// latency estimator has samples; the sweeper must hedge the spec onto
-// the idle worker and resolve it from the hedge's result.
-func TestHedgedRedispatch(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{
-		Workers:     2,
-		Worker:      WorkerConfig{OutDir: dir},
-		Campaign:    dir,
-		Metrics:     new(telemetry.Registry),
-		Assign:      func(string, int) int { return 0 }, // everything homes to shard 0
-		HedgeFactor: 1,
-		ResendEvery: 50 * time.Millisecond,
-		WorkerStall: 30 * time.Second, // the stall watchdog must NOT beat the hedge
-	}
-	f := startFleet(t, cfg)
-	specs, err := testPlan().Specs()
+// TestStalledWorkerRedispatch: SIGSTOP the worker while it holds a
+// spec in flight. Its socket stays open, so only the heartbeat stall
+// watchdog can notice; the spec must then finish on the other worker.
+func TestStalledWorkerRedispatch(t *testing.T) {
+	plan := testPlan()
+	plan.Machines = []string{"SPR-DDR"}
+	plan.Variants = []string{"RAJA_Seq"}
+	plan.Kernels = []string{"Stream_TRIAD"}
+	plan.Sizes = []int{5_000_000}
+	plan.Reps = 10_000 // chunky (~0.3 s): still running when the stop lands
+	specs, err := plan.Specs()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Three sequential submits land on worker 0 (free, owns the home
-	// queue) and seed the p95 estimator.
-	ctx := context.Background()
-	for _, s := range specs[:3] {
-		if sr := f.coord.Submit(ctx, s); sr.Status != campaign.StatusDone {
-			t.Fatalf("warmup %s: %s (%v)", s.ID(), sr.Status, sr.Err)
-		}
+	dir := t.TempDir()
+	reg := new(telemetry.Registry)
+	cfg := Config{
+		Workers:     2,
+		Worker:      WorkerConfig{OutDir: dir, HeartbeatEvery: 50 * time.Millisecond},
+		Campaign:    dir,
+		Metrics:     reg,
+		Assign:      func(string, int) int { return 0 }, // the spec homes to shard 0
+		WorkerStall: time.Second,
 	}
+	f := startFleet(t, cfg)
+	w0 := f.process(0)
+	t.Cleanup(func() { w0.Kill() }) // a stopped process never reads its EOF
 
-	f.mu.Lock()
-	w0 := f.cmds[0].Process
-	f.mu.Unlock()
+	// Worker 0 is free and owns the home queue, so the assign lands there.
+	done := make(chan campaign.SpecResult, 1)
+	go func() { done <- f.coord.Submit(context.Background(), specs[0]) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for reg.Counter("fabric.assigned", "shard", "0").Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("spec never dispatched to shard 0")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // the worker reads the assign and starts
 	if err := w0.Signal(syscall.SIGSTOP); err != nil {
 		t.Fatal(err)
 	}
-	defer w0.Signal(syscall.SIGCONT)
 
-	// The next spec dispatches to the stopped worker 0; worker 1 is idle,
-	// so the hedge must win.
-	done := make(chan campaign.SpecResult, 1)
-	go func() { done <- f.coord.Submit(ctx, specs[3]) }()
 	select {
 	case sr := <-done:
 		if sr.Status != campaign.StatusDone {
-			t.Fatalf("hedged spec: %s (%v)", sr.Status, sr.Err)
+			t.Fatalf("stalled worker's spec: %s (%v)", sr.Status, sr.Err)
 		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("hedged spec never resolved")
+	case <-time.After(60 * time.Second):
+		t.Fatal("stalled worker's spec never resolved")
 	}
-	if got := f.coord.Hedges(); got < 1 {
-		t.Errorf("hedges = %d, want >= 1 (primary holder was SIGSTOP'd)", got)
+	if got := f.coord.Redispatches(); got < 1 {
+		t.Errorf("redispatches = %d, want >= 1 (worker 0 stalled mid-spec)", got)
 	}
-	w0.Signal(syscall.SIGCONT)
-	f.stop()
+	sums, err := campaign.ShardSummaries(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sums {
+		if s.Shard == 1 && s.Records == 1 {
+			return
+		}
+	}
+	t.Errorf("the spec did not finish on worker 1: %+v", sums)
 }
 
 // TestDrainFinishesInFlight: a drain landing while every spec is in
@@ -425,160 +422,17 @@ func TestDrainCancelsQueued(t *testing.T) {
 	}
 }
 
-// TestHandshakeReject: a hello speaking the wrong protocol version or
-// naming a foreign campaign is turned away at admission — connection
-// closed, rejection counted, no welcome.
-func TestHandshakeReject(t *testing.T) {
-	reg := new(telemetry.Registry)
-	coord, err := NewCoordinator(Config{Workers: 1, Campaign: "camp-a", Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	bad := []*frame{
-		{Type: frameHello, Shard: 0, Proto: protoVersion - 1, Campaign: "camp-a"},
-		{Type: frameHello, Shard: 0, Proto: protoVersion, Campaign: "camp-b"},
-	}
-	for i, hello := range bad {
-		conn, err := net.Dial("tcp", coord.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := writeFrame(conn, hello); err != nil {
-			t.Fatal(err)
-		}
-		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		if _, err := readFrame(bufio.NewReader(conn)); err == nil {
-			t.Fatalf("hello %d (proto %d, campaign %q) was welcomed",
-				i, hello.Proto, hello.Campaign)
-		}
-		conn.Close()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for reg.Counter("fabric.handshake.rejects").Value() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("handshake rejects = %d, want 2",
-				reg.Counter("fabric.handshake.rejects").Value())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestWorkerRejectsForeignCoordinator: the handshake verifies both
-// ways — a worker refuses a welcome naming another campaign or a
-// different protocol version.
+// TestWorkerRejectsForeignCoordinator: a worker refuses a welcome from
+// a coordinator speaking another protocol version — a respawn runs the
+// binary from disk again, which may have been rebuilt mid-campaign.
 func TestWorkerRejectsForeignCoordinator(t *testing.T) {
-	cases := []struct {
-		name    string
-		welcome frame
-		wantErr string
-	}{
-		{"foreign campaign",
-			frame{Type: frameWelcome, Proto: protoVersion, Campaign: "other", Config: &WorkerConfig{}},
-			"campaign"},
-		{"protocol skew",
-			frame{Type: frameWelcome, Proto: protoVersion + 1, Campaign: "mine", Config: &WorkerConfig{}},
-			"protocol"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-			go func() {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				if _, err := readFrame(br); err != nil {
-					return
-				}
-				writeFrame(conn, &tc.welcome)
-				readFrame(br) // hold the conn until the worker hangs up
-			}()
-			err = RunWorker(context.Background(), ln.Addr().String(), 0, "mine")
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("worker accepted a bad welcome: err = %v, want %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-// TestChaosWriter pins the transport fault semantics frame-by-frame:
-// drop blackholes the whole frame while reporting success, corrupt
-// flips exactly one bit, dup doubles the frame, and an unarmed injector
-// passes writes through unwrapped.
-func TestChaosWriter(t *testing.T) {
-	payload := []byte("0123456789abcdef")
-
-	t.Run("unwrapped when no net faults", func(t *testing.T) {
-		inj, err := resilience.ParseFaults("kernel.panic:1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if w := wrapChaos(&buf, inj); w != &buf {
-			t.Error("writer wrapped despite no armed net.* point")
-		}
-		if w := wrapChaos(&buf, nil); w != &buf {
-			t.Error("writer wrapped despite nil injector")
-		}
-	})
-	t.Run("drop", func(t *testing.T) {
-		inj, err := resilience.ParseFaults("net.drop:1.0,seed=1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		n, err := wrapChaos(&buf, inj).Write(payload)
-		if err != nil || n != len(payload) {
-			t.Fatalf("drop must report success: n=%d err=%v", n, err)
-		}
-		if buf.Len() != 0 {
-			t.Fatalf("dropped frame reached the wire: %d bytes", buf.Len())
-		}
-	})
-	t.Run("corrupt", func(t *testing.T) {
-		inj, err := resilience.ParseFaults("net.corrupt:1.0,seed=1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := wrapChaos(&buf, inj).Write(payload); err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Equal(buf.Bytes(), payload) {
-			t.Fatal("corrupt left the frame intact")
-		}
-		diff := 0
-		for i := range payload {
-			if buf.Bytes()[i] != payload[i] {
-				diff++
-			}
-		}
-		if diff != 1 {
-			t.Fatalf("corrupt changed %d bytes, want exactly 1", diff)
-		}
-		if !bytes.Equal(payload, []byte("0123456789abcdef")) {
-			t.Fatal("corrupt mutated the caller's buffer")
-		}
-	})
-	t.Run("dup", func(t *testing.T) {
-		inj, err := resilience.ParseFaults("net.dup:1.0,seed=1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := wrapChaos(&buf, inj).Write(payload); err != nil {
-			t.Fatal(err)
-		}
-		if want := append(append([]byte(nil), payload...), payload...); !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("dup wrote %d bytes, want the frame twice (%d)", buf.Len(), len(want))
+	t.Run("protocol skew", func(t *testing.T) {
+		coord, worker := net.Pipe()
+		defer coord.Close()
+		go writeFrame(coord, &frame{Type: frameWelcome, Proto: protoVersion + 1, Config: &WorkerConfig{}})
+		err := RunWorker(context.Background(), worker)
+		if err == nil || !strings.Contains(err.Error(), "protocol") {
+			t.Fatalf("worker accepted a protocol v%d welcome: err = %v", protoVersion+1, err)
 		}
 	})
 }

@@ -10,32 +10,23 @@ package fabric
 // skewed plan (all the slow specs hashing to one shard) still saturates
 // the fleet.
 //
-// Failure domains: each worker is monitored by a stall watchdog over
-// the heartbeat frames it sends (a SIGSTOP'd or wedged worker is
-// declared dead even while its TCP connection lingers) and by the read
-// loop (a kill-9'd worker's connection resets immediately; a corrupt
-// frame tears the connection down at the CRC check). A dead worker's
+// Failure domains: the coordinator spawns every worker itself, each on
+// its own socketpair, so no other process can connect and a worker's
+// death shows up as EOF on its connection. Each worker is also watched
+// by a stall watchdog over the heartbeat frames it sends, because a
+// SIGSTOP'd or wedged worker keeps its socket open. A dead worker's
 // in-flight spec — at most one, by the capacity discipline — is requeued
 // at the front of its home queue and redispatched to a surviving worker;
 // everything the dead worker already completed is durable in its shard
-// WAL and is never re-run. A per-worker circuit breaker quarantines a
-// worker that keeps producing non-transient failures while its peers
-// succeed (a sick sandbox, not a sick spec).
+// WAL and is never re-run.
 //
-// Self-healing (the layers above mere survival):
+// Self-healing:
 //
-//   - supervision — a dead or quarantined worker is respawned through
-//     Config.Spawn under a capped exponential-backoff restart budget
+//   - supervision — a dead worker is respawned through Config.Spawn
+//     under a capped exponential-backoff restart budget
 //     (resilience.Policy), restoring full shard capacity instead of
 //     limping on fewer queues; the respawned process reopens its shard
 //     WAL in append mode, so completed work is never re-run;
-//   - ack/resend — assigns are acknowledged by workers and results by
-//     the coordinator; a sweeper retransmits whatever a lossy transport
-//     swallowed, so a blackholed frame costs latency, not liveness;
-//   - hedged redispatch — a spec in flight longer than HedgeFactor× the
-//     campaign's running p95 is speculatively re-dispatched to an idle
-//     worker; the first terminal result wins and the loser is canceled
-//     and its late result dropped;
 //   - graceful drain — Drain stops assignment, cancels queued work, and
 //     waits for in-flight specs to finish under the caller's deadline,
 //     so SIGTERM ends a campaign at a spec boundary with merged WALs.
@@ -46,9 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -59,64 +48,40 @@ import (
 	"rajaperf/internal/telemetry"
 )
 
-// errWorkerDone marks a worker monitor context canceled by clean
-// shutdown rather than by its watchdog.
-var errWorkerDone = errors.New("fabric: worker session ended")
-
 // Config configures a coordinator.
 type Config struct {
-	// Workers is the shard count: the fabric waits for exactly this many
-	// worker processes at rendezvous.
+	// Workers is the shard count: NewCoordinator spawns exactly this many
+	// worker processes.
 	Workers int
-	// Addr is the TCP listen address (default "127.0.0.1:0" — loopback,
-	// ephemeral port; the fabric is deliberately single-host, see
-	// DESIGN.md).
-	Addr string
 	// Worker is the execution configuration handed to every worker in
 	// its welcome frame.
 	Worker WorkerConfig
 	// WorkerStall declares a worker dead when its heartbeat frames stop
 	// for this long (0 = 10s, <0 = disabled; the read loop still catches
-	// closed connections immediately).
+	// exited workers immediately).
 	WorkerStall time.Duration
-	// WorkerBreaker quarantines a worker after this many consecutive
-	// non-transient failures (0 = no per-worker breaker). Distinct from
-	// the orchestrator's (kernel set, variant) breaker: this one blames
-	// the worker, not the work.
-	WorkerBreaker int
 	// Assign overrides home-shard assignment (tests force skew to
 	// exercise stealing). Nil uses an FNV hash of the spec ID.
 	Assign func(id string, shards int) int
 
-	// Spawn launches (or relaunches) the worker process for a shard.
-	// When set, a dead or quarantined worker is respawned under the
-	// Respawn budget; nil disables supervision (PR 9 behavior: lost
-	// capacity stays lost).
-	Spawn func(shard int) error
+	// Spawn starts one worker process and returns the coordinator's end
+	// of its socketpair (StartWorker does this for an exec.Cmd). It is
+	// required: NewCoordinator spawns the fleet through it, and
+	// supervision respawns through it.
+	Spawn func() (net.Conn, error)
 	// Respawn caps and paces respawns per shard: MaxAttempts is the
-	// cumulative restart budget (default 3 when Spawn is set), Delay
+	// cumulative restart budget (0 = dead capacity stays lost), Delay
 	// paces attempts with exponential backoff and deterministic jitter.
 	Respawn resilience.Policy
-	// HedgeFactor k arms hedged redispatch: a spec in flight longer than
-	// k× the campaign's running p95 (and longer than ResendEvery) is
-	// speculatively duplicated onto an idle worker. 0 disables hedging.
-	HedgeFactor float64
-	// ResendEvery paces the retransmit sweeper for unacknowledged
-	// assigns and the hedge scan (0 = 500ms).
-	ResendEvery time.Duration
-	// Chaos is the coordinator-side fault injector: it drives the chaos
-	// transport wrapping coordinator→worker writes (net.*) and decides
+	// Faults is the coordinator-side fault injector: it decides
 	// worker.crash at assign dispatch. Nil injects nothing.
-	Chaos *resilience.Injector
+	Faults *resilience.Injector
 
 	// Metrics receives the fabric.* series (nil = telemetry.Default()).
 	Metrics *telemetry.Registry
 	// Bus receives worker-lifecycle events (nil-safe).
 	Bus *telemetry.Bus
-	// Campaign is the campaign identity: stamped on bus events and
-	// verified in the hello handshake, so a stray worker from another
-	// campaign (or a stale binary speaking an old protocol) is turned
-	// away at admission.
+	// Campaign is the campaign identity stamped on bus events.
 	Campaign string
 }
 
@@ -126,52 +91,33 @@ type item struct {
 	id   string
 	home int
 	res  chan campaign.SpecResult // buffered 1: delivery never blocks
-
-	// Guarded by Coordinator.mu.
-	started time.Time     // current dispatch time (hedge age, p95 samples)
-	holders []*workerConn // workers currently running it (2 when hedged)
-	hedged  bool
-	done    bool // terminal result delivered; late duplicates drop
 }
 
-// workerConn is one connected worker.
+// workerConn is one spawned worker.
 type workerConn struct {
 	shard int
-	pid   int
 	conn  net.Conn
-	byed  chan struct{} // closed when the worker echoes bye
 
 	wmu sync.Mutex // serializes frame writes (FIFO discipline)
-	out io.Writer  // conn, chaos-wrapped after the handshake
 
-	beat atomic.Int64 // last heartbeat counter received
+	beat atomic.Int64 // heartbeat frames received
 
 	// Guarded by Coordinator.mu.
-	inflight    *item
-	assignAcked bool      // worker confirmed the current assign
-	lastAssign  time.Time // last (re)transmit of the current assign
-	crash       bool      // current assign carries a worker.crash fault
-	dead        bool
-
-	cancel context.CancelCauseFunc // monitor context
-	wd     *resilience.Watchdog
+	inflight *item
+	wd       *resilience.Watchdog // heartbeat stall watchdog (nil = off)
 }
 
-// send writes one frame under the connection's writer lock, through the
-// chaos transport once the handshake has armed it.
+// send writes one frame under the connection's writer lock.
 func (w *workerConn) send(f *frame) error {
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	return writeFrame(w.out, f)
+	return writeFrame(w.conn, f)
 }
 
-// sendRaw writes one frame directly to the connection, bypassing chaos.
-// Administrative shutdown frames (bye) use it so a drill converges
-// instead of wedging its own teardown.
-func (w *workerConn) sendRaw(f *frame) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	return writeFrame(w.conn, f)
+// stop closes the worker's connection and ends its stall watchdog.
+func (w *workerConn) stop() {
+	w.conn.Close()
+	w.wd.Stop()
 }
 
 func (w *workerConn) name() string { return "shard" + strconv.Itoa(w.shard) }
@@ -181,40 +127,32 @@ func (w *workerConn) name() string { return "shard" + strconv.Itoa(w.shard) }
 // the campaign returns.
 type Coordinator struct {
 	cfg  Config
-	ln   net.Listener
 	tele *fabricTele
-	done chan struct{} // closed by Close; stops the sweeper
 
 	mu              sync.Mutex
 	workers         map[int]*workerConn // live workers by shard
 	queues          map[int][]*item     // pending items by home shard
-	connected       int                 // workers ever connected (rendezvous)
 	closed          bool
 	draining        bool
-	failed          error         // set when the whole fleet is gone
-	restarts        map[int]int   // cumulative spawn attempts by shard
-	pendingRespawns int           // supervisors in flight (defers fleet-failure)
-	durations       []time.Duration // terminal-result latencies (p95 source)
-
-	ready chan struct{} // closed when all Workers shards connected
+	failed          error       // set when the whole fleet is gone
+	restarts        map[int]int // cumulative spawn attempts by shard
+	pendingRespawns int         // supervisors in flight (defers fleet-failure)
 
 	beats        atomic.Int64 // frames received: the Executor heartbeat
 	steals       atomic.Int64
 	redispatches atomic.Int64
 	respawns     atomic.Int64
-	hedges       atomic.Int64
-
-	breakers *resilience.Breaker // per-worker, keyed "shardN"
 }
 
-// NewCoordinator starts listening and accepting workers. It returns
-// immediately; AwaitReady blocks until the fleet has rendezvoused.
+// NewCoordinator spawns the whole fleet through cfg.Spawn and returns
+// once every worker has been sent its welcome frame. If any spawn fails,
+// the workers already started are dismissed and the error returned.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("fabric: %d workers (need >= 1)", cfg.Workers)
 	}
-	if cfg.Addr == "" {
-		cfg.Addr = "127.0.0.1:0"
+	if cfg.Spawn == nil {
+		return nil, errors.New("fabric: Config.Spawn is required")
 	}
 	if cfg.WorkerStall == 0 {
 		cfg.WorkerStall = 10 * time.Second
@@ -222,138 +160,75 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Worker.HeartbeatEvery <= 0 {
 		cfg.Worker.HeartbeatEvery = 250 * time.Millisecond
 	}
-	if cfg.ResendEvery <= 0 {
-		cfg.ResendEvery = 500 * time.Millisecond
-	}
-	if cfg.Spawn != nil && cfg.Respawn.MaxAttempts == 0 {
-		cfg.Respawn.MaxAttempts = 3
-	}
-	ln, err := net.Listen("tcp", cfg.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("fabric: listen: %w", err)
-	}
 	c := &Coordinator{
 		cfg:      cfg,
-		ln:       ln,
 		tele:     newFabricTele(cfg.Metrics),
-		done:     make(chan struct{}),
 		workers:  map[int]*workerConn{},
 		queues:   map[int][]*item{},
 		restarts: map[int]int{},
-		ready:    make(chan struct{}),
-		breakers: resilience.NewBreaker(cfg.WorkerBreaker),
 	}
-	go c.accept()
-	go c.sweep()
+	ws := make([]*workerConn, 0, cfg.Workers)
+	for s := 0; s < cfg.Workers; s++ {
+		w, err := c.spawn(s)
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		ws = append(ws, w)
+	}
+	// Read loops start only once the fleet is complete, so a worker that
+	// exits at once cannot trip fleet-failure detection while the rest of
+	// the fleet is still spawning.
+	for _, w := range ws {
+		go c.serve(w)
+	}
 	return c, nil
 }
 
-// Addr is the address workers dial ("127.0.0.1:port").
-func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
-
-// AwaitReady blocks until every shard's worker has said hello — the
-// rendezvous barrier. Call it before campaign.Run so no spec waits on a
-// fleet that never formed.
-func (c *Coordinator) AwaitReady(ctx context.Context) error {
-	select {
-	case <-c.ready:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("fabric: waiting for %d workers: %w", c.cfg.Workers, context.Cause(ctx))
+// spawn starts the shard's worker process through Config.Spawn, sends
+// its welcome frame, registers it with the fleet and arms its stall
+// watchdog. The caller starts its read loop with serve.
+func (c *Coordinator) spawn(shard int) (*workerConn, error) {
+	conn, err := c.cfg.Spawn()
+	if err != nil {
+		return nil, fmt.Errorf("fabric: spawn shard%d: %w", shard, err)
 	}
-}
-
-// accept admits worker connections until the listener closes.
-func (c *Coordinator) accept() {
-	for {
-		conn, err := c.ln.Accept()
-		if err != nil {
-			return
-		}
-		go c.admit(conn)
-	}
-}
-
-// admit performs the hello/welcome handshake and runs the worker's read
-// loop.
-func (c *Coordinator) admit(conn net.Conn) {
-	br := bufio.NewReader(conn)
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	f, err := readFrame(br)
-	if err != nil || f.Type != frameHello || f.Shard < 0 || f.Shard >= c.cfg.Workers {
+	w := &workerConn{shard: shard, conn: conn}
+	if err := w.send(&frame{Type: frameWelcome, Shard: shard, Proto: protoVersion,
+		Config: &c.cfg.Worker}); err != nil {
 		conn.Close()
-		return
+		return nil, fmt.Errorf("fabric: welcome %s: %w", w.name(), err)
 	}
-	if f.Proto != protoVersion || f.Campaign != c.cfg.Campaign {
-		// A stale binary or a worker from another campaign: reject before
-		// it can receive (or journal) work that is not its own.
-		c.tele.rejects.Inc()
-		telemetry.L().Warn("fabric handshake rejected",
-			"shard", f.Shard, "proto", f.Proto, "want_proto", protoVersion,
-			"campaign", f.Campaign, "want_campaign", c.cfg.Campaign)
-		conn.Close()
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
-
-	w := &workerConn{shard: f.Shard, pid: f.PID, conn: conn, out: conn, byed: make(chan struct{})}
 	c.mu.Lock()
-	if c.closed || c.workers[w.shard] != nil {
+	if c.closed {
 		c.mu.Unlock()
 		conn.Close()
-		return
+		return nil, errors.New("fabric: coordinator closed")
 	}
-	c.workers[w.shard] = w
-	c.connected++
-	rendezvous := c.connected == c.cfg.Workers
+	c.workers[shard] = w
+	// The stall watchdog counts heartbeat frames: a worker whose frames
+	// stop (SIGSTOP, livelock) is declared dead even while its socket stays
+	// open. The hook runs on the watchdog's goroutine, which workerDead
+	// waits out, hence the go. WorkerStall < 0 makes the watchdog inert.
+	w.wd = resilience.Watch(func(cause error) {
+		go c.workerDead(w, fmt.Errorf("fabric: worker %s: %w", w.name(), cause))
+	}, resilience.WatchdogConfig{StallTimeout: c.cfg.WorkerStall}, w.beat.Load)
 	c.mu.Unlock()
-
-	if err := w.send(&frame{Type: frameWelcome, Shard: w.shard, Config: &c.cfg.Worker,
-		Proto: protoVersion, Campaign: c.cfg.Campaign}); err != nil {
-		c.workerDead(w, fmt.Errorf("fabric: welcome: %w", err))
-		return
-	}
-	// Arm the chaos transport only after the handshake: rendezvous has a
-	// deadline but no retransmit layer, so faulting it would turn a drill
-	// into a hang instead of a recovery.
-	w.wmu.Lock()
-	w.out = wrapChaos(conn, c.cfg.Chaos)
-	w.wmu.Unlock()
-	if rendezvous {
-		close(c.ready)
-	}
 	c.tele.workersLive.Add(1)
 	c.cfg.Bus.Publish(telemetry.Event{
 		Type: "worker", Campaign: c.cfg.Campaign, Status: "connected",
-		Worker: w.name(), Shard: w.shard,
+		Worker: w.name(), Shard: shard,
 	})
+	return w, nil
+}
 
-	// The worker stall watchdog samples the heartbeat counter carried by
-	// heartbeat frames; a worker whose frames stop (SIGSTOP, livelock) is
-	// declared dead even while its connection lingers.
-	if c.cfg.WorkerStall > 0 {
-		wctx, cancel := context.WithCancelCause(context.Background())
-		w.cancel = cancel
-		w.wd = resilience.Watch(cancel,
-			resilience.WatchdogConfig{StallTimeout: c.cfg.WorkerStall},
-			w.beat.Load)
-		go func() {
-			<-wctx.Done()
-			if cause := context.Cause(wctx); !errors.Is(cause, errWorkerDone) {
-				c.workerDead(w, fmt.Errorf("fabric: worker %s: %w", w.name(), cause))
-			}
-		}()
-	}
-
+// serve runs one worker's read loop until its connection ends.
+func (c *Coordinator) serve(w *workerConn) {
 	c.kick()
+	br := bufio.NewReader(w.conn)
 	for {
 		f, err := readFrame(br)
 		if err != nil {
-			if errors.Is(err, errFrameChecksum) {
-				// The stream is poisoned, not the process: count it, tear
-				// down this connection, and let redispatch + respawn heal.
-				c.tele.corrupt.Inc()
-			}
 			c.workerDead(w, fmt.Errorf("fabric: worker %s connection: %w", w.name(), err))
 			return
 		}
@@ -361,26 +236,9 @@ func (c *Coordinator) admit(conn net.Conn) {
 		case frameHeartbeat:
 			c.beats.Add(1)
 			c.tele.heartbeats.Inc()
-			w.beat.Store(f.Beat)
-		case frameAck:
-			c.mu.Lock()
-			if w.inflight != nil && w.inflight.id == f.ID {
-				w.assignAcked = true
-			}
-			c.mu.Unlock()
+			w.beat.Add(1)
 		case frameResult:
-			if f.Result != nil {
-				// Ack unconditionally — even a dropped duplicate or a hedge
-				// loser's result — so the worker's resend loop quiesces.
-				w.send(&frame{Type: frameAck, ID: f.Result.ID})
-			}
 			c.handleResult(w, f.Result)
-		case frameBye:
-			select {
-			case <-w.byed:
-			default:
-				close(w.byed)
-			}
 		}
 	}
 }
@@ -442,65 +300,53 @@ func (c *Coordinator) Submit(ctx context.Context, spec campaign.RunSpec) campaig
 	}
 }
 
-// assignment is one dispatch decision made under the lock and executed
-// outside it.
-type assignment struct {
-	w      *workerConn
-	it     *item
-	stolen bool
-	crash  bool
-}
-
 // kick dispatches until no free worker can be matched with pending
 // work. Frame writes happen outside the coordinator lock; a failed
 // write turns into a worker death, which requeues and re-kicks.
 func (c *Coordinator) kick() {
 	for {
 		c.mu.Lock()
-		asg := c.pickLocked()
-		if asg != nil && c.cfg.Chaos.Fire(resilience.FaultWorkerCrash) {
-			// The worker.crash decision is made here, coordinator-side, so
-			// its count is campaign-global: a respawned worker does not
-			// re-evaluate a budget the fleet already spent.
-			asg.crash, asg.w.crash = true, true
-		}
+		w, it, stolen := c.pickLocked()
 		c.mu.Unlock()
-		if asg == nil {
+		if w == nil {
 			return
 		}
-		c.tele.assigned(asg.w.shard).Inc()
-		if asg.stolen {
+		// The worker.crash decision is made here, coordinator-side, so
+		// its count is campaign-global: a respawned worker does not
+		// re-evaluate a budget the fleet already spent.
+		crash := c.cfg.Faults.Fire(resilience.FaultWorkerCrash)
+		c.tele.assigned(w.shard).Inc()
+		if stolen {
 			c.steals.Add(1)
 			c.tele.steals.Inc()
 			c.cfg.Bus.Publish(telemetry.Event{
 				Type: "worker", Campaign: c.cfg.Campaign, Status: "stole",
-				Worker: asg.w.name(), Shard: asg.w.shard, Run: asg.it.spec.ID(),
+				Worker: w.name(), Shard: w.shard, Run: it.id,
 			})
 		}
-		if err := asg.w.send(&frame{Type: frameAssign, Spec: &asg.it.spec, Crash: asg.crash}); err != nil {
-			c.workerDead(asg.w, fmt.Errorf("fabric: assign to %s: %w", asg.w.name(), err))
+		if err := w.send(&frame{Type: frameAssign, Spec: &it.spec, Crash: crash}); err != nil {
+			c.workerDead(w, fmt.Errorf("fabric: assign to %s: %w", w.name(), err))
 		}
 	}
 }
 
 // pickLocked matches the lowest-numbered free worker with work: its own
 // queue first (FIFO), else a steal from the longest queue (ties to the
-// lowest shard) — deterministic given the same event order. Returns nil
-// while draining: drain's contract is that assignment stops.
-func (c *Coordinator) pickLocked() *assignment {
+// lowest shard) — deterministic given the same event order. The chosen
+// item becomes the worker's in-flight spec. Returns a nil worker while
+// draining: drain's contract is that assignment stops.
+func (c *Coordinator) pickLocked() (w *workerConn, it *item, stolen bool) {
 	if c.draining {
-		return nil
+		return nil, nil, false
 	}
 	for s := 0; s < c.cfg.Workers; s++ {
-		w := c.workers[s]
-		if w == nil || w.dead || w.inflight != nil {
+		w = c.workers[s]
+		if w == nil || w.inflight != nil {
 			continue
 		}
 		if q := c.queues[s]; len(q) > 0 {
-			it := q[0]
-			c.queues[s] = q[1:]
-			c.dispatchLocked(w, it)
-			return &assignment{w: w, it: it}
+			w.inflight, c.queues[s] = q[0], q[1:]
+			return w, w.inflight, false
 		}
 		// Steal: the longest foreign queue keeps the fleet busy when the
 		// hash (or a dead worker's orphaned queue) skews the load.
@@ -513,26 +359,14 @@ func (c *Coordinator) pickLocked() *assignment {
 		if victim < 0 {
 			continue
 		}
-		it := c.queues[victim][0]
-		c.queues[victim] = c.queues[victim][1:]
-		c.dispatchLocked(w, it)
-		return &assignment{w: w, it: it, stolen: true}
+		w.inflight, c.queues[victim] = c.queues[victim][0], c.queues[victim][1:]
+		return w, w.inflight, true
 	}
-	return nil
-}
-
-// dispatchLocked binds an item to a worker as its primary dispatch.
-func (c *Coordinator) dispatchLocked(w *workerConn, it *item) {
-	w.inflight = it
-	w.assignAcked = false
-	w.crash = false
-	w.lastAssign = time.Now()
-	it.started = w.lastAssign
-	it.holders = append(it.holders[:0], w)
+	return nil, nil, false
 }
 
 // handleResult resolves a worker's in-flight item with its terminal
-// result, cancels any hedge loser, and feeds the per-worker breaker.
+// result and frees the worker for the next dispatch.
 func (c *Coordinator) handleResult(w *workerConn, r *wireResult) {
 	if r == nil {
 		return
@@ -541,179 +375,116 @@ func (c *Coordinator) handleResult(w *workerConn, r *wireResult) {
 	c.mu.Lock()
 	it := w.inflight
 	if it == nil || it.id != r.ID {
-		// A frame for work this worker no longer owns (it was declared
-		// dead and revived, a canceled hedge, or a duplicate): drop it —
-		// the authoritative copy already resolved, and the shard WAL merge
-		// reconciles the duplicate outcome.
+		// A result for work this worker no longer owns (it was declared
+		// dead while the frame was in flight): drop it — the spec was
+		// redispatched, and the shard WAL merge reconciles the duplicate
+		// outcome.
 		c.mu.Unlock()
 		return
 	}
 	w.inflight = nil
-	w.assignAcked = false
-	w.crash = false
-	if it.done {
-		// Hedge loser crossing the winner on the wire: drop, free the
-		// worker for new work.
-		c.mu.Unlock()
-		c.kick()
-		return
-	}
-	it.done = true
-	var losers []*workerConn
-	for _, h := range it.holders {
-		if h != w && h.inflight == it {
-			h.inflight = nil
-			h.assignAcked = false
-			losers = append(losers, h)
-		}
-	}
-	it.holders = nil
-	c.durations = append(c.durations, time.Since(it.started))
 	c.mu.Unlock()
 
-	for _, l := range losers {
-		l.send(&frame{Type: frameCancel, ID: it.id})
-	}
 	sr := r.toSpecResult(it.spec)
 	c.tele.result(sr.Status).Inc()
-
-	quarantine := false
-	switch {
-	case sr.Status == campaign.StatusDone:
-		c.breakers.Success(w.name())
-	case sr.Status == campaign.StatusFailed && !resilience.IsTransient(sr.Err):
-		quarantine = c.breakers.Failure(w.name(), sr.Err)
-	}
 	it.res <- sr
-	if quarantine {
-		c.workerDead(w, fmt.Errorf("fabric: worker %s quarantined: %s",
-			w.name(), c.breakers.Reason(w.name())))
-		return
-	}
 	c.kick()
 }
 
 // workerDead removes a worker from the fleet: its in-flight item — at
 // most one — is requeued at the front of its home queue for redispatch
-// (unless a hedge twin still runs it, or a drain is in progress), and
-// everything the worker already completed stays durable in its shard
-// WAL. When Config.Spawn is set, a supervisor respawns the shard under
-// the restart budget. Idempotent per worker; a no-op during Close.
+// (unless a drain is in progress), and everything the worker already
+// completed stays durable in its shard WAL. Within the Respawn budget, a
+// supervisor respawns the shard. Idempotent per worker (a dead worker
+// has left c.workers); a no-op during Close.
 func (c *Coordinator) workerDead(w *workerConn, cause error) {
 	c.mu.Lock()
-	if w.dead || c.closed {
-		w.dead = true
+	if c.closed || c.workers[w.shard] != w {
 		c.mu.Unlock()
 		return
 	}
-	w.dead = true
 	delete(c.workers, w.shard)
 	it := w.inflight
 	w.inflight = nil
-	var drainCanceled *item
+	var drainCanceled []*item
 	if it != nil {
-		for i, h := range it.holders {
-			if h == w {
-				it.holders = append(it.holders[:i:i], it.holders[i+1:]...)
-				break
-			}
-		}
-		switch {
-		case it.done || len(it.holders) > 0:
-			// Already resolved, or a hedge twin still runs it: nothing to
-			// redispatch.
-			it = nil
-		case c.draining:
+		if c.draining {
 			// Drain stopped assignment; requeueing would strand the item.
-			drainCanceled, it = it, nil
-		default:
+			drainCanceled, it = []*item{it}, nil
+		} else {
 			c.redispatches.Add(1)
 			c.tele.redispatches.Inc()
 			c.queues[it.home] = append([]*item{it}, c.queues[it.home]...)
 		}
 	}
 	respawn := false
-	if c.cfg.Spawn != nil && !c.draining && c.restarts[w.shard] < c.cfg.Respawn.Attempts() {
+	if !c.draining && c.restarts[w.shard] < c.cfg.Respawn.MaxAttempts {
 		respawn = true
 		c.pendingRespawns++
 	}
-	orphans := c.fleetFailCheckLocked(cause)
+	orphans, failed := c.fleetFailCheckLocked(cause)
 	c.mu.Unlock()
 
-	w.conn.Close()
-	if w.cancel != nil {
-		w.cancel(errWorkerDone)
-	}
-	w.wd.Stop()
+	w.stop()
 	c.tele.workersLive.Add(-1)
 	c.tele.deaths.Inc()
 	ev := telemetry.Event{
 		Type: "worker", Campaign: c.cfg.Campaign, Status: "dead",
-		Worker: w.name(), Shard: w.shard,
-	}
-	if cause != nil {
-		ev.Err = cause.Error()
+		Worker: w.name(), Shard: w.shard, Err: cause.Error(),
 	}
 	if it != nil {
 		ev.Run = it.id
 	}
 	c.cfg.Bus.Publish(ev)
-	if cause == nil {
-		cause = fmt.Errorf("connection lost")
-	}
-	inflight := ""
-	if it != nil {
-		inflight = it.id
-	}
 	telemetry.L().Warn("fabric worker dead",
-		"worker", w.name(), "cause", cause, "redispatching", inflight)
-	if drainCanceled != nil {
-		drainCanceled.res <- campaign.SpecResult{Spec: drainCanceled.spec,
-			Status: campaign.StatusCanceled,
-			Err:    fmt.Errorf("fabric: worker %s died during drain: %w", w.name(), cause)}
-	}
-	c.resolveOrphans(orphans)
+		"worker", w.name(), "cause", cause, "redispatching", ev.Run)
+	resolve(drainCanceled, campaign.StatusCanceled,
+		fmt.Errorf("fabric: worker %s died during drain: %w", w.name(), cause))
+	resolve(orphans, campaign.StatusFailed, failed)
 	if respawn {
 		go c.supervise(w.shard)
 	}
 	c.kick()
 }
 
-// fleetFailCheckLocked declares fleet failure when no worker is live,
-// none is being respawned, and the fleet had fully formed — nothing will
-// ever run the queues. It returns the orphaned items for resolution
-// outside the lock.
-func (c *Coordinator) fleetFailCheckLocked(cause error) []*item {
-	if len(c.workers) > 0 || c.pendingRespawns > 0 || c.connected < c.cfg.Workers ||
-		c.failed != nil || c.closed {
-		return nil
+// fleetFailCheckLocked declares fleet failure when no worker is live and
+// none is being respawned — nothing will ever run the queues. It returns
+// the orphaned items and the failure, for resolution outside the lock.
+func (c *Coordinator) fleetFailCheckLocked(cause error) ([]*item, error) {
+	if len(c.workers) > 0 || c.pendingRespawns > 0 || c.failed != nil || c.closed {
+		return nil, nil
 	}
 	c.failed = fmt.Errorf("fabric: all workers dead (last: %w)", cause)
-	var orphans []*item
+	return c.takeQueuedLocked(), fmt.Errorf("fabric: never ran: %w", c.failed)
+}
+
+// takeQueuedLocked empties every queue and returns what was in them.
+func (c *Coordinator) takeQueuedLocked() []*item {
+	var items []*item
 	for s, q := range c.queues {
-		orphans = append(orphans, q...)
+		items = append(items, q...)
 		c.queues[s] = nil
 	}
-	return orphans
+	return items
 }
 
-func (c *Coordinator) resolveOrphans(orphans []*item) {
-	for _, o := range orphans {
-		o.res <- campaign.SpecResult{Spec: o.spec, Status: campaign.StatusFailed,
-			Err: fmt.Errorf("fabric: %s never ran: %w", o.id, c.failedErr())}
+// resolve delivers the same terminal result to every item.
+func resolve(items []*item, status campaign.Status, err error) {
+	for _, it := range items {
+		it.res <- campaign.SpecResult{Spec: it.spec, Status: status, Err: err}
 	}
 }
 
-// supervise respawns one shard's worker: backoff, spawn, await
-// admission; repeat until admitted or the cumulative restart budget is
-// spent. One supervisor runs per death (pendingRespawns holds off
-// fleet-failure while any is in flight).
+// supervise respawns one shard's worker: backoff, then spawn; repeat
+// until a spawn succeeds or the cumulative restart budget is spent. One
+// supervisor runs per death (pendingRespawns holds off fleet-failure
+// while any is in flight).
 func (c *Coordinator) supervise(shard int) {
-	admitted := false
+	var w *workerConn
 	name := "shard" + strconv.Itoa(shard)
-	for !admitted {
+	for w == nil {
 		c.mu.Lock()
-		if c.closed || c.draining || c.restarts[shard] >= c.cfg.Respawn.Attempts() {
+		if c.closed || c.draining || c.restarts[shard] >= c.cfg.Respawn.MaxAttempts {
 			c.mu.Unlock()
 			break
 		}
@@ -726,166 +497,33 @@ func (c *Coordinator) supervise(shard int) {
 			Type: "worker", Campaign: c.cfg.Campaign, Status: "respawning",
 			Worker: name, Shard: shard, Attempts: attempt,
 		})
-		if err := c.cfg.Spawn(shard); err != nil {
+		var err error
+		if w, err = c.spawn(shard); err != nil {
 			telemetry.L().Warn("fabric respawn failed",
 				"worker", name, "attempt", attempt, "err", err)
 			continue
 		}
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			c.mu.Lock()
-			alive := c.workers[shard] != nil
-			closed := c.closed
-			c.mu.Unlock()
-			if alive {
-				admitted = true
-				break
-			}
-			if closed {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		if admitted {
-			c.respawns.Add(1)
-			c.tele.respawns.Inc()
-			c.cfg.Bus.Publish(telemetry.Event{
-				Type: "worker", Campaign: c.cfg.Campaign, Status: "respawned",
-				Worker: name, Shard: shard, Attempts: attempt,
-			})
-			telemetry.L().Info("fabric worker respawned", "worker", name, "attempt", attempt)
-		}
+		c.respawns.Add(1)
+		c.tele.respawns.Inc()
+		c.cfg.Bus.Publish(telemetry.Event{
+			Type: "worker", Campaign: c.cfg.Campaign, Status: "respawned",
+			Worker: name, Shard: shard, Attempts: attempt,
+		})
+		telemetry.L().Info("fabric worker respawned", "worker", name, "attempt", attempt)
 	}
 
+	// With this supervisor no longer pending, the fleet has failed if no
+	// worker is live — whether the budget ran out or the new worker died.
 	c.mu.Lock()
 	c.pendingRespawns--
-	var orphans []*item
-	if !admitted {
-		orphans = c.fleetFailCheckLocked(errors.New("respawn budget exhausted"))
-	}
+	orphans, failed := c.fleetFailCheckLocked(errors.New("respawn budget exhausted"))
 	c.mu.Unlock()
-	if !admitted {
+	resolve(orphans, campaign.StatusFailed, failed)
+	if w == nil {
 		telemetry.L().Warn("fabric respawn gave up", "worker", name)
-		c.resolveOrphans(orphans)
+		return
 	}
-	c.kick()
-}
-
-// sweep is the retransmit + hedge loop: every ResendEvery it resends
-// unacknowledged assigns (the recovery path for blackholed frames) and
-// hedges specs in flight longer than HedgeFactor× the running p95 onto
-// idle workers.
-func (c *Coordinator) sweep() {
-	t := time.NewTicker(c.cfg.ResendEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-t.C:
-		}
-		type send struct {
-			w *workerConn
-			f *frame
-		}
-		var resends []send
-		var hedged []send
-		now := time.Now()
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return
-		}
-		for _, w := range c.workers {
-			it := w.inflight
-			if w.dead || it == nil || w.assignAcked {
-				continue
-			}
-			if now.Sub(w.lastAssign) >= c.cfg.ResendEvery {
-				w.lastAssign = now
-				resends = append(resends, send{w, &frame{Type: frameAssign, Spec: &it.spec, Crash: w.crash}})
-			}
-		}
-		if c.cfg.HedgeFactor > 0 && !c.draining {
-			if p95, ok := c.p95Locked(); ok {
-				threshold := time.Duration(float64(p95) * c.cfg.HedgeFactor)
-				// Floor at the sweep period: hedging below measurement
-				// granularity would thrash on fast specs.
-				if threshold < c.cfg.ResendEvery {
-					threshold = c.cfg.ResendEvery
-				}
-				for s := 0; s < c.cfg.Workers; s++ {
-					w := c.workers[s]
-					if w == nil || w.dead || w.inflight == nil {
-						continue
-					}
-					it := w.inflight
-					if it.hedged || it.done || now.Sub(it.started) < threshold {
-						continue
-					}
-					h := c.idleLocked()
-					if h == nil {
-						break
-					}
-					it.hedged = true
-					it.holders = append(it.holders, h)
-					h.inflight = it
-					h.assignAcked = false
-					h.crash = false
-					h.lastAssign = now
-					hedged = append(hedged, send{h, &frame{Type: frameAssign, Spec: &it.spec}})
-				}
-			}
-		}
-		c.mu.Unlock()
-		for _, r := range resends {
-			c.tele.resends.Inc()
-			if err := r.w.send(r.f); err != nil {
-				c.workerDead(r.w, fmt.Errorf("fabric: resend to %s: %w", r.w.name(), err))
-			}
-		}
-		for _, h := range hedged {
-			c.hedges.Add(1)
-			c.tele.hedges.Inc()
-			c.cfg.Bus.Publish(telemetry.Event{
-				Type: "worker", Campaign: c.cfg.Campaign, Status: "hedged",
-				Worker: h.w.name(), Shard: h.w.shard, Run: h.f.Spec.ID(),
-			})
-			telemetry.L().Info("fabric hedged redispatch",
-				"run", h.f.Spec.ID(), "worker", h.w.name())
-			if err := h.w.send(h.f); err != nil {
-				c.workerDead(h.w, fmt.Errorf("fabric: hedge to %s: %w", h.w.name(), err))
-			}
-		}
-	}
-}
-
-// idleLocked returns the lowest-numbered live worker with nothing in
-// flight, or nil.
-func (c *Coordinator) idleLocked() *workerConn {
-	for s := 0; s < c.cfg.Workers; s++ {
-		if w := c.workers[s]; w != nil && !w.dead && w.inflight == nil {
-			return w
-		}
-	}
-	return nil
-}
-
-// p95Locked estimates the campaign's running 95th-percentile spec
-// latency; ok is false until enough samples exist to hedge against.
-func (c *Coordinator) p95Locked() (time.Duration, bool) {
-	if len(c.durations) < 3 {
-		return 0, false
-	}
-	ds := append([]time.Duration(nil), c.durations...)
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	return ds[len(ds)*95/100], true
-}
-
-func (c *Coordinator) failedErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.failed
+	c.serve(w)
 }
 
 // Drain stops assignment and waits for in-flight specs to finish under
@@ -901,21 +539,14 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 		return nil
 	}
 	c.draining = true
-	var queued []*item
-	for s, q := range c.queues {
-		queued = append(queued, q...)
-		c.queues[s] = nil
-	}
+	queued := c.takeQueuedLocked()
 	c.mu.Unlock()
 
 	c.cfg.Bus.Publish(telemetry.Event{
 		Type: "campaign", Campaign: c.cfg.Campaign, Status: "draining",
 	})
 	telemetry.L().Info("fabric draining", "queued_canceled", len(queued))
-	errDrain := errors.New("fabric: drained before dispatch")
-	for _, it := range queued {
-		it.res <- campaign.SpecResult{Spec: it.spec, Status: campaign.StatusCanceled, Err: errDrain}
-	}
+	resolve(queued, campaign.StatusCanceled, errors.New("fabric: drained before dispatch"))
 
 	t := time.NewTicker(20 * time.Millisecond)
 	defer t.Stop()
@@ -923,7 +554,7 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 		c.mu.Lock()
 		n := 0
 		for _, w := range c.workers {
-			if w.inflight != nil && !w.inflight.done {
+			if w.inflight != nil {
 				n++
 			}
 		}
@@ -957,9 +588,6 @@ func (c *Coordinator) Redispatches() int64 { return c.redispatches.Load() }
 // Respawns counts workers successfully respawned by supervision.
 func (c *Coordinator) Respawns() int64 { return c.respawns.Load() }
 
-// Hedges counts speculative redispatches of slow in-flight specs.
-func (c *Coordinator) Hedges() int64 { return c.hedges.Load() }
-
 // LiveWorkers is the current live fleet size.
 func (c *Coordinator) LiveWorkers() int {
 	c.mu.Lock()
@@ -967,10 +595,10 @@ func (c *Coordinator) LiveWorkers() int {
 	return len(c.workers)
 }
 
-// Close dismisses the fleet: bye frames exchanged (workers echo bye
-// after finishing their in-flight run, waited on briefly so sockets die
-// at frame boundaries), connections and listener closed, anything still
-// queued resolved as canceled. Idempotent. Part of campaign.Executor.
+// Close dismisses the fleet: it closes every worker's connection — each
+// worker sees EOF, finishes any in-flight spec into its shard WAL, and
+// exits — and resolves anything still queued as canceled. Idempotent.
+// Part of campaign.Executor.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -982,43 +610,18 @@ func (c *Coordinator) Close() error {
 	for _, w := range c.workers {
 		ws = append(ws, w)
 	}
-	var leftovers []*item
-	for s, q := range c.queues {
-		leftovers = append(leftovers, q...)
-		c.queues[s] = nil
-	}
+	leftovers := c.takeQueuedLocked()
 	c.mu.Unlock()
-	close(c.done)
 
 	for _, w := range ws {
-		w.sendRaw(&frame{Type: frameBye})
-	}
-	deadline := time.NewTimer(time.Second)
-	defer deadline.Stop()
-	for _, w := range ws {
-		select {
-		case <-w.byed:
-		case <-deadline.C:
-			// A wedged or chaos-starved worker: close its socket anyway.
-		}
-	}
-	for _, w := range ws {
-		w.conn.Close()
-		if w.cancel != nil {
-			w.cancel(errWorkerDone)
-		}
-		w.wd.Stop()
+		w.stop()
 		c.tele.workersLive.Add(-1)
 		c.cfg.Bus.Publish(telemetry.Event{
 			Type: "worker", Campaign: c.cfg.Campaign, Status: "closed",
 			Worker: w.name(), Shard: w.shard,
 		})
 	}
-	c.ln.Close()
-	for _, o := range leftovers {
-		o.res <- campaign.SpecResult{Spec: o.spec, Status: campaign.StatusCanceled,
-			Err: errors.New("fabric: coordinator closed")}
-	}
+	resolve(leftovers, campaign.StatusCanceled, errors.New("fabric: coordinator closed"))
 	return nil
 }
 
@@ -1031,10 +634,6 @@ type fabricTele struct {
 	redispatches *telemetry.Counter // fabric.redispatches
 	deaths       *telemetry.Counter // fabric.worker.deaths
 	respawns     *telemetry.Counter // fabric.worker.respawns
-	hedges       *telemetry.Counter // fabric.hedges
-	resends      *telemetry.Counter // fabric.resends
-	corrupt      *telemetry.Counter // fabric.frames.corrupt
-	rejects      *telemetry.Counter // fabric.handshake.rejects
 }
 
 func newFabricTele(reg *telemetry.Registry) *fabricTele {
@@ -1049,10 +648,6 @@ func newFabricTele(reg *telemetry.Registry) *fabricTele {
 		redispatches: reg.Counter("fabric.redispatches"),
 		deaths:       reg.Counter("fabric.worker.deaths"),
 		respawns:     reg.Counter("fabric.worker.respawns"),
-		hedges:       reg.Counter("fabric.hedges"),
-		resends:      reg.Counter("fabric.resends"),
-		corrupt:      reg.Counter("fabric.frames.corrupt"),
-		rejects:      reg.Counter("fabric.handshake.rejects"),
 	}
 }
 

@@ -1,26 +1,26 @@
 package fabric
 
 // Distributed-fabric acceptance: real worker processes (this test
-// binary re-executing itself in worker mode), a real TCP coordinator,
-// and real kernel executions. The tests pin the guarantees DESIGN.md
-// promises: a fabric campaign's profiles are equivalent to a
-// single-process run (oracle comparison), resume over a fabric-written
-// directory re-runs nothing, a kill-9'd worker costs only its own
-// in-flight spec (redispatched, campaign converges), and an idle worker
-// steals from a skewed queue.
+// binary re-executing itself in worker mode), a real coordinator on one
+// socketpair per worker, and real kernel executions. The tests pin the
+// guarantees DESIGN.md promises: a fabric campaign's profiles are
+// equivalent to a single-process run (oracle comparison), resume over a
+// fabric-written directory re-runs nothing, a kill-9'd worker costs only
+// its own in-flight spec (redispatched, campaign converges), and an idle
+// worker steals from a skewed queue.
 
 import (
 	"bufio"
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"reflect"
-	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -31,22 +31,17 @@ import (
 	"rajaperf/internal/thicket"
 )
 
-// Worker-mode re-exec: when these env vars are set, the test binary is
+// envWorker switches the test binary into worker mode: when set, it is
 // one of the fleet's worker processes, not a test run.
-const (
-	envWorkerAddr     = "RAJAPERF_FABRIC_WORKER"
-	envWorkerShard    = "RAJAPERF_FABRIC_SHARD"
-	envWorkerCampaign = "RAJAPERF_FABRIC_CAMPAIGN"
-)
+const envWorker = "RAJAPERF_FABRIC_WORKER"
 
 func TestMain(m *testing.M) {
-	if addr := os.Getenv(envWorkerAddr); addr != "" {
-		shard, err := strconv.Atoi(os.Getenv(envWorkerShard))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fabric worker:", err)
-			os.Exit(2)
+	if os.Getenv(envWorker) != "" {
+		conn, err := InheritedConn()
+		if err == nil {
+			err = RunWorker(context.Background(), conn)
 		}
-		if err := RunWorker(context.Background(), addr, shard, os.Getenv(envWorkerCampaign)); err != nil {
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "fabric worker:", err)
 			os.Exit(1)
 		}
@@ -56,75 +51,64 @@ func TestMain(m *testing.M) {
 }
 
 // fleet is one coordinator plus its forked worker processes (initial and
-// respawned).
+// respawned, in spawn order: cmds[i] is shard i's first worker).
 type fleet struct {
 	coord *Coordinator
 
 	mu   sync.Mutex
-	addr string // guarded: respawn supervisors read it from coordinator goroutines
 	cmds []*exec.Cmd
 }
 
-// spawn forks one worker process of this test binary for the shard.
-func (f *fleet) spawn(shard int, campaignID string) error {
-	f.mu.Lock()
-	addr := f.addr
-	f.mu.Unlock()
+// spawn forks one worker process of this test binary.
+func (f *fleet) spawn() (net.Conn, error) {
 	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(),
-		envWorkerAddr+"="+addr,
-		envWorkerShard+"="+strconv.Itoa(shard),
-		envWorkerCampaign+"="+campaignID)
+	cmd.Env = append(os.Environ(), envWorker+"=1")
 	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return err
+	conn, err := StartWorker(cmd)
+	if err != nil {
+		return nil, err
 	}
 	f.mu.Lock()
 	f.cmds = append(f.cmds, cmd)
 	f.mu.Unlock()
-	return nil
+	return conn, nil
 }
 
-// startFleet builds a coordinator from cfg and forks cfg.Workers worker
-// processes of this test binary, blocking until rendezvous. Setting
-// cfg.Respawn.MaxAttempts arms supervision: the coordinator respawns
-// dead workers through the same fork path.
+// process returns the i-th spawned worker process.
+func (f *fleet) process(i int) *os.Process {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.cmds[i].Process
+}
+
+// startFleet builds a coordinator from cfg, which forks cfg.Workers
+// worker processes of this test binary. Setting cfg.Respawn.MaxAttempts
+// arms supervision: the coordinator respawns dead workers through the
+// same fork path.
 func startFleet(t testing.TB, cfg Config) *fleet {
 	t.Helper()
 	f := &fleet{}
-	if cfg.Respawn.MaxAttempts > 0 {
-		campaignID := cfg.Campaign
-		cfg.Spawn = func(shard int) error { return f.spawn(shard, campaignID) }
-	}
+	cfg.Spawn = f.spawn
+	t.Cleanup(f.stop)
 	coord, err := NewCoordinator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.coord = coord
 	f.mu.Lock()
-	f.addr = coord.Addr()
+	f.coord = coord
 	f.mu.Unlock()
-	t.Cleanup(func() { f.stop() })
-	for i := 0; i < cfg.Workers; i++ {
-		if err := f.spawn(i, cfg.Campaign); err != nil {
-			t.Fatalf("start worker %d: %v", i, err)
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := coord.AwaitReady(ctx); err != nil {
-		t.Fatal(err)
-	}
 	return f
 }
 
 // stop dismisses the fleet and reaps the worker processes. Idempotent.
 func (f *fleet) stop() {
-	f.coord.Close()
 	f.mu.Lock()
-	cmds := f.cmds
+	coord, cmds := f.coord, f.cmds
 	f.cmds = nil
 	f.mu.Unlock()
+	if coord != nil {
+		coord.Close()
+	}
 	for _, cmd := range cmds {
 		done := make(chan struct{})
 		go func(c *exec.Cmd) {
@@ -392,9 +376,7 @@ func TestFabricKilledWorker(t *testing.T) {
 			// the third Submit's dispatch (published just before it) settle.
 			if !killed && running-finished == 3 && fl != nil {
 				killed = true
-				fl.mu.Lock()
-				victim := fl.cmds[2].Process
-				fl.mu.Unlock()
+				victim := fl.process(2)
 				go func() {
 					time.Sleep(20 * time.Millisecond)
 					victim.Kill()
@@ -469,18 +451,55 @@ func TestFabricWorkSteal(t *testing.T) {
 	}
 }
 
+// TestWorkerDeathIsEOF: with the stall watchdog off, a killed worker
+// must still be noticed at once, as EOF on its socket.
+func TestWorkerDeathIsEOF(t *testing.T) {
+	f := startFleet(t, Config{Workers: 2, Campaign: "eof", WorkerStall: -1,
+		Metrics: new(telemetry.Registry)})
+	if err := f.process(0).Kill(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for f.coord.LiveWorkers() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("killed worker never seen dead: %d workers live", f.coord.LiveWorkers())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestSocketpairCloseOnExec: both socket ends are close-on-exec from
+// birth. Otherwise a worker forked concurrently (two respawns at once)
+// inherits another worker's socket, and that worker's death or the
+// coordinator's close no longer reads as EOF.
+func TestSocketpairCloseOnExec(t *testing.T) {
+	fds, err := socketpair()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fd := range fds {
+		flags, _, errno := syscall.Syscall(syscall.SYS_FCNTL, uintptr(fd), syscall.F_GETFD, 0)
+		syscall.Close(fd)
+		if errno != 0 {
+			t.Fatal(errno)
+		}
+		if flags&syscall.FD_CLOEXEC == 0 {
+			t.Errorf("fd %d is not close-on-exec", fd)
+		}
+	}
+}
+
 // TestFrameRoundtrip pins the wire format: length-prefixed JSON frames
 // survive encode/decode, and oversized or torn frames error instead of
 // desynchronizing the stream.
 func TestFrameRoundtrip(t *testing.T) {
 	spec := campaign.RunSpec{Machine: "SPR-DDR", Variant: "RAJA_Seq", Size: 10_000, Schedule: "default"}
 	frames := []*frame{
-		{Type: frameHello, Shard: 3, PID: 4242},
-		{Type: frameWelcome, Config: &WorkerConfig{OutDir: "/tmp/x", MaxAttempts: 2, HeartbeatEvery: time.Second}},
+		{Type: frameWelcome, Shard: 3, Proto: protoVersion,
+			Config: &WorkerConfig{OutDir: "/tmp/x", MaxAttempts: 2, HeartbeatEvery: time.Second}},
 		{Type: frameAssign, Spec: &spec},
 		{Type: frameResult, Result: &wireResult{ID: spec.ID(), Status: campaign.StatusDone, Attempts: 1}},
-		{Type: frameHeartbeat, Beat: 17},
-		{Type: frameBye},
+		{Type: frameHeartbeat},
 	}
 	var buf bytes.Buffer
 	for _, f := range frames {
@@ -508,17 +527,6 @@ func TestFrameRoundtrip(t *testing.T) {
 	r = bufio.NewReader(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff}))
 	if _, err := readFrame(r); err == nil {
 		t.Fatal("oversized frame must error")
-	}
-	// A flipped bit anywhere in the body fails the CRC trailer with the
-	// sentinel the coordinator counts corrupt frames by.
-	buf.Reset()
-	if err := writeFrame(&buf, &frame{Type: frameHeartbeat, Beat: 9}); err != nil {
-		t.Fatal(err)
-	}
-	poisoned := buf.Bytes()
-	poisoned[len(poisoned)/2] ^= 0x40
-	if _, err := readFrame(bufio.NewReader(bytes.NewReader(poisoned))); !errors.Is(err, errFrameChecksum) {
-		t.Fatalf("bit-flipped frame: err = %v, want errFrameChecksum", err)
 	}
 }
 

@@ -1,44 +1,39 @@
 // Package fabric is the distributed sharded execution backend for
 // campaigns: a coordinator that shards a plan's RunSpecs across worker
-// processes over localhost TCP, with work-stealing rebalancing,
-// per-shard write-ahead logs, and failure-domain isolation — a crashed
-// or kill-9'd worker costs the campaign only its own in-flight specs.
+// processes it spawns itself, one socketpair per worker, with
+// work-stealing rebalancing, per-shard write-ahead logs, and
+// failure-domain isolation — a crashed or kill-9'd worker costs the
+// campaign only its own in-flight spec.
 //
 // The protocol reuses the message discipline of internal/simmpi, the
 // suite's MPI stand-in, translated from channels to a byte stream:
 //
 //   - typed frames — every message is one tagged, self-describing
-//     record (hello, welcome, assign, result, heartbeat, bye), exactly
-//     as simmpi messages carry (src, tag, payload);
-//   - rendezvous — workers announce themselves with hello and the
-//     coordinator holds the campaign at a barrier (AwaitReady) until
-//     every shard has checked in, like simmpi's Run spawning all ranks
-//     before any communicates;
+//     record (welcome, assign, result, heartbeat), exactly as simmpi
+//     messages carry (src, tag, payload);
+//   - spawn-all — the coordinator starts and welcomes every shard's
+//     worker before it accepts any spec, like simmpi's Run spawning all
+//     ranks before any communicates;
 //   - deterministic ordering — frames on one connection are strictly
-//     FIFO (TCP plus a single writer lock per side), matching simmpi's
-//     per-sender ordering guarantee, and the coordinator's dispatcher
-//     visits workers and queues in shard order, so the same event
-//     sequence always produces the same assignment sequence.
+//     FIFO (a stream socket plus a single writer lock per side), matching
+//     simmpi's per-sender ordering guarantee, and the coordinator's
+//     dispatcher visits workers and queues in shard order, so the same
+//     event sequence always produces the same assignment sequence.
 //
-// On the wire each frame is a 4-byte big-endian length prefix, one JSON
-// object, and a 4-byte big-endian CRC32-C (Castagnoli) trailer over the
-// JSON bytes. JSON keeps the frames debuggable (hexdump a session and
+// On the wire each frame is a 4-byte big-endian length prefix and one
+// JSON object. JSON keeps the frames debuggable (hexdump a session and
 // read it) and reuses the RunSpec/ManifestEntry serializations the
 // manifest already pins; the fabric moves a few frames per spec, so
-// codec speed is irrelevant next to run time. The trailer means the
-// protocol never trusts a byte: a flipped bit (storage, a chaos drill's
-// net.corrupt fault) is detected at the receiver and tears down that
-// one connection — never the process — after which the in-flight spec
-// redispatches and the worker respawns.
+// codec speed is irrelevant next to run time. A socketpair neither drops
+// nor flips bytes, but the peer is another process, so readFrame still
+// bounds, length-checks and decodes every frame instead of trusting it.
 package fabric
 
 import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"time"
 
@@ -46,38 +41,25 @@ import (
 	"rajaperf/internal/resilience"
 )
 
-// Frame types. The coordinator sends welcome/assign/cancel/bye; workers
-// send hello/result/heartbeat and echo bye; ack flows both ways (worker
-// acks assigns, coordinator acks results) — the reliability layer that
-// lets either side resend through a lossy chaos transport.
+// Frame types. The coordinator sends welcome and assign; workers send
+// result and heartbeat. Closing the socket ends the session: the worker
+// sees EOF, the coordinator sees a dead worker.
 const (
-	frameHello     = "hello"     // worker → coordinator: shard rendezvous
-	frameWelcome   = "welcome"   // coordinator → worker: execution config
+	frameWelcome   = "welcome"   // coordinator → worker: shard, protocol version, execution config
 	frameAssign    = "assign"    // coordinator → worker: run one spec
-	frameAck       = "ack"       // both ways: assign/result received (dedup + resend layer)
-	frameCancel    = "cancel"    // coordinator → worker: abandon a hedged spec
 	frameResult    = "result"    // worker → coordinator: terminal outcome
-	frameHeartbeat = "heartbeat" // worker → coordinator: liveness counter
-	frameBye       = "bye"       // coordinator → worker: clean shutdown (worker echoes it after draining)
+	frameHeartbeat = "heartbeat" // worker → coordinator: liveness tick, no payload
 )
 
-// protoVersion is the wire protocol version exchanged in hello/welcome.
-// A mismatch — a stale worker binary dialing a new coordinator — is
-// rejected at the handshake instead of failing obscurely mid-campaign.
-// v2 added the CRC trailer, the handshake fields, and ack/cancel frames.
-const protoVersion = 2
+// protoVersion is the wire protocol version carried by welcome; it
+// changes whenever the frame layout does. A respawn runs the binary from
+// disk again, which may have been rebuilt mid-campaign, so a worker
+// refuses a version it does not speak instead of failing obscurely.
+const protoVersion = 3
 
 // maxFrame bounds a decoded frame; anything larger is protocol
 // corruption, not data.
 const maxFrame = 16 << 20
-
-// castagnoli is the CRC32-C table (hardware-accelerated on amd64/arm64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// errFrameChecksum marks a frame whose CRC trailer did not match its
-// body: the connection's stream can no longer be trusted and must be
-// torn down (the sender may be fine — corruption can be the link's).
-var errFrameChecksum = errors.New("fabric: frame checksum mismatch")
 
 // WorkerConfig is the execution configuration the coordinator hands each
 // worker in the welcome frame — the worker-relevant subset of
@@ -91,11 +73,8 @@ type WorkerConfig struct {
 	PoolLanes int `json:"pool_lanes,omitempty"`
 	// Retry/watchdog knobs, mirrored from campaign.Options.
 	MaxAttempts  int           `json:"max_attempts,omitempty"`
-	BaseDelay    time.Duration `json:"base_delay,omitempty"`
-	MaxDelay     time.Duration `json:"max_delay,omitempty"`
 	RunTimeout   time.Duration `json:"run_timeout,omitempty"`
 	StallTimeout time.Duration `json:"stall_timeout,omitempty"`
-	Grace        time.Duration `json:"grace,omitempty"`
 	// Faults is a resilience.ParseFaults spec; each worker owns an
 	// independent injector seeded by it (documented in DESIGN.md — fault
 	// counts are per worker process, not campaign-global).
@@ -163,60 +142,42 @@ func (w *wireResult) toSpecResult(spec campaign.RunSpec) campaign.SpecResult {
 type frame struct {
 	Type string `json:"type"`
 
-	// hello / welcome
+	// welcome: the worker's shard index, the coordinator's protocol
+	// version, and the execution configuration.
 	Shard  int           `json:"shard,omitempty"`
-	PID    int           `json:"pid,omitempty"`
+	Proto  int           `json:"proto,omitempty"`
 	Config *WorkerConfig `json:"config,omitempty"`
-	// Proto is the sender's protocol version; Campaign its campaign
-	// identity. Both sides verify them at the handshake: a stale worker
-	// or a fleet member from another campaign is turned away before it
-	// can receive (or journal) work that is not its own.
-	Proto    int    `json:"proto,omitempty"`
-	Campaign string `json:"campaign,omitempty"`
 
 	// assign. Crash carries the worker.crash fault decision: the worker
-	// this assignment lands on crashes on receipt (chaos drills only).
+	// this assignment lands on crashes on receipt (fault drills only).
 	Spec  *campaign.RunSpec `json:"spec,omitempty"`
 	Crash bool              `json:"crash,omitempty"`
 
-	// ack / cancel: the spec ID being acknowledged or abandoned.
-	ID string `json:"id,omitempty"`
-
 	// result
 	Result *wireResult `json:"result,omitempty"`
-
-	// heartbeat: a monotone per-worker liveness counter.
-	Beat int64 `json:"beat,omitempty"`
 }
 
-// writeFrame encodes one frame as a single Write: length prefix, JSON
-// body, CRC32-C trailer. One Write per frame matters beyond efficiency —
-// the chaos transport (chaos.go) injects faults at Write granularity, so
-// a whole frame is delayed, dropped, duplicated, or corrupted as a unit
-// and the drill exercises protocol recovery, not accidental framing
-// desync. Callers serialize writes per connection (each side holds a
-// writer lock), preserving FIFO frame order.
+// writeFrame encodes one frame as a single Write: length prefix, then
+// the JSON body. Callers serialize writes per connection (each side
+// holds a writer lock), preserving FIFO frame order.
 func writeFrame(w io.Writer, f *frame) error {
 	body, err := json.Marshal(f)
 	if err != nil {
 		return fmt.Errorf("fabric: encode %s frame: %w", f.Type, err)
 	}
-	buf := make([]byte, 4+len(body)+4)
+	buf := make([]byte, 4+len(body))
 	binary.BigEndian.PutUint32(buf[:4], uint32(len(body)))
 	copy(buf[4:], body)
-	binary.BigEndian.PutUint32(buf[4+len(body):], crc32.Checksum(body, castagnoli))
 	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("fabric: write frame: %w", err)
 	}
 	return nil
 }
 
-// readFrame decodes the next length-prefixed frame from r and verifies
-// its CRC trailer. Every failure mode returns an error and never panics:
-// a hostile or corrupt stream costs at most one maxFrame allocation and
-// the connection, not the process. A checksum failure wraps
-// errFrameChecksum so the coordinator can count corrupt frames apart
-// from ordinary disconnects.
+// readFrame decodes the next length-prefixed frame from r. Every failure
+// mode returns an error and never panics: a hostile or corrupt stream
+// costs at most one maxFrame allocation and the connection, not the
+// process.
 func readFrame(r *bufio.Reader) (*frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -226,14 +187,9 @@ func readFrame(r *bufio.Reader) (*frame, error) {
 	if n == 0 || n > maxFrame {
 		return nil, fmt.Errorf("fabric: frame length %d out of range", n)
 	}
-	body := make([]byte, n+4)
+	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, fmt.Errorf("fabric: truncated frame: %w", err)
-	}
-	sum := binary.BigEndian.Uint32(body[n:])
-	body = body[:n]
-	if got := crc32.Checksum(body, castagnoli); got != sum {
-		return nil, fmt.Errorf("%w (got %08x, want %08x)", errFrameChecksum, got, sum)
 	}
 	var f frame
 	if err := json.Unmarshal(body, &f); err != nil {

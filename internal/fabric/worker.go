@@ -1,12 +1,12 @@
 package fabric
 
 // The worker: one process owning one shard of a distributed campaign.
-// It dials the coordinator, rendezvouses with hello/welcome — verifying
-// protocol version and campaign identity both ways — and then runs each
-// assigned spec behind the same campaign.LocalExecutor the in-process
-// backend uses — retry loop, per-attempt pool, run watchdogs, profile
-// write — so a spec's execution semantics do not depend on which backend
-// ran it.
+// It reads the welcome frame on the socket its coordinator handed it —
+// learning its shard and verifying the protocol version — and then runs
+// each assigned spec behind the same campaign.LocalExecutor the
+// in-process backend uses — retry loop, per-attempt pool, run watchdogs,
+// profile write — so a spec's execution semantics do not depend on which
+// backend ran it.
 //
 // Durability ordering per spec: the profile reaches the shared OutDir
 // (inside LocalExecutor.Submit), then the outcome is appended and
@@ -17,23 +17,19 @@ package fabric
 // same WAL in append mode, so supervision inherits everything its
 // predecessor completed.
 //
-// Reliability over a lossy (chaos-injected) transport: the worker acks
-// every assign and deduplicates repeats by spec ID, and it resends each
-// result until the coordinator acks it — so a blackholed frame in either
-// direction costs one resend interval, never a hang. A cancel frame
-// aborts the named spec (the losing half of a hedged redispatch); an
-// assign carrying the Crash flag is the worker.crash fault landing, and
+// An assign carrying the Crash flag is the worker.crash fault landing:
 // the process exits immediately, exactly as a real crash would.
 
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
-	"path/filepath"
 	"sync"
+	"syscall"
 	"time"
 
 	"rajaperf/internal/campaign"
@@ -44,39 +40,12 @@ import (
 // coordinator's reaper from an ordinary worker error.
 const crashExit = 3
 
-// RunWorker runs one worker process's session: dial addr, announce
-// shard and campaign identity, execute assigned specs until the
-// coordinator says bye (clean return) or the connection breaks (error —
-// typically the coordinator died, and this process should exit with it).
-func RunWorker(ctx context.Context, addr string, shard int, campaignID string) error {
-	if shard < 0 {
-		return fmt.Errorf("fabric: negative shard %d", shard)
-	}
-	d := net.Dialer{Timeout: 10 * time.Second}
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return fmt.Errorf("fabric: dial coordinator: %w", err)
-	}
+// RunWorker runs one worker process's session over conn: read the
+// welcome, then execute assigned specs until the coordinator closes its
+// end (clean return) or the connection breaks (error).
+func RunWorker(ctx context.Context, conn net.Conn) error {
 	defer conn.Close()
-
-	var wmu sync.Mutex
-	var out io.Writer = conn // chaos-wrapped after the handshake
-	send := func(f *frame) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		return writeFrame(out, f)
-	}
-	sendRaw := func(f *frame) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		return writeFrame(conn, f)
-	}
-	if err := send(&frame{Type: frameHello, Shard: shard, PID: os.Getpid(),
-		Proto: protoVersion, Campaign: campaignID}); err != nil {
-		return err
-	}
 	br := bufio.NewReader(conn)
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	f, err := readFrame(br)
 	if err != nil {
 		return fmt.Errorf("fabric: waiting for welcome: %w", err)
@@ -87,30 +56,19 @@ func RunWorker(ctx context.Context, addr string, shard int, campaignID string) e
 	if f.Proto != protoVersion {
 		return fmt.Errorf("fabric: coordinator speaks protocol v%d, this worker v%d", f.Proto, protoVersion)
 	}
-	if f.Campaign != campaignID {
-		return fmt.Errorf("fabric: coordinator runs campaign %q, this worker belongs to %q", f.Campaign, campaignID)
-	}
-	conn.SetReadDeadline(time.Time{})
-	cfg := *f.Config
+	shard, cfg := f.Shard, *f.Config
 
 	inj, err := resilience.ParseFaults(cfg.Faults)
 	if err != nil {
 		return fmt.Errorf("fabric: worker faults: %w", err)
 	}
-	// Arm the chaos transport only now: the handshake has a deadline but
-	// no retransmit layer (mirrors the coordinator side).
-	wmu.Lock()
-	out = wrapChaos(conn, inj)
-	wmu.Unlock()
-
 	exec := campaign.NewLocalExecutor(campaign.Options{
 		OutDir:       cfg.OutDir,
 		Workers:      1, // one spec in flight per worker: the fabric's capacity discipline
 		PoolLanes:    cfg.PoolLanes,
-		Retry:        resilience.Policy{MaxAttempts: cfg.MaxAttempts, BaseDelay: cfg.BaseDelay, MaxDelay: cfg.MaxDelay},
+		Retry:        resilience.Policy{MaxAttempts: cfg.MaxAttempts},
 		RunTimeout:   cfg.RunTimeout,
 		StallTimeout: cfg.StallTimeout,
-		Grace:        cfg.Grace,
 		Faults:       inj,
 	})
 	var wal *campaign.ShardJournal
@@ -121,195 +79,66 @@ func RunWorker(ctx context.Context, addr string, shard int, campaignID string) e
 		defer wal.Close()
 	}
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Session state shared by the read loop, the run goroutine, and the
-	// resend ticker.
-	st := struct {
-		sync.Mutex
-		seen      map[string]bool        // assigns accepted this session (dedup)
-		canceled  map[string]bool        // cancel received before/while running
-		unacked   map[string]*wireResult // results awaiting coordinator ack
-		curID     string                 // spec currently executing
-		curCancel context.CancelFunc
-	}{
-		seen:     map[string]bool{},
-		canceled: map[string]bool{},
-		unacked:  map[string]*wireResult{},
+	var wmu sync.Mutex
+	send := func(f *frame) error {
+		wmu.Lock()
+		defer wmu.Unlock()
+		return writeFrame(conn, f)
 	}
 
-	// Heartbeats + result resends: one timer goroutine. The heartbeat is
-	// a monotone counter asserting "this process is alive and its socket
-	// works" — per-run liveness is the local executor's watchdog's job,
-	// so a long-legitimate kernel does not get its worker declared dead.
-	// The resend sweep retransmits any result the coordinator has not
-	// acked, recovering frames the chaos transport blackholed.
-	hbStop := make(chan struct{})
-	defer close(hbStop)
+	// Heartbeats assert "this process is alive and its socket works".
+	// Per-run liveness is the local executor's watchdog's job, so a long
+	// legitimate kernel does not get its worker declared dead.
+	hbStop, hbDone := make(chan struct{}), make(chan struct{})
+	defer func() {
+		close(hbStop)
+		<-hbDone
+	}()
 	go func() {
+		defer close(hbDone)
 		t := time.NewTicker(cfg.HeartbeatEvery)
 		defer t.Stop()
-		var beat int64
-		ticks := 0
 		for {
 			select {
 			case <-hbStop:
 				return
 			case <-t.C:
-				beat++
-				if send(&frame{Type: frameHeartbeat, Beat: beat}) != nil {
+				if send(&frame{Type: frameHeartbeat}) != nil {
 					return
-				}
-				ticks++
-				if ticks%2 != 0 {
-					continue // resend at half the heartbeat rate
-				}
-				st.Lock()
-				var rs []*wireResult
-				for _, r := range st.unacked {
-					rs = append(rs, r)
-				}
-				st.Unlock()
-				for _, r := range rs {
-					if send(&frame{Type: frameResult, Result: r}) != nil {
-						return
-					}
 				}
 			}
 		}
 	}()
 
-	// Assigned specs execute on a separate goroutine so the read loop
-	// stays responsive to cancel and bye while a run is in flight. The
-	// coordinator's capacity discipline sends at most one live assign at
-	// a time (duplicates are deduped before enqueue), so the buffer never
-	// fills.
-	assigns := make(chan campaign.RunSpec, 4)
-	runErr := make(chan error, 1)
-	go func() {
-		defer close(runErr)
-		for spec := range assigns {
-			id := spec.ID()
-			st.Lock()
-			if st.canceled[id] {
-				st.Unlock()
-				continue // canceled while queued: the winner already resolved it
-			}
-			rctx, rcancel := context.WithCancel(runCtx)
-			st.curID, st.curCancel = id, rcancel
-			st.Unlock()
-			sr := exec.Submit(rctx, spec)
-			rcancel()
-			st.Lock()
-			st.curID, st.curCancel = "", nil
-			wasCanceled := st.canceled[id]
-			st.Unlock()
-			if sr.Status != campaign.StatusCanceled {
-				if err := wal.Append(id, shardEntry(sr)); err != nil {
-					runErr <- err
-					return
-				}
-			} else if wasCanceled {
-				// A hedge loser: the winner's outcome is authoritative, and
-				// the coordinator has already moved on. Report nothing.
-				continue
-			}
-			wr := toWire(sr)
-			st.Lock()
-			st.unacked[id] = wr
-			st.Unlock()
-			if err := send(&frame{Type: frameResult, Result: wr}); err != nil {
-				runErr <- err
-				return
-			}
-		}
-	}()
-
+	// Specs run here, one at a time: the coordinator sends the next assign
+	// only after this worker's result, so there is nothing else to read
+	// while a spec runs. EOF therefore always finds the previous spec
+	// finished and journaled.
 	for {
 		f, err := readFrame(br)
+		if errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) {
+			return nil // the coordinator closed its end: the session is over
+		}
 		if err != nil {
-			close(assigns)
-			if ctx.Err() != nil {
-				return nil
-			}
-			return fmt.Errorf("fabric: coordinator connection: %w", err)
+			return fmt.Errorf("fabric: worker shard%d: %w", shard, err)
 		}
-		switch f.Type {
-		case frameAssign:
-			if f.Spec == nil {
-				continue
-			}
-			if f.Crash {
-				// The worker.crash fault landing: die exactly as a real
-				// crash would — no ack, no WAL entry, no goodbye. The
-				// coordinator redispatches the spec and respawns the shard.
-				os.Exit(crashExit)
-			}
-			id := f.Spec.ID()
-			st.Lock()
-			dup := st.seen[id]
-			st.seen[id] = true
-			done := st.unacked[id]
-			st.Unlock()
-			// Always (re-)ack: the previous ack may have been blackholed.
-			if err := send(&frame{Type: frameAck, ID: id}); err != nil {
-				continue // the read loop will see the broken conn
-			}
-			if dup {
-				if done != nil {
-					// Completed but the result (or its ack) was lost: resend
-					// now rather than waiting for the sweep.
-					send(&frame{Type: frameResult, Result: done})
-				}
-				continue
-			}
-			select {
-			case assigns <- *f.Spec:
-			case err := <-runErr:
-				close(assigns)
+		if f.Type != frameAssign || f.Spec == nil {
+			return fmt.Errorf("fabric: worker shard%d: unexpected %q frame", shard, f.Type)
+		}
+		if f.Crash {
+			// The worker.crash fault landing: die exactly as a real crash
+			// would — no WAL entry, no result. The coordinator redispatches
+			// the spec and respawns the shard.
+			os.Exit(crashExit)
+		}
+		sr := exec.Submit(ctx, *f.Spec)
+		if sr.Status != campaign.StatusCanceled {
+			if err := wal.Append(f.Spec.ID(), sr.Entry()); err != nil {
 				return fmt.Errorf("fabric: worker shard%d: %w", shard, err)
 			}
-		case frameAck:
-			st.Lock()
-			delete(st.unacked, f.ID)
-			st.Unlock()
-		case frameCancel:
-			st.Lock()
-			st.canceled[f.ID] = true
-			if st.curID == f.ID && st.curCancel != nil {
-				st.curCancel()
-			}
-			st.Unlock()
-		case frameBye:
-			close(assigns)
-			if err := <-runErr; err != nil {
-				return fmt.Errorf("fabric: worker shard%d: %w", shard, err)
-			}
-			// Echo bye (chaos-free: shutdown frames must not wedge the
-			// drill's own teardown) so the coordinator closes the socket at
-			// a frame boundary.
-			sendRaw(&frame{Type: frameBye, Shard: shard})
-			return nil
 		}
+		// A failed send needs no handling: a coordinator that is gone shows
+		// as EOF on the next read.
+		_ = send(&frame{Type: frameResult, Result: toWire(sr)})
 	}
-}
-
-// shardEntry builds the WAL record for one terminal outcome — the same
-// shape the orchestrator journals to the root WAL, so the merge layer
-// reconciles them field by field.
-func shardEntry(sr campaign.SpecResult) campaign.ManifestEntry {
-	e := campaign.ManifestEntry{
-		Spec:     sr.Spec,
-		Status:   sr.Status,
-		WallSec:  sr.Elapsed.Seconds(),
-		Attempts: sr.Attempts,
-	}
-	if sr.Path != "" {
-		e.File = filepath.Base(sr.Path)
-	}
-	if sr.Err != nil {
-		e.Error = sr.Err.Error()
-	}
-	return e
 }

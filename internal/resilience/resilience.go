@@ -47,19 +47,6 @@ const (
 	// FaultCorruptProfile corrupts a recorded profile's bytes after the
 	// write (record layer), exercising quarantine + lenient reads.
 	FaultCorruptProfile = "profile.corrupt"
-	// FaultNetDelay delays one fabric frame write (transport layer),
-	// modeling network latency spikes.
-	FaultNetDelay = "net.delay"
-	// FaultNetDrop blackholes one fabric frame write (transport layer):
-	// the bytes vanish, modeling packet loss or a partition. The fabric's
-	// ack/resend and hedging layers must converge anyway.
-	FaultNetDrop = "net.drop"
-	// FaultNetDup writes one fabric frame twice (transport layer);
-	// receivers must deduplicate.
-	FaultNetDup = "net.dup"
-	// FaultNetCorrupt flips one bit of a fabric frame (transport layer);
-	// the CRC trailer must catch it and tear down that connection only.
-	FaultNetCorrupt = "net.corrupt"
 	// FaultWorkerCrash crashes the worker process an assignment lands on
 	// (fabric coordinator layer), exercising redispatch and respawn.
 	FaultWorkerCrash = "worker.crash"
@@ -79,10 +66,6 @@ func Catalog() []Point {
 		{FaultRunTransient, "fail a run attempt with a transient error before it starts (retry/backoff)"},
 		{FaultTornManifest, "truncate one manifest WAL append mid-record (crash-consistent recovery)"},
 		{FaultCorruptProfile, "corrupt a recorded profile's bytes after the write (quarantine, lenient reads)"},
-		{FaultNetDelay, "delay one fabric frame write (network latency spike)"},
-		{FaultNetDrop, "blackhole one fabric frame write (packet loss / partition; ack+resend converges)"},
-		{FaultNetDup, "write one fabric frame twice (receivers deduplicate)"},
-		{FaultNetCorrupt, "flip one bit of a fabric frame (CRC teardown of that connection only)"},
 		{FaultWorkerCrash, "crash the worker process an assignment lands on (redispatch + respawn)"},
 	}
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Name < ps[j].Name })
@@ -134,7 +117,7 @@ type Injector struct {
 // probability — a float in [0,1] containing a '.' — or a positive
 // integer count meaning "fire the first N evaluations". A bare point
 // fires on every evaluation. '=' is accepted as an alias for ':'
-// ("net.corrupt=0.01" ≡ "net.corrupt:0.01"). An empty spec returns
+// ("run.transient=0.1" ≡ "run.transient:0.1"). An empty spec returns
 // (nil, nil): no injection.
 //
 //	"run.transient:0.3,seed=42"   30% of run attempts fail transiently

@@ -20,6 +20,7 @@ func TestParseFaultsRejectsBadSpecs(t *testing.T) {
 		"seed=7",                    // seed without any point
 		"seed=abc,kernel.panic",     // bad seed
 		"kernel.panic,kernel.panic", // duplicate point
+		"net.drop:1",                // removed point
 	} {
 		if _, err := ParseFaults(spec); err == nil {
 			t.Errorf("ParseFaults(%q) accepted a bad spec", spec)
@@ -47,11 +48,11 @@ func TestCatalogCoversEveryPoint(t *testing.T) {
 }
 
 func TestParseFaultsEqualsAlias(t *testing.T) {
-	in, err := ParseFaults("net.corrupt=0.25,worker.crash=2,seed=9")
+	in, err := ParseFaults("run.transient=0.25,worker.crash=2,seed=9")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !in.Enabled(FaultNetCorrupt) || !in.Enabled(FaultWorkerCrash) {
+	if !in.Enabled(FaultRunTransient) || !in.Enabled(FaultWorkerCrash) {
 		t.Fatal("'=' alias terms not armed")
 	}
 	// Count mode via '=' behaves identically to ':'.

@@ -10,7 +10,7 @@
 // rendezvous before any rank communicates, per-sender FIFO ordering —
 // is also the protocol skeleton of the distributed campaign fabric
 // (internal/fabric), translated there from channels to length-prefixed
-// frames over TCP.
+// frames over one socketpair per worker.
 package simmpi
 
 import (
