@@ -36,7 +36,7 @@ func NewAtomic() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *Atomic) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.acc = kernels.Alloc(atomicReplication * 8) // pad slots to separate lines
+	k.acc = rp.Alloc(atomicReplication * 8) // pad slots to separate lines
 	n := float64(k.n)
 	k.SetMetrics(kernels.AnalyticMetrics{
 		BytesRead:    8 * n,

@@ -35,8 +35,8 @@ func NewHistogram() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *Histogram) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.bins = kernels.AllocI64(k.n)
-	k.counts = kernels.AllocI64(histogramBins)
+	k.bins = rp.AllocI64(k.n)
+	k.counts = rp.AllocI64(histogramBins)
 	kernels.InitIntsRand(k.bins, 7, histogramBins)
 	n := float64(k.n)
 	k.SetMetrics(kernels.AnalyticMetrics{

@@ -33,8 +33,8 @@ func NewMemcpy() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *Memcpy) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.src = kernels.Alloc(k.n)
-	k.dst = kernels.Alloc(k.n)
+	k.src = rp.Alloc(k.n)
+	k.dst = rp.Alloc(k.n)
 	kernels.InitData(k.src, 1.0)
 	n := float64(k.n)
 	k.SetMetrics(kernels.AnalyticMetrics{

@@ -31,7 +31,7 @@ func NewMemset() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *Memset) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.x = kernels.Alloc(k.n)
+	k.x = rp.Alloc(k.n)
 	k.val = 0.123
 	n := float64(k.n)
 	k.SetMetrics(kernels.AnalyticMetrics{

@@ -35,7 +35,7 @@ func NewReduceSum() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *ReduceSum) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.x = kernels.Alloc(k.n)
+	k.x = rp.Alloc(k.n)
 	kernels.InitData(k.x, 1.0)
 	n := float64(k.n)
 	k.SetMetrics(kernels.AnalyticMetrics{

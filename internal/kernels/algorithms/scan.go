@@ -33,8 +33,8 @@ func NewScan() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *Scan) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.x = kernels.Alloc(k.n)
-	k.y = kernels.Alloc(k.n)
+	k.x = rp.Alloc(k.n)
+	k.y = rp.Alloc(k.n)
 	kernels.InitData(k.x, 1.0)
 	n := float64(k.n)
 	k.SetMetrics(kernels.AnalyticMetrics{

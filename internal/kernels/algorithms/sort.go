@@ -35,8 +35,8 @@ func NewSort() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *Sort) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.x = kernels.Alloc(k.n)
-	k.work = kernels.Alloc(k.n)
+	k.x = rp.Alloc(k.n)
+	k.work = rp.Alloc(k.n)
 	kernels.InitDataRand(k.x, 20240601)
 	n := float64(k.n)
 	lg := 1.0

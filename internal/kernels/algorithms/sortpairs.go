@@ -35,10 +35,10 @@ func NewSortPairs() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *SortPairs) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.keys = kernels.Alloc(k.n)
-	k.vals = kernels.Alloc(k.n)
-	k.workKeys = kernels.Alloc(k.n)
-	k.workVals = kernels.Alloc(k.n)
+	k.keys = rp.Alloc(k.n)
+	k.vals = rp.Alloc(k.n)
+	k.workKeys = rp.Alloc(k.n)
+	k.workVals = rp.Alloc(k.n)
 	kernels.InitDataRand(k.keys, 99991)
 	for i := range k.vals {
 		k.vals[i] = k.keys[i] * 3.5 // value determined by key for checking

@@ -31,8 +31,7 @@ func NewConvection3DPA() kernels.Kernel {
 
 // SetUp implements kernels.Kernel.
 func (k *Convection3DPA) SetUp(rp kernels.RunParams) {
-	k.x, k.y, k.op, k.ne = paSetUp(&k.KernelBase, rp.EffectiveSize(k.Info()),
-		2*paFlopsPerElement, 55)
+	k.x, k.y, k.op, k.ne = paSetUp(&k.KernelBase, rp, 2*paFlopsPerElement, 55)
 }
 
 // Run implements kernels.Kernel.

@@ -41,10 +41,10 @@ func (k *DelDotVec2D) SetUp(rp kernels.RunParams) {
 	}
 	d := k.d
 	np := (d + 1) * (d + 1)
-	k.x = kernels.Alloc(np)
-	k.y = kernels.Alloc(np)
-	k.xdot = kernels.Alloc(np)
-	k.ydot = kernels.Alloc(np)
+	k.x = rp.Alloc(np)
+	k.y = rp.Alloc(np)
+	k.xdot = rp.Alloc(np)
+	k.ydot = rp.Alloc(np)
 	for p := 0; p < np && len(k.x) > 0; p++ {
 		i := p % (d + 1)
 		j := p / (d + 1)
@@ -54,8 +54,8 @@ func (k *DelDotVec2D) SetUp(rp kernels.RunParams) {
 	}
 	kernels.InitData(k.xdot, 1.0)
 	kernels.InitData(k.ydot, 2.0)
-	k.div = kernels.Alloc(d * d)
-	k.zones = kernels.AllocI32(4 * d * d)
+	k.div = rp.Alloc(d * d)
+	k.zones = rp.AllocI32(4 * d * d)
 	for z := 0; z < d*d && len(k.zones) > 0; z++ {
 		i := z % d
 		j := z / d

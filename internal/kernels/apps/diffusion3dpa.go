@@ -31,8 +31,7 @@ func NewDiffusion3DPA() kernels.Kernel {
 
 // SetUp implements kernels.Kernel.
 func (k *Diffusion3DPA) SetUp(rp kernels.RunParams) {
-	k.x, k.y, k.op, k.ne = paSetUp(&k.KernelBase, rp.EffectiveSize(k.Info()),
-		3*paFlopsPerElement, 78)
+	k.x, k.y, k.op, k.ne = paSetUp(&k.KernelBase, rp, 3*paFlopsPerElement, 78)
 }
 
 // Run implements kernels.Kernel.

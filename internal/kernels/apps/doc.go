@@ -30,14 +30,15 @@ type boxMesh struct {
 	nodeList   []int32
 }
 
-// newBoxMesh builds a mesh with roughly the given number of zones.
-func newBoxMesh(zones int) *boxMesh {
+// newBoxMesh builds a mesh with roughly the given number of zones. A
+// model-only run gets the dimensions without the connectivity.
+func newBoxMesh(rp kernels.RunParams, zones int) *boxMesh {
 	e := int(math.Cbrt(float64(zones)))
 	if e < 3 {
 		e = 3
 	}
 	m := &boxMesh{nx: e, ny: e, nz: e, npx: e + 1, npy: e + 1}
-	m.nodeList = kernels.AllocI32(8 * m.Zones())
+	m.nodeList = rp.AllocI32(8 * m.Zones())
 	for z := 0; z < m.Zones() && len(m.nodeList) > 0; z++ {
 		i := z % m.nx
 		j := (z / m.nx) % m.ny
@@ -69,11 +70,11 @@ func (m *boxMesh) Corners(z int) []int32 { return m.nodeList[8*z : 8*z+8] }
 
 // nodeCoords fills x, y, z coordinate arrays for a unit-spaced mesh with a
 // mild deterministic perturbation so volume computations are nontrivial.
-func (m *boxMesh) nodeCoords() (x, y, z []float64) {
+func (m *boxMesh) nodeCoords(rp kernels.RunParams) (x, y, z []float64) {
 	n := m.Nodes()
-	x = kernels.Alloc(n)
-	y = kernels.Alloc(n)
-	z = kernels.Alloc(n)
+	x = rp.Alloc(n)
+	y = rp.Alloc(n)
+	z = rp.Alloc(n)
 	for p := 0; p < len(x); p++ {
 		i := p % m.npx
 		j := (p / m.npx) % m.npy

@@ -44,9 +44,9 @@ func (k *Edge3D) SetUp(rp kernels.RunParams) {
 	if zones < 8 {
 		zones = 8
 	}
-	k.mesh = newBoxMesh(zones)
-	k.x, k.y, k.z = k.mesh.nodeCoords()
-	k.mat = make([]float64, k.mesh.Zones()*edgeBasisN*edgeBasisN)
+	k.mesh = newBoxMesh(rp, zones)
+	k.x, k.y, k.z = k.mesh.nodeCoords(rp)
+	k.mat = rp.Alloc(k.mesh.Zones() * edgeBasisN * edgeBasisN)
 	n := float64(k.mesh.Zones())
 	flopsPerElt := float64(edgeQ3 * (edgeBasisN*3 + 2*edgeBasisN*edgeBasisN))
 	k.SetMetrics(kernels.AnalyticMetrics{

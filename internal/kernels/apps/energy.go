@@ -39,7 +39,7 @@ func (k *Energy) SetUp(rp kernels.RunParams) {
 		&k.eNew, &k.eOld, &k.delvc, &k.pNew, &k.pOld,
 		&k.qNew, &k.qOld, &k.work, &k.qqOld, &k.qlOld,
 	} {
-		*p = kernels.Alloc(k.n)
+		*p = rp.Alloc(k.n)
 	}
 	kernels.InitData(k.eOld, 1.0)
 	kernels.InitDataSigned(k.delvc, 1.0)

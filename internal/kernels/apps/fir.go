@@ -33,8 +33,8 @@ func NewFir() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *Fir) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.in = kernels.Alloc(k.n + firLen)
-	k.out = kernels.Alloc(k.n)
+	k.in = rp.Alloc(k.n + firLen)
+	k.out = rp.Alloc(k.n)
 	kernels.InitData(k.in, 1.0)
 	for j := range k.coeff {
 		k.coeff[j] = 0.5 - 0.07*float64(j)

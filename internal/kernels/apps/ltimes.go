@@ -38,14 +38,14 @@ func NewLtimes() kernels.Kernel {
 
 // ltSetUp allocates the shared LTIMES data; both view and no-view kernels
 // use it.
-func ltSetUp(k *kernels.KernelBase, size int) (phi, ell, psi []float64, nz int) {
-	nz = size / (ltNumG * ltNumM)
+func ltSetUp(k *kernels.KernelBase, rp kernels.RunParams) (phi, ell, psi []float64, nz int) {
+	nz = rp.EffectiveSize(k.Info()) / (ltNumG * ltNumM)
 	if nz < 4 {
 		nz = 4
 	}
-	phi = kernels.Alloc(ltNumM * ltNumG * nz)
-	ell = kernels.Alloc(ltNumM * ltNumD)
-	psi = kernels.Alloc(ltNumD * ltNumG * nz)
+	phi = rp.Alloc(ltNumM * ltNumG * nz)
+	ell = rp.Alloc(ltNumM * ltNumD)
+	psi = rp.Alloc(ltNumD * ltNumG * nz)
 	kernels.InitData(ell, 1.0)
 	kernels.InitData(psi, 2.0)
 	fz := float64(nz)
@@ -68,7 +68,7 @@ func ltSetUp(k *kernels.KernelBase, size int) (phi, ell, psi []float64, nz int) 
 
 // SetUp implements kernels.Kernel.
 func (k *Ltimes) SetUp(rp kernels.RunParams) {
-	k.phi, k.ell, k.psi, k.nz = ltSetUp(&k.KernelBase, rp.EffectiveSize(k.Info()))
+	k.phi, k.ell, k.psi, k.nz = ltSetUp(&k.KernelBase, rp)
 }
 
 // Run implements kernels.Kernel. The parallel dimension is the zone.

@@ -30,7 +30,7 @@ func NewLtimesNoView() kernels.Kernel {
 
 // SetUp implements kernels.Kernel.
 func (k *LtimesNoView) SetUp(rp kernels.RunParams) {
-	k.phi, k.ell, k.psi, k.nz = ltSetUp(&k.KernelBase, rp.EffectiveSize(k.Info()))
+	k.phi, k.ell, k.psi, k.nz = ltSetUp(&k.KernelBase, rp)
 }
 
 // Run implements kernels.Kernel.

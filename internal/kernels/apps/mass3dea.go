@@ -46,11 +46,11 @@ func (k *Mass3DEA) SetUp(rp kernels.RunParams) {
 	if k.ne < 2 {
 		k.ne = 2
 	}
-	k.op = kernels.Alloc(k.ne * eaQ3)
-	k.mat = kernels.Alloc(k.ne * eaD3 * eaD3)
+	k.op = rp.Alloc(k.ne * eaQ3)
+	k.mat = rp.Alloc(k.ne * eaD3 * eaD3)
 	kernels.InitData(k.op, 1.0)
 	// Tensor-product basis values at quadrature points.
-	k.basis = kernels.Alloc(eaQ3 * eaD3)
+	k.basis = rp.Alloc(eaQ3 * eaD3)
 	for q := 0; q < eaQ3 && len(k.basis) > 0; q++ {
 		qx, qy, qz := q%eaQ1D, (q/eaQ1D)%eaQ1D, q/(eaQ1D*eaQ1D)
 		for d := 0; d < eaD3; d++ {

@@ -28,16 +28,16 @@ func NewMass3DPA() kernels.Kernel {
 	})}
 }
 
-// paSetUp allocates element vectors for a PA kernel at the given size
+// paSetUp allocates element vectors for a PA kernel at the run's size
 // (interpreted as total dofs).
-func paSetUp(kb *kernels.KernelBase, size int, flopsPerElt float64, footprintKB float64) (x, y, op []float64, ne int) {
-	ne = size / feD3
+func paSetUp(kb *kernels.KernelBase, rp kernels.RunParams, flopsPerElt float64, footprintKB float64) (x, y, op []float64, ne int) {
+	ne = rp.EffectiveSize(kb.Info()) / feD3
 	if ne < 2 {
 		ne = 2
 	}
-	x = kernels.Alloc(ne * feD3)
-	y = kernels.Alloc(ne * feD3)
-	op = kernels.Alloc(ne * feQ3)
+	x = rp.Alloc(ne * feD3)
+	y = rp.Alloc(ne * feD3)
+	op = rp.Alloc(ne * feQ3)
 	kernels.InitData(x, 1.0)
 	kernels.InitData(op, 2.0)
 	fne := float64(ne)
@@ -52,8 +52,7 @@ func paSetUp(kb *kernels.KernelBase, size int, flopsPerElt float64, footprintKB 
 
 // SetUp implements kernels.Kernel.
 func (k *Mass3DPA) SetUp(rp kernels.RunParams) {
-	k.x, k.y, k.op, k.ne = paSetUp(&k.KernelBase, rp.EffectiveSize(k.Info()),
-		paFlopsPerElement, 42)
+	k.x, k.y, k.op, k.ne = paSetUp(&k.KernelBase, rp, paFlopsPerElement, 42)
 }
 
 // Run implements kernels.Kernel. The parallel dimension is the element.

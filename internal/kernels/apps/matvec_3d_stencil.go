@@ -44,11 +44,11 @@ func (k *Matvec3DStencil) SetUp(rp kernels.RunParams) {
 	points := k.d * k.d * k.d
 	padded := k.dp * k.dp * k.dp
 	for c := range k.coef {
-		k.coef[c] = kernels.Alloc(points)
+		k.coef[c] = rp.Alloc(points)
 		kernels.InitData(k.coef[c], 0.1*float64(c+1))
 	}
-	k.x = kernels.Alloc(padded)
-	k.b = kernels.Alloc(points)
+	k.x = rp.Alloc(padded)
+	k.b = rp.Alloc(points)
 	kernels.InitData(k.x, 1.0)
 	n := float64(points)
 	k.SetMetrics(kernels.AnalyticMetrics{

@@ -32,9 +32,9 @@ func NewNodalAccumulation3D() kernels.Kernel {
 
 // SetUp implements kernels.Kernel.
 func (k *NodalAccumulation3D) SetUp(rp kernels.RunParams) {
-	k.mesh = newBoxMesh(rp.EffectiveSize(k.Info()))
-	k.vol = make([]float64, k.mesh.Zones())
-	k.node = make([]float64, k.mesh.Nodes())
+	k.mesh = newBoxMesh(rp, rp.EffectiveSize(k.Info()))
+	k.vol = rp.Alloc(k.mesh.Zones())
+	k.node = rp.Alloc(k.mesh.Nodes())
 	kernels.InitData(k.vol, 1.0)
 	n := float64(k.mesh.Zones())
 	k.SetMetrics(kernels.AnalyticMetrics{

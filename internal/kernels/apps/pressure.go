@@ -34,7 +34,7 @@ func NewPressure() kernels.Kernel {
 func (k *Pressure) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
 	for _, p := range []*[]float64{&k.compression, &k.bvc, &k.pNew, &k.eOld, &k.vnewc} {
-		*p = kernels.Alloc(k.n)
+		*p = rp.Alloc(k.n)
 	}
 	kernels.InitDataSigned(k.compression, 1.0)
 	kernels.InitData(k.eOld, 2.0)

@@ -32,9 +32,9 @@ func NewVol3D() kernels.Kernel {
 
 // SetUp implements kernels.Kernel.
 func (k *Vol3D) SetUp(rp kernels.RunParams) {
-	k.mesh = newBoxMesh(rp.EffectiveSize(k.Info()))
-	k.x, k.y, k.z = k.mesh.nodeCoords()
-	k.vol = make([]float64, k.mesh.Zones())
+	k.mesh = newBoxMesh(rp, rp.EffectiveSize(k.Info()))
+	k.x, k.y, k.z = k.mesh.nodeCoords(rp)
+	k.vol = rp.Alloc(k.mesh.Zones())
 	n := float64(k.mesh.Zones())
 	k.SetMetrics(kernels.AnalyticMetrics{
 		// Each node is shared by eight zones, so the coordinate

@@ -31,9 +31,9 @@ func NewZonalAccumulation3D() kernels.Kernel {
 
 // SetUp implements kernels.Kernel.
 func (k *ZonalAccumulation3D) SetUp(rp kernels.RunParams) {
-	k.mesh = newBoxMesh(rp.EffectiveSize(k.Info()))
-	k.node = make([]float64, k.mesh.Nodes())
-	k.zone = make([]float64, k.mesh.Zones())
+	k.mesh = newBoxMesh(rp, rp.EffectiveSize(k.Info()))
+	k.node = rp.Alloc(k.mesh.Nodes())
+	k.zone = rp.Alloc(k.mesh.Zones())
 	kernels.InitData(k.node, 1.0)
 	n := float64(k.mesh.Zones())
 	k.SetMetrics(kernels.AnalyticMetrics{

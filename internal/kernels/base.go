@@ -1,43 +1,31 @@
 package kernels
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
-// modelOnly, when set, makes the Alloc helpers return nil slices so that
-// SetUp computes analytic metrics and instruction mixes without paying for
-// data allocation — the mode the suite runner uses when only the hardware
-// models execute. Run must not be called while the mode is active.
-var modelOnly atomic.Bool
-
-// SetModelOnly switches metrics-only setup mode on or off.
-func SetModelOnly(on bool) { modelOnly.Store(on) }
-
-// ModelOnly reports whether metrics-only setup mode is active.
-func ModelOnly() bool { return modelOnly.Load() }
-
-// Alloc returns a float64 buffer of n elements, or nil in model-only mode.
-// The InitData helpers are no-ops on nil buffers, so SetUp code is written
-// once for both modes; explicit element writes must be guarded.
-func Alloc(n int) []float64 {
-	if modelOnly.Load() {
+// Alloc returns a float64 buffer of n elements, or nil when the run is
+// model-only: SetUp then computes analytic metrics and instruction mixes
+// without paying for data the hardware models never read. The InitData
+// helpers are no-ops on nil buffers, so SetUp code is written once for
+// both modes; explicit element writes must be guarded. Run is never called
+// on a model-only set-up.
+func (rp RunParams) Alloc(n int) []float64 {
+	if rp.ModelOnly {
 		return nil
 	}
 	return make([]float64, n)
 }
 
 // AllocI64 is Alloc for int64 buffers.
-func AllocI64(n int) []int64 {
-	if modelOnly.Load() {
+func (rp RunParams) AllocI64(n int) []int64 {
+	if rp.ModelOnly {
 		return nil
 	}
 	return make([]int64, n)
 }
 
 // AllocI32 is Alloc for int32 buffers.
-func AllocI32(n int) []int32 {
-	if modelOnly.Load() {
+func (rp RunParams) AllocI32(n int) []int32 {
+	if rp.ModelOnly {
 		return nil
 	}
 	return make([]int32, n)

@@ -36,10 +36,10 @@ func NewArrayOfPtrs() kernels.Kernel {
 func (k *ArrayOfPtrs) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
 	for j := 0; j < aopMaxPtrs; j++ {
-		k.ptrs[j] = kernels.Alloc(k.n)
+		k.ptrs[j] = rp.Alloc(k.n)
 		kernels.InitData(k.ptrs[j], float64(j+1))
 	}
-	k.y = kernels.Alloc(k.n)
+	k.y = rp.Alloc(k.n)
 	n := float64(k.n)
 	k.SetMetrics(kernels.AnalyticMetrics{
 		BytesRead:    8 * aopMaxPtrs * n,

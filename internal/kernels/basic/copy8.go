@@ -32,8 +32,8 @@ func NewCopy8() kernels.Kernel {
 func (k *Copy8) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
 	for j := 0; j < 8; j++ {
-		k.src[j] = kernels.Alloc(k.n)
-		k.dst[j] = kernels.Alloc(k.n)
+		k.src[j] = rp.Alloc(k.n)
+		k.dst[j] = rp.Alloc(k.n)
 		kernels.InitData(k.src[j], float64(j+1))
 	}
 	n := float64(k.n)

@@ -31,8 +31,8 @@ func NewDaxpy() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *Daxpy) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.x = kernels.Alloc(k.n)
-	k.y = kernels.Alloc(k.n)
+	k.x = rp.Alloc(k.n)
+	k.y = rp.Alloc(k.n)
 	kernels.InitData(k.x, 1.0)
 	kernels.InitDataConst(k.y, 0.5)
 	k.a = 3.0

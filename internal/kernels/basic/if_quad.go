@@ -34,11 +34,11 @@ func NewIfQuad() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *IfQuad) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.a = kernels.Alloc(k.n)
-	k.b = kernels.Alloc(k.n)
-	k.c = kernels.Alloc(k.n)
-	k.x1 = kernels.Alloc(k.n)
-	k.x2 = kernels.Alloc(k.n)
+	k.a = rp.Alloc(k.n)
+	k.b = rp.Alloc(k.n)
+	k.c = rp.Alloc(k.n)
+	k.x1 = rp.Alloc(k.n)
+	k.x2 = rp.Alloc(k.n)
 	kernels.InitData(k.a, 1.0)
 	kernels.InitDataConst(k.b, 3.0)
 	// Alternate the sign of c so roughly half the elements take each

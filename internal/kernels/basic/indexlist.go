@@ -35,8 +35,8 @@ func NewIndexList() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *IndexList) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.x = kernels.Alloc(k.n)
-	k.list = kernels.AllocI64(k.n)
+	k.x = rp.Alloc(k.n)
+	k.list = rp.AllocI64(k.n)
 	kernels.InitDataSigned(k.x, 1.0)
 	n := float64(k.n)
 	k.SetMetrics(kernels.AnalyticMetrics{
@@ -72,8 +72,8 @@ func (k *IndexList) Run(v kernels.VariantID, rp kernels.RunParams) error {
 		// Parallel variants use flag + exclusive scan + scatter so the
 		// output order matches the sequential reference.
 		pol := rp.Policy(v)
-		flags := kernels.AllocI64(n)
-		pos := kernels.AllocI64(n)
+		flags := make([]int64, n)
+		pos := make([]int64, n)
 		for r := 0; r < reps; r++ {
 			raja.Forall(pol, n, func(_ raja.Ctx, i int) {
 				if x[i] < 0 {

@@ -35,10 +35,10 @@ func NewIndexList3Loop() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *IndexList3Loop) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.x = kernels.Alloc(k.n)
-	k.counts = kernels.AllocI64(k.n)
-	k.pos = kernels.AllocI64(k.n)
-	k.list = kernels.AllocI64(k.n)
+	k.x = rp.Alloc(k.n)
+	k.counts = rp.AllocI64(k.n)
+	k.pos = rp.AllocI64(k.n)
+	k.list = rp.AllocI64(k.n)
 	kernels.InitDataSigned(k.x, 1.0)
 	n := float64(k.n)
 	k.SetMetrics(kernels.AnalyticMetrics{

@@ -30,11 +30,11 @@ func NewInit3() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *Init3) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.out1 = kernels.Alloc(k.n)
-	k.out2 = kernels.Alloc(k.n)
-	k.out3 = kernels.Alloc(k.n)
-	k.in1 = kernels.Alloc(k.n)
-	k.in2 = kernels.Alloc(k.n)
+	k.out1 = rp.Alloc(k.n)
+	k.out2 = rp.Alloc(k.n)
+	k.out3 = rp.Alloc(k.n)
+	k.in1 = rp.Alloc(k.n)
+	k.in2 = rp.Alloc(k.n)
 	kernels.InitData(k.in1, 1.0)
 	kernels.InitData(k.in2, 2.0)
 	n := float64(k.n)

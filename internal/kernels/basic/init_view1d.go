@@ -31,7 +31,7 @@ func NewInitView1D() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *InitView1D) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.a = kernels.Alloc(k.n)
+	k.a = rp.Alloc(k.n)
 	n := float64(k.n)
 	k.SetMetrics(kernels.AnalyticMetrics{
 		BytesRead:    0,

@@ -43,9 +43,9 @@ func (k *MatMatShared) SetUp(rp kernels.RunParams) {
 	}
 	k.dim -= k.dim % matTile
 	d := k.dim
-	k.a = kernels.Alloc(d * d)
-	k.b = kernels.Alloc(d * d)
-	k.c = kernels.Alloc(d * d)
+	k.a = rp.Alloc(d * d)
+	k.b = rp.Alloc(d * d)
+	k.c = rp.Alloc(d * d)
 	kernels.InitData(k.a, 1.0)
 	kernels.InitData(k.b, 2.0)
 	nd := float64(d)

@@ -37,8 +37,8 @@ func NewMultiReduce() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *MultiReduce) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.data = kernels.Alloc(k.n)
-	k.bins = kernels.AllocI64(k.n)
+	k.data = rp.Alloc(k.n)
+	k.bins = rp.AllocI64(k.n)
 	kernels.InitData(k.data, 1.0)
 	kernels.InitIntsRand(k.bins, 99, multiReduceBins)
 	n := float64(k.n)
@@ -57,7 +57,7 @@ func (k *MultiReduce) SetUp(rp kernels.RunParams) {
 func (k *MultiReduce) Run(v kernels.VariantID, rp kernels.RunParams) error {
 	data, bins, n := k.data, k.bins, k.n
 	reps := rp.EffectiveReps(k.Info())
-	vals := kernels.Alloc(multiReduceBins)
+	vals := make([]float64, multiReduceBins)
 	switch v {
 	case kernels.BaseSeq, kernels.LambdaSeq:
 		for r := 0; r < reps; r++ {
@@ -82,7 +82,7 @@ func (k *MultiReduce) Run(v kernels.VariantID, rp kernels.RunParams) error {
 			}
 			var mu sync.Mutex
 			run := func(lo, hi int) {
-				local := kernels.Alloc(multiReduceBins)
+				local := make([]float64, multiReduceBins)
 				for i := lo; i < hi; i++ {
 					local[bins[i]] += data[i]
 				}

@@ -39,7 +39,7 @@ func (k *NestedInit) SetUp(rp kernels.RunParams) {
 		k.nk = 1
 	}
 	total := k.ni * k.nj * k.nk
-	k.array = kernels.Alloc(total)
+	k.array = rp.Alloc(total)
 	n := float64(total)
 	k.SetMetrics(kernels.AnalyticMetrics{
 		BytesRead:    0,

@@ -35,7 +35,7 @@ func NewReduce3Int() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *Reduce3Int) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.vec = kernels.AllocI64(k.n)
+	k.vec = rp.AllocI64(k.n)
 	kernels.InitIntsRand(k.vec, 12345, 1000)
 	if len(k.vec) > 0 {
 		k.vec[k.n/3] = -57

@@ -35,8 +35,8 @@ func NewReduceStruct() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *ReduceStruct) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.x = kernels.Alloc(k.n)
-	k.y = kernels.Alloc(k.n)
+	k.x = rp.Alloc(k.n)
+	k.y = rp.Alloc(k.n)
 	kernels.InitDataSigned(k.x, 1.0)
 	kernels.InitDataSigned(k.y, 2.0)
 	n := float64(k.n)

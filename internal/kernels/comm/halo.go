@@ -38,15 +38,20 @@ type haloDomain struct {
 }
 
 // newHaloDomain builds a domain with roughly the given interior volume.
-func newHaloDomain(size int, rank int) *haloDomain {
+// A model-only run gets the dimensions alone: only Run reads the
+// variables, buffers and index lists, and haloMetrics needs just the size.
+func newHaloDomain(rp kernels.RunParams, size, rank int) *haloDomain {
 	d := int(math.Cbrt(float64(size)))
 	if d < 3 {
 		d = 3
 	}
 	h := &haloDomain{d: d, e: d + 2}
+	if rp.ModelOnly {
+		return h
+	}
 	total := h.e * h.e * h.e
 	for v := 0; v < haloVars; v++ {
-		h.vars[v] = kernels.Alloc(total)
+		h.vars[v] = make([]float64, total)
 		kernels.InitData(h.vars[v], float64(v+1)+0.1*float64(rank))
 	}
 	idx := func(i, j, k int) int32 { return int32((k*h.e+j)*h.e + i) }
@@ -82,7 +87,7 @@ func newHaloDomain(size int, rank int) *haloDomain {
 			}
 		}
 		for v := 0; v < haloVars; v++ {
-			h.buffers[v][f] = kernels.Alloc(area)
+			h.buffers[v][f] = make([]float64, area)
 		}
 	}
 	return h

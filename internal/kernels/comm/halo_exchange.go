@@ -29,7 +29,7 @@ func (k *HaloExchange) SetUp(rp kernels.RunParams) {
 	ranks := rp.EffectiveRanks()
 	k.doms = make([]*haloDomain, ranks)
 	for r := range k.doms {
-		k.doms[r] = newHaloDomain(size, r)
+		k.doms[r] = newHaloDomain(rp, size, r)
 	}
 	haloMetrics(&k.KernelBase, size, ranks, 0.6, 2*numFaces*haloVars)
 }

@@ -25,7 +25,7 @@ func NewHaloPacking() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *HaloPacking) SetUp(rp kernels.RunParams) {
 	size := rp.EffectiveSize(k.Info())
-	k.dom = newHaloDomain(size, 0)
+	k.dom = newHaloDomain(rp, size, 0)
 	haloMetrics(&k.KernelBase, size, 1, 0, 2*numFaces*haloVars)
 }
 

@@ -30,7 +30,7 @@ func NewHaloPackingFused() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *HaloPackingFused) SetUp(rp kernels.RunParams) {
 	size := rp.EffectiveSize(k.Info())
-	k.dom = newHaloDomain(size, 0)
+	k.dom = newHaloDomain(rp, size, 0)
 	haloMetrics(&k.KernelBase, size, 1, 0, 2)
 }
 

@@ -28,7 +28,7 @@ func (k *HaloSendrecv) SetUp(rp kernels.RunParams) {
 	ranks := rp.EffectiveRanks()
 	k.doms = make([]*haloDomain, ranks)
 	for r := range k.doms {
-		k.doms[r] = newHaloDomain(size, r)
+		k.doms[r] = newHaloDomain(rp, size, r)
 		// Pre-pack the x-face buffers once; the kernel then measures
 		// pure message traffic.
 		h := k.doms[r]

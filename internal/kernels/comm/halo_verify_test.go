@@ -16,7 +16,7 @@ func TestExchangeDeliversNeighborBoundary(t *testing.T) {
 	const ranks = 3
 	doms := make([]*haloDomain, ranks)
 	for r := range doms {
-		doms[r] = newHaloDomain(size, r)
+		doms[r] = newHaloDomain(kernels.RunParams{}, size, r)
 	}
 	// Snapshot each rank's packed +x/-x boundary values before exchange.
 	boundary := make([][haloVars][2][]float64, ranks)
@@ -72,7 +72,7 @@ func TestExchangeDeliversNeighborBoundary(t *testing.T) {
 // interior boundary layer: every packed index lies strictly inside the
 // padded grid and one cell from a face.
 func TestPackedBufferContents(t *testing.T) {
-	h := newHaloDomain(1000, 0)
+	h := newHaloDomain(kernels.RunParams{}, 1000, 0)
 	e := h.e
 	at := func(idx int32) (i, j, k int) {
 		i = int(idx) % e

@@ -374,6 +374,11 @@ type RunParams struct {
 	// through. Nil means the shared raja.Default() pool, so a whole
 	// suite run reuses one set of parked workers.
 	Pool *raja.Pool
+
+	// ModelOnly makes SetUp compute metrics and the instruction mix
+	// without allocating kernel data (see Alloc); Run must not follow.
+	// The zero value executes.
+	ModelOnly bool
 }
 
 // Context resolves the run's cancellation context.

@@ -31,8 +31,8 @@ func NewDiffPredict() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *DiffPredict) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.px = kernels.Alloc(14 * k.n)
-	k.cx = kernels.Alloc(14 * k.n)
+	k.px = rp.Alloc(14 * k.n)
+	k.cx = rp.Alloc(14 * k.n)
 	kernels.InitData(k.px, 1.0)
 	kernels.InitData(k.cx, 2.0)
 	n := float64(k.n)

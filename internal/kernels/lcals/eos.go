@@ -32,10 +32,10 @@ func NewEos() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *Eos) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.x = kernels.Alloc(k.n + 7)
-	k.y = kernels.Alloc(k.n + 7)
-	k.z = kernels.Alloc(k.n + 7)
-	k.u = kernels.Alloc(k.n + 7)
+	k.x = rp.Alloc(k.n + 7)
+	k.y = rp.Alloc(k.n + 7)
+	k.z = rp.Alloc(k.n + 7)
+	k.u = rp.Alloc(k.n + 7)
 	kernels.InitData(k.y, 1.0)
 	kernels.InitData(k.z, 2.0)
 	kernels.InitData(k.u, 3.0)

@@ -30,8 +30,8 @@ func NewFirstDiff() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *FirstDiff) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.x = kernels.Alloc(k.n)
-	k.y = kernels.Alloc(k.n + 1)
+	k.x = rp.Alloc(k.n)
+	k.y = rp.Alloc(k.n + 1)
 	kernels.InitData(k.y, 1.0)
 	n := float64(k.n)
 	k.SetMetrics(kernels.AnalyticMetrics{

@@ -37,7 +37,7 @@ func NewFirstMin() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *FirstMin) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.x = kernels.Alloc(k.n)
+	k.x = rp.Alloc(k.n)
 	kernels.InitData(k.x, 1.0)
 	if len(k.x) > 0 {
 		k.x[k.n/2] = -1e10

@@ -29,8 +29,8 @@ func NewFirstSum() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *FirstSum) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.x = kernels.Alloc(k.n)
-	k.y = kernels.Alloc(k.n)
+	k.x = rp.Alloc(k.n)
+	k.y = rp.Alloc(k.n)
 	kernels.InitData(k.y, 1.0)
 	n := float64(k.n)
 	k.SetMetrics(kernels.AnalyticMetrics{

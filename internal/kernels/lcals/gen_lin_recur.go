@@ -36,9 +36,9 @@ func NewGenLinRecur() kernels.Kernel {
 func (k *GenLinRecur) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
 	k.kb5i = 0
-	k.b5 = kernels.Alloc(k.n + k.kb5i + 1)
-	k.sa = kernels.Alloc(k.n + 1)
-	k.sb = kernels.Alloc(k.n + 1)
+	k.b5 = rp.Alloc(k.n + k.kb5i + 1)
+	k.sa = rp.Alloc(k.n + 1)
+	k.sb = rp.Alloc(k.n + 1)
 	kernels.InitData(k.sa, 1.0)
 	kernels.InitData(k.sb, 2.0)
 	k.stb5 = 0.0153

@@ -32,9 +32,9 @@ func NewHydro1D() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *Hydro1D) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.x = kernels.Alloc(k.n + 12)
-	k.y = kernels.Alloc(k.n + 12)
-	k.z = kernels.Alloc(k.n + 12)
+	k.x = rp.Alloc(k.n + 12)
+	k.y = rp.Alloc(k.n + 12)
+	k.z = rp.Alloc(k.n + 12)
 	kernels.InitData(k.y, 1.0)
 	kernels.InitData(k.z, 2.0)
 	k.q, k.r, k.t = 0.00100, 0.00061, 0.00027

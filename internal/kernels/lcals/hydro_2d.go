@@ -41,21 +41,21 @@ func (k *Hydro2D) SetUp(rp kernels.RunParams) {
 	k.jn, k.kn = edge, edge
 	total := k.jn * k.kn
 	alloc := func(factor float64) []float64 {
-		a := kernels.Alloc(total)
+		a := rp.Alloc(total)
 		kernels.InitData(a, factor)
 		return a
 	}
-	k.za = kernels.Alloc(total)
-	k.zb = kernels.Alloc(total)
+	k.za = rp.Alloc(total)
+	k.zb = rp.Alloc(total)
 	k.zm = alloc(1.0)
 	k.zp = alloc(2.0)
 	k.zq = alloc(3.0)
 	k.zr = alloc(4.0)
-	k.zu = kernels.Alloc(total)
-	k.zv = kernels.Alloc(total)
+	k.zu = rp.Alloc(total)
+	k.zv = rp.Alloc(total)
 	k.zz = alloc(5.0)
-	k.zrout = kernels.Alloc(total)
-	k.zzout = kernels.Alloc(total)
+	k.zrout = rp.Alloc(total)
+	k.zzout = rp.Alloc(total)
 	k.s, k.t = 0.0041, 0.0037
 	n := float64(total)
 	k.SetMetrics(kernels.AnalyticMetrics{

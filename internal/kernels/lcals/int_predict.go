@@ -31,7 +31,7 @@ func NewIntPredict() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *IntPredict) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.px = kernels.Alloc(13 * k.n)
+	k.px = rp.Alloc(13 * k.n)
 	kernels.InitData(k.px, 1.0)
 	k.dm22, k.dm23, k.dm24 = 0.2, 0.3, 0.4
 	k.dm25, k.dm26, k.dm27 = 0.5, 0.6, 0.7

@@ -33,11 +33,11 @@ func NewPlanckian() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *Planckian) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.x = kernels.Alloc(k.n)
-	k.y = kernels.Alloc(k.n)
-	k.u = kernels.Alloc(k.n)
-	k.v = kernels.Alloc(k.n)
-	k.w = kernels.Alloc(k.n)
+	k.x = rp.Alloc(k.n)
+	k.y = rp.Alloc(k.n)
+	k.u = rp.Alloc(k.n)
+	k.v = rp.Alloc(k.n)
+	k.w = rp.Alloc(k.n)
 	kernels.InitData(k.x, 1.0)
 	kernels.InitData(k.u, 2.0)
 	// Keep v bounded away from zero so exp stays finite.

@@ -31,10 +31,10 @@ func NewTridiagElim() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *TridiagElim) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.xout = kernels.Alloc(k.n)
-	k.xin = kernels.Alloc(k.n)
-	k.y = kernels.Alloc(k.n)
-	k.z = kernels.Alloc(k.n)
+	k.xout = rp.Alloc(k.n)
+	k.xin = rp.Alloc(k.n)
+	k.y = rp.Alloc(k.n)
+	k.z = rp.Alloc(k.n)
 	kernels.InitData(k.xin, 1.0)
 	kernels.InitData(k.y, 2.0)
 	kernels.InitData(k.z, 3.0)

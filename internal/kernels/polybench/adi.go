@@ -38,10 +38,10 @@ func NewAdi() kernels.Kernel {
 func (k *Adi) SetUp(rp kernels.RunParams) {
 	k.n = edge2D(rp.EffectiveSize(k.Info()), 4)
 	d := k.n
-	k.u = kernels.Alloc(d * d)
-	k.v = kernels.Alloc(d * d)
-	k.p = kernels.Alloc(d * d)
-	k.q = kernels.Alloc(d * d)
+	k.u = rp.Alloc(d * d)
+	k.v = rp.Alloc(d * d)
+	k.p = rp.Alloc(d * d)
+	k.q = rp.Alloc(d * d)
 	kernels.InitData(k.u, 1.0)
 	nd := float64(d * d)
 	k.SetMetrics(kernels.AnalyticMetrics{

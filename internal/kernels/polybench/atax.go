@@ -33,10 +33,10 @@ func NewAtax() kernels.Kernel {
 func (k *Atax) SetUp(rp kernels.RunParams) {
 	k.n = edge2D(rp.EffectiveSize(k.Info()), 1)
 	d := k.n
-	k.a = kernels.Alloc(d * d)
-	k.x = kernels.Alloc(d)
-	k.y = kernels.Alloc(d)
-	k.tmp = kernels.Alloc(d)
+	k.a = rp.Alloc(d * d)
+	k.x = rp.Alloc(d)
+	k.y = rp.Alloc(d)
+	k.tmp = rp.Alloc(d)
 	kernels.InitData(k.a, 1.0)
 	kernels.InitData(k.x, 2.0)
 	nd := float64(d)

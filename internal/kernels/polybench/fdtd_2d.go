@@ -36,10 +36,10 @@ func NewFdtd2D() kernels.Kernel {
 func (k *Fdtd2D) SetUp(rp kernels.RunParams) {
 	k.n = edge2D(rp.EffectiveSize(k.Info()), 3)
 	d := k.n
-	k.ex = kernels.Alloc(d * d)
-	k.ey = kernels.Alloc(d * d)
-	k.hz = kernels.Alloc(d * d)
-	k.fict = kernels.Alloc(fdtdSteps)
+	k.ex = rp.Alloc(d * d)
+	k.ey = rp.Alloc(d * d)
+	k.hz = rp.Alloc(d * d)
+	k.fict = rp.Alloc(fdtdSteps)
 	kernels.InitData(k.ex, 1.0)
 	kernels.InitData(k.ey, 2.0)
 	kernels.InitData(k.hz, 3.0)

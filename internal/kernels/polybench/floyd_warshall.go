@@ -33,8 +33,8 @@ func NewFloydWarshall() kernels.Kernel {
 func (k *FloydWarshall) SetUp(rp kernels.RunParams) {
 	k.n = edge2D(rp.EffectiveSize(k.Info()), 2)
 	d := k.n
-	k.pin = kernels.Alloc(d * d)
-	k.pout = kernels.Alloc(d * d)
+	k.pin = rp.Alloc(d * d)
+	k.pout = rp.Alloc(d * d)
 	// Deterministic pseudo-random edge weights.
 	kernels.InitDataRand(k.pin, 31337)
 	for i := range k.pin {

@@ -31,9 +31,9 @@ func NewGemm() kernels.Kernel {
 func (k *Gemm) SetUp(rp kernels.RunParams) {
 	k.n = edge2D(rp.EffectiveSize(k.Info()), 3)
 	d := k.n
-	k.a = kernels.Alloc(d * d)
-	k.b = kernels.Alloc(d * d)
-	k.c = kernels.Alloc(d * d)
+	k.a = rp.Alloc(d * d)
+	k.b = rp.Alloc(d * d)
+	k.c = rp.Alloc(d * d)
 	kernels.InitData(k.a, 1.0)
 	kernels.InitData(k.b, 2.0)
 	kernels.InitDataConst(k.c, 0.25)

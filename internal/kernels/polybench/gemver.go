@@ -32,9 +32,9 @@ func NewGemver() kernels.Kernel {
 func (k *Gemver) SetUp(rp kernels.RunParams) {
 	k.n = edge2D(rp.EffectiveSize(k.Info()), 1)
 	d := k.n
-	k.a = kernels.Alloc(d * d)
+	k.a = rp.Alloc(d * d)
 	for _, p := range []*[]float64{&k.u1, &k.v1, &k.u2, &k.v2, &k.w, &k.x, &k.y, &k.z} {
-		*p = kernels.Alloc(d)
+		*p = rp.Alloc(d)
 	}
 	kernels.InitData(k.a, 1.0)
 	kernels.InitData(k.u1, 2.0)

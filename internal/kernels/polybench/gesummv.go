@@ -33,10 +33,10 @@ func NewGesummv() kernels.Kernel {
 func (k *Gesummv) SetUp(rp kernels.RunParams) {
 	k.n = edge2D(rp.EffectiveSize(k.Info()), 2)
 	d := k.n
-	k.a = kernels.Alloc(d * d)
-	k.b = kernels.Alloc(d * d)
-	k.x = kernels.Alloc(d)
-	k.y = kernels.Alloc(d)
+	k.a = rp.Alloc(d * d)
+	k.b = rp.Alloc(d * d)
+	k.x = rp.Alloc(d)
+	k.y = rp.Alloc(d)
 	kernels.InitData(k.a, 1.0)
 	kernels.InitData(k.b, 2.0)
 	kernels.InitData(k.x, 3.0)

@@ -37,8 +37,8 @@ func (k *Heat3D) SetUp(rp kernels.RunParams) {
 		k.n = 6
 	}
 	d := k.n
-	k.a = kernels.Alloc(d * d * d)
-	k.b = kernels.Alloc(d * d * d)
+	k.a = rp.Alloc(d * d * d)
+	k.b = rp.Alloc(d * d * d)
 	kernels.InitData(k.a, 1.0)
 	nd := float64(d * d * d)
 	k.SetMetrics(kernels.AnalyticMetrics{

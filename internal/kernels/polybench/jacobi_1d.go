@@ -36,8 +36,8 @@ func (k *Jacobi1D) SetUp(rp kernels.RunParams) {
 	if k.n < 8 {
 		k.n = 8
 	}
-	k.a = kernels.Alloc(k.n)
-	k.b = kernels.Alloc(k.n)
+	k.a = rp.Alloc(k.n)
+	k.b = rp.Alloc(k.n)
 	kernels.InitData(k.a, 1.0)
 	nd := float64(k.n)
 	k.SetMetrics(kernels.AnalyticMetrics{

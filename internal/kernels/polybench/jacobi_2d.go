@@ -31,8 +31,8 @@ func NewJacobi2D() kernels.Kernel {
 func (k *Jacobi2D) SetUp(rp kernels.RunParams) {
 	k.n = edge2D(rp.EffectiveSize(k.Info()), 2)
 	d := k.n
-	k.a = kernels.Alloc(d * d)
-	k.b = kernels.Alloc(d * d)
+	k.a = rp.Alloc(d * d)
+	k.b = rp.Alloc(d * d)
 	kernels.InitData(k.a, 1.0)
 	nd := float64(d * d)
 	k.SetMetrics(kernels.AnalyticMetrics{

@@ -31,11 +31,11 @@ func NewMvt() kernels.Kernel {
 func (k *Mvt) SetUp(rp kernels.RunParams) {
 	k.n = edge2D(rp.EffectiveSize(k.Info()), 1)
 	d := k.n
-	k.a = kernels.Alloc(d * d)
-	k.x1 = kernels.Alloc(d)
-	k.x2 = kernels.Alloc(d)
-	k.y1 = kernels.Alloc(d)
-	k.y2 = kernels.Alloc(d)
+	k.a = rp.Alloc(d * d)
+	k.x1 = rp.Alloc(d)
+	k.x2 = rp.Alloc(d)
+	k.y1 = rp.Alloc(d)
+	k.y2 = rp.Alloc(d)
 	kernels.InitData(k.a, 1.0)
 	kernels.InitData(k.y1, 2.0)
 	kernels.InitData(k.y2, 3.0)

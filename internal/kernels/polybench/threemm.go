@@ -32,7 +32,7 @@ func (k *ThreeMM) SetUp(rp kernels.RunParams) {
 	k.n = edge2D(rp.EffectiveSize(k.Info()), 7)
 	d := k.n
 	for _, p := range []*[]float64{&k.a, &k.b, &k.c, &k.d, &k.e, &k.f, &k.g} {
-		*p = kernels.Alloc(d * d)
+		*p = rp.Alloc(d * d)
 	}
 	kernels.InitData(k.a, 1.0)
 	kernels.InitData(k.b, 2.0)

@@ -33,7 +33,7 @@ func (k *TwoMM) SetUp(rp kernels.RunParams) {
 	k.n = edge2D(rp.EffectiveSize(k.Info()), 5)
 	d := k.n
 	for _, p := range []*[]float64{&k.a, &k.b, &k.c, &k.dd, &k.tmp} {
-		*p = kernels.Alloc(d * d)
+		*p = rp.Alloc(d * d)
 	}
 	kernels.InitData(k.a, 1.0)
 	kernels.InitData(k.b, 2.0)

@@ -30,8 +30,8 @@ func NewCopy() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *Copy) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.a = kernels.Alloc(k.n)
-	k.c = kernels.Alloc(k.n)
+	k.a = rp.Alloc(k.n)
+	k.c = rp.Alloc(k.n)
 	kernels.InitData(k.a, 1.0)
 	n := float64(k.n)
 	k.SetMetrics(kernels.AnalyticMetrics{

@@ -34,8 +34,8 @@ func NewDot() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *Dot) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.a = kernels.Alloc(k.n)
-	k.b = kernels.Alloc(k.n)
+	k.a = rp.Alloc(k.n)
+	k.b = rp.Alloc(k.n)
 	kernels.InitData(k.a, 1.0)
 	kernels.InitData(k.b, 2.0)
 	n := float64(k.n)

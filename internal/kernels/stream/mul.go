@@ -31,8 +31,8 @@ func NewMul() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *Mul) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.b = kernels.Alloc(k.n)
-	k.c = kernels.Alloc(k.n)
+	k.b = rp.Alloc(k.n)
+	k.c = rp.Alloc(k.n)
 	kernels.InitData(k.c, 3.0)
 	k.alpha = 0.62
 	n := float64(k.n)

@@ -33,9 +33,9 @@ func NewTriad() kernels.Kernel {
 // SetUp implements kernels.Kernel.
 func (k *Triad) SetUp(rp kernels.RunParams) {
 	k.n = rp.EffectiveSize(k.Info())
-	k.a = kernels.Alloc(k.n)
-	k.b = kernels.Alloc(k.n)
-	k.c = kernels.Alloc(k.n)
+	k.a = rp.Alloc(k.n)
+	k.b = rp.Alloc(k.n)
+	k.c = rp.Alloc(k.n)
 	kernels.InitData(k.b, 1.0)
 	kernels.InitData(k.c, 2.0)
 	k.alpha = 0.62

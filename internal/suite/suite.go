@@ -25,7 +25,6 @@ package suite
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"rajaperf/internal/adiak"
@@ -48,8 +47,9 @@ import (
 )
 
 // DefaultSizePerNode is the node problem size used when Config.SizePerNode
-// is zero — the paper's 32M (Table III). Model-only runs are cheap at this
-// size; pass a smaller size when executing real computations in tests.
+// is zero — the paper's 32M (Table III). Model-only runs allocate no kernel
+// data, so the size does not change their cost; pass a smaller size when
+// executing real computations in tests.
 const DefaultSizePerNode = 32_000_000
 
 // Config selects what to run and on which (modeled) machine.
@@ -166,37 +166,11 @@ type run struct {
 	failed    []string // "kernel: message", in run order
 	wallStart time.Time
 
-	// cleanups restore process-wide state touched by prepare (model-only
-	// mode, lane-trace hooks), run in reverse order by close.
+	// cleanups restore the pool state touched by prepare (lane
+	// instrumentation, lane-trace hooks), run in reverse order by close.
+	// Model-only mode needs none: it is a per-kernel RunParams field, so
+	// Execute and model-only runs may overlap in one process.
 	cleanups []func()
-}
-
-// modelOnlyRefs counts runs currently in metrics-only mode, so concurrent
-// model-only runs (a campaign's norm) enter and leave the global mode
-// without tearing it down under each other. Mixing Execute and model-only
-// runs concurrently is not supported; package campaign's plans are
-// uniformly one or the other.
-var modelOnlyRefs struct {
-	sync.Mutex
-	n int
-}
-
-func acquireModelOnly() {
-	modelOnlyRefs.Lock()
-	modelOnlyRefs.n++
-	if modelOnlyRefs.n == 1 {
-		kernels.SetModelOnly(true)
-	}
-	modelOnlyRefs.Unlock()
-}
-
-func releaseModelOnly() {
-	modelOnlyRefs.Lock()
-	modelOnlyRefs.n--
-	if modelOnlyRefs.n == 0 {
-		kernels.SetModelOnly(false)
-	}
-	modelOnlyRefs.Unlock()
 }
 
 // prepare resolves the configuration into a ready-to-execute run: problem
@@ -239,11 +213,12 @@ func prepare(cfg Config) (*run, error) {
 	if r.pool == nil {
 		r.pool = raja.Default()
 	}
+	pool := r.pool
 	if cfg.Services.Enabled(caliper.ServiceImbalance) {
-		r.pool.Instrument(true)
+		pool.Instrument(true)
+		r.cleanups = append(r.cleanups, func() { pool.Instrument(false) })
 	}
 	if cfg.Tracer != nil {
-		pool := r.pool
 		pool.SetLaneTrace(cfg.Tracer.LaneEvent)
 		r.cleanups = append(r.cleanups, func() { pool.SetLaneTrace(nil) })
 	}
@@ -261,13 +236,6 @@ func prepare(cfg Config) (*run, error) {
 			return nil, err
 		}
 		r.gpuDev = d
-	}
-
-	if !cfg.Execute {
-		// Metrics-only setup: kernels compute analytic metrics and
-		// instruction mixes without allocating their data.
-		acquireModelOnly()
-		r.cleanups = append(r.cleanups, releaseModelOnly)
 	}
 
 	r.rec = caliper.NewRecorderWith(caliper.Config{
@@ -295,7 +263,7 @@ func prepare(cfg Config) (*run, error) {
 	return r, nil
 }
 
-// close restores process-wide state touched by prepare, in reverse order.
+// close restores the pool state touched by prepare, in reverse order.
 func (r *run) close() {
 	for i := len(r.cleanups) - 1; i >= 0; i-- {
 		r.cleanups[i]()
@@ -356,15 +324,16 @@ func (r *run) runKernel(ctx context.Context, k kernels.Kernel) error {
 	}
 	name := info.FullName()
 	rp := kernels.RunParams{
-		Size:     r.perRank,
-		Reps:     r.cfg.Reps,
-		Workers:  r.cfg.Workers,
-		GPUBlock: r.cfg.GPUBlock,
-		Ranks:    min(r.ranks, 8),
-		Schedule: r.cfg.Schedule,
-		Dispatch: r.cfg.Dispatch,
-		Pool:     r.pool,
-		Ctx:      ctx,
+		Size:      r.perRank,
+		Reps:      r.cfg.Reps,
+		Workers:   r.cfg.Workers,
+		GPUBlock:  r.cfg.GPUBlock,
+		Ranks:     min(r.ranks, 8),
+		Schedule:  r.cfg.Schedule,
+		Dispatch:  r.cfg.Dispatch,
+		Pool:      r.pool,
+		Ctx:       ctx,
+		ModelOnly: !r.cfg.Execute,
 	}
 	path := []string{"suite", name}
 
@@ -439,14 +408,20 @@ func (r *run) executeKernel(k kernels.Kernel, rp kernels.RunParams) (ex executio
 		return ex, nil
 	}
 	name := k.Info().FullName()
-	before := r.pool.InstrSnapshot()
+	// A pool instrumented by an earlier run may still hold counters;
+	// only this run's imbalance service records lane metrics.
+	imbalance := r.cfg.Services.Enabled(caliper.ServiceImbalance)
+	var before []raja.LaneSnapshot
+	if imbalance {
+		before = r.pool.InstrSnapshot()
+	}
 	start := time.Now()
 	if err := k.Run(r.cfg.Variant, rp); err != nil {
 		return ex, fmt.Errorf("suite: %s: %w", name, err)
 	}
 	r.rec.SetMetric("wall_time", time.Since(start).Seconds())
 	r.rec.SetMetric("checksum", k.Checksum())
-	if before != nil {
+	if imbalance {
 		ex.im = raja.ComputeImbalance(before, r.pool.InstrSnapshot())
 		ex.measured = true
 	}
