@@ -26,7 +26,7 @@ import (
 func main() {
 	var (
 		exp     = flag.String("exp", "all", "experiment id (table1..table4, fig1..fig10, tuning, summary, all)")
-		size    = flag.Int("size", 0, "problem size per node (0 = 1M default; paper uses 32000000)")
+		size    = flag.Int("size", 0, "problem size per node (0 = default 32000000, the paper's size)")
 		execute = flag.Bool("execute", false, "run real kernel computations in addition to the models")
 		thresh  = flag.Float64("threshold", 0, "Ward dendrogram cut distance (0 = 1.4)")
 		svgdir  = flag.String("svgdir", "", "also write figure SVGs into this directory")

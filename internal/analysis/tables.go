@@ -8,6 +8,7 @@ import (
 	"rajaperf/internal/gpusim"
 	"rajaperf/internal/kernels"
 	"rajaperf/internal/machine"
+	"rajaperf/internal/suite"
 	"rajaperf/internal/tma"
 )
 
@@ -119,7 +120,7 @@ func RenderTable2(rows []Table2Row) string {
 // count, and per-process size for each system at the given node size.
 func Table3(sizePerNode int) string {
 	if sizePerNode <= 0 {
-		sizePerNode = 32_000_000
+		sizePerNode = suite.DefaultSizePerNode
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %-12s %-10s %6s %14s %14s\n",

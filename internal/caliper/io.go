@@ -1,7 +1,6 @@
 package caliper
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -26,7 +25,7 @@ func (p *Profile) WriteFile(path string) error {
 			return fmt.Errorf("caliper: %w", err)
 		}
 	}
-	data, err := json.MarshalIndent(p, "", " ")
+	data, err := appendProfile(nil, p)
 	if err != nil {
 		return fmt.Errorf("caliper: %w", err)
 	}
@@ -69,17 +68,17 @@ func ReadFile(path string) (*Profile, error) {
 	if err != nil {
 		return nil, fmt.Errorf("caliper: %w", err)
 	}
-	var p Profile
-	if err := json.Unmarshal(data, &p); err != nil {
+	p, err := decodeProfile(data)
+	if err != nil {
 		return nil, fmt.Errorf("caliper: corrupt profile %s: %w", path, err)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("caliper: invalid profile %s: %w", path, err)
 	}
-	return &p, nil
+	return p, nil
 }
 
-// decodeWorkers bounds the parallel JSON decoders WalkDir runs. Capped
+// decodeWorkers bounds the parallel profile decoders WalkDir runs. Capped
 // so a campaign-scale directory doesn't hold hundreds of decoded
 // profiles in flight at once.
 func decodeWorkers(files int) int {

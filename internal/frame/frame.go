@@ -254,11 +254,13 @@ type Builder struct {
 // nameCache memoizes metric-name interning by string identity: profiles
 // produced in-process (suite kernels, measurement services, the
 // campaign orchestrator) pass the same literal or hoisted name strings
-// to the Recorder on every record, so the (data pointer, length) pair
-// repeats across rows and resolves without hashing any bytes. Two
-// strings with equal data pointer and length are the same string, so a
-// hit is always correct; JSON-decoded profiles allocate fresh keys and
-// simply fall through to the dictionary probe.
+// to the Recorder on every record, and caliper.ReadFile interns each
+// metric name once per file, so the (data pointer, length) pair
+// repeats across rows and resolves without hashing any bytes; a
+// decoded file misses only on its first record. Two strings with equal
+// data pointer and length are the same string, so a hit is always
+// correct: the cached pointer keeps its string alive, so its address is
+// never reused for another string while cached.
 type nameCache struct {
 	ptrs [nameCacheSize]*byte
 	lens [nameCacheSize]int

@@ -9,12 +9,13 @@ package telemetry
 // Publish never blocks: each subscriber owns a bounded buffer, and a
 // subscriber that falls behind drops the oldest events (counted, and
 // surfaced to it as a gap in sequence numbers) rather than stalling the
-// campaign. Events carry a bus-wide monotone sequence number assigned
-// under the bus lock, so any single subscriber observes strictly
-// increasing Seq values in publish order.
+// campaign. Events carry a bus-wide monotone sequence number, and are
+// stamped and delivered under one hold of the bus lock, so any single
+// subscriber observes strictly increasing Seq values in publish order.
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -50,17 +51,11 @@ type Sub struct {
 	C chan Event
 
 	bus     *Bus
-	mu      sync.Mutex
-	closed  bool
-	dropped int64
+	dropped atomic.Int64
 }
 
 // Dropped reports how many events this subscriber lost to backpressure.
-func (s *Sub) Dropped() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
+func (s *Sub) Dropped() int64 { return s.dropped.Load() }
 
 // Close detaches the subscription and closes its channel.
 func (s *Sub) Close() {
@@ -84,12 +79,15 @@ type Bus struct {
 const retainRecent = 256
 
 // Publish stamps ev with the next sequence number and fans it out.
-// Never blocks; slow subscribers drop their oldest buffered event.
+// Delivery happens under the bus lock, so concurrent publishers reach
+// every subscriber in Seq order; it never blocks, because a subscriber
+// whose buffer is full drops its oldest buffered event instead.
 func (b *Bus) Publish(ev Event) {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.seq++
 	ev.Seq = b.seq
 	if ev.Time.IsZero() {
@@ -101,19 +99,8 @@ func (b *Bus) Publish(ev Event) {
 		copy(b.recent, b.recent[1:])
 		b.recent[len(b.recent)-1] = ev
 	}
-	subs := make([]*Sub, 0, len(b.subs))
-	for s := range b.subs {
-		subs = append(subs, s)
-	}
-	b.mu.Unlock()
 	b.pub.Inc()
-
-	for _, s := range subs {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			continue
-		}
+	for s := range b.subs {
 		for {
 			select {
 			case s.C <- ev:
@@ -121,7 +108,7 @@ func (b *Bus) Publish(ev Event) {
 				// Buffer full: drop the oldest pending event and retry.
 				select {
 				case <-s.C:
-					s.dropped++
+					s.dropped.Add(1)
 					b.drop.Inc()
 				default:
 				}
@@ -129,7 +116,6 @@ func (b *Bus) Publish(ev Event) {
 			}
 			break
 		}
-		s.mu.Unlock()
 	}
 }
 
@@ -163,18 +149,16 @@ func (b *Bus) Subscribe(buffer, replay int) *Sub {
 	return s
 }
 
+// unsubscribe detaches s. Publish delivers only to attached subscribers
+// and only under b.mu, so closing the channel under the same hold can
+// never race a send.
 func (b *Bus) unsubscribe(s *Sub) {
 	b.mu.Lock()
-	_, present := b.subs[s]
-	delete(b.subs, s)
-	b.mu.Unlock()
-	if !present {
-		return
+	defer b.mu.Unlock()
+	if _, present := b.subs[s]; present {
+		delete(b.subs, s)
+		close(s.C)
 	}
-	s.mu.Lock()
-	s.closed = true
-	close(s.C)
-	s.mu.Unlock()
 }
 
 // Stats reports bus-level counters: events published and events dropped
