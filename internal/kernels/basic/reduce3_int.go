@@ -116,9 +116,9 @@ func (k *Reduce3Int) Run(v kernels.VariantID, rp kernels.RunParams) error {
 				mu.Unlock()
 			}
 			if v == kernels.BaseGPU {
-				kernels.GPUBlocks(rp.Workers, rp.GPUBlock, n, run)
+				rp.ExecPool().DynamicBlocks(rp.Workers, rp.GPUBlock, n, run)
 			} else {
-				kernels.ParChunks(rp.Workers, n, run)
+				rp.ExecPool().StaticChunks(rp.Workers, n, func(_, lo, hi int) { run(lo, hi) })
 			}
 		}
 	case kernels.RAJASeq, kernels.RAJAOpenMP, kernels.RAJAGPU:

@@ -13,14 +13,18 @@ import "rajaperf/internal/raja"
 //   - RAJA variants dispatch `rajaBody` through the portability layer
 //     under the policy implied by v and rp.
 //
-// Both the hand-written skeletons and the RAJA policies execute on the
-// run's persistent worker pool (rp.Pool, defaulting to raja.Default), so
-// all reps of a run reuse one set of parked workers and the Base-vs-RAJA
-// gap isolates abstraction overhead rather than goroutine-creation noise.
+// The hand-written skeletons (Pool.StaticChunks, Pool.DynamicBlocks) and
+// the RAJA policies run on the run's pool (rp.ExecPool()) through raja's
+// one dispatch core, spawn fallback included, so all reps of a run reuse
+// one set of parked workers and the Base-vs-RAJA gap isolates
+// abstraction overhead rather than goroutine-creation noise or a
+// different placement.
 //
 // Kernels whose body is a plain elementwise loop build their Run method
 // from one RunVariant call per rep; kernels with reductions, scans, or
-// communication write their own dispatch.
+// communication write their own dispatch, on rp.ExecPool() as well
+// (kerneltest checks that every parallel variant records granules on the
+// run's pool).
 func RunVariant(v VariantID, rp RunParams, n int,
 	base func(lo, hi int), lambda func(i int), rajaBody raja.Body) error {
 	switch v {

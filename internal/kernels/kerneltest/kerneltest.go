@@ -36,6 +36,7 @@ func CheckKernel(t *testing.T, fullName string) {
 		checkEdgeParams(t, fullName)
 		checkSchedules(t, fullName)
 		checkDispatchModes(t, fullName)
+		checkRunPool(t, fullName)
 	})
 }
 
@@ -302,6 +303,42 @@ func checkDispatchModes(t *testing.T, fullName string) {
 			t.Errorf("%s schedule=%v: mono checksum %v != closure %v",
 				tr.v, tr.sched, mono, closure)
 		}
+	}
+}
+
+// checkRunPool verifies every OpenMP and GPU variant executes on the
+// run's own pool (RunParams.Pool): on a private, instrumented 2-lane
+// pool each must record at least one scheduling granule. A variant that
+// dispatches elsewhere, such as the process-wide raja.Default pool,
+// records none, and would see other contention and instrumentation than
+// the variants it is compared with. The 8-element GPU block gives even
+// the GPU variants that block over a short outer dimension (the 2-D and
+// 3-D stencils, the polybench matrices) at least two blocks, so none
+// degenerates to the single-lane walk, which records no granules.
+func checkRunPool(t *testing.T, fullName string) {
+	t.Helper()
+	// Named exception: raja.SortPairs is a sequential stable sort under
+	// every policy, so Algorithm_SORTPAIRS never dispatches on a pool.
+	if fullName == "Algorithm_SORTPAIRS" {
+		return
+	}
+	ref, err := kernels.New(fullName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range ref.Info().Variants {
+		if v.IsSeq() {
+			continue
+		}
+		pool := raja.NewPool(2)
+		pool.Instrument(true)
+		rp := kernels.RunParams{Size: 100_000, Reps: 1, Workers: 2, GPUBlock: 8, Pool: pool}
+		if _, ok := runOnce(t, fullName, v, rp); ok {
+			if im := raja.ComputeImbalance(nil, pool.InstrSnapshot()); im.Granules == 0 {
+				t.Errorf("%s recorded no granule on the run's pool", v)
+			}
+		}
+		pool.Close()
 	}
 }
 

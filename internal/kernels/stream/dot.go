@@ -90,9 +90,9 @@ func (k *Dot) Run(v kernels.VariantID, rp kernels.RunParams) error {
 				mu.Unlock()
 			}
 			if v == kernels.BaseGPU {
-				kernels.GPUBlocks(rp.Workers, rp.GPUBlock, n, run)
+				rp.ExecPool().DynamicBlocks(rp.Workers, rp.GPUBlock, n, run)
 			} else {
-				kernels.ParChunks(rp.Workers, n, run)
+				rp.ExecPool().StaticChunks(rp.Workers, n, func(_, lo, hi int) { run(lo, hi) })
 			}
 			dot = 0
 			for _, p := range partials {

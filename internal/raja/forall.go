@@ -1,11 +1,5 @@
 package raja
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
-
 // Ctx carries per-iteration execution context to kernel bodies. Worker is
 // a dense index in [0, Policy.MaxWorkers()) identifying the executing
 // lane; reducers use it to select a private accumulation slot. Block is
@@ -38,6 +32,24 @@ func (r Range) Len() int {
 // RangeN returns the range [0, n).
 func RangeN(n int) Range { return Range{0, n} }
 
+// runSpan runs a per-index Body over one granule, which makes Body the
+// dispatch core's work for the closure front-ends.
+func (b Body) runSpan(c Ctx, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		b(c, i)
+	}
+}
+
+// spanFunc is a granule-level loop body: one call per scheduling granule
+// (static chunk, dynamic block, guided grab), covering the half-open span
+// [lo, hi). The monomorphized front-ends, the fused reductions and scans
+// and the collapsed multi-dim loops run their per-index inner loop inside
+// it, so the indirect call the closure Body pays per index is paid once
+// per granule here, where it amortizes to nothing.
+type spanFunc func(c Ctx, lo, hi int)
+
+func (f spanFunc) runSpan(c Ctx, lo, hi int) { f(c, lo, hi) }
+
 // Forall executes body for every index in [0, n) under policy p.
 func Forall(p Policy, n int, body Body) {
 	ForallRange(p, RangeN(n), body)
@@ -54,271 +66,31 @@ func Forall(p Policy, n int, body Body) {
 // static contiguous chunks (the Par default), dynamic fixed-size blocks
 // (the GPU default, mirroring thread-block scheduling), or guided
 // shrinking grabs. If the pool is busy — a concurrent or nested parallel
-// region — or closed, the range runs on freshly spawned goroutines with
-// identical semantics.
+// region — or closed, the same lane loops run on freshly spawned
+// goroutines with identical semantics.
 func ForallRange(p Policy, r Range, body Body) {
-	n := r.Len()
-	if n == 0 {
+	forall(p, r, body)
+}
+
+// forall lowers a front-end onto the executor: Seq runs the whole range
+// as one granule on the caller, Par and GPU go through the dispatch core
+// of the policy's pool. The Ctx handed to each granule carries the same
+// Worker/Block values whatever the shape of the work, so reducers and
+// instrumentation observe identical lane semantics on every front-end.
+func forall(p Policy, r Range, w spanWork) {
+	if r.Len() == 0 {
 		return
 	}
 	if p.Kind == Seq {
-		c := Ctx{}
-		for i := r.Begin; i < r.End; i++ {
-			body(c, i)
-		}
+		w.runSpan(Ctx{}, r.Begin, r.End)
 		return
 	}
-	switch p.schedule() {
-	case ScheduleStatic:
-		forallStatic(p.pool(), p.workers(), r, body)
-	case ScheduleGuided:
-		forallGuided(p.pool(), p.workers(), p.guidedMin(), r, body)
-	default:
-		forallDynamic(p.pool(), p.workers(), p.block(), r, body)
+	sched := p.schedule()
+	size := p.block()
+	if sched == ScheduleGuided {
+		size = p.guidedMin()
 	}
-}
-
-// forallStatic splits r into one contiguous chunk per worker (OpenMP's
-// default schedule). Ctx.Worker and Ctx.Block are the chunk index.
-func forallStatic(pool *Pool, workers int, r Range, body Body) {
-	n := r.Len()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		c := Ctx{}
-		for i := r.Begin; i < r.End; i++ {
-			body(c, i)
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	chunks := (n + chunk - 1) / chunk
-	if pool.forallStatic(r, body, chunks, chunk) {
-		return
-	}
-	pool.beats.Add(1)
-	pool.noteFallback()
-	spawnForallStatic(r, body, chunks, chunk, pool.activeInstr(), pool.activeTrace())
-}
-
-// forallDynamic distributes fixed-size blocks across workers from a
-// shared cursor, the scheduling shape of a GPU grid. The degenerate
-// single-lane path walks the same blocks in the same order, so bodies
-// observe identical block-granular Ctx semantics at any worker count.
-func forallDynamic(pool *Pool, workers, block int, r Range, body Body) {
-	n := r.Len()
-	blocks := (n + block - 1) / block
-	if workers > blocks {
-		workers = blocks
-	}
-	if workers <= 1 {
-		c := Ctx{}
-		for b := 0; b < blocks; b++ {
-			lo := r.Begin + b*block
-			hi := lo + block
-			if hi > r.End {
-				hi = r.End
-			}
-			c.Block = b
-			for i := lo; i < hi; i++ {
-				body(c, i)
-			}
-		}
-		return
-	}
-	if pool.forallDynamic(r, body, block, workers) {
-		return
-	}
-	pool.beats.Add(1)
-	pool.noteFallback()
-	spawnForallDynamic(r, body, block, workers, pool.activeInstr(), pool.activeTrace())
-}
-
-// forallGuided hands each worker exponentially shrinking grabs — half the
-// remaining range split across lanes, floored at minGrab. The degenerate
-// single-lane path performs the same grab sequence so Ctx.Block ordinals
-// match the multi-lane path.
-func forallGuided(pool *Pool, workers, minGrab int, r Range, body Body) {
-	n := r.Len()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		c := Ctx{}
-		for cur := 0; cur < n; {
-			take := (n - cur) / 2
-			if take < minGrab {
-				take = minGrab
-			}
-			if take > n-cur {
-				take = n - cur
-			}
-			for i := r.Begin + cur; i < r.Begin+cur+take; i++ {
-				body(c, i)
-			}
-			cur += take
-			c.Block++
-		}
-		return
-	}
-	if pool.forallGuided(r, body, minGrab, workers) {
-		return
-	}
-	pool.beats.Add(1)
-	pool.noteFallback()
-	spawnForallGuided(r, body, minGrab, workers, pool.activeInstr(), pool.activeTrace())
-}
-
-// spawnForallStatic is the goroutine-per-chunk static path, used when the
-// pool is unavailable and as the pre-pool baseline in benchmarks. in and
-// tr are the pool's observability services, nil when disabled.
-func spawnForallStatic(r Range, body Body, chunks, chunk int, in *Instr, tr LaneTrace) {
-	var wg sync.WaitGroup
-	for w := 0; w < chunks; w++ {
-		lo := r.Begin + w*chunk
-		hi := lo + chunk
-		if hi > r.End {
-			hi = r.End
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			if in != nil {
-				in.wake(w)
-			}
-			var start time.Time
-			if in != nil || tr != nil {
-				start = time.Now()
-			}
-			c := Ctx{Worker: w, Block: w}
-			for i := lo; i < hi; i++ {
-				body(c, i)
-			}
-			if in != nil || tr != nil {
-				d := time.Since(start)
-				if in != nil {
-					in.granule(w, w, d)
-				}
-				if tr != nil {
-					tr(w, granuleChunk, start, d)
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}
-
-// spawnForallDynamic is the goroutine-per-worker dynamic path, used when
-// the pool is unavailable and as the pre-pool baseline in benchmarks.
-func spawnForallDynamic(r Range, body Body, block, workers int, in *Instr, tr LaneTrace) {
-	n := r.Len()
-	blocks := (n + block - 1) / block
-	var (
-		wg     sync.WaitGroup
-		cursor atomic.Int64
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if in != nil {
-				in.wake(w)
-			}
-			measured := in != nil || tr != nil
-			c := Ctx{Worker: w}
-			for {
-				b := int(cursor.Add(1) - 1)
-				if b >= blocks {
-					return
-				}
-				lo := r.Begin + b*block
-				hi := lo + block
-				if hi > r.End {
-					hi = r.End
-				}
-				var start time.Time
-				if measured {
-					start = time.Now()
-				}
-				c.Block = b
-				for i := lo; i < hi; i++ {
-					body(c, i)
-				}
-				if measured {
-					d := time.Since(start)
-					if in != nil {
-						in.granule(w, b%workers, d)
-					}
-					if tr != nil {
-						tr(w, granuleBlock, start, d)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// spawnForallGuided is the goroutine-per-worker guided path, used when
-// the pool is unavailable.
-func spawnForallGuided(r Range, body Body, minGrab, workers int, in *Instr, tr LaneTrace) {
-	n := int64(r.Len())
-	var (
-		wg     sync.WaitGroup
-		cursor atomic.Int64
-		grabs  atomic.Int64
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if in != nil {
-				in.wake(w)
-			}
-			measured := in != nil || tr != nil
-			c := Ctx{Worker: w}
-			for {
-				cur := cursor.Load()
-				if cur >= n {
-					return
-				}
-				take := (n - cur) / int64(2*workers)
-				if take < int64(minGrab) {
-					take = int64(minGrab)
-				}
-				if take > n-cur {
-					take = n - cur
-				}
-				if !cursor.CompareAndSwap(cur, cur+take) {
-					continue
-				}
-				c.Block = int(grabs.Add(1) - 1)
-				lo := r.Begin + int(cur)
-				hi := lo + int(take)
-				var start time.Time
-				if measured {
-					start = time.Now()
-				}
-				for i := lo; i < hi; i++ {
-					body(c, i)
-				}
-				if measured {
-					d := time.Since(start)
-					if in != nil {
-						in.granule(w, c.Block%workers, d)
-					}
-					if tr != nil {
-						tr(w, granuleGrab, start, d)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	p.pool().dispatch(sched, p.workers(), size, r, w)
 }
 
 // Forall2D executes body over the collapsed iteration space
@@ -332,7 +104,7 @@ func Forall2D(p Policy, ni, nj int, body func(c Ctx, i, j int)) {
 	if ni <= 0 || nj <= 0 {
 		return
 	}
-	forallSpans(p, RangeN(ni*nj), func(c Ctx, lo, hi int) {
+	forall(p, RangeN(ni*nj), spanFunc(func(c Ctx, lo, hi int) {
 		i, j := lo/nj, lo%nj
 		for f := lo; f < hi; f++ {
 			body(c, i, j)
@@ -341,7 +113,7 @@ func Forall2D(p Policy, ni, nj int, body func(c Ctx, i, j int)) {
 				j, i = 0, i+1
 			}
 		}
-	})
+	}))
 }
 
 // Forall3D executes body over the collapsed space [0,ni) x [0,nj) x
@@ -351,7 +123,7 @@ func Forall3D(p Policy, ni, nj, nk int, body func(c Ctx, i, j, k int)) {
 	if ni <= 0 || nj <= 0 || nk <= 0 {
 		return
 	}
-	forallSpans(p, RangeN(ni*nj*nk), func(c Ctx, lo, hi int) {
+	forall(p, RangeN(ni*nj*nk), spanFunc(func(c Ctx, lo, hi int) {
 		i := lo / (nj * nk)
 		rem := lo - i*nj*nk
 		j, k := rem/nk, rem%nk
@@ -365,7 +137,7 @@ func Forall3D(p Policy, ni, nj, nk int, body func(c Ctx, i, j, k int)) {
 				}
 			}
 		}
-	})
+	}))
 }
 
 // ForallSegments executes body over each index of each segment, mirroring
@@ -375,8 +147,7 @@ func Forall3D(p Policy, ni, nj, nk int, body func(c Ctx, i, j, k int)) {
 // list of short segments costs one dispatch instead of one per segment.
 // Indices within one segment still execute in ascending order on the
 // lane that owns them, but segments are not barriers: iterations of
-// different segments may run concurrently. Kernels that need segment k
-// complete before segment k+1 starts use ForallSegmentsOrdered.
+// different segments may run concurrently.
 func ForallSegments(p Policy, segs []Range, body Body) {
 	total := 0
 	for _, s := range segs {
@@ -393,7 +164,7 @@ func ForallSegments(p Policy, segs []Range, body Body) {
 		off += s.Len()
 		ends[k] = off
 	}
-	forallSpans(p, RangeN(total), func(c Ctx, lo, hi int) {
+	forall(p, RangeN(total), spanFunc(func(c Ctx, lo, hi int) {
 		k := 0
 		if lo > 0 {
 			a, b := 0, len(ends)
@@ -419,15 +190,5 @@ func ForallSegments(p Policy, segs []Range, body Body) {
 				body(c, base+f)
 			}
 		}
-	})
-}
-
-// ForallSegmentsOrdered executes the segments one after another, each as
-// its own dispatch with a barrier in between — the pre-fusion
-// ForallSegments semantics, for bodies that carry a dependence from one
-// segment to the next.
-func ForallSegmentsOrdered(p Policy, segs []Range, body Body) {
-	for _, s := range segs {
-		ForallRange(p, s, body)
-	}
+	}))
 }

@@ -39,7 +39,7 @@ func ForallReduce[A any, B Reducer[A]](p Policy, n int, body B) A {
 	w := p.MaxWorkers()
 	slots := make([]A, w*lanePad)
 	set := make([]bool, w*lanePad)
-	forallSpans(p, RangeN(n), func(c Ctx, lo, hi int) {
+	forall(p, RangeN(n), spanFunc(func(c Ctx, lo, hi int) {
 		part := body.Partial(lo, hi)
 		k := c.Worker * lanePad
 		if set[k] {
@@ -47,7 +47,7 @@ func ForallReduce[A any, B Reducer[A]](p Policy, n int, body B) A {
 		} else {
 			slots[k], set[k] = part, true
 		}
-	})
+	}))
 	acc := body.Init()
 	for k := 0; k < len(slots); k += lanePad {
 		if set[k] {
@@ -117,7 +117,7 @@ func forallScanSum[T Number, B ScanBody[T]](p Policy, n int, body B, exclusive b
 	pp := chunkLoopPolicy(p)
 
 	// Phase 1: per-chunk totals.
-	forallSpans(pp, RangeN(chunks), func(_ Ctx, wlo, whi int) {
+	forall(pp, RangeN(chunks), spanFunc(func(_ Ctx, wlo, whi int) {
 		for w := wlo; w < whi; w++ {
 			lo, hi := bounds(w, chunk, n)
 			var acc T
@@ -126,7 +126,7 @@ func forallScanSum[T Number, B ScanBody[T]](p Policy, n int, body B, exclusive b
 			}
 			offsets[w] = acc
 		}
-	})
+	}))
 
 	// Phase 2: exclusive-scan the totals sequentially, in place.
 	var run T
@@ -137,7 +137,7 @@ func forallScanSum[T Number, B ScanBody[T]](p Policy, n int, body B, exclusive b
 	}
 
 	// Phase 3: rescan each chunk, storing final prefixes.
-	forallSpans(pp, RangeN(chunks), func(_ Ctx, wlo, whi int) {
+	forall(pp, RangeN(chunks), spanFunc(func(_ Ctx, wlo, whi int) {
 		for w := wlo; w < whi; w++ {
 			lo, hi := bounds(w, chunk, n)
 			var acc T
@@ -165,5 +165,5 @@ func forallScanSum[T Number, B ScanBody[T]](p Policy, n int, body B, exclusive b
 				}
 			}
 		}
-	})
+	}))
 }

@@ -58,11 +58,11 @@ func ForallRangeG[B IndexBody](p Policy, r Range, body B) {
 		}
 		return
 	}
-	forallSpans(p, r, func(c Ctx, lo, hi int) {
+	forall(p, r, spanFunc(func(c Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			body.Do(c, i)
 		}
-	})
+	}))
 }
 
 // ForallSpanG executes body.Span over the scheduling granules of [0, n)
@@ -81,7 +81,5 @@ func ForallSpanRangeG[B SpanBody](p Policy, r Range, body B) {
 		body.Span(Ctx{}, r.Begin, r.End)
 		return
 	}
-	forallSpans(p, r, func(c Ctx, lo, hi int) {
-		body.Span(c, lo, hi)
-	})
+	forall(p, r, spanFunc(body.Span))
 }

@@ -67,12 +67,13 @@ const GuidedMinGrab = 32
 // channels; the caller of a parallel region participates as lane 0, so a
 // dispatch costs two channel operations per helper lane instead of a
 // goroutine spawn per chunk. One dispatch runs at a time; concurrent or
-// nested parallel regions fall back to spawning goroutines (see acquire),
-// which keeps the pool deadlock-free without a scheduler.
+// nested parallel regions fall back to running the same lane loops on
+// fresh goroutines (see spawnLanes), which keeps the pool deadlock-free
+// without a scheduler.
 //
 // Workers start lazily on the first dispatch and park between dispatches,
 // so an idle Pool costs nothing but its struct. Close releases the
-// workers; a closed pool's callers fall back to spawning.
+// workers; a closed pool's callers take the spawn fallback.
 type Pool struct {
 	lanes   int
 	mu      sync.Mutex
@@ -85,8 +86,8 @@ type Pool struct {
 	// Observability services (see instr.go): per-lane statistics for
 	// the load-imbalance service and the per-granule trace hook. Both
 	// are read atomically at dispatch time, so enabling them is safe
-	// while the pool is running, and both apply to the spawn-fallback
-	// paths as well as pooled dispatches.
+	// while the pool is running, and both apply to the spawn fallback
+	// as well as pooled dispatches.
 	instr   atomic.Pointer[Instr]
 	instrOn atomic.Bool
 	trace   atomic.Pointer[LaneTrace]
@@ -98,11 +99,12 @@ type Pool struct {
 	active atomic.Int64
 
 	// beats is the pool's liveness counter: it advances once per executed
-	// scheduling granule on the pooled dispatch paths and once per
-	// dispatch on the spawn fallbacks. Unlike the Instr service it is
-	// always on — a single atomic add per granule — so run watchdogs can
-	// distinguish a hung dispatch (beats frozen) from a slow one (beats
-	// advancing) without enabling instrumentation.
+	// scheduling granule of every multi-lane dispatch, pooled or on the
+	// spawn fallback; single-lane dispatches run inline and do not beat.
+	// Unlike the Instr service it is always on — a single atomic add per
+	// granule — so run watchdogs can distinguish a hung dispatch (beats
+	// frozen) from a slow one (beats advancing) without enabling
+	// instrumentation.
 	beats atomic.Int64
 }
 
@@ -115,28 +117,48 @@ type poolWorker struct {
 	wake chan struct{}
 }
 
-// poolTask is the in-flight dispatch, reused across dispatches so the
-// steady-state Forall path performs zero allocations. Written by the
-// dispatching goroutine before the wake sends, read by workers after
-// their wake receives; the channel operations order the accesses.
+// spanWork is the work of one dispatch: runSpan executes the half-open
+// span [lo, hi) of one scheduling granule under the Ctx the schedule
+// gives it. Every front-end supplies it as a func type with a runSpan
+// method (Body, spanFunc, chunkFunc, blockFunc) — a func value converts
+// to an interface without allocating — so the lane loops make one
+// indirect call per granule and never branch on the shape of the body.
+type spanWork interface {
+	runSpan(c Ctx, lo, hi int)
+}
+
+// chunkFunc is the StaticChunks skeleton body: Ctx.Worker is the chunk
+// index under the static schedule.
+type chunkFunc func(w, lo, hi int)
+
+func (f chunkFunc) runSpan(c Ctx, lo, hi int) { f(c.Worker, lo, hi) }
+
+// blockFunc is the DynamicBlocks skeleton body.
+type blockFunc func(lo, hi int)
+
+func (f blockFunc) runSpan(_ Ctx, lo, hi int) { f(lo, hi) }
+
+// poolTask is one multi-lane dispatch: its one work field, the granule
+// geometry, and the cursors the lanes share. The pool reuses a single
+// task for every pooled dispatch, so the steady-state path performs zero
+// allocations; the spawn fallback and the single-lane walk use a task of
+// their own. On the pool, the dispatching goroutine writes the task
+// before the wake sends and workers read it after their wake receives;
+// the channel operations order the accesses.
 type poolTask struct {
 	sched   Schedule
-	body    Body                // forall modes
-	chunkFn func(w, lo, hi int) // static skeleton mode (Base_OpenMP)
-	blockFn func(lo, hi int)    // dynamic skeleton mode (Base_GPU)
-	spanFn  spanFunc            // span mode (generic/monomorphized dispatch)
+	work    spanWork
 	r       Range
 	lanes   int
-	chunk   int // static: chunk size
-	chunks  int // static: chunk count
-	block   int // dynamic: block size; guided: minimum grab
+	size    int // static: chunk size; dynamic: block size; guided: minimum grab
 	cursor  atomic.Int64
 	grabs   atomic.Int64 // guided: grab ordinal for Ctx.Block
 	pending atomic.Int32
 
-	// Observability, captured at acquire time so one dispatch sees one
-	// consistent configuration. Nil when the services are off, keeping
-	// the uninstrumented hot path to a pair of nil checks per granule.
+	// Observability, captured once per dispatch so one dispatch sees one
+	// consistent configuration. All nil on the single-lane walk; instr
+	// and trace are nil when their services are off, keeping the
+	// uninstrumented hot path to a pair of nil checks per granule.
 	instr *Instr
 	trace LaneTrace
 	beats *atomic.Int64 // the owning pool's heartbeat counter
@@ -169,8 +191,8 @@ func Default() *Pool {
 func (p *Pool) Lanes() int { return p.lanes }
 
 // Close parks the pool permanently: its workers exit and subsequent
-// dispatches fall back to spawning goroutines. Close waits for an
-// in-flight dispatch to finish and is idempotent.
+// dispatches take the spawn fallback. Close waits for an in-flight
+// dispatch to finish and is idempotent.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -206,10 +228,10 @@ func (p *Pool) workerLoop(id int) {
 }
 
 // acquire claims the pool for one dispatch. It fails — and the caller
-// must fall back to spawning goroutines — when the pool has a single
-// lane, is closed, or is already mid-dispatch (a concurrent Forall from
-// another goroutine, or a nested parallel region issued from inside a
-// pool worker; blocking in either case could deadlock every lane).
+// must take the spawn fallback — when the pool has a single lane, is
+// closed, or is already mid-dispatch (a concurrent Forall from another
+// goroutine, or a nested parallel region issued from inside a pool
+// worker; blocking in either case could deadlock every lane).
 func (p *Pool) acquire() bool {
 	if p.lanes < 2 || !p.mu.TryLock() {
 		return false
@@ -221,237 +243,106 @@ func (p *Pool) acquire() bool {
 	if !p.started {
 		p.startLocked()
 	}
-	p.task.instr = p.activeInstr()
-	p.task.trace = p.activeTrace()
-	p.task.beats = &p.beats
 	return true
 }
 
-// runAndWait wakes lanes-1 helpers, runs lane 0 on the caller, waits for
-// the helpers, and releases the pool. Caller must have acquired the pool
-// and filled p.task for `lanes` participants.
-func (p *Pool) runAndWait(lanes int) {
-	tele, start := p.dispatchStart()
+// dispatch is the executor's one dispatch core; every parallel entry
+// point lowers onto it. It cuts r into sched's granules for up to
+// workers lanes (workers <= 0 means GOMAXPROCS; size is the dynamic
+// block or the guided minimum grab, and static ignores it), then runs
+// the lane loops: inline on the caller when only one lane would take
+// part, on the parked workers when the pool can be acquired, and on
+// fresh goroutines otherwise. It returns the number of lanes the
+// schedule was sized for, which under static is the chunk count.
+func (p *Pool) dispatch(sched Schedule, workers, size int, r Range, w spanWork) int {
+	n := r.Len()
+	if n == 0 {
+		return 0
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	lanes := min(workers, n)
+	switch sched {
+	case ScheduleStatic:
+		size = (n + lanes - 1) / lanes
+		lanes = (n + size - 1) / size
+	case ScheduleDynamic:
+		lanes = min(workers, (n+size-1)/size)
+	}
+	if lanes <= 1 {
+		// The single-lane walk replays the multi-lane granule sequence
+		// (one chunk, every block in order, the guided grabs) without
+		// observability services.
+		t := poolTask{sched: sched, work: w, r: r, lanes: 1, size: size}
+		t.runLane(0)
+		return 1
+	}
+	if !p.acquire() {
+		p.spawnLanes(&poolTask{sched: sched, work: w, r: r, lanes: lanes, size: size})
+		return lanes
+	}
 	t := &p.task
-	t.pending.Store(int32(lanes - 1))
-	for w := 0; w < lanes-1; w++ {
-		p.workers[w].wake <- struct{}{}
+	t.sched, t.work, t.r, t.size = sched, w, r, size
+	t.lanes = min(lanes, p.lanes)
+	if sched != ScheduleStatic { // static lanes stride chunks, no cursor
+		t.cursor.Store(0)
+		t.grabs.Store(0)
+	}
+	t.instr, t.trace, t.beats = p.activeInstr(), p.activeTrace(), &p.beats
+	tele, start := p.dispatchStart()
+	t.pending.Store(int32(t.lanes - 1))
+	for i := 0; i < t.lanes-1; i++ {
+		p.workers[i].wake <- struct{}{}
 	}
 	t.runLane(0)
-	if lanes > 1 {
-		<-p.done
-	}
-	t.body, t.chunkFn, t.blockFn, t.spanFn = nil, nil, nil, nil
-	t.instr, t.trace = nil, nil
+	<-p.done
+	t.work, t.instr, t.trace = nil, nil, nil
 	p.mu.Unlock()
 	p.dispatchEnd(tele, start)
+	return lanes
 }
 
-// clampLanes bounds a requested lane count by the pool size.
-func (p *Pool) clampLanes(n int) int {
-	if n > p.lanes {
-		return p.lanes
+// spawnLanes is the fallback for a dispatch that cannot have the pool
+// (busy, nested, closed, or single-lane): it runs the same lane loops on
+// t, one fresh goroutine per lane, with the pool's instrumentation,
+// trace and heartbeat wired exactly as on the pooled path.
+func (p *Pool) spawnLanes(t *poolTask) {
+	p.noteFallback()
+	t.instr, t.trace, t.beats = p.activeInstr(), p.activeTrace(), &p.beats
+	var wg sync.WaitGroup
+	wg.Add(t.lanes)
+	for lane := 0; lane < t.lanes; lane++ {
+		go func() {
+			defer wg.Done()
+			t.runLane(lane)
+		}()
 	}
-	return n
-}
-
-// forallStatic dispatches a static-chunked forall; false if the pool was
-// unavailable. chunks*chunk covers r; Ctx.Worker is the chunk index.
-func (p *Pool) forallStatic(r Range, body Body, chunks, chunk int) bool {
-	if !p.acquire() {
-		return false
-	}
-	t := &p.task
-	t.sched = ScheduleStatic
-	t.body = body
-	t.r = r
-	t.lanes = p.clampLanes(chunks)
-	t.chunk, t.chunks = chunk, chunks
-	p.runAndWait(t.lanes)
-	return true
-}
-
-// forallDynamic dispatches a block-cursor forall over lanes workers;
-// false if the pool was unavailable.
-func (p *Pool) forallDynamic(r Range, body Body, block, lanes int) bool {
-	if !p.acquire() {
-		return false
-	}
-	t := &p.task
-	t.sched = ScheduleDynamic
-	t.body = body
-	t.r = r
-	t.lanes = p.clampLanes(lanes)
-	t.block = block
-	t.cursor.Store(0)
-	p.runAndWait(t.lanes)
-	return true
-}
-
-// forallGuided dispatches a guided forall over lanes workers; false if
-// the pool was unavailable.
-func (p *Pool) forallGuided(r Range, body Body, minGrab, lanes int) bool {
-	if !p.acquire() {
-		return false
-	}
-	t := &p.task
-	t.sched = ScheduleGuided
-	t.body = body
-	t.r = r
-	t.lanes = p.clampLanes(lanes)
-	t.block = minGrab
-	t.cursor.Store(0)
-	t.grabs.Store(0)
-	p.runAndWait(t.lanes)
-	return true
-}
-
-// forallSpanStatic dispatches a static-chunked span forall; false if the
-// pool was unavailable. The span function receives whole granules, so the
-// per-index inner loop lives in the (monomorphized) caller, not here.
-func (p *Pool) forallSpanStatic(r Range, span spanFunc, chunks, chunk int) bool {
-	if !p.acquire() {
-		return false
-	}
-	t := &p.task
-	t.sched = ScheduleStatic
-	t.spanFn = span
-	t.r = r
-	t.lanes = p.clampLanes(chunks)
-	t.chunk, t.chunks = chunk, chunks
-	p.runAndWait(t.lanes)
-	return true
-}
-
-// forallSpanDynamic dispatches a block-cursor span forall over lanes
-// workers; false if the pool was unavailable.
-func (p *Pool) forallSpanDynamic(r Range, span spanFunc, block, lanes int) bool {
-	if !p.acquire() {
-		return false
-	}
-	t := &p.task
-	t.sched = ScheduleDynamic
-	t.spanFn = span
-	t.r = r
-	t.lanes = p.clampLanes(lanes)
-	t.block = block
-	t.cursor.Store(0)
-	p.runAndWait(t.lanes)
-	return true
-}
-
-// forallSpanGuided dispatches a guided span forall over lanes workers;
-// false if the pool was unavailable.
-func (p *Pool) forallSpanGuided(r Range, span spanFunc, minGrab, lanes int) bool {
-	if !p.acquire() {
-		return false
-	}
-	t := &p.task
-	t.sched = ScheduleGuided
-	t.spanFn = span
-	t.r = r
-	t.lanes = p.clampLanes(lanes)
-	t.block = minGrab
-	t.cursor.Store(0)
-	t.grabs.Store(0)
-	p.runAndWait(t.lanes)
-	return true
+	wg.Wait()
 }
 
 // StaticChunks executes f over one contiguous chunk of [0, n) per worker
 // — the hand-written fork-join skeleton of the Base_OpenMP variants —
 // and returns the number of chunks dispatched. f receives the dense chunk
-// index w. Workers of zero means all cores. Falls back to spawning
-// goroutines when the pool is busy or closed.
+// index w. Workers of zero means all cores. It shares the dispatch core,
+// spawn fallback included, with a static-scheduled Forall.
 func (p *Pool) StaticChunks(workers, n int, f func(w, lo, hi int)) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		f(0, 0, n)
-		return 1
-	}
-	chunk := (n + workers - 1) / workers
-	chunks := (n + chunk - 1) / chunk
-	if !p.staticChunks(chunks, chunk, n, f) {
-		p.beats.Add(1)
-		p.noteFallback()
-		spawnStaticChunks(chunks, chunk, n, f, p.activeInstr(), p.activeTrace())
-	}
-	return chunks
-}
-
-func (p *Pool) staticChunks(chunks, chunk, n int, f func(w, lo, hi int)) bool {
-	if !p.acquire() {
-		return false
-	}
-	t := &p.task
-	t.sched = ScheduleStatic
-	t.chunkFn = f
-	t.r = Range{0, n}
-	t.lanes = p.clampLanes(chunks)
-	t.chunk, t.chunks = chunk, chunks
-	p.runAndWait(t.lanes)
-	return true
+	return p.dispatch(ScheduleStatic, workers, 0, RangeN(n), chunkFunc(f))
 }
 
 // DynamicBlocks executes f over fixed-size blocks of [0, n) scheduled
 // dynamically across workers — the hand-written skeleton of the Base_GPU
 // variants. Block of zero means DefaultBlock; workers of zero means all
-// cores. The single-lane degenerate path still walks the range block by
-// block so f observes the same block-granular call pattern as the
-// multi-lane path. Falls back to spawning when the pool is unavailable.
+// cores. A single lane still walks the range block by block, so f
+// observes the same block-granular call pattern at every worker count.
 func (p *Pool) DynamicBlocks(workers, block, n int, f func(lo, hi int)) {
 	if block <= 0 {
 		block = DefaultBlock
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if n <= 0 {
-		f(0, n)
-		return
-	}
-	blocks := (n + block - 1) / block
-	if workers > blocks {
-		workers = blocks
-	}
-	if workers <= 1 {
-		for lo := 0; lo < n; lo += block {
-			hi := lo + block
-			if hi > n {
-				hi = n
-			}
-			f(lo, hi)
-		}
-		return
-	}
-	if !p.dynamicBlocks(block, n, workers, f) {
-		p.beats.Add(1)
-		p.noteFallback()
-		spawnDynamicBlocks(block, n, workers, f, p.activeInstr(), p.activeTrace())
-	}
+	p.dispatch(ScheduleDynamic, workers, block, RangeN(n), blockFunc(f))
 }
 
-func (p *Pool) dynamicBlocks(block, n, lanes int, f func(lo, hi int)) bool {
-	if !p.acquire() {
-		return false
-	}
-	t := &p.task
-	t.sched = ScheduleDynamic
-	t.blockFn = f
-	t.r = Range{0, n}
-	t.lanes = p.clampLanes(lanes)
-	t.block = block
-	t.cursor.Store(0)
-	p.runAndWait(t.lanes)
-	return true
-}
-
-// runLane executes one lane's share of the in-flight task.
+// runLane executes one lane's share of the task.
 func (t *poolTask) runLane(lane int) {
 	if t.instr != nil {
 		t.instr.wake(lane)
@@ -466,10 +357,67 @@ func (t *poolTask) runLane(lane int) {
 	}
 }
 
-// measureGranule records one executed granule into the task's
-// instrumentation and trace services. owner is the lane a static
-// round-robin assignment would have given the granule.
-func (t *poolTask) measureGranule(lane, owner int, kind string, start time.Time) {
+// runStatic walks chunks lane, lane+lanes, ... so every chunk executes
+// exactly once even when there are more chunks than lanes, and chunk w
+// always reports Ctx.Worker == w regardless of which lane ran it.
+func (t *poolTask) runStatic(lane int) {
+	chunks := (t.r.Len() + t.size - 1) / t.size
+	for w := lane; w < chunks; w += t.lanes {
+		lo := t.r.Begin + w*t.size
+		// Chunk w's static owner is lane w%lanes == lane: static
+		// scheduling never steals.
+		t.runGranule(lane, lane, granuleChunk, Ctx{Worker: w, Block: w}, lo, min(lo+t.size, t.r.End))
+	}
+}
+
+// runDynamic hands out fixed-size blocks from the shared cursor.
+func (t *poolTask) runDynamic(lane int) {
+	blocks := (t.r.Len() + t.size - 1) / t.size
+	for {
+		b := int(t.cursor.Add(1) - 1)
+		if b >= blocks {
+			return
+		}
+		lo := t.r.Begin + b*t.size
+		t.runGranule(lane, b%t.lanes, granuleBlock, Ctx{Worker: lane, Block: b}, lo, min(lo+t.size, t.r.End))
+	}
+}
+
+// runGuided grabs half the remaining range split across lanes, floored
+// at the minimum grab.
+func (t *poolTask) runGuided(lane int) {
+	n := int64(t.r.Len())
+	for {
+		cur := t.cursor.Load()
+		if cur >= n {
+			return
+		}
+		take := min(max((n-cur)/int64(2*t.lanes), int64(t.size)), n-cur)
+		if !t.cursor.CompareAndSwap(cur, cur+take) {
+			continue
+		}
+		g := int(t.grabs.Add(1) - 1)
+		lo := t.r.Begin + int(cur)
+		t.runGranule(lane, g%t.lanes, granuleGrab, Ctx{Worker: lane, Block: g}, lo, lo+int(take))
+	}
+}
+
+// runGranule executes one granule and records it: a heartbeat, and into
+// the instrumentation and trace services when they are on. owner is the
+// lane a static round-robin assignment would have given the granule.
+func (t *poolTask) runGranule(lane, owner int, kind string, c Ctx, lo, hi int) {
+	measured := t.instr != nil || t.trace != nil
+	var start time.Time
+	if measured {
+		start = time.Now()
+	}
+	t.work.runSpan(c, lo, hi)
+	if t.beats != nil {
+		t.beats.Add(1)
+	}
+	if !measured {
+		return
+	}
 	d := time.Since(start)
 	if t.instr != nil {
 		t.instr.granule(lane, owner, d)
@@ -477,203 +425,4 @@ func (t *poolTask) measureGranule(lane, owner int, kind string, start time.Time)
 	if t.trace != nil {
 		t.trace(lane, kind, start, d)
 	}
-}
-
-// runStatic walks chunks lane, lane+lanes, ... so every chunk executes
-// exactly once even when there are more chunks than lanes, and chunk w
-// always reports Ctx.Worker == w regardless of which lane ran it.
-func (t *poolTask) runStatic(lane int) {
-	measured := t.instr != nil || t.trace != nil
-	for w := lane; w < t.chunks; w += t.lanes {
-		lo := t.r.Begin + w*t.chunk
-		hi := lo + t.chunk
-		if hi > t.r.End {
-			hi = t.r.End
-		}
-		if lo >= hi {
-			return
-		}
-		var start time.Time
-		if measured {
-			start = time.Now()
-		}
-		if t.chunkFn != nil {
-			t.chunkFn(w, lo-t.r.Begin, hi-t.r.Begin)
-		} else if t.spanFn != nil {
-			t.spanFn(Ctx{Worker: w, Block: w}, lo, hi)
-		} else {
-			body := t.body
-			c := Ctx{Worker: w, Block: w}
-			for i := lo; i < hi; i++ {
-				body(c, i)
-			}
-		}
-		t.beats.Add(1)
-		if measured {
-			// Chunk w's static owner is lane w%lanes == lane: static
-			// scheduling never steals.
-			t.measureGranule(lane, lane, granuleChunk, start)
-		}
-	}
-}
-
-func (t *poolTask) runDynamic(lane int) {
-	n := t.r.Len()
-	blocks := (n + t.block - 1) / t.block
-	body := t.body
-	c := Ctx{Worker: lane}
-	measured := t.instr != nil || t.trace != nil
-	for {
-		b := int(t.cursor.Add(1) - 1)
-		if b >= blocks {
-			return
-		}
-		lo := t.r.Begin + b*t.block
-		hi := lo + t.block
-		if hi > t.r.End {
-			hi = t.r.End
-		}
-		var start time.Time
-		if measured {
-			start = time.Now()
-		}
-		if t.blockFn != nil {
-			t.blockFn(lo-t.r.Begin, hi-t.r.Begin)
-		} else if t.spanFn != nil {
-			c.Block = b
-			t.spanFn(c, lo, hi)
-		} else {
-			c.Block = b
-			for i := lo; i < hi; i++ {
-				body(c, i)
-			}
-		}
-		t.beats.Add(1)
-		if measured {
-			t.measureGranule(lane, b%t.lanes, granuleBlock, start)
-		}
-	}
-}
-
-func (t *poolTask) runGuided(lane int) {
-	n := int64(t.r.Len())
-	body := t.body
-	c := Ctx{Worker: lane}
-	measured := t.instr != nil || t.trace != nil
-	for {
-		cur := t.cursor.Load()
-		if cur >= n {
-			return
-		}
-		take := (n - cur) / int64(2*t.lanes)
-		if take < int64(t.block) {
-			take = int64(t.block)
-		}
-		if take > n-cur {
-			take = n - cur
-		}
-		if !t.cursor.CompareAndSwap(cur, cur+take) {
-			continue
-		}
-		c.Block = int(t.grabs.Add(1) - 1)
-		lo := t.r.Begin + int(cur)
-		hi := lo + int(take)
-		var start time.Time
-		if measured {
-			start = time.Now()
-		}
-		if t.spanFn != nil {
-			t.spanFn(c, lo, hi)
-		} else {
-			for i := lo; i < hi; i++ {
-				body(c, i)
-			}
-		}
-		t.beats.Add(1)
-		if measured {
-			t.measureGranule(lane, c.Block%t.lanes, granuleGrab, start)
-		}
-	}
-}
-
-// spawnStaticChunks is the goroutine-per-chunk fallback (and the
-// pre-pool baseline measured by BenchmarkForallPar/spawn). in and tr
-// are the pool's observability services, nil when disabled.
-func spawnStaticChunks(chunks, chunk, n int, f func(w, lo, hi int), in *Instr, tr LaneTrace) {
-	var wg sync.WaitGroup
-	for w := 0; w < chunks; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			if in != nil {
-				in.wake(w)
-			}
-			var start time.Time
-			if in != nil || tr != nil {
-				start = time.Now()
-			}
-			f(w, lo, hi)
-			if in != nil || tr != nil {
-				d := time.Since(start)
-				if in != nil {
-					in.granule(w, w, d)
-				}
-				if tr != nil {
-					tr(w, granuleChunk, start, d)
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}
-
-// spawnDynamicBlocks is the goroutine-per-worker dynamic fallback.
-func spawnDynamicBlocks(block, n, workers int, f func(lo, hi int), in *Instr, tr LaneTrace) {
-	blocks := (n + block - 1) / block
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if in != nil {
-				in.wake(w)
-			}
-			measured := in != nil || tr != nil
-			for {
-				b := int(cursor.Add(1) - 1)
-				if b >= blocks {
-					return
-				}
-				lo := b * block
-				hi := lo + block
-				if hi > n {
-					hi = n
-				}
-				var start time.Time
-				if measured {
-					start = time.Now()
-				}
-				f(lo, hi)
-				if measured {
-					d := time.Since(start)
-					if in != nil {
-						in.granule(w, b%workers, d)
-					}
-					if tr != nil {
-						tr(w, granuleBlock, start, d)
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }

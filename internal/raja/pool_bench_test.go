@@ -6,12 +6,13 @@ import (
 	"testing"
 )
 
-// BenchmarkForallPar compares the persistent-pool executor against the
-// goroutine-per-call baseline (the pre-pool implementation, kept as the
-// spawn fallback) for a daxpy-shaped parallel forall across problem
-// sizes. The pool's win is dispatch cost: at small n the goroutine-spawn
-// path is dominated by per-call scheduling, exactly the per-invocation
-// overhead pSTL-Bench attributes to parallel-STL back-ends.
+// BenchmarkForallPar compares the persistent-pool executor against its
+// spawn fallback — the same lane loops on one fresh goroutine per lane,
+// measured on a closed pool — for a daxpy-shaped parallel forall across
+// problem sizes. The pool's win is dispatch cost: at small n the
+// goroutine-spawn path is dominated by per-call scheduling, exactly the
+// per-invocation overhead pSTL-Bench attributes to parallel-STL
+// back-ends.
 //
 // Both paths run with a fixed lane count so the dispatch machinery is
 // exercised identically on any host; with default (GOMAXPROCS-sized)
@@ -28,8 +29,6 @@ func BenchmarkForallPar(b *testing.B) {
 			x[i] = float64(i)
 		}
 		body := func(c Ctx, i int) { y[i] += 2.0 * x[i] }
-		chunk := (n + lanes - 1) / lanes
-		chunks := (n + chunk - 1) / chunk
 
 		b.Run(fmt.Sprintf("pool/n=%d", n), func(b *testing.B) {
 			pool := NewPool(lanes)
@@ -44,17 +43,26 @@ func BenchmarkForallPar(b *testing.B) {
 		})
 
 		b.Run(fmt.Sprintf("spawn/n=%d", n), func(b *testing.B) {
+			p := Policy{Kind: Par, Workers: lanes, Pool: closedPool(lanes)}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				spawnForallStatic(RangeN(n), body, chunks, chunk, nil, nil)
+				Forall(p, n, body)
 			}
 		})
 	}
 }
 
-// BenchmarkForallGPU compares pooled and spawned dynamic (block-cursor)
-// dispatch, the GPU back-end shape.
+// closedPool returns a closed pool, whose every multi-lane dispatch takes
+// the spawn fallback.
+func closedPool(lanes int) *Pool {
+	pool := NewPool(lanes)
+	pool.Close()
+	return pool
+}
+
+// BenchmarkForallGPU compares pooled and spawn-fallback dynamic
+// (block-cursor) dispatch, the GPU back-end shape.
 func BenchmarkForallGPU(b *testing.B) {
 	lanes := 2 * max(2, runtime.GOMAXPROCS(0))
 	for _, n := range []int{10_000, 1_000_000} {
@@ -74,15 +82,11 @@ func BenchmarkForallGPU(b *testing.B) {
 		})
 
 		b.Run(fmt.Sprintf("spawn/n=%d", n), func(b *testing.B) {
-			workers := lanes
-			blocks := (n + DefaultBlock - 1) / DefaultBlock
-			if workers > blocks {
-				workers = blocks
-			}
+			p := Policy{Kind: GPU, Workers: lanes, Pool: closedPool(lanes)}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				spawnForallDynamic(RangeN(n), body, DefaultBlock, workers, nil, nil)
+				Forall(p, n, body)
 			}
 		})
 	}
@@ -112,13 +116,11 @@ func BenchmarkForallSchedules(b *testing.B) {
 }
 
 // BenchmarkPoolDispatch measures raw dispatch latency: an empty-body
-// parallel region, pool versus spawn.
+// parallel region, pool versus spawn fallback.
 func BenchmarkPoolDispatch(b *testing.B) {
 	body := func(c Ctx, i int) {}
 	lanes := 2 * max(2, runtime.GOMAXPROCS(0))
 	n := 64 * lanes
-	chunk := (n + lanes - 1) / lanes
-	chunks := (n + chunk - 1) / chunk
 	b.Run("pool", func(b *testing.B) {
 		pool := NewPool(lanes)
 		defer pool.Close()
@@ -131,10 +133,11 @@ func BenchmarkPoolDispatch(b *testing.B) {
 		}
 	})
 	b.Run("spawn", func(b *testing.B) {
+		p := Policy{Kind: Par, Workers: lanes, Pool: closedPool(lanes)}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			spawnForallStatic(RangeN(n), body, chunks, chunk, nil, nil)
+			Forall(p, n, body)
 		}
 	})
 }
