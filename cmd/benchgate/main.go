@@ -5,9 +5,10 @@
 //
 // The default mode gates the thicket sweep benchmarks (engine-vs-legacy
 // speedup, BENCH_query.json). With -portability it instead gates the
-// BenchmarkPortability results: per kernel, the RAJA_Seq-vs-Base_Seq
-// wall-time ratio through monomorphized dispatch must not regress more
-// than the baseline tolerance (BENCH_portability.json).
+// BenchmarkPortability results: per kernel, the paired RAJA_Seq-vs-
+// Base_Seq wall-time ratio (its raja/base metric, median over -count
+// runs) must not regress more than the baseline tolerance
+// (BENCH_portability.json).
 //
 // The gate is ratio-based on purpose: BenchmarkGroupStatsSweep (the
 // vectorized engine) and BenchmarkGroupStatsSweepLegacy (the preserved
@@ -21,8 +22,8 @@
 //	go test -run '^$' -bench 'GroupStatsSweep|QueryCached' -benchtime 1000x -count 3 ./internal/thicket/ | \
 //	  benchgate -baseline internal/thicket/testdata/bench_baseline.json -out BENCH_query.json
 //
-// With -count > 1 the minimum ns/op per benchmark is used — the least
-// noisy estimate of the true cost on a shared CI host.
+// With -count > 1 the query gate uses the minimum ns/op per benchmark —
+// the least noisy estimate of the true cost on a shared CI host.
 package main
 
 import (
@@ -33,6 +34,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 )
 
@@ -60,32 +62,58 @@ type Report struct {
 	Failures      []string `json:"failures,omitempty"`
 }
 
-// benchLine matches one `go test -bench` result row, e.g.
+// benchRow matches one `go test -bench` result row and the "value unit"
+// pairs after its iteration count, e.g.
 //
 //	BenchmarkGroupStatsSweep-8   1000   2888039 ns/op   433618 B/op ...
+//	BenchmarkPortability/Stream_TRIAD-2   200   8555478 ns/op   4286720 base_seq_ns/op   0.9995 raja/base ...
 //
 // Sub-benchmark names keep their slash-separated path, e.g.
-// BenchmarkPortability/Stream_TRIAD/RAJA_Seq_mono-1.
-var benchLine = regexp.MustCompile(`^(Benchmark[\w/]+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+// BenchmarkPortability/Stream_TRIAD; the -GOMAXPROCS suffix is dropped.
+var (
+	benchRow   = regexp.MustCompile(`^(Benchmark[\w/]+?)(?:-\d+)?\s+\d+\s+(.*)$`)
+	metricPair = regexp.MustCompile(`(\S+) (\S+)`)
+)
 
-// parseBench extracts min ns/op per benchmark name from -bench output.
-func parseBench(r io.Reader) (map[string]float64, error) {
-	out := map[string]float64{}
+// parseMetrics extracts every reported value per benchmark name and
+// unit from -bench output, in input order (one value per -count run).
+func parseMetrics(r io.Reader) (map[string]map[string][]float64, error) {
+	out := map[string]map[string][]float64{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
+		m := benchRow.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad ns/op in %q: %w", sc.Text(), err)
+		units := out[m[1]]
+		if units == nil {
+			units = map[string][]float64{}
+			out[m[1]] = units
 		}
-		if prev, ok := out[m[1]]; !ok || ns < prev {
-			out[m[1]] = ns
+		for _, p := range metricPair.FindAllStringSubmatch(m[2], -1) {
+			v, err := strconv.ParseFloat(p[1], 64)
+			if err != nil {
+				return nil, fmt.Errorf("bad %s in %q: %w", p[2], sc.Text(), err)
+			}
+			units[p[2]] = append(units[p[2]], v)
 		}
 	}
 	return out, sc.Err()
+}
+
+// parseBench extracts min ns/op per benchmark name from -bench output.
+func parseBench(r io.Reader) (map[string]float64, error) {
+	rows, err := parseMetrics(r)
+	if err != nil {
+		return nil, err
+	}
+	out := map[string]float64{}
+	for name, units := range rows {
+		if ns := units["ns/op"]; len(ns) > 0 {
+			out[name] = slices.Min(ns)
+		}
+	}
+	return out, nil
 }
 
 // gate builds the report and the list of failures from parsed results.
@@ -124,29 +152,26 @@ func gate(results map[string]float64, bl Baseline) Report {
 }
 
 // PortBaseline is the checked-in portability acceptance floor: the
-// recorded RAJA_Seq/Base_Seq wall-time ratio per rewired kernel, under
-// monomorphized and closure dispatch, plus the regression allowance.
+// recorded RAJA_Seq/Base_Seq wall-time ratio per kernel, plus the
+// regression allowance.
 type PortBaseline struct {
-	// TolerancePct is how far above its recorded mono ratio a kernel may
+	// TolerancePct is how far above its recorded ratio a kernel may
 	// land before the gate fails (default guard: 10%).
 	TolerancePct float64 `json:"tolerance_pct"`
 	// Kernels maps full kernel names to their recorded ratios.
 	Kernels map[string]PortKernelBaseline `json:"kernels"`
 }
 
-// PortKernelBaseline is one kernel's recorded portability ratios.
+// PortKernelBaseline is one kernel's recorded RAJA_Seq/Base_Seq ratio.
 type PortKernelBaseline struct {
-	MonoRatio    float64 `json:"mono_ratio"`
-	ClosureRatio float64 `json:"closure_ratio"`
+	Ratio float64 `json:"ratio"`
 }
 
 // PortKernelReport is one kernel's measured portability numbers.
 type PortKernelReport struct {
-	BaseNs       float64 `json:"base_seq_ns"`
-	ClosureNs    float64 `json:"raja_seq_closure_ns"`
-	MonoNs       float64 `json:"raja_seq_mono_ns"`
-	ClosureRatio float64 `json:"closure_ratio"`
-	MonoRatio    float64 `json:"mono_ratio"`
+	BaseNs float64 `json:"base_seq_ns"`
+	RAJANs float64 `json:"raja_seq_ns"`
+	Ratio  float64 `json:"ratio"`
 }
 
 // PortReport is the BENCH_portability.json payload.
@@ -157,39 +182,52 @@ type PortReport struct {
 	Failures []string                    `json:"failures,omitempty"`
 }
 
-// gatePortability builds the portability report. The gate is ratio-based
-// for the same reason the query gate is: RAJA and Base run in the same
-// process on the same arrays, so their ratio cancels host speed; only a
-// genuine abstraction-overhead regression moves it.
-func gatePortability(results map[string]float64, bl PortBaseline) PortReport {
+// gatePortability builds the portability report from parseMetrics
+// output. The gate is ratio-based for the same reason the query gate is,
+// and paired: each BenchmarkPortability iteration runs RAJA_Seq and
+// Base_Seq back to back on the same arrays and reports the median of the
+// pairs' time ratios as raja/base, so host speed and drift cancel; only
+// a genuine abstraction-overhead regression moves it. With -count > 1
+// each number is the median over runs.
+func gatePortability(results map[string]map[string][]float64, bl PortBaseline) PortReport {
 	rep := PortReport{Kernels: map[string]PortKernelReport{}, Baseline: bl}
 	for name, kb := range bl.Kernels {
-		prefix := "BenchmarkPortability/" + name + "/"
-		base, okB := results[prefix+"Base_Seq"]
-		closure, okC := results[prefix+"RAJA_Seq_closure"]
-		mono, okM := results[prefix+"RAJA_Seq_mono"]
-		if !okB || !okC || !okM {
+		units := results["BenchmarkPortability/"+name]
+		ratios := units["raja/base"]
+		if len(ratios) == 0 {
 			rep.Failures = append(rep.Failures, fmt.Sprintf(
-				"%s: missing benchmark rows (base=%v closure=%v mono=%v)", name, okB, okC, okM))
+				"%s: missing raja/base in benchmark rows", name))
 			continue
 		}
 		kr := PortKernelReport{
-			BaseNs:       base,
-			ClosureNs:    closure,
-			MonoNs:       mono,
-			ClosureRatio: closure / base,
-			MonoRatio:    mono / base,
+			BaseNs: median(units["base_seq_ns/op"]),
+			RAJANs: median(units["raja_seq_ns/op"]),
+			Ratio:  median(ratios),
 		}
 		rep.Kernels[name] = kr
-		ceil := kb.MonoRatio * (1 + bl.TolerancePct/100)
-		if kr.MonoRatio > ceil {
+		ceil := kb.Ratio * (1 + bl.TolerancePct/100)
+		if kr.Ratio > ceil {
 			rep.Failures = append(rep.Failures, fmt.Sprintf(
-				"%s: mono RAJA/Base ratio %.2fx exceeds the gate ceiling %.2fx (baseline %.2fx + %.0f%% tolerance)",
-				name, kr.MonoRatio, ceil, kb.MonoRatio, bl.TolerancePct))
+				"%s: RAJA/Base ratio %.2fx exceeds the gate ceiling %.2fx (baseline %.2fx + %.0f%% tolerance)",
+				name, kr.Ratio, ceil, kb.Ratio, bl.TolerancePct))
 		}
 	}
 	rep.Pass = len(rep.Failures) == 0
 	return rep
+}
+
+// median returns the middle value of xs (the mean of the two middle
+// values for an even count), or 0 for none.
+func median(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	if len(s)%2 == 1 {
+		return s[len(s)/2]
+	}
+	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
 // runPortability is the -portability entry point: parse, gate, report.
@@ -204,7 +242,7 @@ func runPortability(in io.Reader, baselinePath, outPath string, stdout, stderr i
 		fmt.Fprintf(stderr, "benchgate: baseline %s: %v\n", baselinePath, err)
 		return 2
 	}
-	results, err := parseBench(in)
+	results, err := parseMetrics(in)
 	if err != nil {
 		fmt.Fprintf(stderr, "benchgate: %v\n", err)
 		return 2
@@ -227,11 +265,11 @@ func runPortability(in io.Reader, baselinePath, outPath string, stdout, stderr i
 	}
 	worst := 0.0
 	for _, kr := range rep.Kernels {
-		if kr.MonoRatio > worst {
-			worst = kr.MonoRatio
+		if kr.Ratio > worst {
+			worst = kr.Ratio
 		}
 	}
-	fmt.Fprintf(stderr, "benchgate: PASS: %d kernels gated, worst mono RAJA/Base ratio %.2fx\n",
+	fmt.Fprintf(stderr, "benchgate: PASS: %d kernels gated, worst RAJA/Base ratio %.2fx\n",
 		len(rep.Kernels), worst)
 	return 0
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -123,27 +124,32 @@ func TestRunFailsOnBadBaselinePath(t *testing.T) {
 
 const samplePortBench = `goos: linux
 pkg: rajaperf
-BenchmarkPortability/Stream_TRIAD/Base_Seq-1         	     200	   2000000 ns/op	11000 MB/s
-BenchmarkPortability/Stream_TRIAD/Base_Seq-1         	     200	   2100000 ns/op	11000 MB/s
-BenchmarkPortability/Stream_TRIAD/RAJA_Seq_closure-1 	     200	   3600000 ns/op	 7000 MB/s
-BenchmarkPortability/Stream_TRIAD/RAJA_Seq_mono-1    	     200	   2200000 ns/op	10000 MB/s
-BenchmarkPortability/Stream_DOT/Base_Seq             	     200	   1000000 ns/op	16000 MB/s
-BenchmarkPortability/Stream_DOT/RAJA_Seq_closure     	     200	   3900000 ns/op	 5000 MB/s
-BenchmarkPortability/Stream_DOT/RAJA_Seq_mono        	     200	    950000 ns/op	21000 MB/s
+BenchmarkPortability/Stream_TRIAD-1         	     200	   4200000 ns/op	   2000000 base_seq_ns/op	         1.100 raja/base	   2200000 raja_seq_ns/op
+BenchmarkPortability/Stream_TRIAD-1         	     200	   4400000 ns/op	   2100000 base_seq_ns/op	         1.120 raja/base	   2300000 raja_seq_ns/op
+BenchmarkPortability/Stream_TRIAD-1         	     200	   4100000 ns/op	   1950000 base_seq_ns/op	         1.080 raja/base	   2150000 raja_seq_ns/op
+BenchmarkPortability/Stream_DOT             	     200	   1950000 ns/op	   1000000 base_seq_ns/op	         0.9500 raja/base	    950000 raja_seq_ns/op
 PASS
 ok  	rajaperf	29.8s
 `
 
 func TestParseBenchKeepsSubBenchmarkPaths(t *testing.T) {
-	got, err := parseBench(strings.NewReader(samplePortBench))
+	got, err := parseMetrics(strings.NewReader(samplePortBench))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got["BenchmarkPortability/Stream_TRIAD/Base_Seq"] != 2000000 {
-		t.Fatalf("min Base_Seq = %v", got["BenchmarkPortability/Stream_TRIAD/Base_Seq"])
+	triad := got["BenchmarkPortability/Stream_TRIAD"]
+	if r := triad["raja/base"]; !slices.Equal(r, []float64{1.10, 1.12, 1.08}) {
+		t.Fatalf("TRIAD raja/base = %v", r)
 	}
-	if got["BenchmarkPortability/Stream_DOT/RAJA_Seq_mono"] != 950000 {
-		t.Fatalf("mono = %v", got["BenchmarkPortability/Stream_DOT/RAJA_Seq_mono"])
+	if ns := got["BenchmarkPortability/Stream_DOT"]["raja_seq_ns/op"]; !slices.Equal(ns, []float64{950000}) {
+		t.Fatalf("DOT raja_seq_ns/op = %v", ns)
+	}
+	mins, err := parseBench(strings.NewReader(samplePortBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mins["BenchmarkPortability/Stream_TRIAD"] != 4100000 {
+		t.Fatalf("min TRIAD ns/op = %v", mins["BenchmarkPortability/Stream_TRIAD"])
 	}
 }
 
@@ -151,14 +157,14 @@ func portBaseline() PortBaseline {
 	return PortBaseline{
 		TolerancePct: 10,
 		Kernels: map[string]PortKernelBaseline{
-			"Stream_TRIAD": {MonoRatio: 1.05, ClosureRatio: 1.7},
-			"Stream_DOT":   {MonoRatio: 1.00, ClosureRatio: 3.9},
+			"Stream_TRIAD": {Ratio: 1.05},
+			"Stream_DOT":   {Ratio: 1.00},
 		},
 	}
 }
 
 func TestGatePortabilityPasses(t *testing.T) {
-	results, err := parseBench(strings.NewReader(samplePortBench))
+	results, err := parseMetrics(strings.NewReader(samplePortBench))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,21 +173,18 @@ func TestGatePortabilityPasses(t *testing.T) {
 		t.Fatalf("expected pass, failures: %v", rep.Failures)
 	}
 	triad := rep.Kernels["Stream_TRIAD"]
-	if triad.MonoRatio < 1.09 || triad.MonoRatio > 1.11 {
-		t.Fatalf("TRIAD mono ratio = %v, want 1.10", triad.MonoRatio)
-	}
-	if triad.ClosureRatio < 1.79 || triad.ClosureRatio > 1.81 {
-		t.Fatalf("TRIAD closure ratio = %v, want 1.80", triad.ClosureRatio)
+	if triad.Ratio != 1.10 || triad.BaseNs != 2000000 || triad.RAJANs != 2200000 {
+		t.Fatalf("TRIAD = %+v, want the medians over runs (ratio 1.10)", triad)
 	}
 }
 
 func TestGatePortabilityFailsOnRatioRegression(t *testing.T) {
-	results, err := parseBench(strings.NewReader(samplePortBench))
+	results, err := parseMetrics(strings.NewReader(samplePortBench))
 	if err != nil {
 		t.Fatal(err)
 	}
 	bl := portBaseline()
-	bl.Kernels["Stream_TRIAD"] = PortKernelBaseline{MonoRatio: 0.90, ClosureRatio: 1.7}
+	bl.Kernels["Stream_TRIAD"] = PortKernelBaseline{Ratio: 0.90}
 	// measured 1.10 > 0.90 * 1.10 = 0.99 ceiling
 	rep := gatePortability(results, bl)
 	if rep.Pass || len(rep.Failures) != 1 {
@@ -191,7 +194,7 @@ func TestGatePortabilityFailsOnRatioRegression(t *testing.T) {
 
 func TestGatePortabilityFailsOnMissingKernel(t *testing.T) {
 	bl := portBaseline()
-	rep := gatePortability(map[string]float64{}, bl)
+	rep := gatePortability(map[string]map[string][]float64{}, bl)
 	if rep.Pass || len(rep.Failures) != 2 {
 		t.Fatalf("expected two missing-kernel failures, got pass=%v failures=%v", rep.Pass, rep.Failures)
 	}

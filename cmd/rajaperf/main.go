@@ -62,7 +62,7 @@ func realMain() int {
 		reps     = flag.Int("reps", 0, "kernel repetitions (0 = kernel defaults)")
 		workers  = flag.Int("workers", 0, "execution workers (0 = all cores)")
 		schedule = flag.String("schedule", "default", "parallel loop schedule: default, static, dynamic, guided")
-		dispatch = flag.String("dispatch", "mono", "RAJA dispatch for rewired kernels: mono (generic, monomorphized) or closure (classic per-index)")
+		_        = flag.String("dispatch", "", "removed: every RAJA variant runs its kernel's one loop body")
 		kerns    = flag.String("kernels", "", "comma-separated kernel names (empty = whole suite)")
 		group    = flag.String("group", "", "run only one group (Algorithm, Apps, Basic, Comm, Lcals, Polybench, Stream)")
 		feature  = flag.String("feature", "", "run only kernels exercising a RAJA feature (Sort, Scan, Reduction, Atomic, View, Workgroup, MPI)")
@@ -114,6 +114,10 @@ func realMain() int {
 		verbose      = flag.Bool("v", false, "log debug detail (per-spec scheduling, heartbeats)")
 	)
 	flag.Parse()
+	if err := rejectDispatch(flag.CommandLine); err != nil {
+		fmt.Fprintln(os.Stderr, "rajaperf:", err)
+		return 2
+	}
 
 	// -faults list/help: print the catalog instead of burying it in the
 	// parse error of an unknown point.
@@ -158,12 +162,6 @@ func realMain() int {
 		fmt.Fprintf(os.Stderr, "rajaperf: unknown schedule %q\n", *schedule)
 		return 2
 	}
-	disp, err := kernels.ParseDispatch(*dispatch)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rajaperf:", err)
-		return 2
-	}
-
 	svc, err := caliper.ParseServices(*services)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rajaperf:", err)
@@ -276,7 +274,7 @@ func realMain() int {
 	}
 
 	if err := run(*machName, *variant, *block, *size, *reps, *workers,
-		sched, disp, svc, *traceOut, *kerns, *group, *feature, *execute, *outdir, inj); err != nil {
+		sched, svc, *traceOut, *kerns, *group, *feature, *execute, *outdir, inj); err != nil {
 		fmt.Fprintln(os.Stderr, "rajaperf:", err)
 		return 1
 	}
@@ -559,6 +557,20 @@ func resolveMetricsAddr(metricsAddr, pprofHTTP string) (string, error) {
 	return metricsAddr, nil
 }
 
+// rejectDispatch fails when fs was given -dispatch, whatever its value.
+// The flag chose between two RAJA paths, and one of them is gone: every
+// RAJA variant now runs its kernel's one loop body. A stale script fails
+// at startup instead of recording a choice that was never made.
+func rejectDispatch(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "dispatch" {
+			err = errors.New("-dispatch was removed; every RAJA variant runs its kernel's one loop body")
+		}
+	})
+	return err
+}
+
 // workerSpawner forks fabric worker processes of this same binary, each
 // on its own socketpair with the coordinator. Worker stderr passes
 // through, so a worker's failure diagnostics reach the operator. One
@@ -677,7 +689,7 @@ func runReport(kerns string, size, reps, workers int, sched raja.Schedule) error
 }
 
 func run(machName, variant string, block, size, reps, workers int,
-	sched raja.Schedule, disp kernels.DispatchMode, svc caliper.Services,
+	sched raja.Schedule, svc caliper.Services,
 	traceOut string, kerns, group, feature string, execute bool,
 	outdir string, inj *resilience.Injector) error {
 
@@ -745,7 +757,6 @@ func run(machName, variant string, block, size, reps, workers int,
 		Kernels:     names,
 		Execute:     execute,
 		Schedule:    sched,
-		Dispatch:    disp,
 		Services:    svc,
 		Tracer:      tracer,
 		Faults:      inj,

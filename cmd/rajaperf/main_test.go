@@ -1,10 +1,9 @@
 package main
 
 import (
+	"flag"
 	"strings"
 	"testing"
-
-	"rajaperf/internal/kernels"
 )
 
 func TestResolveMetricsAddr(t *testing.T) {
@@ -39,28 +38,35 @@ func TestResolveMetricsAddr(t *testing.T) {
 	})
 }
 
+// TestParseDispatchFlag: -dispatch was removed, so any value of it,
+// the old "mono" and "closure" included, is a startup error (exit 2)
+// that names the removal; leaving the flag out is fine.
 func TestParseDispatchFlag(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    kernels.DispatchMode
-		wantErr bool
-	}{
-		{"mono", kernels.DispatchMono, false},
-		{"", kernels.DispatchMono, false},
-		{"closure", kernels.DispatchClosure, false},
-		{"bogus", 0, true},
+	for _, args := range [][]string{
+		{"-dispatch", "mono"},
+		{"-dispatch", "closure"},
+		{"-dispatch="},
+		{"-dispatch", "bogus"},
+		{"-kernels", "Stream_TRIAD", "-dispatch", "mono"},
+	} {
+		fs := flag.NewFlagSet("rajaperf", flag.ContinueOnError)
+		fs.String("dispatch", "", "")
+		fs.String("kernels", "", "")
+		if err := fs.Parse(args); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		err := rejectDispatch(fs)
+		if err == nil || !strings.Contains(err.Error(), "removed") {
+			t.Errorf("%v: got %v, want an error naming the removal", args, err)
+		}
 	}
-	for _, c := range cases {
-		got, err := kernels.ParseDispatch(c.in)
-		if c.wantErr {
-			if err == nil {
-				t.Errorf("ParseDispatch(%q): want error", c.in)
-			}
-			continue
-		}
-		if err != nil || got != c.want {
-			t.Errorf("ParseDispatch(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
+	fs := flag.NewFlagSet("rajaperf", flag.ContinueOnError)
+	fs.String("dispatch", "", "")
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := rejectDispatch(fs); err != nil {
+		t.Errorf("no -dispatch: got %v, want nil", err)
 	}
 }
 

@@ -1,11 +1,9 @@
 // Portability: measure the RAJA abstraction overhead the suite was
 // originally built to quantify — run Base, Lambda, and RAJA variants of
 // several kernels on the host with real wall-clock timing and report
-// RAJA-vs-Base ratios per back-end.
-//
-// Kernels rewired to the monomorphized generic dispatch (Info.Mono) are
-// timed through both paths, so the table shows what the closure
-// abstraction cost and how much of it monomorphization recovered.
+// RAJA-vs-Base ratios per back-end. Base and RAJA run the kernel's one
+// loop body, so a ratio away from 1.00 is the portability layer's
+// dispatch cost (or timing noise).
 //
 //	go run ./examples/portability
 package main
@@ -53,10 +51,7 @@ func main() {
 
 	fmt.Println("RAJA/Base wall-time ratio per back-end (host execution;")
 	fmt.Println("1.00 = zero abstraction overhead, lower is faster than Base).")
-	fmt.Println("closure = classic per-index dispatch, mono = monomorphized")
-	fmt.Println("generic dispatch (kernels not yet rewired show one column).")
-	fmt.Printf("%-20s %8s", "kernel", "path")
-	fmt.Printf(" %10s %10s %10s\n", "Seq", "OpenMP", "GPU-style")
+	fmt.Printf("%-20s %10s %10s %10s\n", "kernel", "Seq", "OpenMP", "GPU-style")
 	for _, name := range []string{
 		"Stream_TRIAD", "Stream_DOT", "Basic_DAXPY", "Basic_IF_QUAD",
 		"Lcals_HYDRO_1D", "Lcals_EOS", "Apps_FIR", "Apps_VOL3D",
@@ -66,29 +61,17 @@ func main() {
 			log.Fatal(err)
 		}
 		k.SetUp(rp)
-		modes := []kernels.DispatchMode{kernels.DispatchClosure}
-		if k.Info().Mono {
-			modes = append(modes, kernels.DispatchMono)
-		}
-		for _, mode := range modes {
-			mrp := rp
-			mrp.Dispatch = mode
-			label := "closure"
-			if mode == kernels.DispatchMono {
-				label = "mono"
+		fmt.Printf("%-20s", name)
+		for _, p := range pairs {
+			tb, ok1 := timeVariant(k, p.base, rp)
+			tr, ok2 := timeVariant(k, p.raja, rp)
+			if !ok1 || !ok2 {
+				fmt.Printf(" %10s", "n/a")
+				continue
 			}
-			fmt.Printf("%-20s %8s", name, label)
-			for _, p := range pairs {
-				tb, ok1 := timeVariant(k, p.base, mrp)
-				tr, ok2 := timeVariant(k, p.raja, mrp)
-				if !ok1 || !ok2 {
-					fmt.Printf(" %10s", "n/a")
-					continue
-				}
-				fmt.Printf(" %10.2f", tr/tb)
-			}
-			fmt.Println()
+			fmt.Printf(" %10.2f", tr/tb)
 		}
+		fmt.Println()
 		k.TearDown()
 	}
 }

@@ -71,8 +71,7 @@ func (k *Atomic) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					raja.AtomicAddFloat64(&acc[(i%atomicReplication)*8], 1.0)
 				}
 			},
-			body,
-			func(_ raja.Ctx, i int) { body(i) })
+			body)
 		if err != nil {
 			return k.Unsupported(v)
 		}

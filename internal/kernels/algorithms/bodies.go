@@ -2,28 +2,6 @@ package algorithms
 
 import "rajaperf/internal/raja"
 
-// Monomorphized loop bodies for the Algorithms family, passed by value
-// through the generic dispatch entry points.
-
-// memcpySpan is MEMCPY's body: dst[i] = src[i] via the runtime copy.
-type memcpySpan struct {
-	src, dst []float64
-}
-
-func (s memcpySpan) Span(_ raja.Ctx, lo, hi int) {
-	raja.CopySpan(s.dst, s.src, lo, hi)
-}
-
-// memsetSpan is MEMSET's body: x[i] = val.
-type memsetSpan struct {
-	x   []float64
-	val float64
-}
-
-func (s memsetSpan) Span(_ raja.Ctx, lo, hi int) {
-	raja.FillSpan(s.x, s.val, lo, hi)
-}
-
 // sumReduce is REDUCE_SUM's fused reduction body.
 type sumReduce struct {
 	x []float64

@@ -26,7 +26,6 @@ func NewMemcpy() kernels.Kernel {
 		DefaultSize: defaultSize,
 		DefaultReps: defaultReps,
 		Variants:    kernels.AllVariants,
-		Mono:        true,
 	})}
 }
 
@@ -49,14 +48,9 @@ func (k *Memcpy) SetUp(rp kernels.RunParams) {
 func (k *Memcpy) Run(v kernels.VariantID, rp kernels.RunParams) error {
 	src, dst := k.src, k.dst
 	body := func(i int) { dst[i] = src[i] }
-	span := memcpySpan{src: src, dst: dst}
+	span := func(lo, hi int) { raja.CopySpan(dst, src, lo, hi) }
 	for r := 0; r < rp.EffectiveReps(k.Info()); r++ {
-		err := kernels.RunVariantG(v, rp, k.n,
-			func(lo, hi int) { copy(dst[lo:hi], src[lo:hi]) },
-			body,
-			func(_ raja.Ctx, i int) { dst[i] = src[i] },
-			span)
-		if err != nil {
+		if err := kernels.RunVariant(v, rp, k.n, span, body); err != nil {
 			return k.Unsupported(v)
 		}
 	}

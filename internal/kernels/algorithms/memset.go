@@ -24,7 +24,6 @@ func NewMemset() kernels.Kernel {
 		DefaultSize: defaultSize,
 		DefaultReps: defaultReps,
 		Variants:    kernels.AllVariants,
-		Mono:        true,
 	})}
 }
 
@@ -46,19 +45,9 @@ func (k *Memset) SetUp(rp kernels.RunParams) {
 func (k *Memset) Run(v kernels.VariantID, rp kernels.RunParams) error {
 	x, val := k.x, k.val
 	body := func(i int) { x[i] = val }
-	span := memsetSpan{x: x, val: val}
+	span := func(lo, hi int) { raja.FillSpan(x, val, lo, hi) }
 	for r := 0; r < rp.EffectiveReps(k.Info()); r++ {
-		err := kernels.RunVariantG(v, rp, k.n,
-			func(lo, hi int) {
-				s := x[lo:hi]
-				for i := range s {
-					s[i] = val
-				}
-			},
-			body,
-			func(_ raja.Ctx, i int) { x[i] = val },
-			span)
-		if err != nil {
+		if err := kernels.RunVariant(v, rp, k.n, span, body); err != nil {
 			return k.Unsupported(v)
 		}
 	}

@@ -28,7 +28,6 @@ func NewReduceSum() kernels.Kernel {
 		DefaultSize: defaultSize,
 		DefaultReps: defaultReps,
 		Variants:    kernels.AllVariants,
-		Mono:        true,
 	})}
 }
 
@@ -93,20 +92,10 @@ func (k *ReduceSum) Run(v kernels.VariantID, rp kernels.RunParams) error {
 		}
 	case kernels.RAJASeq, kernels.RAJAOpenMP, kernels.RAJAGPU:
 		pol := rp.Policy(v)
-		if rp.Dispatch == kernels.DispatchClosure {
-			for r := 0; r < reps; r++ {
-				red := raja.NewReduceSum(pol, 0.0)
-				raja.Forall(pol, n, func(c raja.Ctx, i int) {
-					red.Add(c, x[i])
-				})
-				sum = red.Get()
-			}
-		} else {
-			// Fused monomorphized reduction: one dispatch, whole-granule
-			// partials, no reducer allocation.
-			for r := 0; r < reps; r++ {
-				sum = raja.ForallReduce[float64](pol, n, sumReduce{x: x})
-			}
+		// Fused reduction: one dispatch, whole-granule partials, no
+		// reducer allocation.
+		for r := 0; r < reps; r++ {
+			sum = raja.ForallReduce[float64](pol, n, sumReduce{x: x})
 		}
 	default:
 		return k.Unsupported(v)

@@ -26,7 +26,6 @@ func NewScan() kernels.Kernel {
 		DefaultSize: defaultSize,
 		DefaultReps: defaultReps,
 		Variants:    kernels.NoLambdaVariants,
-		Mono:        true,
 	})}
 }
 
@@ -68,16 +67,10 @@ func (k *Scan) Run(v kernels.VariantID, rp kernels.RunParams) error {
 		}
 	case kernels.RAJASeq, kernels.RAJAOpenMP, kernels.RAJAGPU:
 		pol := rp.Policy(v)
-		if rp.Dispatch == kernels.DispatchClosure {
-			for r := 0; r < reps; r++ {
-				raja.ExclusiveScanSum(pol, y, x)
-			}
-		} else {
-			// Fused monomorphized scan: the three phases run through the
-			// generic span dispatch with specialized load/store bodies.
-			for r := 0; r < reps; r++ {
-				raja.ForallExclusiveScan[float64](pol, n, scanStore{x: x, y: y})
-			}
+		// Fused scan: three span dispatches with specialized load and
+		// store bodies.
+		for r := 0; r < reps; r++ {
+			raja.ForallExclusiveScan[float64](pol, n, scanStore{x: x, y: y})
 		}
 	default:
 		return k.Unsupported(v)

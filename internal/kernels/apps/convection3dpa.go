@@ -1,9 +1,6 @@
 package apps
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // Convection3DPA implements Apps_CONVECTION3DPA: the matrix-free action of
 // the high-order convection operator — velocity-weighted gradient at
@@ -61,8 +58,7 @@ func (k *Convection3DPA) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					elem(e)
 				}
 			},
-			elem,
-			func(_ raja.Ctx, e int) { elem(e) })
+			elem)
 		if err != nil {
 			return k.Unsupported(v)
 		}

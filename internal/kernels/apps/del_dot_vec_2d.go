@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
 )
 
 // DelDotVec2D implements Apps_DEL_DOT_VEC_2D: the divergence of a velocity
@@ -107,8 +106,7 @@ func (k *DelDotVec2D) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					body(z)
 				}
 			},
-			body,
-			func(_ raja.Ctx, z int) { body(z) })
+			body)
 		if err != nil {
 			return k.Unsupported(v)
 		}

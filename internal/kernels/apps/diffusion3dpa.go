@@ -1,9 +1,6 @@
 package apps
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // Diffusion3DPA implements Apps_DIFFUSION3DPA: the matrix-free action of
 // the high-order diffusion operator — gradient interpolation in three
@@ -65,8 +62,7 @@ func (k *Diffusion3DPA) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					elem(e)
 				}
 			},
-			elem,
-			func(_ raja.Ctx, e int) { elem(e) })
+			elem)
 		if err != nil {
 			return k.Unsupported(v)
 		}

@@ -1,9 +1,6 @@
 package apps
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // Edge basis dimensions: 12 edge functions, 4^3 quadrature points.
 const (
@@ -117,8 +114,7 @@ func (k *Edge3D) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					elem(zi)
 				}
 			},
-			elem,
-			func(_ raja.Ctx, zi int) { elem(zi) })
+			elem)
 		if err != nil {
 			return k.Unsupported(v)
 		}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
 )
 
 // Energy implements Apps_ENERGY: the multi-loop hydrodynamics energy
@@ -111,8 +110,7 @@ func (k *Energy) Run(v kernels.VariantID, rp kernels.RunParams) error {
 						loop(i)
 					}
 				},
-				loop,
-				func(_ raja.Ctx, i int) { loop(i) })
+				loop)
 			if err != nil {
 				return k.Unsupported(v)
 			}

@@ -1,9 +1,6 @@
 package apps
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // firLen is the filter length, as in the suite.
 const firLen = 16
@@ -75,8 +72,7 @@ func (k *Fir) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					out[i] = sum
 				}
 			},
-			body,
-			func(_ raja.Ctx, i int) { body(i) })
+			body)
 		if err != nil {
 			return k.Unsupported(v)
 		}

@@ -95,8 +95,7 @@ func (k *Ltimes) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					zone(z)
 				}
 			},
-			zone,
-			func(_ raja.Ctx, z int) { zone(z) })
+			zone)
 		if err != nil {
 			return k.Unsupported(v)
 		}

@@ -1,9 +1,6 @@
 package apps
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // LtimesNoView implements Apps_LTIMES_NOVIEW: the same moment update as
 // LTIMES with hand-rolled index arithmetic instead of data views,
@@ -54,8 +51,7 @@ func (k *LtimesNoView) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					zone(z)
 				}
 			},
-			zone,
-			func(_ raja.Ctx, z int) { zone(z) })
+			zone)
 		if err != nil {
 			return k.Unsupported(v)
 		}

@@ -1,9 +1,6 @@
 package apps
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // EA dimensions: smaller basis, since assembly is O((D1D^3)^2 * Q1D^3) per
 // element.
@@ -91,8 +88,7 @@ func (k *Mass3DEA) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					elem(e)
 				}
 			},
-			elem,
-			func(_ raja.Ctx, e int) { elem(e) })
+			elem)
 		if err != nil {
 			return k.Unsupported(v)
 		}

@@ -1,9 +1,6 @@
 package apps
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // Mass3DPA implements Apps_MASS3DPA: the matrix-free (partial assembly)
 // action of the high-order mass operator, B^T D B per element via
@@ -79,8 +76,7 @@ func (k *Mass3DPA) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					elem(e)
 				}
 			},
-			elem,
-			func(_ raja.Ctx, e int) { elem(e) })
+			elem)
 		if err != nil {
 			return k.Unsupported(v)
 		}

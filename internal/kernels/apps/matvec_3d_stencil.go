@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
 )
 
 // Matvec3DStencil implements Apps_MATVEC_3D_STENCIL: a 27-point stencil
@@ -96,8 +95,7 @@ func (k *Matvec3DStencil) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					plane(pi)
 				}
 			},
-			plane,
-			func(_ raja.Ctx, pi int) { plane(pi) })
+			plane)
 		if err != nil {
 			return k.Unsupported(v)
 		}

@@ -76,8 +76,7 @@ func (k *NodalAccumulation3D) Run(v kernels.VariantID, rp kernels.RunParams) err
 					}
 				}
 			},
-			body,
-			func(_ raja.Ctx, z int) { body(z) })
+			body)
 		if err != nil {
 			return k.Unsupported(v)
 		}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
 )
 
 // Pressure implements Apps_PRESSURE: the two-loop equation-of-state
@@ -86,8 +85,7 @@ func (k *Pressure) Run(v kernels.VariantID, rp kernels.RunParams) error {
 						loop(i)
 					}
 				},
-				loop,
-				func(_ raja.Ctx, i int) { loop(i) })
+				loop)
 			if err != nil {
 				return k.Unsupported(v)
 			}

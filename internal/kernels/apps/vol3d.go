@@ -1,9 +1,6 @@
 package apps
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // Vol3D implements Apps_VOL3D: hexahedral zone volumes from the eight
 // corner coordinates, the suite's heaviest streaming mesh computation
@@ -87,8 +84,7 @@ func (k *Vol3D) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					vol[zi] = zoneVolume(x, y, z, mesh.Corners(zi))
 				}
 			},
-			body,
-			func(_ raja.Ctx, zi int) { body(zi) })
+			body)
 		if err != nil {
 			return k.Unsupported(v)
 		}

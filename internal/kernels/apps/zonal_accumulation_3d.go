@@ -1,9 +1,6 @@
 package apps
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // ZonalAccumulation3D implements Apps_ZONAL_ACCUMULATION_3D: gather the
 // eight corner-node values of each zone into a zonal sum — the node-to-zone
@@ -69,8 +66,7 @@ func (k *ZonalAccumulation3D) Run(v kernels.VariantID, rp kernels.RunParams) err
 					body(z)
 				}
 			},
-			body,
-			func(_ raja.Ctx, z int) { body(z) })
+			body)
 		if err != nil {
 			return k.Unsupported(v)
 		}

@@ -1,9 +1,6 @@
 package basic
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // aopMaxPtrs is the fixed pointer-array capacity, as in the suite.
 const aopMaxPtrs = 8
@@ -76,8 +73,7 @@ func (k *ArrayOfPtrs) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					y[i] = sum
 				}
 			},
-			body,
-			func(_ raja.Ctx, i int) { body(i) })
+			body)
 		if err != nil {
 			return k.Unsupported(v)
 		}

@@ -1,90 +1,10 @@
 package basic
 
-import (
-	"math"
-
-	"rajaperf/internal/raja"
-)
-
-// Monomorphized loop bodies for the Basic family. Each struct satisfies
-// raja.SpanBody or raja.Reducer and is passed by value through the
-// generic dispatch entry points, so every (policy, schedule, body)
-// combination compiles to its own specialized loop.
-
-// daxpySpan is DAXPY's body: y[i] += a * x[i].
-type daxpySpan struct {
-	x, y []float64
-	a    float64
-}
-
-func (s daxpySpan) Span(_ raja.Ctx, lo, hi int) {
-	raja.AxpySpan(s.y, s.x, s.a, lo, hi)
-}
-
-// mulAddSubSpan is MULADDSUB's body: three outputs per element.
-type mulAddSubSpan struct {
-	o1, o2, o3, i1, i2 []float64
-}
-
-func (s mulAddSubSpan) Span(_ raja.Ctx, lo, hi int) {
-	o1 := s.o1[lo:hi]
-	o2 := s.o2[lo:hi][:len(o1)]
-	o3 := s.o3[lo:hi][:len(o1)]
-	i1 := s.i1[lo:hi][:len(o1)]
-	i2 := s.i2[lo:hi][:len(o1)]
-	for i := range o1 {
-		o1[i] = i1[i] * i2[i]
-		o2[i] = i1[i] + i2[i]
-		o3[i] = i1[i] - i2[i]
-	}
-}
-
-// ifQuadSpan is IF_QUAD's body: per-element quadratic roots, branching
-// on the discriminant sign.
-type ifQuadSpan struct {
-	a, b, c, x1, x2 []float64
-}
-
-func (s ifQuadSpan) Span(_ raja.Ctx, lo, hi int) {
-	a := s.a[lo:hi]
-	b := s.b[lo:hi][:len(a)]
-	c := s.c[lo:hi][:len(a)]
-	x1 := s.x1[lo:hi][:len(a)]
-	x2 := s.x2[lo:hi][:len(a)]
-	for i := range a {
-		d := b[i]*b[i] - 4*a[i]*c[i]
-		if d >= 0 {
-			d = math.Sqrt(d)
-			den := 0.5 / a[i]
-			x2[i] = (-b[i] + d) * den
-			x1[i] = (-b[i] - d) * den
-		} else {
-			x2[i] = 0
-			x1[i] = 0
-		}
-	}
-}
-
-// init3Span is INIT3's body: out1[i] = out2[i] = out3[i] = -in1[i] - in2[i].
-type init3Span struct {
-	o1, o2, o3, i1, i2 []float64
-}
-
-func (s init3Span) Span(_ raja.Ctx, lo, hi int) {
-	o1 := s.o1[lo:hi]
-	o2 := s.o2[lo:hi][:len(o1)]
-	o3 := s.o3[lo:hi][:len(o1)]
-	i1 := s.i1[lo:hi][:len(o1)]
-	i2 := s.i2[lo:hi][:len(o1)]
-	for i := range o1 {
-		val := -i1[i] - i2[i]
-		o1[i], o2[i], o3[i] = val, val, val
-	}
-}
+import "math"
 
 // piReduce is PI_REDUCE's fused reduction body: midpoint quadrature of
 // 1/(1+x^2). The span index is absolute, so Partial recomputes x from i
-// exactly as the closure body does.
+// exactly as the Base loop does.
 type piReduce struct {
 	dx float64
 }

@@ -1,9 +1,6 @@
 package basic
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // Copy8 implements Basic_COPY8: eight independent array copies in one loop
 // body, stressing load/store ports and register pressure.
@@ -77,8 +74,7 @@ func (k *Copy8) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					d7[i] = s7[i]
 				}
 			},
-			body,
-			func(_ raja.Ctx, i int) { body(i) })
+			body)
 		if err != nil {
 			return k.Unsupported(v)
 		}

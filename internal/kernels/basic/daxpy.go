@@ -24,7 +24,6 @@ func NewDaxpy() kernels.Kernel {
 		DefaultSize: defaultSize,
 		DefaultReps: defaultReps,
 		Variants:    kernels.AllVariants,
-		Mono:        true,
 	})}
 }
 
@@ -49,18 +48,9 @@ func (k *Daxpy) SetUp(rp kernels.RunParams) {
 func (k *Daxpy) Run(v kernels.VariantID, rp kernels.RunParams) error {
 	x, y, a := k.x, k.y, k.a
 	body := func(i int) { y[i] += a * x[i] }
-	span := daxpySpan{x: x, y: y, a: a}
+	span := func(lo, hi int) { raja.AxpySpan(y, x, a, lo, hi) }
 	for r := 0; r < rp.EffectiveReps(k.Info()); r++ {
-		err := kernels.RunVariantG(v, rp, k.n,
-			func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					y[i] += a * x[i]
-				}
-			},
-			body,
-			func(_ raja.Ctx, i int) { y[i] += a * x[i] },
-			span)
-		if err != nil {
+		if err := kernels.RunVariant(v, rp, k.n, span, body); err != nil {
 			return k.Unsupported(v)
 		}
 	}

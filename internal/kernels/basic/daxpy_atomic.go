@@ -59,8 +59,7 @@ func (k *DaxpyAtomic) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					raja.AtomicAddFloat64(&y[i], a*x[i])
 				}
 			},
-			body,
-			func(_ raja.Ctx, i int) { raja.AtomicAddFloat64(&y[i], a*x[i]) })
+			body)
 		if err != nil {
 			return k.Unsupported(v)
 		}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
 )
 
 // IfQuad implements Basic_IF_QUAD: solve a*x^2 + b*x + c = 0 per element,
@@ -27,7 +26,6 @@ func NewIfQuad() kernels.Kernel {
 		DefaultSize: defaultSize,
 		DefaultReps: defaultReps,
 		Variants:    kernels.AllVariants,
-		Mono:        true,
 	})}
 }
 
@@ -76,28 +74,27 @@ func quadBody(a, b, c, x1, x2 []float64) func(int) {
 // Run implements kernels.Kernel.
 func (k *IfQuad) Run(v kernels.VariantID, rp kernels.RunParams) error {
 	body := quadBody(k.a, k.b, k.c, k.x1, k.x2)
-	span := ifQuadSpan{a: k.a, b: k.b, c: k.c, x1: k.x1, x2: k.x2}
+	span := func(lo, hi int) {
+		a := k.a[lo:hi]
+		b := k.b[lo:hi][:len(a)]
+		c := k.c[lo:hi][:len(a)]
+		x1 := k.x1[lo:hi][:len(a)]
+		x2 := k.x2[lo:hi][:len(a)]
+		for i := range a {
+			s := b[i]*b[i] - 4*a[i]*c[i]
+			if s >= 0 {
+				s = math.Sqrt(s)
+				den := 0.5 / a[i]
+				x2[i] = (-b[i] + s) * den
+				x1[i] = (-b[i] - s) * den
+			} else {
+				x2[i] = 0
+				x1[i] = 0
+			}
+		}
+	}
 	for r := 0; r < rp.EffectiveReps(k.Info()); r++ {
-		err := kernels.RunVariantG(v, rp, k.n,
-			func(lo, hi int) {
-				a, b, c, x1, x2 := k.a, k.b, k.c, k.x1, k.x2
-				for i := lo; i < hi; i++ {
-					s := b[i]*b[i] - 4*a[i]*c[i]
-					if s >= 0 {
-						s = math.Sqrt(s)
-						den := 0.5 / a[i]
-						x2[i] = (-b[i] + s) * den
-						x1[i] = (-b[i] - s) * den
-					} else {
-						x2[i] = 0
-						x1[i] = 0
-					}
-				}
-			},
-			body,
-			func(_ raja.Ctx, i int) { body(i) },
-			span)
-		if err != nil {
+		if err := kernels.RunVariant(v, rp, k.n, span, body); err != nil {
 			return k.Unsupported(v)
 		}
 	}

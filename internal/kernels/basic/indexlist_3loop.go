@@ -73,14 +73,7 @@ func (k *IndexList3Loop) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					}
 				}
 			},
-			nil,
-			func(_ raja.Ctx, i int) {
-				if x[i] < 0 {
-					counts[i] = 1
-				} else {
-					counts[i] = 0
-				}
-			})
+			nil)
 		if err != nil {
 			return k.Unsupported(v)
 		}
@@ -95,12 +88,7 @@ func (k *IndexList3Loop) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					}
 				}
 			},
-			nil,
-			func(_ raja.Ctx, i int) {
-				if counts[i] == 1 {
-					list[pos[i]] = int64(i)
-				}
-			})
+			nil)
 		if err != nil {
 			return k.Unsupported(v)
 		}

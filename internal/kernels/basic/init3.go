@@ -1,9 +1,6 @@
 package basic
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // Init3 implements Basic_INIT3: out1[i] = out2[i] = out3[i] = -in1[i] - in2[i].
 type Init3 struct {
@@ -23,7 +20,6 @@ func NewInit3() kernels.Kernel {
 		DefaultSize: defaultSize,
 		DefaultReps: defaultReps,
 		Variants:    kernels.AllVariants,
-		Mono:        true,
 	})}
 }
 
@@ -53,19 +49,19 @@ func (k *Init3) Run(v kernels.VariantID, rp kernels.RunParams) error {
 		val := -i1[i] - i2[i]
 		o1[i], o2[i], o3[i] = val, val, val
 	}
-	span := init3Span{o1: o1, o2: o2, o3: o3, i1: i1, i2: i2}
+	span := func(lo, hi int) {
+		o1 := o1[lo:hi]
+		o2 := o2[lo:hi][:len(o1)]
+		o3 := o3[lo:hi][:len(o1)]
+		i1 := i1[lo:hi][:len(o1)]
+		i2 := i2[lo:hi][:len(o1)]
+		for i := range o1 {
+			val := -i1[i] - i2[i]
+			o1[i], o2[i], o3[i] = val, val, val
+		}
+	}
 	for r := 0; r < rp.EffectiveReps(k.Info()); r++ {
-		err := kernels.RunVariantG(v, rp, k.n,
-			func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					val := -i1[i] - i2[i]
-					o1[i], o2[i], o3[i] = val, val, val
-				}
-			},
-			body,
-			func(_ raja.Ctx, i int) { body(i) },
-			span)
-		if err != nil {
+		if err := kernels.RunVariant(v, rp, k.n, span, body); err != nil {
 			return k.Unsupported(v)
 		}
 	}

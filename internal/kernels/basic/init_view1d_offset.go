@@ -48,29 +48,26 @@ func (k *InitView1DOffset) SetUp(rp kernels.RunParams) {
 func (k *InitView1DOffset) Run(v kernels.VariantID, rp kernels.RunParams) error {
 	a := k.a
 	view := raja.NewView1Offset(a, 1)
-	body := func(i int) { a[i-1] = initView1DVal * float64(i) }
-	reps := rp.EffectiveReps(k.Info())
-	for r := 0; r < reps; r++ {
-		var err error
-		switch {
-		case v.IsRAJA():
-			raja.ForallRange(rp.Policy(v), raja.Range{Begin: 1, End: k.n + 1},
-				func(_ raja.Ctx, i int) {
-					view.Set(i, initView1DVal*float64(i))
-				})
-		default:
-			// Hand-written variants iterate the shifted range
-			// directly.
-			err = kernels.RunVariant(v, rp, k.n,
-				func(lo, hi int) {
-					for i := lo + 1; i < hi+1; i++ {
-						a[i-1] = initView1DVal * float64(i)
-					}
-				},
-				func(i int) { body(i + 1) },
-				nil)
+	lambda := func(i int) { a[i] = initView1DVal * float64(i+1) }
+	// Span [lo, hi) covers the 1-based indices lo+1..hi. The RAJA
+	// variants write through the offset view, the feature under test;
+	// the others index the slice.
+	var span func(lo, hi int)
+	if v.IsRAJA() {
+		span = func(lo, hi int) {
+			for i := lo + 1; i < hi+1; i++ {
+				view.Set(i, initView1DVal*float64(i))
+			}
 		}
-		if err != nil {
+	} else {
+		span = func(lo, hi int) {
+			for i := lo + 1; i < hi+1; i++ {
+				a[i-1] = initView1DVal * float64(i)
+			}
+		}
+	}
+	for r := 0; r < rp.EffectiveReps(k.Info()); r++ {
+		if err := kernels.RunVariant(v, rp, k.n, span, lambda); err != nil {
 			return k.Unsupported(v)
 		}
 	}

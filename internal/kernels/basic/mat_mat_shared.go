@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
 )
 
 // matTile is the tile edge, matching the suite's TL_SZ shared-memory tile.
@@ -117,8 +116,7 @@ func (k *MatMatShared) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					tileMul(a, b, c, d, t/tiles, t%tiles)
 				}
 			},
-			body,
-			func(_ raja.Ctx, t int) { body(t) })
+			body)
 		if err != nil {
 			return k.Unsupported(v)
 		}

@@ -1,9 +1,6 @@
 package basic
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // MulAddSub implements Basic_MULADDSUB: three outputs computed from two
 // inputs per element (product, sum, difference).
@@ -24,7 +21,6 @@ func NewMulAddSub() kernels.Kernel {
 		DefaultSize: defaultSize,
 		DefaultReps: defaultReps,
 		Variants:    kernels.AllVariants,
-		Mono:        true,
 	})}
 }
 
@@ -55,20 +51,20 @@ func (k *MulAddSub) Run(v kernels.VariantID, rp kernels.RunParams) error {
 		o2[i] = i1[i] + i2[i]
 		o3[i] = i1[i] - i2[i]
 	}
-	span := mulAddSubSpan{o1: o1, o2: o2, o3: o3, i1: i1, i2: i2}
+	span := func(lo, hi int) {
+		o1 := o1[lo:hi]
+		o2 := o2[lo:hi][:len(o1)]
+		o3 := o3[lo:hi][:len(o1)]
+		i1 := i1[lo:hi][:len(o1)]
+		i2 := i2[lo:hi][:len(o1)]
+		for i := range o1 {
+			o1[i] = i1[i] * i2[i]
+			o2[i] = i1[i] + i2[i]
+			o3[i] = i1[i] - i2[i]
+		}
+	}
 	for r := 0; r < rp.EffectiveReps(k.Info()); r++ {
-		err := kernels.RunVariantG(v, rp, k.n,
-			func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					o1[i] = i1[i] * i2[i]
-					o2[i] = i1[i] + i2[i]
-					o3[i] = i1[i] - i2[i]
-				}
-			},
-			body,
-			func(_ raja.Ctx, i int) { body(i) },
-			span)
-		if err != nil {
+		if err := kernels.RunVariant(v, rp, k.n, span, body); err != nil {
 			return k.Unsupported(v)
 		}
 	}

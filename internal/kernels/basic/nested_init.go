@@ -1,9 +1,6 @@
 package basic
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // NestedInit implements Basic_NESTED_INIT: a triply nested initialization
 // array[i,j,k] = 1e-8 * i*j*k over a 3D box, exercising nested-loop
@@ -70,8 +67,7 @@ func (k *NestedInit) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					planeBody(kk)
 				}
 			},
-			planeBody,
-			func(_ raja.Ctx, kk int) { planeBody(kk) })
+			planeBody)
 		if err != nil {
 			return k.Unsupported(v)
 		}

@@ -68,8 +68,7 @@ func (k *PiAtomic) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					raja.AtomicAddFloat64(pi, dx/(1.0+x*x))
 				}
 			},
-			body,
-			func(_ raja.Ctx, i int) { body(i) })
+			body)
 		if err != nil {
 			return k.Unsupported(v)
 		}

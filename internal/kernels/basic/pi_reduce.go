@@ -27,7 +27,6 @@ func NewPiReduce() kernels.Kernel {
 		DefaultSize: defaultSize,
 		DefaultReps: defaultReps,
 		Variants:    kernels.AllVariants,
-		Mono:        true,
 	})}
 }
 
@@ -96,20 +95,10 @@ func (k *PiReduce) Run(v kernels.VariantID, rp kernels.RunParams) error {
 		}
 	case kernels.RAJASeq, kernels.RAJAOpenMP, kernels.RAJAGPU:
 		pol := rp.Policy(v)
-		if rp.Dispatch == kernels.DispatchClosure {
-			for r := 0; r < reps; r++ {
-				red := raja.NewReduceSum(pol, 0.0)
-				raja.Forall(pol, n, func(c raja.Ctx, i int) {
-					red.Add(c, f(i))
-				})
-				pi = red.Get()
-			}
-		} else {
-			// Fused monomorphized reduction: one dispatch, whole-granule
-			// partials, no reducer allocation.
-			for r := 0; r < reps; r++ {
-				pi = raja.ForallReduce[float64](pol, n, piReduce{dx: dx})
-			}
+		// Fused reduction: one dispatch, whole-granule partials, no
+		// reducer allocation.
+		for r := 0; r < reps; r++ {
+			pi = raja.ForallReduce[float64](pol, n, piReduce{dx: dx})
 		}
 	default:
 		return k.Unsupported(v)

@@ -28,7 +28,6 @@ func NewReduce3Int() kernels.Kernel {
 		DefaultSize: defaultSize,
 		DefaultReps: defaultReps,
 		Variants:    kernels.AllVariants,
-		Mono:        true,
 	})}
 }
 
@@ -123,25 +122,11 @@ func (k *Reduce3Int) Run(v kernels.VariantID, rp kernels.RunParams) error {
 		}
 	case kernels.RAJASeq, kernels.RAJAOpenMP, kernels.RAJAGPU:
 		pol := rp.Policy(v)
-		if rp.Dispatch == kernels.DispatchClosure {
-			for r := 0; r < reps; r++ {
-				sum := raja.NewReduceSum[int64](pol, 0)
-				min := raja.NewReduceMin[int64](pol, math.MaxInt64)
-				max := raja.NewReduceMax[int64](pol, math.MinInt64)
-				raja.Forall(pol, n, func(c raja.Ctx, i int) {
-					sum.Add(c, vec[i])
-					min.Min(c, vec[i])
-					max.Max(c, vec[i])
-				})
-				vsum, vmin, vmax = sum.Get(), min.Get(), max.Get()
-			}
-		} else {
-			// Fused monomorphized reduction: all three folds share one
-			// dispatch and one set of per-lane partials.
-			for r := 0; r < reps; r++ {
-				acc := raja.ForallReduce[reduce3Acc](pol, n, reduce3Body{vec: vec})
-				vsum, vmin, vmax = acc.Sum, acc.Min, acc.Max
-			}
+		// Fused reduction: all three folds share one dispatch and one
+		// set of per-lane partials.
+		for r := 0; r < reps; r++ {
+			acc := raja.ForallReduce[reduce3Acc](pol, n, reduce3Body{vec: vec})
+			vsum, vmin, vmax = acc.Sum, acc.Min, acc.Max
 		}
 	default:
 		return k.Unsupported(v)

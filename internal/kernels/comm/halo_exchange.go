@@ -2,7 +2,6 @@ package comm
 
 import (
 	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
 	"rajaperf/internal/simmpi"
 )
 
@@ -48,8 +47,7 @@ func exchangeOnce(h *haloDomain, r *simmpi.Rank, v kernels.VariantID, rp kernels
 						buf[i] = data[list[i]]
 					}
 				},
-				nil,
-				func(_ raja.Ctx, i int) { buf[i] = data[list[i]] })
+				nil)
 			if err != nil {
 				return err
 			}
@@ -80,8 +78,7 @@ func exchangeOnce(h *haloDomain, r *simmpi.Rank, v kernels.VariantID, rp kernels
 						data[list[i]] = buf[i]
 					}
 				},
-				nil,
-				func(_ raja.Ctx, i int) { data[list[i]] = buf[i] })
+				nil)
 			if err != nil {
 				return err
 			}

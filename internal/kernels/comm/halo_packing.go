@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // HaloPacking implements Comm_HALO_PACKING: the pack/unpack loops of a
 // halo exchange without any message passing — each face's buffer is packed
@@ -46,8 +43,7 @@ func (k *HaloPacking) Run(v kernels.VariantID, rp kernels.RunParams) error {
 							buf[i] = data[list[i]]
 						}
 					},
-					nil,
-					func(_ raja.Ctx, i int) { buf[i] = data[list[i]] })
+					nil)
 				if err != nil {
 					return k.Unsupported(v)
 				}
@@ -64,8 +60,7 @@ func (k *HaloPacking) Run(v kernels.VariantID, rp kernels.RunParams) error {
 							data[list[i]] = buf[i]
 						}
 					},
-					nil,
-					func(_ raja.Ctx, i int) { data[list[i]] = buf[i] })
+					nil)
 				if err != nil {
 					return k.Unsupported(v)
 				}

@@ -280,12 +280,6 @@ type Info struct {
 	DefaultSize int // default problem size per rank
 	DefaultReps int // default repetition count
 	Variants    []VariantID
-
-	// Mono marks kernels whose RAJA variants are rewired through the
-	// monomorphized generic dispatch API and honor RunParams.Dispatch.
-	// The kerneltest conformance corpus uses it to run such kernels in
-	// both dispatch modes and assert answer invariance.
-	Mono bool
 }
 
 // FullName returns the group-qualified kernel name used throughout the
@@ -314,40 +308,6 @@ func (in *Info) HasFeature(f Feature) bool {
 	return false
 }
 
-// DispatchMode selects how a rewired kernel's RAJA variants route their
-// bodies through the portability layer.
-type DispatchMode int
-
-const (
-	// DispatchMono routes through the generics-based monomorphized entry
-	// points (raja.ForallSpanG / raja.ForallReduce / fused scans) — the
-	// default, and the fast path the portability gate measures.
-	DispatchMono DispatchMode = iota
-	// DispatchClosure forces the classic per-index closure path — the
-	// pre-monomorphization behavior. kerneltest runs both modes to prove
-	// answer invariance, and the portability study reports both ratios.
-	DispatchClosure
-)
-
-// String returns "mono" or "closure".
-func (d DispatchMode) String() string {
-	if d == DispatchClosure {
-		return "closure"
-	}
-	return "mono"
-}
-
-// ParseDispatch returns the DispatchMode named by s.
-func ParseDispatch(s string) (DispatchMode, error) {
-	switch s {
-	case "mono", "":
-		return DispatchMono, nil
-	case "closure":
-		return DispatchClosure, nil
-	}
-	return 0, fmt.Errorf("kernels: unknown dispatch mode %q (want mono or closure)", s)
-}
-
 // RunParams configures one execution of a kernel variant.
 type RunParams struct {
 	Size     int // problem size per rank (0 = kernel default)
@@ -355,11 +315,6 @@ type RunParams struct {
 	Workers  int // parallel workers for OpenMP back-end (0 = all cores)
 	GPUBlock int // block size for GPU back-end (0 = raja.DefaultBlock)
 	Ranks    int // simulated MPI ranks for Comm kernels (0 = 4)
-
-	// Dispatch selects closure vs monomorphized dispatch for the RAJA
-	// variants of kernels whose Info.Mono is set. The zero value is
-	// DispatchMono; kernels without Mono ignore it.
-	Dispatch DispatchMode
 
 	// Ctx carries cancellation for the run. The suite driver checks it
 	// between kernels; long-running kernels may additionally poll

@@ -6,6 +6,8 @@
 package kerneltest
 
 import (
+	_ "embed"
+	"encoding/json"
 	"errors"
 	"math"
 	"testing"
@@ -28,14 +30,13 @@ func CheckKernel(t *testing.T, fullName string) {
 			t.Fatal(err)
 		}
 		checkInfo(t, k)
-		checkVariantsAgree(t, fullName)
+		checkBaseRAJABitwise(t, k.Info(), checkVariantsAgree(t, fullName))
 		checkMetrics(t, k)
 		checkUnsupportedVariants(t, k)
 		checkGPUTunings(t, fullName)
 		checkDeterminism(t, fullName)
 		checkEdgeParams(t, fullName)
 		checkSchedules(t, fullName)
-		checkDispatchModes(t, fullName)
 		checkRunPool(t, fullName)
 	})
 }
@@ -77,11 +78,26 @@ func checkInfo(t *testing.T, k kernels.Kernel) {
 	}
 }
 
-// checkVariantsAgree runs every declared variant on a fresh instance and
-// verifies the checksums match the Base_Seq reference.
-func checkVariantsAgree(t *testing.T, fullName string) {
+// checksums.json holds each kernel's Base_Seq checksum at Params().
+// Base and RAJA variants share one loop body, so a slip in that body
+// makes them agree on a wrong answer, and a kernel without a Lambda
+// variant has no third implementation to catch it; the recorded
+// checksum does. A change that means to alter a kernel's answer updates
+// its entry.
+//
+//go:embed checksums.json
+var goldenJSON []byte
+
+// checkVariantsAgree verifies the Base_Seq checksum against the recorded
+// one, then runs every declared variant on a fresh instance and verifies
+// its checksum matches Base_Seq's. It returns each variant's checksum.
+func checkVariantsAgree(t *testing.T, fullName string) map[kernels.VariantID]float64 {
 	t.Helper()
 	rp := Params()
+	var golden map[string]float64
+	if err := json.Unmarshal(goldenJSON, &golden); err != nil {
+		t.Fatalf("checksums.json: %v", err)
+	}
 
 	ref, err := kernels.New(fullName)
 	if err != nil {
@@ -93,7 +109,13 @@ func checkVariantsAgree(t *testing.T, fullName string) {
 	}
 	want := ref.Checksum()
 	ref.TearDown()
+	if rec, ok := golden[fullName]; !ok {
+		t.Errorf("no recorded Base_Seq checksum in checksums.json")
+	} else if !kernels.ChecksumsClose(want, rec) {
+		t.Errorf("Base_Seq checksum %v != recorded %v", want, rec)
+	}
 
+	sums := map[kernels.VariantID]float64{kernels.BaseSeq: want}
 	for _, v := range ref.Info().Variants {
 		if v == kernels.BaseSeq {
 			continue
@@ -109,10 +131,39 @@ func checkVariantsAgree(t *testing.T, fullName string) {
 			continue
 		}
 		got := k.Checksum()
+		sums[v] = got
 		if !kernels.ChecksumsClose(got, want) {
 			t.Errorf("%s checksum %v != Base_Seq %v", v, got, want)
 		}
 		k.TearDown()
+	}
+	return sums
+}
+
+// checkBaseRAJABitwise requires each RAJA variant's checksum at Params()
+// to be bit-identical to the Base variant of the same back-end: both run
+// the kernel's one loop body over the same granules. Kernels with a
+// reduction, atomic, scan or sort feature are exempt, since their RAJA
+// variants reach the answer through the portability layer's own
+// algorithms and may associate differently.
+func checkBaseRAJABitwise(t *testing.T, in *kernels.Info, sums map[kernels.VariantID]float64) {
+	t.Helper()
+	for _, f := range []kernels.Feature{kernels.FeatReduction, kernels.FeatAtomic, kernels.FeatScan, kernels.FeatSort} {
+		if in.HasFeature(f) {
+			return
+		}
+	}
+	pairs := [][2]kernels.VariantID{
+		{kernels.BaseSeq, kernels.RAJASeq},
+		{kernels.BaseOpenMP, kernels.RAJAOpenMP},
+		{kernels.BaseGPU, kernels.RAJAGPU},
+	}
+	for _, p := range pairs {
+		base, okB := sums[p[0]]
+		rajaSum, okR := sums[p[1]]
+		if okB && okR && math.Float64bits(base) != math.Float64bits(rajaSum) {
+			t.Errorf("%s checksum %v not bit-identical to %s %v", p[1], rajaSum, p[0], base)
+		}
 	}
 }
 
@@ -231,77 +282,6 @@ func checkSchedules(t *testing.T, fullName string) {
 		}
 		if !kernels.ChecksumsClose(got, want) {
 			t.Errorf("RAJA_OpenMP schedule=%v: checksum %v != Base_Seq %v", sched, got, want)
-		}
-	}
-}
-
-// checkDispatchModes verifies kernels rewired to the monomorphized
-// generic API (Info.Mono) compute the same answer through closure and
-// monomorphized dispatch. Elementwise and scan kernels must agree bit
-// for bit on every RAJA variant and schedule: the fused paths walk
-// identical granule partitions in identical order. Floating-point
-// reductions are bitwise under Seq and static scheduling (same
-// chunk-to-slot mapping, same ascending fold) and held to the checksum
-// tolerance under dynamic, guided, and GPU dispatch, where the
-// chunk-to-lane assignment — and hence the combine order — is racy in
-// both modes.
-func checkDispatchModes(t *testing.T, fullName string) {
-	t.Helper()
-	ref, err := kernels.New(fullName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := ref.Info()
-	if !in.Mono {
-		return
-	}
-	reduction := in.HasFeature(kernels.FeatReduction)
-
-	type trial struct {
-		v       kernels.VariantID
-		sched   raja.Schedule
-		bitwise bool
-	}
-	var trials []trial
-	if in.HasVariant(kernels.RAJASeq) {
-		trials = append(trials, trial{kernels.RAJASeq, raja.ScheduleStatic, true})
-	}
-	if in.HasVariant(kernels.RAJAOpenMP) {
-		trials = append(trials,
-			trial{kernels.RAJAOpenMP, raja.ScheduleStatic, true},
-			trial{kernels.RAJAOpenMP, raja.ScheduleDynamic, !reduction},
-			trial{kernels.RAJAOpenMP, raja.ScheduleGuided, !reduction})
-	}
-	if in.HasVariant(kernels.RAJAGPU) {
-		trials = append(trials, trial{kernels.RAJAGPU, raja.ScheduleStatic, !reduction})
-	}
-
-	for _, tr := range trials {
-		rp := Params()
-		rp.Size = 8_000
-		rp.Reps = 1
-		rp.Schedule = tr.sched
-
-		crp := rp
-		crp.Dispatch = kernels.DispatchClosure
-		closure, ok := runOnce(t, fullName, tr.v, crp)
-		if !ok {
-			continue
-		}
-		mrp := rp
-		mrp.Dispatch = kernels.DispatchMono
-		mono, ok := runOnce(t, fullName, tr.v, mrp)
-		if !ok {
-			continue
-		}
-		if tr.bitwise {
-			if math.Float64bits(closure) != math.Float64bits(mono) {
-				t.Errorf("%s schedule=%v: mono checksum %v not bit-identical to closure %v",
-					tr.v, tr.sched, mono, closure)
-			}
-		} else if !kernels.ChecksumsClose(closure, mono) {
-			t.Errorf("%s schedule=%v: mono checksum %v != closure %v",
-				tr.v, tr.sched, mono, closure)
 		}
 	}
 }

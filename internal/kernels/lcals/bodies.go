@@ -1,71 +1,6 @@
 package lcals
 
-import (
-	"math"
-
-	"rajaperf/internal/raja"
-)
-
-// Monomorphized loop bodies for the Lcals family. The loop fragments
-// here read at shifted indices (z[i+10], u[i+6], y[i+1]), so each Span
-// hoists offset sub-slices once per granule — the re-slice pattern
-// proves equal lengths to the compiler and eliminates per-element
-// bounds checks, which closure dispatch cannot do.
-
-// hydro1DSpan is HYDRO_1D's body: x[i] = q + y[i]*(r*z[i+10] + t*z[i+11]).
-type hydro1DSpan struct {
-	x, y, z []float64
-	q, r, t float64
-}
-
-func (s hydro1DSpan) Span(_ raja.Ctx, lo, hi int) {
-	x := s.x[lo:hi]
-	y := s.y[lo:hi][:len(x)]
-	z10 := s.z[lo+10 : hi+10][:len(x)]
-	z11 := s.z[lo+11 : hi+11][:len(x)]
-	for i := range x {
-		x[i] = s.q + y[i]*(s.r*z10[i]+s.t*z11[i])
-	}
-}
-
-// eosSpan is EOS's body: the 16-flop equation-of-state polynomial.
-type eosSpan struct {
-	x, y, z, u []float64
-	q, r, t    float64
-}
-
-func (s eosSpan) Span(_ raja.Ctx, lo, hi int) {
-	x := s.x[lo:hi]
-	y := s.y[lo:hi][:len(x)]
-	z := s.z[lo:hi][:len(x)]
-	u0 := s.u[lo:hi][:len(x)]
-	u1 := s.u[lo+1 : hi+1][:len(x)]
-	u2 := s.u[lo+2 : hi+2][:len(x)]
-	u3 := s.u[lo+3 : hi+3][:len(x)]
-	u4 := s.u[lo+4 : hi+4][:len(x)]
-	u5 := s.u[lo+5 : hi+5][:len(x)]
-	u6 := s.u[lo+6 : hi+6][:len(x)]
-	q, r, t := s.q, s.r, s.t
-	for i := range x {
-		x[i] = u0[i] + r*(z[i]+r*y[i]) +
-			t*(u3[i]+r*(u2[i]+r*u1[i])+
-				t*(u6[i]+q*(u5[i]+q*u4[i])))
-	}
-}
-
-// firstDiffSpan is FIRST_DIFF's body: x[i] = y[i+1] - y[i].
-type firstDiffSpan struct {
-	x, y []float64
-}
-
-func (s firstDiffSpan) Span(_ raja.Ctx, lo, hi int) {
-	x := s.x[lo:hi]
-	y0 := s.y[lo:hi][:len(x)]
-	y1 := s.y[lo+1 : hi+1][:len(x)]
-	for i := range x {
-		x[i] = y1[i] - y0[i]
-	}
-}
+import "math"
 
 // minLocAcc is FIRST_MIN's accumulator: the running minimum and the
 // first index attaining it. Taking the lexicographically smallest

@@ -1,9 +1,6 @@
 package lcals
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // DiffPredict implements Lcals_DIFF_PREDICT: the difference-predictor
 // chain over a 14-plane array, a long dependent chain of subtractions with
@@ -80,8 +77,7 @@ func (k *DiffPredict) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					body(i)
 				}
 			},
-			body,
-			func(_ raja.Ctx, i int) { body(i) })
+			body)
 		if err != nil {
 			return k.Unsupported(v)
 		}

@@ -1,9 +1,6 @@
 package lcals
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // Eos implements Lcals_EOS: the equation-of-state fragment, a 16-flop
 // polynomial over four streamed arrays.
@@ -25,7 +22,6 @@ func NewEos() kernels.Kernel {
 		DefaultSize: defaultSize,
 		DefaultReps: defaultReps,
 		Variants:    kernels.AllVariants,
-		Mono:        true,
 	})}
 }
 
@@ -58,20 +54,25 @@ func (k *Eos) Run(v kernels.VariantID, rp kernels.RunParams) error {
 			t*(u[i+3]+rr*(u[i+2]+rr*u[i+1])+
 				t*(u[i+6]+q*(u[i+5]+q*u[i+4])))
 	}
-	span := eosSpan{x: x, y: y, z: z, u: u, q: q, r: rr, t: t}
+	span := func(lo, hi int) {
+		x := x[lo:hi]
+		y := y[lo:hi][:len(x)]
+		z := z[lo:hi][:len(x)]
+		u0 := u[lo:hi][:len(x)]
+		u1 := u[lo+1 : hi+1][:len(x)]
+		u2 := u[lo+2 : hi+2][:len(x)]
+		u3 := u[lo+3 : hi+3][:len(x)]
+		u4 := u[lo+4 : hi+4][:len(x)]
+		u5 := u[lo+5 : hi+5][:len(x)]
+		u6 := u[lo+6 : hi+6][:len(x)]
+		for i := range x {
+			x[i] = u0[i] + rr*(z[i]+rr*y[i]) +
+				t*(u3[i]+rr*(u2[i]+rr*u1[i])+
+					t*(u6[i]+q*(u5[i]+q*u4[i])))
+		}
+	}
 	for r := 0; r < rp.EffectiveReps(k.Info()); r++ {
-		err := kernels.RunVariantG(v, rp, k.n,
-			func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					x[i] = u[i] + rr*(z[i]+rr*y[i]) +
-						t*(u[i+3]+rr*(u[i+2]+rr*u[i+1])+
-							t*(u[i+6]+q*(u[i+5]+q*u[i+4])))
-				}
-			},
-			body,
-			func(_ raja.Ctx, i int) { body(i) },
-			span)
-		if err != nil {
+		if err := kernels.RunVariant(v, rp, k.n, span, body); err != nil {
 			return k.Unsupported(v)
 		}
 	}

@@ -1,9 +1,6 @@
 package lcals
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // FirstDiff implements Lcals_FIRST_DIFF: x[i] = y[i+1] - y[i].
 type FirstDiff struct {
@@ -23,7 +20,6 @@ func NewFirstDiff() kernels.Kernel {
 		DefaultSize: defaultSize,
 		DefaultReps: defaultReps,
 		Variants:    kernels.AllVariants,
-		Mono:        true,
 	})}
 }
 
@@ -46,18 +42,16 @@ func (k *FirstDiff) SetUp(rp kernels.RunParams) {
 func (k *FirstDiff) Run(v kernels.VariantID, rp kernels.RunParams) error {
 	x, y := k.x, k.y
 	body := func(i int) { x[i] = y[i+1] - y[i] }
-	span := firstDiffSpan{x: x, y: y}
+	span := func(lo, hi int) {
+		x := x[lo:hi]
+		y0 := y[lo:hi][:len(x)]
+		y1 := y[lo+1 : hi+1][:len(x)]
+		for i := range x {
+			x[i] = y1[i] - y0[i]
+		}
+	}
 	for r := 0; r < rp.EffectiveReps(k.Info()); r++ {
-		err := kernels.RunVariantG(v, rp, k.n,
-			func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					x[i] = y[i+1] - y[i]
-				}
-			},
-			body,
-			func(_ raja.Ctx, i int) { x[i] = y[i+1] - y[i] },
-			span)
-		if err != nil {
+		if err := kernels.RunVariant(v, rp, k.n, span, body); err != nil {
 			return k.Unsupported(v)
 		}
 	}

@@ -30,7 +30,6 @@ func NewFirstMin() kernels.Kernel {
 		DefaultSize: defaultSize,
 		DefaultReps: defaultReps,
 		Variants:    kernels.AllVariants,
-		Mono:        true,
 	})}
 }
 
@@ -107,22 +106,11 @@ func (k *FirstMin) Run(v kernels.VariantID, rp kernels.RunParams) error {
 		}
 	case kernels.RAJASeq, kernels.RAJAOpenMP, kernels.RAJAGPU:
 		pol := rp.Policy(v)
-		if rp.Dispatch == kernels.DispatchClosure {
-			for r := 0; r < reps; r++ {
-				red := raja.NewReduceMinLoc(pol, math.Inf(1), -1)
-				raja.Forall(pol, n, func(c raja.Ctx, i int) {
-					red.MinLoc(c, x[i], i)
-				})
-				got := red.Get()
-				minVal, minLoc = got.Val, got.Loc
-			}
-		} else {
-			// Fused monomorphized min-loc: lexicographic (val, loc)
-			// combine is exact under any chunk order.
-			for r := 0; r < reps; r++ {
-				acc := raja.ForallReduce[minLocAcc](pol, n, firstMinBody{x: x})
-				minVal, minLoc = acc.Val, acc.Loc
-			}
+		// Fused min-loc: the lexicographic (val, loc) combine is exact
+		// under any chunk order.
+		for r := 0; r < reps; r++ {
+			acc := raja.ForallReduce[minLocAcc](pol, n, firstMinBody{x: x})
+			minVal, minLoc = acc.Val, acc.Loc
 		}
 	default:
 		return k.Unsupported(v)

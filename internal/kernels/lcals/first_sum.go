@@ -1,9 +1,6 @@
 package lcals
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // FirstSum implements Lcals_FIRST_SUM: x[i] = y[i-1] + y[i] for i >= 1.
 type FirstSum struct {
@@ -54,8 +51,7 @@ func (k *FirstSum) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					x[i] = y[i-1] + y[i]
 				}
 			},
-			func(i int) { body(i + 1) },
-			func(_ raja.Ctx, i int) { body(i + 1) })
+			func(i int) { body(i + 1) })
 		if err != nil {
 			return k.Unsupported(v)
 		}

@@ -1,9 +1,6 @@
 package lcals
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // GenLinRecur implements Lcals_GEN_LIN_RECUR: the general linear
 // recurrence fragment. As in the suite's parallel variants, the recurrence
@@ -69,8 +66,7 @@ func (k *GenLinRecur) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					fwd(kk)
 				}
 			},
-			fwd,
-			func(_ raja.Ctx, kk int) { fwd(kk) })
+			fwd)
 		if err != nil {
 			return k.Unsupported(v)
 		}
@@ -80,8 +76,7 @@ func (k *GenLinRecur) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					rev(kk)
 				}
 			},
-			rev,
-			func(_ raja.Ctx, kk int) { rev(kk) })
+			rev)
 		if err != nil {
 			return k.Unsupported(v)
 		}

@@ -1,9 +1,6 @@
 package lcals
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // Hydro1D implements Lcals_HYDRO_1D: the 1-D hydrodynamics fragment
 // x[i] = q + y[i]*(r*z[i+10] + t*z[i+11]).
@@ -25,7 +22,6 @@ func NewHydro1D() kernels.Kernel {
 		DefaultSize: defaultSize,
 		DefaultReps: defaultReps,
 		Variants:    kernels.AllVariants,
-		Mono:        true,
 	})}
 }
 
@@ -51,18 +47,17 @@ func (k *Hydro1D) SetUp(rp kernels.RunParams) {
 func (k *Hydro1D) Run(v kernels.VariantID, rp kernels.RunParams) error {
 	x, y, z, q, rr, t := k.x, k.y, k.z, k.q, k.r, k.t
 	body := func(i int) { x[i] = q + y[i]*(rr*z[i+10]+t*z[i+11]) }
-	span := hydro1DSpan{x: x, y: y, z: z, q: q, r: rr, t: t}
+	span := func(lo, hi int) {
+		x := x[lo:hi]
+		y := y[lo:hi][:len(x)]
+		z10 := z[lo+10 : hi+10][:len(x)]
+		z11 := z[lo+11 : hi+11][:len(x)]
+		for i := range x {
+			x[i] = q + y[i]*(rr*z10[i]+t*z11[i])
+		}
+	}
 	for r := 0; r < rp.EffectiveReps(k.Info()); r++ {
-		err := kernels.RunVariantG(v, rp, k.n,
-			func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					x[i] = q + y[i]*(rr*z[i+10]+t*z[i+11])
-				}
-			},
-			body,
-			func(_ raja.Ctx, i int) { body(i) },
-			span)
-		if err != nil {
+		if err := kernels.RunVariant(v, rp, k.n, span, body); err != nil {
 			return k.Unsupported(v)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
 )
 
 // Hydro2D implements Lcals_HYDRO_2D: the 2-D implicit hydrodynamics
@@ -118,8 +117,7 @@ func (k *Hydro2D) Run(v kernels.VariantID, rp kernels.RunParams) error {
 						row(i + 1)
 					}
 				},
-				func(i int) { row(i + 1) },
-				func(_ raja.Ctx, i int) { row(i + 1) })
+				func(i int) { row(i + 1) })
 			if err != nil {
 				return k.Unsupported(v)
 			}

@@ -1,9 +1,6 @@
 package lcals
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // IntPredict implements Lcals_INT_PREDICT: the integrate-predictor
 // polynomial update over a 13-plane array.
@@ -65,8 +62,7 @@ func (k *IntPredict) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					body(i)
 				}
 			},
-			body,
-			func(_ raja.Ctx, i int) { body(i) })
+			body)
 		if err != nil {
 			return k.Unsupported(v)
 		}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
 )
 
 // Planckian implements Lcals_PLANCKIAN: the Planckian-distribution
@@ -70,8 +69,7 @@ func (k *Planckian) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					w[i] = x[i] / (math.Exp(y[i]) - 1.0)
 				}
 			},
-			body,
-			func(_ raja.Ctx, i int) { body(i) })
+			body)
 		if err != nil {
 			return k.Unsupported(v)
 		}

@@ -1,9 +1,6 @@
 package lcals
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // TridiagElim implements Lcals_TRIDIAG_ELIM: one step of tridiagonal
 // elimination, xout[i] = z[i] * (y[i] - xin[i-1]), written with separate
@@ -59,8 +56,7 @@ func (k *TridiagElim) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					xout[i] = z[i] * (y[i] - xin[i-1])
 				}
 			},
-			func(i int) { body(i + 1) },
-			func(_ raja.Ctx, i int) { body(i + 1) })
+			func(i int) { body(i + 1) })
 		if err != nil {
 			return k.Unsupported(v)
 		}

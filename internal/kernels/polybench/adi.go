@@ -1,9 +1,6 @@
 package polybench
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // adiSteps is the number of ADI time steps per rep.
 const adiSteps = 2
@@ -115,8 +112,7 @@ func (k *Adi) Run(v kernels.VariantID, rp kernels.RunParams) error {
 							sweep(i + 1)
 						}
 					},
-					func(i int) { sweep(i + 1) },
-					func(_ raja.Ctx, i int) { sweep(i + 1) })
+					func(i int) { sweep(i + 1) })
 				if err != nil {
 					return k.Unsupported(v)
 				}

@@ -1,9 +1,6 @@
 package polybench
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // Atax implements Polybench_ATAX: y = A^T * (A * x). The second phase
 // accumulates down columns, the access pattern that keeps this kernel
@@ -76,8 +73,7 @@ func (k *Atax) Run(v kernels.VariantID, rp kernels.RunParams) error {
 						phase(i)
 					}
 				},
-				phase,
-				func(_ raja.Ctx, i int) { phase(i) })
+				phase)
 			if err != nil {
 				return k.Unsupported(v)
 			}

@@ -1,9 +1,6 @@
 package polybench
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // fdtdSteps is the number of time steps per rep.
 const fdtdSteps = 4
@@ -96,8 +93,7 @@ func (k *Fdtd2D) Run(v kernels.VariantID, rp kernels.RunParams) error {
 							s.body(i)
 						}
 					},
-					s.body,
-					func(_ raja.Ctx, i int) { s.body(i) })
+					s.body)
 				if err != nil {
 					return k.Unsupported(v)
 				}

@@ -1,9 +1,6 @@
 package polybench
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // FloydWarshall implements Polybench_FLOYD_WARSHALL: all-pairs shortest
 // paths. Each of the N sequential k-steps relaxes the full path matrix in
@@ -89,8 +86,7 @@ func (k *FloydWarshall) Run(v kernels.VariantID, rp kernels.RunParams) error {
 						row(i)
 					}
 				},
-				row,
-				func(_ raja.Ctx, i int) { row(i) })
+				row)
 			if err != nil {
 				return k.Unsupported(v)
 			}

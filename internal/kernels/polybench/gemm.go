@@ -1,9 +1,6 @@
 package polybench
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // Gemm implements Polybench_GEMM: C = alpha*A*B + beta*C.
 type Gemm struct {
@@ -71,8 +68,7 @@ func (k *Gemm) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					row(i)
 				}
 			},
-			row,
-			func(_ raja.Ctx, i int) { row(i) })
+			row)
 		if err != nil {
 			return k.Unsupported(v)
 		}

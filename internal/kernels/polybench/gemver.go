@@ -1,9 +1,6 @@
 package polybench
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // Gemver implements Polybench_GEMVER: a rank-2 update of A followed by two
 // dependent matrix-vector products.
@@ -89,8 +86,7 @@ func (k *Gemver) Run(v kernels.VariantID, rp kernels.RunParams) error {
 						phase(i)
 					}
 				},
-				phase,
-				func(_ raja.Ctx, i int) { phase(i) })
+				phase)
 			if err != nil {
 				return k.Unsupported(v)
 			}

@@ -1,9 +1,6 @@
 package polybench
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // Gesummv implements Polybench_GESUMMV: y = alpha*A*x + beta*B*x, two
 // matrices streamed per output element. The paper highlights its large
@@ -73,8 +70,7 @@ func (k *Gesummv) Run(v kernels.VariantID, rp kernels.RunParams) error {
 					row(i)
 				}
 			},
-			row,
-			func(_ raja.Ctx, i int) { row(i) })
+			row)
 		if err != nil {
 			return k.Unsupported(v)
 		}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
 )
 
 // Heat3D implements Polybench_HEAT_3D: a seven-point heat-equation stencil
@@ -77,8 +76,7 @@ func (k *Heat3D) Run(v kernels.VariantID, rp kernels.RunParams) error {
 						plane(pi)
 					}
 				},
-				plane,
-				func(_ raja.Ctx, pi int) { plane(pi) })
+				plane)
 			if err != nil {
 				return k.Unsupported(v)
 			}

@@ -1,9 +1,6 @@
 package polybench
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // jacobiSteps is the number of time steps per rep.
 const jacobiSteps = 4
@@ -61,8 +58,7 @@ func (k *Jacobi1D) Run(v kernels.VariantID, rp kernels.RunParams) error {
 						dst[i] = (src[i-1] + src[i] + src[i+1]) / 3.0
 					}
 				},
-				body,
-				func(_ raja.Ctx, i int) { body(i) })
+				body)
 			if err != nil {
 				return k.Unsupported(v)
 			}

@@ -1,9 +1,6 @@
 package polybench
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // Jacobi2D implements Polybench_JACOBI_2D: a five-point averaging stencil
 // ping-ponging between two square grids.
@@ -64,8 +61,7 @@ func (k *Jacobi2D) Run(v kernels.VariantID, rp kernels.RunParams) error {
 						row(ri)
 					}
 				},
-				row,
-				func(_ raja.Ctx, ri int) { row(ri) })
+				row)
 			if err != nil {
 				return k.Unsupported(v)
 			}

@@ -1,9 +1,6 @@
 package polybench
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // Mvt implements Polybench_MVT: x1 += A*y1 and x2 += A^T*y2, a pair of
 // matrix-vector products with row and column access.
@@ -76,8 +73,7 @@ func (k *Mvt) Run(v kernels.VariantID, rp kernels.RunParams) error {
 						phase(i)
 					}
 				},
-				phase,
-				func(_ raja.Ctx, i int) { phase(i) })
+				phase)
 			if err != nil {
 				return k.Unsupported(v)
 			}

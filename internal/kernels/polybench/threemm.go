@@ -1,9 +1,6 @@
 package polybench
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // ThreeMM implements Polybench_3MM: three chained matrix products,
 // E = A*B, F = C*D, G = E*F.
@@ -77,8 +74,7 @@ func (k *ThreeMM) Run(v kernels.VariantID, rp kernels.RunParams) error {
 						row(i)
 					}
 				},
-				row,
-				func(_ raja.Ctx, i int) { row(i) })
+				row)
 			if err != nil {
 				return k.Unsupported(v)
 			}

@@ -1,9 +1,6 @@
 package polybench
 
-import (
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // TwoMM implements Polybench_2MM: two chained matrix products,
 // tmp = alpha*A*B then D = tmp*C + beta*D.
@@ -84,8 +81,7 @@ func (k *TwoMM) Run(v kernels.VariantID, rp kernels.RunParams) error {
 						row(i)
 					}
 				},
-				row,
-				func(_ raja.Ctx, i int) { row(i) })
+				row)
 			if err != nil {
 				return k.Unsupported(v)
 			}

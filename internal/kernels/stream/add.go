@@ -23,7 +23,6 @@ func NewAdd() kernels.Kernel {
 		DefaultSize: defaultSize,
 		DefaultReps: defaultReps,
 		Variants:    allVariants,
-		Mono:        true,
 	})}
 }
 
@@ -48,18 +47,9 @@ func (k *Add) SetUp(rp kernels.RunParams) {
 func (k *Add) Run(v kernels.VariantID, rp kernels.RunParams) error {
 	a, b, c := k.a, k.b, k.c
 	body := func(i int) { c[i] = a[i] + b[i] }
-	span := addSpan{a: a, b: b, c: c}
+	span := func(lo, hi int) { raja.AddSpan(c, a, b, lo, hi) }
 	for r := 0; r < rp.EffectiveReps(k.Info()); r++ {
-		err := kernels.RunVariantG(v, rp, k.n,
-			func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					c[i] = a[i] + b[i]
-				}
-			},
-			body,
-			func(_ raja.Ctx, i int) { c[i] = a[i] + b[i] },
-			span)
-		if err != nil {
+		if err := kernels.RunVariant(v, rp, k.n, span, body); err != nil {
 			return k.Unsupported(v)
 		}
 	}

@@ -2,50 +2,6 @@ package stream
 
 import "rajaperf/internal/raja"
 
-// Monomorphized loop bodies for the Stream family. Each is a struct
-// satisfying raja.SpanBody (or raja.Reducer), passed by value through
-// the generic dispatch entry points so every (policy, schedule, body)
-// combination compiles to its own specialized loop over the unit-stride
-// span helpers.
-
-// triadSpan is TRIAD's body: a[i] = b[i] + alpha*c[i].
-type triadSpan struct {
-	a, b, c []float64
-	alpha   float64
-}
-
-func (s triadSpan) Span(_ raja.Ctx, lo, hi int) {
-	raja.TriadSpan(s.a, s.b, s.c, s.alpha, lo, hi)
-}
-
-// addSpan is ADD's body: c[i] = a[i] + b[i].
-type addSpan struct {
-	a, b, c []float64
-}
-
-func (s addSpan) Span(_ raja.Ctx, lo, hi int) {
-	raja.AddSpan(s.c, s.a, s.b, lo, hi)
-}
-
-// copySpan is COPY's body: c[i] = a[i].
-type copySpan struct {
-	a, c []float64
-}
-
-func (s copySpan) Span(_ raja.Ctx, lo, hi int) {
-	raja.CopySpan(s.c, s.a, lo, hi)
-}
-
-// mulSpan is MUL's body: b[i] = alpha * c[i].
-type mulSpan struct {
-	b, c  []float64
-	alpha float64
-}
-
-func (s mulSpan) Span(_ raja.Ctx, lo, hi int) {
-	raja.ScaleSpan(s.b, s.c, s.alpha, lo, hi)
-}
-
 // dotReduce is DOT's fused reduction body: sum of a[i]*b[i].
 type dotReduce struct {
 	a, b []float64

@@ -23,7 +23,6 @@ func NewCopy() kernels.Kernel {
 		DefaultSize: defaultSize,
 		DefaultReps: defaultReps,
 		Variants:    allVariants,
-		Mono:        true,
 	})}
 }
 
@@ -46,18 +45,9 @@ func (k *Copy) SetUp(rp kernels.RunParams) {
 func (k *Copy) Run(v kernels.VariantID, rp kernels.RunParams) error {
 	a, c := k.a, k.c
 	body := func(i int) { c[i] = a[i] }
-	span := copySpan{a: a, c: c}
+	span := func(lo, hi int) { raja.CopySpan(c, a, lo, hi) }
 	for r := 0; r < rp.EffectiveReps(k.Info()); r++ {
-		err := kernels.RunVariantG(v, rp, k.n,
-			func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					c[i] = a[i]
-				}
-			},
-			body,
-			func(_ raja.Ctx, i int) { c[i] = a[i] },
-			span)
-		if err != nil {
+		if err := kernels.RunVariant(v, rp, k.n, span, body); err != nil {
 			return k.Unsupported(v)
 		}
 	}

@@ -27,7 +27,6 @@ func NewDot() kernels.Kernel {
 		DefaultSize: defaultSize,
 		DefaultReps: defaultReps,
 		Variants:    allVariants,
-		Mono:        true,
 	})}
 }
 
@@ -101,20 +100,10 @@ func (k *Dot) Run(v kernels.VariantID, rp kernels.RunParams) error {
 		}
 	case kernels.RAJASeq, kernels.RAJAOpenMP, kernels.RAJAGPU:
 		pol := rp.Policy(v)
-		if rp.Dispatch == kernels.DispatchClosure {
-			for r := 0; r < reps; r++ {
-				red := raja.NewReduceSum(pol, 0.0)
-				raja.Forall(pol, n, func(c raja.Ctx, i int) {
-					red.Add(c, a[i]*b[i])
-				})
-				dot = red.Get()
-			}
-		} else {
-			// Fused monomorphized reduction: one dispatch, whole-granule
-			// partials, no reducer allocation.
-			for r := 0; r < reps; r++ {
-				dot = raja.ForallReduce[float64](pol, n, dotReduce{a: a, b: b})
-			}
+		// Fused reduction: one dispatch, whole-granule partials, no
+		// reducer allocation.
+		for r := 0; r < reps; r++ {
+			dot = raja.ForallReduce[float64](pol, n, dotReduce{a: a, b: b})
 		}
 	default:
 		return k.Unsupported(v)

@@ -24,7 +24,6 @@ func NewMul() kernels.Kernel {
 		DefaultSize: defaultSize,
 		DefaultReps: defaultReps,
 		Variants:    allVariants,
-		Mono:        true,
 	})}
 }
 
@@ -48,18 +47,9 @@ func (k *Mul) SetUp(rp kernels.RunParams) {
 func (k *Mul) Run(v kernels.VariantID, rp kernels.RunParams) error {
 	b, c, alpha := k.b, k.c, k.alpha
 	body := func(i int) { b[i] = alpha * c[i] }
-	span := mulSpan{b: b, c: c, alpha: alpha}
+	span := func(lo, hi int) { raja.ScaleSpan(b, c, alpha, lo, hi) }
 	for r := 0; r < rp.EffectiveReps(k.Info()); r++ {
-		err := kernels.RunVariantG(v, rp, k.n,
-			func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					b[i] = alpha * c[i]
-				}
-			},
-			body,
-			func(_ raja.Ctx, i int) { b[i] = alpha * c[i] },
-			span)
-		if err != nil {
+		if err := kernels.RunVariant(v, rp, k.n, span, body); err != nil {
 			return k.Unsupported(v)
 		}
 	}

@@ -26,7 +26,6 @@ func NewTriad() kernels.Kernel {
 		DefaultSize: defaultSize,
 		DefaultReps: defaultReps,
 		Variants:    allVariants,
-		Mono:        true,
 	})}
 }
 
@@ -52,18 +51,9 @@ func (k *Triad) SetUp(rp kernels.RunParams) {
 func (k *Triad) Run(v kernels.VariantID, rp kernels.RunParams) error {
 	a, b, c, alpha := k.a, k.b, k.c, k.alpha
 	body := func(i int) { a[i] = b[i] + alpha*c[i] }
-	span := triadSpan{a: a, b: b, c: c, alpha: alpha}
+	span := func(lo, hi int) { raja.TriadSpan(a, b, c, alpha, lo, hi) }
 	for r := 0; r < rp.EffectiveReps(k.Info()); r++ {
-		err := kernels.RunVariantG(v, rp, k.n,
-			func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					a[i] = b[i] + alpha*c[i]
-				}
-			},
-			body,
-			func(_ raja.Ctx, i int) { a[i] = b[i] + alpha*c[i] },
-			span)
-		if err != nil {
+		if err := kernels.RunVariant(v, rp, k.n, span, body); err != nil {
 			return k.Unsupported(v)
 		}
 	}

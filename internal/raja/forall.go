@@ -42,10 +42,10 @@ func (b Body) runSpan(c Ctx, lo, hi int) {
 
 // spanFunc is a granule-level loop body: one call per scheduling granule
 // (static chunk, dynamic block, guided grab), covering the half-open span
-// [lo, hi). The monomorphized front-ends, the fused reductions and scans
-// and the collapsed multi-dim loops run their per-index inner loop inside
-// it, so the indirect call the closure Body pays per index is paid once
-// per granule here, where it amortizes to nothing.
+// [lo, hi). The fused reductions and scans and the collapsed multi-dim
+// loops run their per-index inner loop inside it, so the indirect call
+// the closure Body pays per index is paid once per granule here, where it
+// amortizes to nothing.
 type spanFunc func(c Ctx, lo, hi int)
 
 func (f spanFunc) runSpan(c Ctx, lo, hi int) { f(c, lo, hi) }
@@ -53,6 +53,15 @@ func (f spanFunc) runSpan(c Ctx, lo, hi int) { f(c, lo, hi) }
 // Forall executes body for every index in [0, n) under policy p.
 func Forall(p Policy, n int, body Body) {
 	ForallRange(p, RangeN(n), body)
+}
+
+// ForallSpan executes body over the scheduling granules of [0, n) under
+// policy p: one call per granule with its half-open span [lo, hi), the
+// whole range under Seq. The body runs its own inner loop, the same loop
+// a kernel's Base variants run, so a RAJA variant pays one indirect call
+// per granule and no per-index call at all.
+func ForallSpan(p Policy, n int, body func(lo, hi int)) {
+	forall(p, RangeN(n), blockFunc(body))
 }
 
 // ForallRange executes body for every index in r under policy p.

@@ -6,27 +6,12 @@ import (
 	"testing"
 )
 
-// benchSpanBody is a daxpy-shaped SpanBody for dispatch benchmarks.
-type benchSpanBody struct {
-	x, y []float64
-}
-
-func (s benchSpanBody) Span(_ Ctx, lo, hi int) { AxpySpan(s.y, s.x, 2.0, lo, hi) }
-
-// benchIdxBody is the same kernel as an IndexBody.
-type benchIdxBody struct {
-	x, y []float64
-}
-
-func (s benchIdxBody) Do(_ Ctx, i int) { s.y[i] += 2.0 * s.x[i] }
-
-// BenchmarkDispatchModes compares the three ways a daxpy-shaped body can
-// reach the executor — classic per-index closure, monomorphized
-// per-index struct (ForallG), and monomorphized whole-span struct
-// (ForallSpanG) — under Seq and pooled Par policies. The span path is
-// the suite's rewired-kernel fast path: the inner loop lives in the
-// body's own method, so it specializes and bounds-check-eliminates no
-// matter what the inliner does with the dispatch layer.
+// BenchmarkDispatchModes compares the two ways a daxpy-shaped body can
+// reach the executor — a per-index closure (Forall) and a span body
+// (ForallSpan) — under Seq and pooled Par policies. The span path is how
+// every elementwise kernel's RAJA variants run: the inner loop lives in
+// the body, so it bounds-check-eliminates no matter what the inliner
+// does with the dispatch layer.
 //
 //	go test -bench BenchmarkDispatchModes -benchmem ./internal/raja/
 func BenchmarkDispatchModes(b *testing.B) {
@@ -38,8 +23,7 @@ func BenchmarkDispatchModes(b *testing.B) {
 			x[i] = float64(i)
 		}
 		closure := func(c Ctx, i int) { y[i] += 2.0 * x[i] }
-		span := benchSpanBody{x: x, y: y}
-		idx := benchIdxBody{x: x, y: y}
+		span := func(lo, hi int) { AxpySpan(y, x, 2.0, lo, hi) }
 
 		pols := []struct {
 			name string
@@ -62,16 +46,10 @@ func BenchmarkDispatchModes(b *testing.B) {
 					Forall(p, n, closure)
 				}
 			})
-			b.Run(fmt.Sprintf("generic/%s/n=%d", pc.name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					ForallG(p, n, idx)
-				}
-			})
 			b.Run(fmt.Sprintf("span/%s/n=%d", pc.name, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					ForallSpanG(p, n, span)
+					ForallSpan(p, n, span)
 				}
 			})
 			if pool != nil {

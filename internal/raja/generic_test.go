@@ -10,22 +10,6 @@ import (
 // testSchedules crosses the scheduling axis for conformance tests.
 var testSchedules = []Schedule{ScheduleDefault, ScheduleStatic, ScheduleDynamic, ScheduleGuided}
 
-// axpyIdxBody is a struct-typed IndexBody: y[i] += alpha*x[i].
-type axpyIdxBody struct {
-	y, x  []float64
-	alpha float64
-}
-
-func (b axpyIdxBody) Do(_ Ctx, i int) { b.y[i] += b.alpha * b.x[i] }
-
-// axpySpanBody is the same kernel as a SpanBody owning its inner loop.
-type axpySpanBody struct {
-	y, x  []float64
-	alpha float64
-}
-
-func (b axpySpanBody) Span(_ Ctx, lo, hi int) { AxpySpan(b.y, b.x, b.alpha, lo, hi) }
-
 func fillRamp(n int) []float64 {
 	x := make([]float64, n)
 	for i := range x {
@@ -35,9 +19,9 @@ func fillRamp(n int) []float64 {
 }
 
 // TestGenericMatchesClosureBitwise runs the same elementwise kernel
-// through the closure Forall, ForallG, and ForallSpanG paths across all
-// policies and schedules and requires bit-identical outputs: elementwise
-// bodies touch each index exactly once, so no reassociation can occur.
+// through the closure Forall and the span ForallSpan across all policies
+// and schedules and requires bit-identical outputs: elementwise bodies
+// touch each index exactly once, so no reassociation can occur.
 func TestGenericMatchesClosureBitwise(t *testing.T) {
 	const alpha = 0.62
 	for _, p := range testPolicies {
@@ -50,18 +34,10 @@ func TestGenericMatchesClosureBitwise(t *testing.T) {
 				Forall(p, n, func(_ Ctx, i int) { want[i] += alpha * x[i] })
 
 				got := fillRamp(n)
-				ForallG(p, n, axpyIdxBody{y: got, x: x, alpha: alpha})
+				ForallSpan(p, n, func(lo, hi int) { AxpySpan(got, x, alpha, lo, hi) })
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("policy %v sched %v n=%d: ForallG[%d]=%v want %v", p, sched, n, i, got[i], want[i])
-					}
-				}
-
-				got2 := fillRamp(n)
-				ForallSpanG(p, n, axpySpanBody{y: got2, x: x, alpha: alpha})
-				for i := range want {
-					if math.Float64bits(got2[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("policy %v sched %v n=%d: ForallSpanG[%d]=%v want %v", p, sched, n, i, got2[i], want[i])
+						t.Fatalf("policy %v sched %v n=%d: ForallSpan[%d]=%v want %v", p, sched, n, i, got[i], want[i])
 					}
 				}
 			}
@@ -161,8 +137,7 @@ func TestForallScanMatchesScanSum(t *testing.T) {
 }
 
 // TestSpanOpsMatchScalar pins every span helper against its scalar loop
-// on awkward spans, so the safe and rajaunsafe builds are both checked
-// against the same oracle.
+// on awkward spans.
 func TestSpanOpsMatchScalar(t *testing.T) {
 	const n = 257
 	spans := [][2]int{{0, 0}, {0, 1}, {0, n}, {3, 7}, {n - 1, n}, {13, 200}}
@@ -245,9 +220,9 @@ func checkBits(t *testing.T, name string, got, want []float64) {
 }
 
 // TestSpanDispatchInstrumentation verifies the observability contract on
-// the specialized paths: per-lane stats, the trace hook, and the
-// heartbeat keep firing for span dispatches on both the pooled path and
-// the spawn fallback (pool held busy by a concurrent dispatch).
+// ForallSpan: per-lane stats, the trace hook, and the heartbeat keep
+// firing for span dispatches on both the pooled path and the spawn
+// fallback (pool held busy by a concurrent dispatch).
 func TestSpanDispatchInstrumentation(t *testing.T) {
 	for _, sched := range []Schedule{ScheduleStatic, ScheduleDynamic, ScheduleGuided} {
 		for _, busy := range []bool{false, true} {
@@ -273,7 +248,7 @@ func TestSpanDispatchInstrumentation(t *testing.T) {
 
 			beatsBefore := pool.Heartbeat()
 			y, x := make([]float64, 4096), fillRamp(4096)
-			ForallSpanG(p, 4096, axpySpanBody{y: y, x: x, alpha: 1.0})
+			ForallSpan(p, 4096, func(lo, hi int) { AxpySpan(y, x, 1.0, lo, hi) })
 			if busy {
 				close(release)
 			}
@@ -297,19 +272,9 @@ func TestSpanDispatchInstrumentation(t *testing.T) {
 	}
 }
 
-// fuzzAxpyBody is the fuzz oracle's generic body: y[i] += alpha*x[i].
-type fuzzAxpyBody struct {
-	y, x  []float64
-	alpha float64
-}
-
-func (b fuzzAxpyBody) Do(_ Ctx, i int) { b.y[i] += b.alpha * b.x[i] }
-
-func (b fuzzAxpyBody) Span(_ Ctx, lo, hi int) { AxpySpan(b.y, b.x, b.alpha, lo, hi) }
-
-// FuzzGenericDispatch checks that the closure, per-index generic, and
-// span-generic dispatch paths produce bit-identical results for an
-// elementwise body over fuzzed data and every policy/schedule shape.
+// FuzzGenericDispatch checks that the closure Forall and the span
+// ForallSpan produce bit-identical results for an elementwise body over
+// fuzzed data and every policy/schedule shape.
 func FuzzGenericDispatch(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5})
 	f.Add([]byte{0})
@@ -326,18 +291,10 @@ func FuzzGenericDispatch(f *testing.F) {
 			Forall(p, n, func(_ Ctx, i int) { want[i] += alpha * x[i] })
 
 			got := make([]float64, n)
-			ForallG(p, n, fuzzAxpyBody{y: got, x: x, alpha: alpha})
+			ForallSpan(p, n, func(lo, hi int) { AxpySpan(got, x, alpha, lo, hi) })
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("policy %+v: ForallG[%d] = %v, want %v", p, i, got[i], want[i])
-				}
-			}
-
-			got2 := make([]float64, n)
-			ForallSpanG(p, n, fuzzAxpyBody{y: got2, x: x, alpha: alpha})
-			for i := range want {
-				if math.Float64bits(got2[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("policy %+v: ForallSpanG[%d] = %v, want %v", p, i, got2[i], want[i])
+					t.Fatalf("policy %+v: ForallSpan[%d] = %v, want %v", p, i, got[i], want[i])
 				}
 			}
 		}

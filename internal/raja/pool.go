@@ -133,7 +133,8 @@ type chunkFunc func(w, lo, hi int)
 
 func (f chunkFunc) runSpan(c Ctx, lo, hi int) { f(c.Worker, lo, hi) }
 
-// blockFunc is the DynamicBlocks skeleton body.
+// blockFunc is the body of ForallSpan and of the DynamicBlocks skeleton:
+// the span alone, without a Ctx.
 type blockFunc func(lo, hi int)
 
 func (f blockFunc) runSpan(_ Ctx, lo, hi int) { f(lo, hi) }

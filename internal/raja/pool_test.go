@@ -227,6 +227,11 @@ func TestForallPoolPathAllocs(t *testing.T) {
 	defer pool.Close()
 	x := make([]float64, 10_000)
 	body := func(c Ctx, i int) { x[i]++ }
+	span := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			x[i]++
+		}
+	}
 	for _, p := range []Policy{
 		{Kind: Par, Workers: 4, Pool: pool},
 		{Kind: Par, Workers: 4, Schedule: ScheduleDynamic, Block: 256, Pool: pool},
@@ -237,6 +242,10 @@ func TestForallPoolPathAllocs(t *testing.T) {
 		avg := testing.AllocsPerRun(100, func() { Forall(p, len(x), body) })
 		if avg > 1 {
 			t.Errorf("policy %+v: %.1f allocs per pooled Forall, want ~0", p, avg)
+		}
+		avg = testing.AllocsPerRun(100, func() { ForallSpan(p, len(x), span) })
+		if avg > 0 {
+			t.Errorf("policy %+v: %.1f allocs per pooled ForallSpan, want 0", p, avg)
 		}
 	}
 }

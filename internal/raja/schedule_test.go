@@ -54,20 +54,13 @@ func TestScheduleEquivalence(t *testing.T) {
 // frontEnd is one of the executor's entry points, reduced to a visit per
 // index. run reports false when the entry point cannot express p's
 // schedule: StaticChunks is static only and DynamicBlocks dynamic only.
-// Neither hands its body a Ctx, so they rebuild what they expose: the
-// chunk index, and the block index (with Worker 0).
+// ForallSpan, StaticChunks and DynamicBlocks hand their body no Ctx:
+// StaticChunks and DynamicBlocks rebuild it from what they expose, the
+// chunk index and the block index (with Worker 0), and ForallSpan's
+// granules are checked against scheduleCtx's block boundaries.
 type frontEnd struct {
 	name string
 	run  func(p Policy, r Range, visit Body) bool
-}
-
-// visitSpan adapts a per-index visit to a SpanBody.
-type visitSpan Body
-
-func (v visitSpan) Span(c Ctx, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		v(c, i)
-	}
 }
 
 var frontEnds = []frontEnd{
@@ -75,8 +68,21 @@ var frontEnds = []frontEnd{
 		ForallRange(p, r, visit)
 		return true
 	}},
-	{"ForallSpanG", func(p Policy, r Range, visit Body) bool {
-		ForallSpanRangeG(p, r, visitSpan(visit))
+	{"ForallSpan", func(p Policy, r Range, visit Body) bool {
+		// Each granule must be one whole chunk or block: it takes the Ctx
+		// scheduleCtx gives its first index, and Block -1 if that index
+		// does not start a block, so a granule that splits or straddles
+		// one reports a Ctx checkCoverage rejects.
+		want := scheduleCtx(p, r)
+		ForallSpan(p, r.Len(), func(lo, hi int) {
+			c := Ctx{Worker: max(want[lo].Worker, 0), Block: want[lo].Block}
+			if lo > 0 && want[lo-1].Block == c.Block {
+				c.Block = -1
+			}
+			for i := lo; i < hi; i++ {
+				visit(c, r.Begin+i)
+			}
+		})
 		return true
 	}},
 	{"StaticChunks", func(p Policy, r Range, visit Body) bool {

@@ -1,17 +1,13 @@
-//go:build !rajaunsafe
-
 package raja
 
 // Stride-aware unit-stride span kernels for the Stream/Lcals-shaped loop
 // bodies. Each helper processes the half-open span [lo, hi) of its
 // slices with the bounds checks hoisted: reslicing every operand to the
 // span and pinning the side operands to len of the destination lets the
-// compiler prove every index in range, so the loop compiles to the same
-// straight-line code as a hand-written Base kernel.
-//
-// Building with -tags rajaunsafe swaps these for pointer-walking
-// implementations (span_ops_unsafe.go) that also skip the slice-header
-// loads; both variants are covered by the kerneltest conformance corpus.
+// compiler prove every index in range, so the loop compiles to
+// straight-line code. The Stream, DAXPY and memory kernels use them as
+// the one loop body their Base and RAJA variants share, and the fused
+// reductions as their partials.
 
 // TriadSpan computes a[i] = b[i] + alpha*c[i] for i in [lo, hi).
 func TriadSpan(a, b, c []float64, alpha float64, lo, hi int) {

@@ -66,10 +66,6 @@ type Config struct {
 	// Schedule selects the parallel loop schedule for executed parallel
 	// back-ends (0 = back-end default: static for OpenMP, dynamic for GPU).
 	Schedule raja.Schedule
-	// Dispatch selects how rewired kernels reach the RAJA layer: the
-	// monomorphized generic path (default) or the classic per-index
-	// closure path, kept for portability-overhead comparisons.
-	Dispatch kernels.DispatchMode
 	// Pool is the persistent executor every kernel of the run dispatches
 	// through, so a whole suite run reuses one set of parked workers.
 	// Nil means the shared raja.Default() pool. Campaigns give every
@@ -254,7 +250,6 @@ func prepare(cfg Config) (*run, error) {
 	r.rec.AddMetadata("variant", cfg.Variant.String())
 	r.rec.AddMetadata("tuning", tuningName(cfg))
 	r.rec.AddMetadata("schedule", cfg.Schedule.String())
-	r.rec.AddMetadata("dispatch", cfg.Dispatch.String())
 	r.rec.AddMetadata("ranks", r.ranks)
 	r.rec.AddMetadata("size_per_node", r.sizeNode)
 	r.rec.AddMetadata("size_per_rank", r.perRank)
@@ -330,7 +325,6 @@ func (r *run) runKernel(ctx context.Context, k kernels.Kernel) error {
 		GPUBlock:  r.cfg.GPUBlock,
 		Ranks:     min(r.ranks, 8),
 		Schedule:  r.cfg.Schedule,
-		Dispatch:  r.cfg.Dispatch,
 		Pool:      r.pool,
 		Ctx:       ctx,
 		ModelOnly: !r.cfg.Execute,
