@@ -36,6 +36,7 @@ import (
 	"regexp"
 	"slices"
 	"strconv"
+	"strings"
 )
 
 // Baseline is the checked-in acceptance floor the gate enforces.
@@ -188,9 +189,22 @@ type PortReport struct {
 // Base_Seq back to back on the same arrays and reports the median of the
 // pairs' time ratios as raja/base, so host speed and drift cancel; only
 // a genuine abstraction-overhead regression moves it. With -count > 1
-// each number is the median over runs.
+// each number is the median over runs. A kernel the benchmark times but
+// the baseline lacks fails too: otherwise it would pass ungated.
 func gatePortability(results map[string]map[string][]float64, bl PortBaseline) PortReport {
 	rep := PortReport{Kernels: map[string]PortKernelReport{}, Baseline: bl}
+	var timed []string
+	for name := range results {
+		if kernel, ok := strings.CutPrefix(name, "BenchmarkPortability/"); ok {
+			timed = append(timed, kernel)
+		}
+	}
+	slices.Sort(timed)
+	for _, kernel := range timed {
+		if _, ok := bl.Kernels[kernel]; !ok {
+			rep.Failures = append(rep.Failures, kernel+": no baseline entry")
+		}
+	}
 	for name, kb := range bl.Kernels {
 		units := results["BenchmarkPortability/"+name]
 		ratios := units["raja/base"]

@@ -200,6 +200,19 @@ func TestGatePortabilityFailsOnMissingKernel(t *testing.T) {
 	}
 }
 
+func TestGatePortabilityFailsOnUnbaselinedKernel(t *testing.T) {
+	results, err := parseMetrics(strings.NewReader(samplePortBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bl := portBaseline()
+	delete(bl.Kernels, "Stream_DOT")
+	rep := gatePortability(results, bl)
+	if rep.Pass || !slices.Equal(rep.Failures, []string{"Stream_DOT: no baseline entry"}) {
+		t.Fatalf("expected the unbaselined DOT to fail, got pass=%v failures=%v", rep.Pass, rep.Failures)
+	}
+}
+
 func TestRunPortabilityEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	blPath := filepath.Join(dir, "portability_baseline.json")

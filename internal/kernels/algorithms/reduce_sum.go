@@ -1,11 +1,6 @@
 package algorithms
 
-import (
-	"sync"
-
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // ReduceSum implements Algorithm_REDUCE_SUM: a plain sum reduction over a
 // data array. The paper calls it out as a kernel whose bottleneck is not
@@ -53,51 +48,15 @@ func (k *ReduceSum) SetUp(rp kernels.RunParams) {
 
 // Run implements kernels.Kernel.
 func (k *ReduceSum) Run(v kernels.VariantID, rp kernels.RunParams) error {
-	x, n := k.x, k.n
-	reps := rp.EffectiveReps(k.Info())
+	x := k.x
+	body := sumReduce{x: x}
+	lambda := func(sum float64, i int) float64 { return sum + x[i] }
 	var sum float64
-	switch v {
-	case kernels.BaseSeq, kernels.LambdaSeq:
-		for r := 0; r < reps; r++ {
-			sum = 0
-			if v == kernels.LambdaSeq {
-				body := func(i int) { sum += x[i] }
-				for i := 0; i < n; i++ {
-					body(i)
-				}
-			} else {
-				for i := 0; i < n; i++ {
-					sum += x[i]
-				}
-			}
-		}
-	case kernels.BaseOpenMP, kernels.LambdaOpenMP, kernels.BaseGPU:
-		for r := 0; r < reps; r++ {
-			sum = 0
-			var mu sync.Mutex
-			run := func(lo, hi int) {
-				local := 0.0
-				for i := lo; i < hi; i++ {
-					local += x[i]
-				}
-				mu.Lock()
-				sum += local
-				mu.Unlock()
-			}
-			if v == kernels.BaseGPU {
-				rp.ExecPool().DynamicBlocks(rp.Workers, rp.GPUBlock, n, run)
-			} else {
-				rp.ExecPool().StaticChunks(rp.Workers, n, func(_, lo, hi int) { run(lo, hi) })
-			}
-		}
-	case kernels.RAJASeq, kernels.RAJAOpenMP, kernels.RAJAGPU:
-		pol := rp.Policy(v)
-		// Fused reduction: one dispatch, whole-granule partials, no
-		// reducer allocation.
-		for r := 0; r < reps; r++ {
-			sum = raja.ForallReduce[float64](pol, n, sumReduce{x: x})
-		}
-	default:
+	var err error
+	for r := 0; r < rp.EffectiveReps(k.Info()) && err == nil; r++ {
+		sum, err = kernels.RunReduce(v, rp, k.n, body, lambda)
+	}
+	if err != nil {
 		return k.Unsupported(v)
 	}
 	k.SetChecksum(sum)

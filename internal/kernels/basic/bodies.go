@@ -22,6 +22,46 @@ func (r piReduce) Partial(lo, hi int) float64 {
 
 func (r piReduce) Combine(a, b float64) float64 { return a + b }
 
+// trapReduce is TRAP_INT's reduction body: the sum of the integrand at
+// x0 + i*h. Like piReduce it recomputes x from the absolute index.
+type trapReduce struct {
+	x0, xp, y, yp, h float64
+}
+
+func (r trapReduce) Init() float64 { return 0 }
+
+func (r trapReduce) Partial(lo, hi int) float64 {
+	var sum float64
+	for i := lo; i < hi; i++ {
+		x := r.x0 + float64(i)*r.h
+		sum += trapFunc(x, r.y, r.xp, r.yp)
+	}
+	return sum
+}
+
+func (r trapReduce) Combine(a, b float64) float64 { return a + b }
+
+// reduceStructBody is REDUCE_STRUCT's reduction body: Partial folds the
+// points (x[i], y[i]) into a fresh accumulator and Combine merges two.
+type reduceStructBody struct {
+	x, y []float64
+}
+
+func (r reduceStructBody) Init() reduceStructAcc { return newReduceStructAcc() }
+
+func (r reduceStructBody) Partial(lo, hi int) reduceStructAcc {
+	acc := newReduceStructAcc()
+	for i := lo; i < hi; i++ {
+		acc.fold(r.x[i], r.y[i])
+	}
+	return acc
+}
+
+func (r reduceStructBody) Combine(a, b reduceStructAcc) reduceStructAcc {
+	a.merge(b)
+	return a
+}
+
 // reduce3Acc carries REDUCE3_INT's three simultaneous reductions through
 // one fused dispatch. Integer arithmetic makes the result exact under
 // any combine order.

@@ -1,11 +1,6 @@
 package basic
 
-import (
-	"sync"
-
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // PiReduce implements Basic_PI_REDUCE: the same quadrature as PI_ATOMIC
 // expressed as a sum reduction, its scalable counterpart.
@@ -51,56 +46,18 @@ func (k *PiReduce) SetUp(rp kernels.RunParams) {
 
 // Run implements kernels.Kernel.
 func (k *PiReduce) Run(v kernels.VariantID, rp kernels.RunParams) error {
-	dx, n := k.dx, k.n
-	reps := rp.EffectiveReps(k.Info())
-	f := func(i int) float64 {
+	dx := k.dx
+	body := piReduce{dx: dx}
+	lambda := func(pi float64, i int) float64 {
 		x := (float64(i) + 0.5) * dx
-		return dx / (1.0 + x*x)
+		return pi + dx/(1.0+x*x)
 	}
 	var pi float64
-	switch v {
-	case kernels.BaseSeq:
-		for r := 0; r < reps; r++ {
-			pi = 0
-			for i := 0; i < n; i++ {
-				x := (float64(i) + 0.5) * dx
-				pi += dx / (1.0 + x*x)
-			}
-		}
-	case kernels.LambdaSeq:
-		for r := 0; r < reps; r++ {
-			pi = 0
-			for i := 0; i < n; i++ {
-				pi += f(i)
-			}
-		}
-	case kernels.BaseOpenMP, kernels.LambdaOpenMP, kernels.BaseGPU:
-		for r := 0; r < reps; r++ {
-			var mu sync.Mutex
-			pi = 0
-			run := func(lo, hi int) {
-				local := 0.0
-				for i := lo; i < hi; i++ {
-					local += f(i)
-				}
-				mu.Lock()
-				pi += local
-				mu.Unlock()
-			}
-			if v == kernels.BaseGPU {
-				rp.ExecPool().DynamicBlocks(rp.Workers, rp.GPUBlock, n, run)
-			} else {
-				rp.ExecPool().StaticChunks(rp.Workers, n, func(_, lo, hi int) { run(lo, hi) })
-			}
-		}
-	case kernels.RAJASeq, kernels.RAJAOpenMP, kernels.RAJAGPU:
-		pol := rp.Policy(v)
-		// Fused reduction: one dispatch, whole-granule partials, no
-		// reducer allocation.
-		for r := 0; r < reps; r++ {
-			pi = raja.ForallReduce[float64](pol, n, piReduce{dx: dx})
-		}
-	default:
+	var err error
+	for r := 0; r < rp.EffectiveReps(k.Info()) && err == nil; r++ {
+		pi, err = kernels.RunReduce(v, rp, k.n, body, lambda)
+	}
+	if err != nil {
 		return k.Unsupported(v)
 	}
 	k.SetChecksum(pi * 4.0)

@@ -1,12 +1,6 @@
 package basic
 
-import (
-	"math"
-	"sync"
-
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // Reduce3Int implements Basic_REDUCE3_INT: simultaneous sum, min, and max
 // reductions over an integer vector.
@@ -53,85 +47,28 @@ func (k *Reduce3Int) SetUp(rp kernels.RunParams) {
 
 // Run implements kernels.Kernel.
 func (k *Reduce3Int) Run(v kernels.VariantID, rp kernels.RunParams) error {
-	vec, n := k.vec, k.n
-	reps := rp.EffectiveReps(k.Info())
-	var vsum, vmin, vmax int64
-	reset := func() { vsum, vmin, vmax = 0, math.MaxInt64, math.MinInt64 }
-	fold := func(x int64) {
-		vsum += x
-		if x < vmin {
-			vmin = x
+	vec := k.vec
+	body := reduce3Body{vec: vec}
+	lambda := func(acc reduce3Acc, i int) reduce3Acc {
+		x := vec[i]
+		acc.Sum += x
+		if x < acc.Min {
+			acc.Min = x
 		}
-		if x > vmax {
-			vmax = x
+		if x > acc.Max {
+			acc.Max = x
 		}
+		return acc
 	}
-	switch v {
-	case kernels.BaseSeq:
-		for r := 0; r < reps; r++ {
-			reset()
-			for i := 0; i < n; i++ {
-				x := vec[i]
-				vsum += x
-				if x < vmin {
-					vmin = x
-				}
-				if x > vmax {
-					vmax = x
-				}
-			}
-		}
-	case kernels.LambdaSeq:
-		for r := 0; r < reps; r++ {
-			reset()
-			for i := 0; i < n; i++ {
-				fold(vec[i])
-			}
-		}
-	case kernels.BaseOpenMP, kernels.LambdaOpenMP, kernels.BaseGPU:
-		for r := 0; r < reps; r++ {
-			reset()
-			var mu sync.Mutex
-			run := func(lo, hi int) {
-				ls, lmin, lmax := int64(0), int64(math.MaxInt64), int64(math.MinInt64)
-				for i := lo; i < hi; i++ {
-					x := vec[i]
-					ls += x
-					if x < lmin {
-						lmin = x
-					}
-					if x > lmax {
-						lmax = x
-					}
-				}
-				mu.Lock()
-				vsum += ls
-				if lmin < vmin {
-					vmin = lmin
-				}
-				if lmax > vmax {
-					vmax = lmax
-				}
-				mu.Unlock()
-			}
-			if v == kernels.BaseGPU {
-				rp.ExecPool().DynamicBlocks(rp.Workers, rp.GPUBlock, n, run)
-			} else {
-				rp.ExecPool().StaticChunks(rp.Workers, n, func(_, lo, hi int) { run(lo, hi) })
-			}
-		}
-	case kernels.RAJASeq, kernels.RAJAOpenMP, kernels.RAJAGPU:
-		pol := rp.Policy(v)
-		// Fused reduction: all three folds share one dispatch and one
-		// set of per-lane partials.
-		for r := 0; r < reps; r++ {
-			acc := raja.ForallReduce[reduce3Acc](pol, n, reduce3Body{vec: vec})
-			vsum, vmin, vmax = acc.Sum, acc.Min, acc.Max
-		}
-	default:
+	var acc reduce3Acc
+	var err error
+	for r := 0; r < rp.EffectiveReps(k.Info()) && err == nil; r++ {
+		acc, err = kernels.RunReduce(v, rp, k.n, body, lambda)
+	}
+	if err != nil {
 		return k.Unsupported(v)
 	}
-	k.SetChecksum(float64(vsum) + float64(vmin) + float64(vmax))
+	k.SetChecksum(float64(acc.Sum) + float64(acc.Min) + float64(acc.Max))
 	return nil
 }
 

@@ -2,10 +2,8 @@ package basic
 
 import (
 	"math"
-	"sync"
 
 	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
 )
 
 // ReduceStruct implements Basic_REDUCE_STRUCT: six simultaneous reductions
@@ -89,70 +87,21 @@ func (a *reduceStructAcc) merge(b reduceStructAcc) {
 
 // Run implements kernels.Kernel.
 func (k *ReduceStruct) Run(v kernels.VariantID, rp kernels.RunParams) error {
-	x, y, n := k.x, k.y, k.n
-	reps := rp.EffectiveReps(k.Info())
+	x, y := k.x, k.y
+	body := reduceStructBody{x: x, y: y}
+	lambda := func(acc reduceStructAcc, i int) reduceStructAcc {
+		acc.fold(x[i], y[i])
+		return acc
+	}
 	var acc reduceStructAcc
-	switch v {
-	case kernels.BaseSeq, kernels.LambdaSeq:
-		for r := 0; r < reps; r++ {
-			acc = newReduceStructAcc()
-			if v == kernels.LambdaSeq {
-				body := func(i int) { acc.fold(x[i], y[i]) }
-				for i := 0; i < n; i++ {
-					body(i)
-				}
-			} else {
-				for i := 0; i < n; i++ {
-					acc.fold(x[i], y[i])
-				}
-			}
-		}
-	case kernels.BaseOpenMP, kernels.LambdaOpenMP, kernels.BaseGPU:
-		for r := 0; r < reps; r++ {
-			acc = newReduceStructAcc()
-			var mu sync.Mutex
-			run := func(lo, hi int) {
-				local := newReduceStructAcc()
-				for i := lo; i < hi; i++ {
-					local.fold(x[i], y[i])
-				}
-				mu.Lock()
-				acc.merge(local)
-				mu.Unlock()
-			}
-			if v == kernels.BaseGPU {
-				rp.ExecPool().DynamicBlocks(rp.Workers, rp.GPUBlock, n, run)
-			} else {
-				rp.ExecPool().StaticChunks(rp.Workers, n, func(_, lo, hi int) { run(lo, hi) })
-			}
-		}
-	case kernels.RAJASeq, kernels.RAJAOpenMP, kernels.RAJAGPU:
-		pol := rp.Policy(v)
-		for r := 0; r < reps; r++ {
-			xsum := raja.NewReduceSum(pol, 0.0)
-			ysum := raja.NewReduceSum(pol, 0.0)
-			xmin := raja.NewReduceMin(pol, math.Inf(1))
-			ymin := raja.NewReduceMin(pol, math.Inf(1))
-			xmax := raja.NewReduceMax(pol, math.Inf(-1))
-			ymax := raja.NewReduceMax(pol, math.Inf(-1))
-			raja.Forall(pol, n, func(c raja.Ctx, i int) {
-				xsum.Add(c, x[i])
-				ysum.Add(c, y[i])
-				xmin.Min(c, x[i])
-				ymin.Min(c, y[i])
-				xmax.Max(c, x[i])
-				ymax.Max(c, y[i])
-			})
-			acc = reduceStructAcc{
-				xsum: xsum.Get(), ysum: ysum.Get(),
-				xmin: xmin.Get(), ymin: ymin.Get(),
-				xmax: xmax.Get(), ymax: ymax.Get(),
-			}
-		}
-	default:
+	var err error
+	for r := 0; r < rp.EffectiveReps(k.Info()) && err == nil; r++ {
+		acc, err = kernels.RunReduce(v, rp, k.n, body, lambda)
+	}
+	if err != nil {
 		return k.Unsupported(v)
 	}
-	nn := float64(n)
+	nn := float64(k.n)
 	k.SetChecksum(acc.xsum/nn + acc.ysum/nn + acc.xmin + acc.xmax + acc.ymin + acc.ymax)
 	return nil
 }

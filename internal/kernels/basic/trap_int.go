@@ -1,11 +1,6 @@
 package basic
 
-import (
-	"sync"
-
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // TrapInt implements Basic_TRAP_INT: trapezoidal integration of a rational
 // function — a pure-compute reduction with no array traffic.
@@ -59,58 +54,18 @@ func trapFunc(x, y, xp, yp float64) float64 {
 
 // Run implements kernels.Kernel.
 func (k *TrapInt) Run(v kernels.VariantID, rp kernels.RunParams) error {
-	x0, xp, y, yp, h, n := k.x0, k.xp, k.y, k.yp, k.h, k.n
-	reps := rp.EffectiveReps(k.Info())
-	f := func(i int) float64 {
+	x0, xp, y, yp, h := k.x0, k.xp, k.y, k.yp, k.h
+	body := trapReduce{x0: x0, xp: xp, y: y, yp: yp, h: h}
+	lambda := func(sumx float64, i int) float64 {
 		x := x0 + float64(i)*h
-		return trapFunc(x, y, xp, yp)
+		return sumx + trapFunc(x, y, xp, yp)
 	}
 	var sumx float64
-	switch v {
-	case kernels.BaseSeq:
-		for r := 0; r < reps; r++ {
-			sumx = 0
-			for i := 0; i < n; i++ {
-				x := x0 + float64(i)*h
-				sumx += trapFunc(x, y, xp, yp)
-			}
-		}
-	case kernels.LambdaSeq:
-		for r := 0; r < reps; r++ {
-			sumx = 0
-			for i := 0; i < n; i++ {
-				sumx += f(i)
-			}
-		}
-	case kernels.BaseOpenMP, kernels.LambdaOpenMP, kernels.BaseGPU:
-		for r := 0; r < reps; r++ {
-			sumx = 0
-			var mu sync.Mutex
-			run := func(lo, hi int) {
-				local := 0.0
-				for i := lo; i < hi; i++ {
-					local += f(i)
-				}
-				mu.Lock()
-				sumx += local
-				mu.Unlock()
-			}
-			if v == kernels.BaseGPU {
-				rp.ExecPool().DynamicBlocks(rp.Workers, rp.GPUBlock, n, run)
-			} else {
-				rp.ExecPool().StaticChunks(rp.Workers, n, func(_, lo, hi int) { run(lo, hi) })
-			}
-		}
-	case kernels.RAJASeq, kernels.RAJAOpenMP, kernels.RAJAGPU:
-		pol := rp.Policy(v)
-		for r := 0; r < reps; r++ {
-			red := raja.NewReduceSum(pol, 0.0)
-			raja.Forall(pol, n, func(c raja.Ctx, i int) {
-				red.Add(c, f(i))
-			})
-			sumx = red.Get()
-		}
-	default:
+	var err error
+	for r := 0; r < rp.EffectiveReps(k.Info()) && err == nil; r++ {
+		sumx, err = kernels.RunReduce(v, rp, k.n, body, lambda)
+	}
+	if err != nil {
 		return k.Unsupported(v)
 	}
 	k.SetChecksum(sumx * h)

@@ -1,6 +1,10 @@
 package kernels
 
-import "rajaperf/internal/raja"
+import (
+	"sync"
+
+	"rajaperf/internal/raja"
+)
 
 // RunVariant executes one pass over [0, n) in the style of variant v,
 // from the kernel's one loop body `body`, which processes the half-open
@@ -22,7 +26,8 @@ import "rajaperf/internal/raja"
 // included, so all reps of a run reuse one set of parked workers.
 //
 // Kernels whose body is a plain elementwise loop build their Run method
-// from one RunVariant call per rep; kernels with reductions, scans, or
+// from one RunVariant call per rep, and single-value reductions from one
+// RunReduce call; kernels with multi-bin reductions, scans, or
 // communication write their own dispatch, on rp.ExecPool() as well
 // (kerneltest checks that every parallel variant records granules on the
 // run's pool).
@@ -50,6 +55,72 @@ func RunVariant(v VariantID, rp RunParams, n int, body func(lo, hi int), lambda 
 		return &ErrVariantUnsupported{Variant: v}
 	}
 	return nil
+}
+
+// RunReduce executes one reduction over [0, n) in the style of variant v
+// and returns its value. body is the kernel's one reduction body and
+// lambda folds index i into an accumulator, the reduction's per-index
+// closure:
+//
+//   - Base variants run body.Partial directly: Base_Seq returns
+//     body.Combine(body.Init(), body.Partial(0, n)), the expression
+//     raja.ForallReduce evaluates under Seq; Base_OpenMP and Base_GPU
+//     run Partial per static chunk or dynamic block and combine each
+//     granule's partial into body.Init() under a mutex, in arrival order;
+//   - Lambda variants fold lambda per index from the reduction's identity
+//     (body.Partial over an empty span), over the whole range or per
+//     static chunk, and combine the result as Base does;
+//   - RAJA variants call raja.ForallReduce under the policy implied by v
+//     and rp.
+//
+// Base_Seq, Lambda_Seq and RAJA_Seq therefore agree bit for bit whenever
+// lambda folds an index the way Partial does.
+func RunReduce[A any, B raja.Reducer[A]](v VariantID, rp RunParams, n int, body B, lambda func(acc A, i int) A) (A, error) {
+	switch v {
+	case BaseSeq:
+		return body.Combine(body.Init(), body.Partial(0, n)), nil
+	case LambdaSeq:
+		return body.Combine(body.Init(), fold(body, lambda, 0, n)), nil
+	case BaseOpenMP, LambdaOpenMP, BaseGPU:
+		m := &merged[A, B]{acc: body.Init(), body: body}
+		switch v {
+		case BaseOpenMP:
+			rp.ExecPool().StaticChunks(rp.Workers, n, func(_, lo, hi int) { m.add(body.Partial(lo, hi)) })
+		case LambdaOpenMP:
+			rp.ExecPool().StaticChunks(rp.Workers, n, func(_, lo, hi int) { m.add(fold(body, lambda, lo, hi)) })
+		case BaseGPU:
+			rp.ExecPool().DynamicBlocks(rp.Workers, rp.GPUBlock, n, func(lo, hi int) { m.add(body.Partial(lo, hi)) })
+		}
+		return m.acc, nil
+	case RAJASeq, RAJAOpenMP, RAJAGPU:
+		return raja.ForallReduce[A](rp.Policy(v), n, body), nil
+	}
+	var zero A
+	return zero, &ErrVariantUnsupported{Variant: v}
+}
+
+// fold runs lambda over [lo, hi) from the reduction's identity.
+func fold[A any, B raja.Reducer[A]](body B, lambda func(A, int) A, lo, hi int) A {
+	acc := body.Partial(0, 0)
+	for i := lo; i < hi; i++ {
+		acc = lambda(acc, i)
+	}
+	return acc
+}
+
+// merged is the accumulator the hand-written parallel reductions combine
+// their granule partials into. add holds the lock across body.Combine,
+// a pure fold of two values that cannot block.
+type merged[A any, B raja.Reducer[A]] struct {
+	mu   sync.Mutex
+	acc  A
+	body B
+}
+
+func (m *merged[A, B]) add(part A) {
+	m.mu.Lock()
+	m.acc = m.body.Combine(m.acc, part)
+	m.mu.Unlock()
 }
 
 // SeqVariants is the sequential-only variant set used by kernels with

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"rajaperf/internal/kernels"
@@ -140,29 +141,31 @@ func checkVariantsAgree(t *testing.T, fullName string) map[kernels.VariantID]flo
 	return sums
 }
 
-// checkBaseRAJABitwise requires each RAJA variant's checksum at Params()
-// to be bit-identical to the Base variant of the same back-end: both run
-// the kernel's one loop body over the same granules. Kernels with a
-// reduction, atomic, scan or sort feature are exempt, since their RAJA
-// variants reach the answer through the portability layer's own
-// algorithms and may associate differently.
+// checkBaseRAJABitwise requires variant checksums at Params() that run
+// the kernel's one body over the same granules to be bit-identical:
+// RAJA_Seq and Lambda_Seq to Base_Seq for every kernel, and, for kernels
+// without a reduction, atomic, scan or sort feature, RAJA_OpenMP and
+// Lambda_OpenMP to Base_OpenMP and RAJA_GPU to Base_GPU. The parallel
+// variants of those feature kernels are exempt: their granules combine in
+// arrival order, or through the portability layer's own algorithms, and
+// may associate differently.
 func checkBaseRAJABitwise(t *testing.T, in *kernels.Info, sums map[kernels.VariantID]float64) {
 	t.Helper()
-	for _, f := range []kernels.Feature{kernels.FeatReduction, kernels.FeatAtomic, kernels.FeatScan, kernels.FeatSort} {
-		if in.HasFeature(f) {
-			return
-		}
-	}
 	pairs := [][2]kernels.VariantID{
 		{kernels.BaseSeq, kernels.RAJASeq},
-		{kernels.BaseOpenMP, kernels.RAJAOpenMP},
-		{kernels.BaseGPU, kernels.RAJAGPU},
+		{kernels.BaseSeq, kernels.LambdaSeq},
+	}
+	if !slices.ContainsFunc([]kernels.Feature{kernels.FeatReduction, kernels.FeatAtomic, kernels.FeatScan, kernels.FeatSort}, in.HasFeature) {
+		pairs = append(pairs,
+			[2]kernels.VariantID{kernels.BaseOpenMP, kernels.RAJAOpenMP},
+			[2]kernels.VariantID{kernels.BaseOpenMP, kernels.LambdaOpenMP},
+			[2]kernels.VariantID{kernels.BaseGPU, kernels.RAJAGPU})
 	}
 	for _, p := range pairs {
 		base, okB := sums[p[0]]
-		rajaSum, okR := sums[p[1]]
-		if okB && okR && math.Float64bits(base) != math.Float64bits(rajaSum) {
-			t.Errorf("%s checksum %v not bit-identical to %s %v", p[1], rajaSum, p[0], base)
+		got, ok := sums[p[1]]
+		if okB && ok && math.Float64bits(base) != math.Float64bits(got) {
+			t.Errorf("%s checksum %v not bit-identical to %s %v", p[1], got, p[0], base)
 		}
 	}
 }

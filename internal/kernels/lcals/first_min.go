@@ -1,12 +1,6 @@
 package lcals
 
-import (
-	"math"
-	"sync"
-
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // FirstMin implements Lcals_FIRST_MIN: find the minimum value and its
 // first location (a min-loc reduction). The paper notes it splits between
@@ -56,66 +50,23 @@ func (k *FirstMin) SetUp(rp kernels.RunParams) {
 
 // Run implements kernels.Kernel.
 func (k *FirstMin) Run(v kernels.VariantID, rp kernels.RunParams) error {
-	x, n := k.x, k.n
-	reps := rp.EffectiveReps(k.Info())
-	var minVal float64
-	var minLoc int
-	switch v {
-	case kernels.BaseSeq, kernels.LambdaSeq:
-		for r := 0; r < reps; r++ {
-			minVal, minLoc = math.Inf(1), -1
-			fold := func(i int) {
-				if x[i] < minVal {
-					minVal, minLoc = x[i], i
-				}
-			}
-			if v == kernels.LambdaSeq {
-				for i := 0; i < n; i++ {
-					fold(i)
-				}
-			} else {
-				for i := 0; i < n; i++ {
-					if x[i] < minVal {
-						minVal, minLoc = x[i], i
-					}
-				}
-			}
+	x := k.x
+	body := firstMinBody{x: x}
+	lambda := func(acc minLocAcc, i int) minLocAcc {
+		if x[i] < acc.Val {
+			acc.Val, acc.Loc = x[i], i
 		}
-	case kernels.BaseOpenMP, kernels.LambdaOpenMP, kernels.BaseGPU:
-		for r := 0; r < reps; r++ {
-			minVal, minLoc = math.Inf(1), -1
-			var mu sync.Mutex
-			run := func(lo, hi int) {
-				lv, ll := math.Inf(1), -1
-				for i := lo; i < hi; i++ {
-					if x[i] < lv {
-						lv, ll = x[i], i
-					}
-				}
-				mu.Lock()
-				if lv < minVal || (lv == minVal && ll < minLoc) {
-					minVal, minLoc = lv, ll
-				}
-				mu.Unlock()
-			}
-			if v == kernels.BaseGPU {
-				rp.ExecPool().DynamicBlocks(rp.Workers, rp.GPUBlock, n, run)
-			} else {
-				rp.ExecPool().StaticChunks(rp.Workers, n, func(_, lo, hi int) { run(lo, hi) })
-			}
-		}
-	case kernels.RAJASeq, kernels.RAJAOpenMP, kernels.RAJAGPU:
-		pol := rp.Policy(v)
-		// Fused min-loc: the lexicographic (val, loc) combine is exact
-		// under any chunk order.
-		for r := 0; r < reps; r++ {
-			acc := raja.ForallReduce[minLocAcc](pol, n, firstMinBody{x: x})
-			minVal, minLoc = acc.Val, acc.Loc
-		}
-	default:
+		return acc
+	}
+	var acc minLocAcc
+	var err error
+	for r := 0; r < rp.EffectiveReps(k.Info()) && err == nil; r++ {
+		acc, err = kernels.RunReduce(v, rp, k.n, body, lambda)
+	}
+	if err != nil {
 		return k.Unsupported(v)
 	}
-	k.SetChecksum(minVal + float64(minLoc))
+	k.SetChecksum(acc.Val + float64(acc.Loc))
 	return nil
 }
 

@@ -1,11 +1,6 @@
 package stream
 
-import (
-	"sync"
-
-	"rajaperf/internal/kernels"
-	"rajaperf/internal/raja"
-)
+import "rajaperf/internal/kernels"
 
 // Dot implements Stream_DOT: dot += a[i] * b[i], the group's reduction
 // kernel.
@@ -49,63 +44,15 @@ func (k *Dot) SetUp(rp kernels.RunParams) {
 
 // Run implements kernels.Kernel.
 func (k *Dot) Run(v kernels.VariantID, rp kernels.RunParams) error {
-	a, b, n := k.a, k.b, k.n
-	reps := rp.EffectiveReps(k.Info())
+	a, b := k.a, k.b
+	body := dotReduce{a: a, b: b}
+	lambda := func(dot float64, i int) float64 { return dot + a[i]*b[i] }
 	var dot float64
-	switch v {
-	case kernels.BaseSeq:
-		for r := 0; r < reps; r++ {
-			dot = 0
-			for i := 0; i < n; i++ {
-				dot += a[i] * b[i]
-			}
-		}
-	case kernels.LambdaSeq:
-		for r := 0; r < reps; r++ {
-			dot = 0
-			body := func(i int) { dot += a[i] * b[i] }
-			for i := 0; i < n; i++ {
-				body(i)
-			}
-		}
-	case kernels.BaseOpenMP, kernels.LambdaOpenMP, kernels.BaseGPU:
-		for r := 0; r < reps; r++ {
-			partials := make([]float64, 0, 64)
-			var mu sync.Mutex
-			run := func(lo, hi int) {
-				var local float64
-				if v == kernels.LambdaOpenMP {
-					body := func(i int) { local += a[i] * b[i] }
-					for i := lo; i < hi; i++ {
-						body(i)
-					}
-				} else {
-					for i := lo; i < hi; i++ {
-						local += a[i] * b[i]
-					}
-				}
-				mu.Lock()
-				partials = append(partials, local)
-				mu.Unlock()
-			}
-			if v == kernels.BaseGPU {
-				rp.ExecPool().DynamicBlocks(rp.Workers, rp.GPUBlock, n, run)
-			} else {
-				rp.ExecPool().StaticChunks(rp.Workers, n, func(_, lo, hi int) { run(lo, hi) })
-			}
-			dot = 0
-			for _, p := range partials {
-				dot += p
-			}
-		}
-	case kernels.RAJASeq, kernels.RAJAOpenMP, kernels.RAJAGPU:
-		pol := rp.Policy(v)
-		// Fused reduction: one dispatch, whole-granule partials, no
-		// reducer allocation.
-		for r := 0; r < reps; r++ {
-			dot = raja.ForallReduce[float64](pol, n, dotReduce{a: a, b: b})
-		}
-	default:
+	var err error
+	for r := 0; r < rp.EffectiveReps(k.Info()) && err == nil; r++ {
+		dot, err = kernels.RunReduce(v, rp, k.n, body, lambda)
+	}
+	if err != nil {
 		return k.Unsupported(v)
 	}
 	k.SetChecksum(dot)

@@ -2,7 +2,7 @@ package raja
 
 // Ctx carries per-iteration execution context to kernel bodies. Worker is
 // a dense index in [0, Policy.MaxWorkers()) identifying the executing
-// lane; reducers use it to select a private accumulation slot. Block is
+// lane; reductions use it to select a private accumulation slot. Block is
 // the ordinal of the scheduling granule the iteration belongs to — the
 // chunk index under static scheduling (equal to Worker), the block index
 // under dynamic scheduling (the blockIdx analog), and the grab ordinal
@@ -84,7 +84,7 @@ func ForallRange(p Policy, r Range, body Body) {
 // forall lowers a front-end onto the executor: Seq runs the whole range
 // as one granule on the caller, Par and GPU go through the dispatch core
 // of the policy's pool. The Ctx handed to each granule carries the same
-// Worker/Block values whatever the shape of the work, so reducers and
+// Worker/Block values whatever the shape of the work, so reductions and
 // instrumentation observe identical lane semantics on every front-end.
 func forall(p Policy, r Range, w spanWork) {
 	if r.Len() == 0 {

@@ -55,12 +55,13 @@ func (r dotReducer) Init() float64                { return r.init }
 func (r dotReducer) Partial(lo, hi int) float64   { return DotSpan(r.a, r.b, lo, hi) }
 func (r dotReducer) Combine(a, b float64) float64 { return a + b }
 
-// TestForallReduceMatchesClosure compares the fused reduction against
-// the classic Forall+ReduceSum path. Under Seq and static schedules the
-// worker→chunk mapping is deterministic and both paths accumulate the
-// same ascending association, so results must be bit-identical; dynamic
-// and guided schedules reassociate by arrival order, so those compare
-// within floating-point tolerance.
+// TestForallReduceMatchesClosure compares the fused reduction against a
+// closure Forall that adds each index into a padded per-Ctx.Worker slot
+// and folds the slots in ascending order from init. Under Seq and static
+// schedules the worker→chunk mapping is deterministic and both paths
+// accumulate the same ascending association, so results must be
+// bit-identical; dynamic and guided schedules reassociate by arrival
+// order, so those compare within floating-point tolerance.
 func TestForallReduceMatchesClosure(t *testing.T) {
 	const init = 3.25
 	for _, p := range testPolicies {
@@ -72,9 +73,12 @@ func TestForallReduceMatchesClosure(t *testing.T) {
 				for i := range b {
 					b[i] *= 1.5
 				}
-				red := NewReduceSum(p, init)
-				Forall(p, n, func(c Ctx, i int) { red.Add(c, a[i]*b[i]) })
-				want := red.Get()
+				slots := make([]float64, p.MaxWorkers()*lanePad)
+				Forall(p, n, func(c Ctx, i int) { slots[c.Worker*lanePad] += a[i] * b[i] })
+				want := init
+				for k := 0; k < len(slots); k += lanePad {
+					want += slots[k]
+				}
 
 				got := ForallReduce[float64](p, n, dotReducer{a: a, b: b, init: init})
 

@@ -121,5 +121,5 @@ func (p Policy) pool() *Pool {
 }
 
 // MaxWorkers reports the number of distinct Ctx.Worker values Forall may
-// pass to a body under this policy. Reducers size their lanes with it.
+// pass to a body under this policy. Reductions size their lanes with it.
 func (p Policy) MaxWorkers() int { return p.workers() }

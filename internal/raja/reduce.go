@@ -1,160 +1,8 @@
 package raja
 
-// cacheLinePad separates per-worker reduction lanes to avoid false sharing.
-const lanePad = 8 // 8 float64 = 64 bytes
-
 // Number is the constraint satisfied by the value types the suite reduces.
 type Number interface {
 	~int | ~int32 | ~int64 | ~float32 | ~float64
-}
-
-// ReduceSum accumulates a sum across loop iterations. Each worker lane
-// accumulates privately; Get combines lanes with the initial value.
-// It mirrors RAJA::ReduceSum.
-type ReduceSum[T Number] struct {
-	init  T
-	lanes []T
-}
-
-// NewReduceSum returns a sum reducer with the given initial value, sized
-// for the worker count of p.
-func NewReduceSum[T Number](p Policy, init T) *ReduceSum[T] {
-	return &ReduceSum[T]{init: init, lanes: make([]T, p.MaxWorkers()*lanePad)}
-}
-
-// Add accumulates v into the calling worker's lane.
-func (r *ReduceSum[T]) Add(c Ctx, v T) { r.lanes[c.Worker*lanePad] += v }
-
-// Get returns the combined reduction value.
-func (r *ReduceSum[T]) Get() T {
-	s := r.init
-	for i := 0; i < len(r.lanes); i += lanePad {
-		s += r.lanes[i]
-	}
-	return s
-}
-
-// Reset clears the lanes and sets a new initial value.
-func (r *ReduceSum[T]) Reset(init T) {
-	r.init = init
-	for i := range r.lanes {
-		r.lanes[i] = 0
-	}
-}
-
-// ReduceMin tracks a minimum across loop iterations (RAJA::ReduceMin).
-// Lanes start unset, so no sentinel value is needed for any element type.
-type ReduceMin[T Number] struct {
-	init  T
-	lanes []T
-	set   []bool
-}
-
-// NewReduceMin returns a min reducer with the given initial value.
-func NewReduceMin[T Number](p Policy, init T) *ReduceMin[T] {
-	n := p.MaxWorkers() * lanePad
-	return &ReduceMin[T]{init: init, lanes: make([]T, n), set: make([]bool, n)}
-}
-
-// Min folds v into the calling worker's lane.
-func (r *ReduceMin[T]) Min(c Ctx, v T) {
-	k := c.Worker * lanePad
-	if !r.set[k] || v < r.lanes[k] {
-		r.lanes[k], r.set[k] = v, true
-	}
-}
-
-// Get returns the combined minimum.
-func (r *ReduceMin[T]) Get() T {
-	m := r.init
-	for i := 0; i < len(r.lanes); i += lanePad {
-		if r.set[i] && r.lanes[i] < m {
-			m = r.lanes[i]
-		}
-	}
-	return m
-}
-
-// ReduceMax tracks a maximum across loop iterations (RAJA::ReduceMax).
-type ReduceMax[T Number] struct {
-	init  T
-	lanes []T
-	set   []bool
-}
-
-// NewReduceMax returns a max reducer with the given initial value.
-func NewReduceMax[T Number](p Policy, init T) *ReduceMax[T] {
-	n := p.MaxWorkers() * lanePad
-	return &ReduceMax[T]{init: init, lanes: make([]T, n), set: make([]bool, n)}
-}
-
-// Max folds v into the calling worker's lane.
-func (r *ReduceMax[T]) Max(c Ctx, v T) {
-	k := c.Worker * lanePad
-	if !r.set[k] || v > r.lanes[k] {
-		r.lanes[k], r.set[k] = v, true
-	}
-}
-
-// Get returns the combined maximum.
-func (r *ReduceMax[T]) Get() T {
-	m := r.init
-	for i := 0; i < len(r.lanes); i += lanePad {
-		if r.set[i] && r.lanes[i] > m {
-			m = r.lanes[i]
-		}
-	}
-	return m
-}
-
-// MinLoc pairs a value with the index where it occurred.
-type MinLoc[T Number] struct {
-	Val T
-	Loc int
-}
-
-// ReduceMinLoc tracks the minimum value and its first location
-// (RAJA::ReduceMinLoc). Ties resolve to the smallest index so results are
-// deterministic across policies.
-type ReduceMinLoc[T Number] struct {
-	init  MinLoc[T]
-	lanes []MinLoc[T]
-	set   []bool
-}
-
-// NewReduceMinLoc returns a min-loc reducer with the given initial value.
-func NewReduceMinLoc[T Number](p Policy, init T, loc int) *ReduceMinLoc[T] {
-	n := p.MaxWorkers() * lanePad
-	return &ReduceMinLoc[T]{
-		init:  MinLoc[T]{init, loc},
-		lanes: make([]MinLoc[T], n),
-		set:   make([]bool, n),
-	}
-}
-
-// MinLoc folds (v, i) into the calling worker's lane.
-func (r *ReduceMinLoc[T]) MinLoc(c Ctx, v T, i int) {
-	k := c.Worker * lanePad
-	l := &r.lanes[k]
-	if !r.set[k] || v < l.Val || (v == l.Val && i < l.Loc) {
-		l.Val, l.Loc = v, i
-		r.set[k] = true
-	}
-}
-
-// Get returns the combined (value, location) pair.
-func (r *ReduceMinLoc[T]) Get() MinLoc[T] {
-	m := r.init
-	for i := 0; i < len(r.lanes); i += lanePad {
-		if !r.set[i] {
-			continue
-		}
-		l := r.lanes[i]
-		if l.Val < m.Val || (l.Val == m.Val && l.Loc < m.Loc) {
-			m = l
-		}
-	}
-	return m
 }
 
 // MultiReduceSum accumulates nbins independent sums, the abstraction behind
@@ -196,54 +44,4 @@ func (m *MultiReduceSum[T]) GetAll(dst []T) {
 			dst[b] += v
 		}
 	}
-}
-
-// MaxLoc pairs a value with the index where it occurred.
-type MaxLoc[T Number] struct {
-	Val T
-	Loc int
-}
-
-// ReduceMaxLoc tracks the maximum value and its first location
-// (RAJA::ReduceMaxLoc). Ties resolve to the smallest index so results are
-// deterministic across policies.
-type ReduceMaxLoc[T Number] struct {
-	init  MaxLoc[T]
-	lanes []MaxLoc[T]
-	set   []bool
-}
-
-// NewReduceMaxLoc returns a max-loc reducer with the given initial value.
-func NewReduceMaxLoc[T Number](p Policy, init T, loc int) *ReduceMaxLoc[T] {
-	n := p.MaxWorkers() * lanePad
-	return &ReduceMaxLoc[T]{
-		init:  MaxLoc[T]{init, loc},
-		lanes: make([]MaxLoc[T], n),
-		set:   make([]bool, n),
-	}
-}
-
-// MaxLoc folds (v, i) into the calling worker's lane.
-func (r *ReduceMaxLoc[T]) MaxLoc(c Ctx, v T, i int) {
-	k := c.Worker * lanePad
-	l := &r.lanes[k]
-	if !r.set[k] || v > l.Val || (v == l.Val && i < l.Loc) {
-		l.Val, l.Loc = v, i
-		r.set[k] = true
-	}
-}
-
-// Get returns the combined (value, location) pair.
-func (r *ReduceMaxLoc[T]) Get() MaxLoc[T] {
-	m := r.init
-	for i := 0; i < len(r.lanes); i += lanePad {
-		if !r.set[i] {
-			continue
-		}
-		l := r.lanes[i]
-		if l.Val > m.Val || (l.Val == m.Val && l.Loc < m.Loc) {
-			m = l
-		}
-	}
-	return m
 }

@@ -6,6 +6,73 @@ import (
 	"testing/quick"
 )
 
+// foldBody is a test-local ForallReduce body: Partial folds elem(i) over
+// [lo, hi) with op from id, Combine is op, and Init is init.
+type foldBody[T any] struct {
+	elem     func(i int) T
+	op       func(a, b T) T
+	id, init T
+}
+
+func (b foldBody[T]) Init() T { return b.init }
+
+func (b foldBody[T]) Partial(lo, hi int) T {
+	acc := b.id
+	for i := lo; i < hi; i++ {
+		acc = b.op(acc, b.elem(i))
+	}
+	return acc
+}
+
+func (b foldBody[T]) Combine(x, y T) T { return b.op(x, y) }
+
+// at returns the element function of x.
+func at[T any](x []T) func(int) T { return func(i int) T { return x[i] } }
+
+func sumOf[T Number](elem func(int) T, init T) foldBody[T] {
+	return foldBody[T]{elem: elem, op: func(a, b T) T { return a + b }, init: init}
+}
+
+// bestOf reduces to the element that beats all others under better,
+// from the identity id: a min or max reduction, or a min-loc or max-loc
+// one over (value, index) pairs.
+func bestOf[T any](elem func(int) T, better func(a, b T) bool, id, init T) foldBody[T] {
+	return foldBody[T]{elem: elem, op: func(a, b T) T {
+		if better(b, a) {
+			return b
+		}
+		return a
+	}, id: id, init: init}
+}
+
+func less[T Number](a, b T) bool    { return a < b }
+func greater[T Number](a, b T) bool { return a > b }
+
+// valLoc pairs a value with the index where it occurred.
+type valLoc struct {
+	Val float64
+	Loc int
+}
+
+func locs(x []float64) func(int) valLoc { return func(i int) valLoc { return valLoc{x[i], i} } }
+
+// firstLoc orders (value, index) pairs by better on the value, ties to
+// the smallest index, so the answer is the same under every policy.
+func firstLoc(better func(a, b float64) bool) func(a, b valLoc) bool {
+	return func(a, b valLoc) bool { return better(a.Val, b.Val) || (a.Val == b.Val && a.Loc < b.Loc) }
+}
+
+// forEachPolicy runs f under every test policy crossed with every test
+// schedule.
+func forEachPolicy(f func(p Policy)) {
+	for _, p := range testPolicies {
+		for _, sched := range testSchedules {
+			p.Schedule = sched
+			f(p)
+		}
+	}
+}
+
 func TestReduceSumMatchesSequential(t *testing.T) {
 	const n = 10000
 	x := make([]float64, n)
@@ -14,30 +81,35 @@ func TestReduceSumMatchesSequential(t *testing.T) {
 		x[i] = float64(i%13) * 0.5
 		want += x[i]
 	}
-	for _, p := range testPolicies {
-		r := NewReduceSum(p, 1.5)
-		Forall(p, n, func(c Ctx, i int) { r.Add(c, x[i]) })
-		if got := r.Get(); math.Abs(got-(want+1.5)) > 1e-9*want {
+	forEachPolicy(func(p Policy) {
+		if got := ForallReduce[float64](p, n, sumOf(at(x), 1.5)); math.Abs(got-(want+1.5)) > 1e-9*want {
 			t.Errorf("policy %v: sum = %v, want %v", p, got, want+1.5)
 		}
-	}
+	})
 }
 
+// TestReduceSumReset checks that Init is folded in exactly once per
+// ForallReduce call: a second call with a new initial value starts over,
+// and an empty range yields the initial value alone.
 func TestReduceSumReset(t *testing.T) {
-	p := ParPolicy(4)
-	r := NewReduceSum(p, 0.0)
-	Forall(p, 100, func(c Ctx, i int) { r.Add(c, 1) })
-	if r.Get() != 100 {
-		t.Fatalf("first pass sum = %v, want 100", r.Get())
+	ones, twos := make([]float64, 100), make([]float64, 10)
+	for i := range ones {
+		ones[i] = 1
 	}
-	r.Reset(5)
-	if r.Get() != 5 {
-		t.Fatalf("after reset sum = %v, want 5", r.Get())
+	for i := range twos {
+		twos[i] = 2
 	}
-	Forall(p, 10, func(c Ctx, i int) { r.Add(c, 2) })
-	if r.Get() != 25 {
-		t.Fatalf("second pass sum = %v, want 25", r.Get())
-	}
+	forEachPolicy(func(p Policy) {
+		if got := ForallReduce[float64](p, len(ones), sumOf(at(ones), 0)); got != 100 {
+			t.Errorf("policy %v: first pass sum = %v, want 100", p, got)
+		}
+		if got := ForallReduce[float64](p, 0, sumOf(at(twos), 5)); got != 5 {
+			t.Errorf("policy %v: empty pass sum = %v, want 5", p, got)
+		}
+		if got := ForallReduce[float64](p, len(twos), sumOf(at(twos), 5)); got != 25 {
+			t.Errorf("policy %v: second pass sum = %v, want 25", p, got)
+		}
+	})
 }
 
 func TestReduceMinMax(t *testing.T) {
@@ -48,29 +120,28 @@ func TestReduceMinMax(t *testing.T) {
 	}
 	x[1234] = -9.5
 	x[4321] = 7.25
-	for _, p := range testPolicies {
-		mn := NewReduceMin(p, math.Inf(1))
-		mx := NewReduceMax(p, math.Inf(-1))
-		Forall(p, n, func(c Ctx, i int) {
-			mn.Min(c, x[i])
-			mx.Max(c, x[i])
-		})
-		if mn.Get() != -9.5 {
-			t.Errorf("policy %v: min = %v, want -9.5", p, mn.Get())
-		}
-		if mx.Get() != 7.25 {
-			t.Errorf("policy %v: max = %v, want 7.25", p, mx.Get())
-		}
+	wantMin, wantMax := math.Inf(1), math.Inf(-1)
+	for _, v := range x {
+		wantMin = math.Min(wantMin, v)
+		wantMax = math.Max(wantMax, v)
 	}
+	forEachPolicy(func(p Policy) {
+		if got := ForallReduce[float64](p, n, bestOf(at(x), less, math.Inf(1), math.Inf(1))); got != wantMin {
+			t.Errorf("policy %v: min = %v, want %v", p, got, wantMin)
+		}
+		if got := ForallReduce[float64](p, n, bestOf(at(x), greater, math.Inf(-1), math.Inf(-1))); got != wantMax {
+			t.Errorf("policy %v: max = %v, want %v", p, got, wantMax)
+		}
+	})
 }
 
 func TestReduceMinRespectsInit(t *testing.T) {
-	p := ParPolicy(2)
-	mn := NewReduceMin(p, -100.0)
-	Forall(p, 100, func(c Ctx, i int) { mn.Min(c, float64(i)) })
-	if mn.Get() != -100 {
-		t.Fatalf("min = %v, want init value -100", mn.Get())
-	}
+	elem := func(i int) float64 { return float64(i) }
+	forEachPolicy(func(p Policy) {
+		if got := ForallReduce[float64](p, 100, bestOf(elem, less, math.Inf(1), -100)); got != -100 {
+			t.Errorf("policy %v: min = %v, want init value -100", p, got)
+		}
+	})
 }
 
 func TestReduceMinLocFindsFirstOccurrence(t *testing.T) {
@@ -81,30 +152,62 @@ func TestReduceMinLocFindsFirstOccurrence(t *testing.T) {
 	}
 	x[700] = -3
 	x[2900] = -3 // tie: location must resolve to 700
-	for _, p := range testPolicies {
-		r := NewReduceMinLoc(p, math.Inf(1), -1)
-		Forall(p, n, func(c Ctx, i int) { r.MinLoc(c, x[i], i) })
-		got := r.Get()
-		if got.Val != -3 || got.Loc != 700 {
-			t.Errorf("policy %v: minloc = (%v,%d), want (-3,700)", p, got.Val, got.Loc)
+	id := valLoc{math.Inf(1), -1}
+	want := id
+	for i, v := range x {
+		if v < want.Val {
+			want = valLoc{v, i}
 		}
 	}
+	forEachPolicy(func(p Policy) {
+		if got := ForallReduce[valLoc](p, n, bestOf(locs(x), firstLoc(less), id, id)); got != want {
+			t.Errorf("policy %v: minloc = (%v,%d), want (%v,%d)", p, got.Val, got.Loc, want.Val, want.Loc)
+		}
+	})
+}
+
+func TestReduceMaxLocFindsFirstOccurrence(t *testing.T) {
+	const n = 4000
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = -10
+	}
+	x[900] = 42
+	x[3100] = 42 // tie: location must resolve to 900
+	id, init := valLoc{math.Inf(-1), -1}, valLoc{7.5, 3}
+	want := id
+	for i, v := range x {
+		if v > want.Val {
+			want = valLoc{v, i}
+		}
+	}
+	forEachPolicy(func(p Policy) {
+		if got := ForallReduce[valLoc](p, n, bestOf(locs(x), firstLoc(greater), id, id)); got != want {
+			t.Errorf("policy %v: maxloc = (%v,%d), want (%v,%d)", p, got.Val, got.Loc, want.Val, want.Loc)
+		}
+		// Empty fold returns the initial pair.
+		if got := ForallReduce[valLoc](p, 0, bestOf(locs(x), firstLoc(greater), id, init)); got != init {
+			t.Errorf("policy %v: empty maxloc = %+v", p, got)
+		}
+	})
 }
 
 func TestReduceIntTypes(t *testing.T) {
-	p := GPUPolicy(128)
-	s := NewReduceSum[int64](p, 0)
-	mx := NewReduceMax[int](p, math.MinInt64)
-	Forall(p, 1000, func(c Ctx, i int) {
-		s.Add(c, int64(i))
-		mx.Max(c, i*3)
+	const n = 1000
+	var wantSum int64
+	wantMax := math.MinInt
+	for i := 0; i < n; i++ {
+		wantSum += int64(i)
+		wantMax = max(wantMax, i*3)
+	}
+	forEachPolicy(func(p Policy) {
+		if got := ForallReduce[int64](p, n, sumOf(func(i int) int64 { return int64(i) }, 0)); got != wantSum {
+			t.Errorf("policy %v: int64 sum = %d, want %d", p, got, wantSum)
+		}
+		if got := ForallReduce[int](p, n, bestOf(func(i int) int { return i * 3 }, greater, math.MinInt, math.MinInt)); got != wantMax {
+			t.Errorf("policy %v: int max = %d, want %d", p, got, wantMax)
+		}
 	})
-	if s.Get() != 999*1000/2 {
-		t.Errorf("int64 sum = %d, want %d", s.Get(), 999*1000/2)
-	}
-	if mx.Get() != 2997 {
-		t.Errorf("int max = %d, want 2997", mx.Get())
-	}
 }
 
 func TestMultiReduceSum(t *testing.T) {
@@ -137,27 +240,23 @@ func TestQuickReduceSumIntEquivalence(t *testing.T) {
 		for _, v := range xs {
 			want += int64(v)
 		}
-		p := ParPolicy(5)
-		r := NewReduceSum[int64](p, 0)
-		Forall(p, len(xs), func(c Ctx, i int) { r.Add(c, int64(xs[i])) })
-		return r.Get() == want
+		ok := true
+		forEachPolicy(func(p Policy) {
+			body := sumOf(func(i int) int64 { return int64(xs[i]) }, 0)
+			ok = ok && ForallReduce[int64](p, len(xs), body) == want
+		})
+		return ok
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: min/max reducers agree with a sequential fold for any input.
+// Property: min/max reductions agree with a sequential fold for any input.
 func TestQuickReduceMinMaxEquivalence(t *testing.T) {
 	f := func(xs []float32) bool {
-		p := GPUPolicy(16)
-		mn := NewReduceMin(p, float32(math.Inf(1)))
-		mx := NewReduceMax(p, float32(math.Inf(-1)))
-		Forall(p, len(xs), func(c Ctx, i int) {
-			mn.Min(c, xs[i])
-			mx.Max(c, xs[i])
-		})
-		wantMin, wantMax := float32(math.Inf(1)), float32(math.Inf(-1))
+		inf, ninf := float32(math.Inf(1)), float32(math.Inf(-1))
+		wantMin, wantMax := inf, ninf
 		for _, v := range xs {
 			if v < wantMin {
 				wantMin = v
@@ -166,32 +265,14 @@ func TestQuickReduceMinMaxEquivalence(t *testing.T) {
 				wantMax = v
 			}
 		}
-		return mn.Get() == wantMin && mx.Get() == wantMax
+		ok := true
+		forEachPolicy(func(p Policy) {
+			ok = ok && ForallReduce[float32](p, len(xs), bestOf(at(xs), less, inf, inf)) == wantMin &&
+				ForallReduce[float32](p, len(xs), bestOf(at(xs), greater, ninf, ninf)) == wantMax
+		})
+		return ok
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestReduceMaxLocFindsFirstOccurrence(t *testing.T) {
-	const n = 4000
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = -10
-	}
-	x[900] = 42
-	x[3100] = 42 // tie: location must resolve to 900
-	for _, p := range testPolicies {
-		r := NewReduceMaxLoc(p, math.Inf(-1), -1)
-		Forall(p, n, func(c Ctx, i int) { r.MaxLoc(c, x[i], i) })
-		got := r.Get()
-		if got.Val != 42 || got.Loc != 900 {
-			t.Errorf("policy %v: maxloc = (%v,%d), want (42,900)", p, got.Val, got.Loc)
-		}
-	}
-	// Empty fold returns the initial pair.
-	r := NewReduceMaxLoc(SeqPolicy(), 7.5, 3)
-	if got := r.Get(); got.Val != 7.5 || got.Loc != 3 {
-		t.Errorf("empty maxloc = %+v", got)
 	}
 }

@@ -211,21 +211,26 @@ func TestScheduleEquivalenceOnSpawnFallback(t *testing.T) {
 	}
 }
 
-// TestSchedulesAgreeOnReduction verifies a ReduceSum computes the same
-// total under every schedule: lanes are private per Ctx.Worker, so any
-// worker-index aliasing between schedules would corrupt the sum. Integer
-// elements make the check exact regardless of accumulation order.
+// TestSchedulesAgreeOnReduction verifies ForallReduce and MultiReduceSum
+// compute the same total under every schedule: their slots are private
+// per Ctx.Worker, so any worker-index aliasing between schedules would
+// corrupt the sum. Integer elements make the check exact regardless of
+// accumulation order.
 func TestSchedulesAgreeOnReduction(t *testing.T) {
 	const n = 100_001
 	want := int64(n) * int64(n-1) / 2
+	elem := func(i int) int64 { return int64(i) }
 	for _, kind := range []PolicyKind{Par, GPU} {
 		for _, sched := range []Schedule{ScheduleStatic, ScheduleDynamic, ScheduleGuided} {
 			for _, workers := range []int{1, 3, 8} {
 				p := Policy{Kind: kind, Workers: workers, Schedule: sched}
-				sum := NewReduceSum[int64](p, 0)
-				Forall(p, n, func(c Ctx, i int) { sum.Add(c, int64(i)) })
-				if got := sum.Get(); got != want {
-					t.Errorf("%v/%v/w%d: sum = %d, want %d", kind, sched, workers, got, want)
+				if got := ForallReduce[int64](p, n, sumOf(elem, 0)); got != want {
+					t.Errorf("%v/%v/w%d: ForallReduce sum = %d, want %d", kind, sched, workers, got, want)
+				}
+				m := NewMultiReduceSum[int64](p, 1)
+				Forall(p, n, func(c Ctx, i int) { m.Add(c, 0, elem(i)) })
+				if got := m.Get(0); got != want {
+					t.Errorf("%v/%v/w%d: MultiReduceSum sum = %d, want %d", kind, sched, workers, got, want)
 				}
 			}
 		}

@@ -79,7 +79,7 @@ func FillSpan(dst []float64, v float64, lo, hi int) {
 }
 
 // DotSpan returns the ascending-order sum of a[i]*b[i] over [lo, hi) —
-// the same association a per-index reducer accumulates for the span.
+// the same association a per-index fold accumulates over the span.
 func DotSpan(a, b []float64, lo, hi int) float64 {
 	if lo >= hi {
 		return 0

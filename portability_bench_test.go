@@ -9,9 +9,9 @@ import (
 )
 
 // BenchmarkPortability measures the RAJA-vs-Base abstraction gap. Base
-// and RAJA variants run each kernel's one loop body, so for each kernel
-// it times Base_Seq and RAJA_Seq as paired runs under one sub-benchmark
-// that cmd/benchgate's portability mode parses:
+// and RAJA variants run each kernel's one loop or reduction body, so for
+// each kernel it times Base_Seq and RAJA_Seq as paired runs under one
+// sub-benchmark that cmd/benchgate's portability mode parses:
 //
 //	go test -run '^$' -bench BenchmarkPortability -benchtime 200x -count 3 . > bench_portability.txt
 //	go run ./cmd/benchgate -portability -baseline testdata/portability_baseline.json \
@@ -32,6 +32,8 @@ func BenchmarkPortability(b *testing.B) {
 	names := []string{
 		"Stream_TRIAD", "Stream_ADD", "Stream_COPY", "Stream_MUL",
 		"Stream_DOT", "Basic_DAXPY", "Lcals_HYDRO_1D", "Lcals_EOS",
+		"Algorithm_REDUCE_SUM", "Basic_PI_REDUCE", "Basic_TRAP_INT",
+		"Basic_REDUCE3_INT", "Basic_REDUCE_STRUCT", "Lcals_FIRST_MIN",
 	}
 	for _, name := range names {
 		b.Run(name, func(b *testing.B) {
