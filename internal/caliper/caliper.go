@@ -11,30 +11,41 @@
 // source is the PAPI analog) are sampled at region boundaries and their
 // deltas recorded as per-region metrics, a streaming event-trace service
 // (Tracer) emits Chrome-trace events, and the executor's load-imbalance
-// service is enabled through the same Services set. Overhead of the
-// enabled services is self-measured by CalibrateOverhead.
+// service is enabled through the same Services set.
+//
+// The recorder keeps a tree of nodes, children looked up by region name,
+// and a stack of the open regions' nodes: Begin, End, SetMetric and
+// AddMetric work on the top node, and SetMetricAt and AddMetricAt walk
+// their path from the root, so none joins a path or allocates on a node
+// that already has a record. Begin and End time their own work (counter
+// sampling, bookkeeping, trace emission); Overhead reports that cost per
+// closed region, measured on the run's own regions.
 //
 // # Concurrency contract
 //
-// Region structure is per-driver: Begin, End, and Region must be called,
-// properly nested, from the single goroutine driving the run (Caliper's
-// per-thread annotation stacks). Metric recording — SetMetric, AddMetric,
-// SetMetricAt — and AddMetadata are safe to call from any goroutine at
-// any time. Counter sources are sampled only from the driving goroutine,
-// outside the recorder's locks, so a slow source never blocks concurrent
-// metric writers. Profile may be called concurrently with metric and
-// metadata writers; it snapshots both under their locks.
+// Region structure is per-driver: Begin, End, Region and Overhead must
+// be called, properly nested, from the single goroutine driving the run
+// (Caliper's per-thread annotation stacks). Metric recording —
+// SetMetric, AddMetric, SetMetricAt, AddMetricAt — and AddMetadata are
+// safe to call from any goroutine at any time. Counter sources are
+// sampled only from the driving goroutine, outside the recorder's locks,
+// so a slow source never blocks concurrent metric writers. Profile may be
+// called concurrently with metric and metadata writers; it snapshots both
+// under their locks.
 package caliper
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 )
 
-// PathSep joins region names into node paths.
+// PathSep joins region names into node paths (Record.PathKey). Region
+// names must not contain it: the recorder keys nodes by name, so "a/b"
+// and the child "b" of "a" are distinct nodes whose keys would collide.
 const PathSep = "/"
 
 // Record is the measurement set of one call-tree node.
@@ -65,8 +76,33 @@ type Config struct {
 	Tracer *Tracer
 }
 
-// frame is the per-open-region state pushed by Begin: the start time and
+// node is one call-tree node of a recorder. Its record is created when
+// the node is itself touched (Begin, or a metric write naming it), not
+// when a longer path merely walks through it.
+type node struct {
+	path     []string
+	children map[string]*node
+	rec      *Record
+}
+
+// child returns n's child named name, creating the node (but not its
+// record) if missing.
+func (n *node) child(name string) *node {
+	if ch, ok := n.children[name]; ok {
+		return ch
+	}
+	if n.children == nil {
+		n.children = map[string]*node{}
+	}
+	ch := &node{path: append(n.path[:len(n.path):len(n.path)], name)}
+	n.children[name] = ch
+	return ch
+}
+
+// frame is the driver-side state of one open region: the start time and
 // the counter sample taken at entry (nil when no sources are enabled).
+// Frames are reused by depth, so a region's sample buffer is allocated
+// once per nesting level.
 type frame struct {
 	start  time.Time
 	sample []float64
@@ -79,14 +115,21 @@ type Recorder struct {
 	cfg      Config
 	counters []Counter // flattened across cfg.Sources, in source order
 
-	// mu guards the region stack and the record table. It is held only
-	// for the in-memory bookkeeping of each operation — never across
-	// counter sampling or trace emission.
-	mu      sync.Mutex
-	stack   []string
-	frames  []frame
-	records map[string]*Record
-	order   []string
+	// mu guards the region tree, the open-region stack and the record
+	// order. It is held only for the in-memory bookkeeping of each
+	// operation — never across counter sampling or trace emission.
+	mu    sync.Mutex
+	root  node
+	stack []*node
+	order []*Record
+
+	// Driver-only state, touched by Begin, End and Overhead alone: the
+	// open regions' frames, End's sample buffer, and the annotation
+	// path's own cost so far.
+	frames    []frame
+	endSample []float64
+	spent     time.Duration
+	closed    int
 
 	// metaMu guards run metadata separately, so metadata writers never
 	// contend with the measurement path.
@@ -100,11 +143,7 @@ func NewRecorder() *Recorder { return NewRecorderWith(Config{}) }
 // NewRecorderWith returns an empty recorder with the given measurement
 // services enabled.
 func NewRecorderWith(cfg Config) *Recorder {
-	c := &Recorder{
-		cfg:      cfg,
-		records:  map[string]*Record{},
-		metadata: map[string]any{},
-	}
+	c := &Recorder{cfg: cfg, metadata: map[string]any{}}
 	for _, src := range cfg.Sources {
 		c.counters = append(c.counters, src.Counters()...)
 	}
@@ -121,13 +160,16 @@ func (c *Recorder) AddMetadata(key string, value any) {
 	c.metaMu.Unlock()
 }
 
-// sampleCounters reads every enabled counter source into one flattened
-// sample. Called from the driving goroutine outside c.mu.
-func (c *Recorder) sampleCounters() []float64 {
+// sampleCounters reads every enabled counter source into buf (nil, or a
+// buffer it returned before) and returns it. Called from the driving
+// goroutine outside c.mu.
+func (c *Recorder) sampleCounters(buf []float64) []float64 {
 	if len(c.counters) == 0 {
 		return nil
 	}
-	buf := make([]float64, len(c.counters))
+	if buf == nil {
+		buf = make([]float64, len(c.counters))
+	}
 	off := 0
 	for _, src := range c.cfg.Sources {
 		n := len(src.Counters())
@@ -138,15 +180,26 @@ func (c *Recorder) sampleCounters() []float64 {
 }
 
 // Begin opens a region. Regions nest: a Begin inside an open region
-// creates a child node. Counter sources are sampled on entry.
+// creates a child node. Counter sources are sampled on entry, and the
+// region's start time is taken last, so its "time" excludes the
+// recorder's own bookkeeping.
 func (c *Recorder) Begin(name string) {
-	sample := c.sampleCounters()
-	now := time.Now()
+	entered := time.Now()
 	c.mu.Lock()
-	c.stack = append(c.stack, name)
-	c.frames = append(c.frames, frame{start: now, sample: sample})
-	c.ensureLocked(c.stack)
+	parent := &c.root
+	if len(c.stack) > 0 {
+		parent = c.stack[len(c.stack)-1]
+	}
+	n := parent.child(name)
+	c.recordLocked(n)
+	c.stack = append(c.stack, n)
 	c.mu.Unlock()
+
+	c.frames = slices.Grow(c.frames, 1)[:len(c.frames)+1]
+	f := &c.frames[len(c.frames)-1]
+	f.sample = c.sampleCounters(f.sample)
+	f.start = time.Now()
+	c.spent += f.start.Sub(entered)
 }
 
 // End closes the innermost open region, accumulating its inclusive wall
@@ -154,36 +207,39 @@ func (c *Recorder) Begin(name string) {
 // region's counter-source deltas. It returns an error if name does not
 // match the innermost region (misnested annotations).
 func (c *Recorder) End(name string) error {
-	sample := c.sampleCounters()
 	now := time.Now()
+	sample := c.sampleCounters(c.endSample)
+	c.endSample = sample
 	c.mu.Lock()
 	if len(c.stack) == 0 {
 		c.mu.Unlock()
 		return fmt.Errorf("caliper: End(%q) with no open region", name)
 	}
-	top := c.stack[len(c.stack)-1]
-	if top != name {
+	n := c.stack[len(c.stack)-1]
+	if top := n.path[len(n.path)-1]; top != name {
 		c.mu.Unlock()
 		return fmt.Errorf("caliper: End(%q) does not match open region %q", name, top)
 	}
-	f := c.frames[len(c.frames)-1]
+	f := &c.frames[len(c.frames)-1]
 	elapsed := now.Sub(f.start)
-	rec := c.ensureLocked(c.stack)
-	rec.Metrics["time"] += elapsed.Seconds()
-	rec.Metrics["count"]++
+	m := n.rec.Metrics
+	m["time"] += elapsed.Seconds()
+	m["count"]++
 	for i, ctr := range c.counters {
 		if ctr.Gauge {
-			rec.Metrics[ctr.Name] = sample[i]
+			m[ctr.Name] = sample[i]
 		} else {
-			rec.Metrics[ctr.Name] += sample[i] - f.sample[i]
+			m[ctr.Name] += sample[i] - f.sample[i]
 		}
 	}
 	c.stack = c.stack[:len(c.stack)-1]
-	c.frames = c.frames[:len(c.frames)-1]
 	c.mu.Unlock()
+	c.frames = c.frames[:len(c.frames)-1]
 	if tr := c.cfg.Tracer; tr != nil {
 		tr.RegionEvent(name, f.start, elapsed)
 	}
+	c.closed++
+	c.spent += time.Since(now)
 	return nil
 }
 
@@ -194,26 +250,27 @@ func (c *Recorder) Region(name string, f func()) {
 	f()
 }
 
+// currentLocked returns the innermost open region's node, or the "main"
+// pseudo-root's when none is open. Callers hold c.mu.
+func (c *Recorder) currentLocked() *node {
+	if len(c.stack) == 0 {
+		return c.root.child("main")
+	}
+	return c.stack[len(c.stack)-1]
+}
+
 // SetMetric records metric value v on the innermost open region, or on the
 // root pseudo-region if none is open. Repeated calls overwrite.
 func (c *Recorder) SetMetric(metric string, v float64) {
 	c.mu.Lock()
-	path := c.stack
-	if len(path) == 0 {
-		path = []string{"main"}
-	}
-	c.ensureLocked(path).Metrics[metric] = v
+	c.recordLocked(c.currentLocked()).Metrics[metric] = v
 	c.mu.Unlock()
 }
 
 // AddMetric accumulates metric value v on the innermost open region.
 func (c *Recorder) AddMetric(metric string, v float64) {
 	c.mu.Lock()
-	path := c.stack
-	if len(path) == 0 {
-		path = []string{"main"}
-	}
-	c.ensureLocked(path).Metrics[metric] += v
+	c.recordLocked(c.currentLocked()).Metrics[metric] += v
 	c.mu.Unlock()
 }
 
@@ -222,7 +279,7 @@ func (c *Recorder) AddMetric(metric string, v float64) {
 // counters to kernel nodes after the run.
 func (c *Recorder) SetMetricAt(path []string, metric string, v float64) {
 	c.mu.Lock()
-	c.ensureLocked(path).Metrics[metric] = v
+	c.recordLocked(c.nodeLocked(path)).Metrics[metric] = v
 	c.mu.Unlock()
 }
 
@@ -230,24 +287,28 @@ func (c *Recorder) SetMetricAt(path []string, metric string, v float64) {
 // the node if needed.
 func (c *Recorder) AddMetricAt(path []string, metric string, v float64) {
 	c.mu.Lock()
-	c.ensureLocked(path).Metrics[metric] += v
+	c.recordLocked(c.nodeLocked(path)).Metrics[metric] += v
 	c.mu.Unlock()
 }
 
-// ensureLocked returns the record for path, creating it if missing.
-// Callers hold c.mu.
-func (c *Recorder) ensureLocked(path []string) *Record {
-	key := strings.Join(path, PathSep)
-	if r, ok := c.records[key]; ok {
-		return r
+// nodeLocked walks path from the root, creating missing nodes. Callers
+// hold c.mu.
+func (c *Recorder) nodeLocked(path []string) *node {
+	n := &c.root
+	for _, name := range path {
+		n = n.child(name)
 	}
-	r := &Record{
-		Path:    append([]string(nil), path...),
-		Metrics: map[string]float64{},
+	return n
+}
+
+// recordLocked returns n's record, creating it — and fixing its place in
+// first-touch order — if missing. Callers hold c.mu.
+func (c *Recorder) recordLocked(n *node) *Record {
+	if n.rec == nil {
+		n.rec = &Record{Path: n.path, Metrics: map[string]float64{}}
+		c.order = append(c.order, n.rec)
 	}
-	c.records[key] = r
-	c.order = append(c.order, key)
-	return r
+	return n.rec
 }
 
 // OpenDepth reports how many regions are currently open (for verifying
@@ -259,13 +320,12 @@ func (c *Recorder) OpenDepth() int {
 }
 
 // RegionCount returns the total number of closed region instances (the
-// sum of every node's "count" metric) — the divisor overhead accounting
-// scales by.
+// sum of every node's "count" metric).
 func (c *Recorder) RegionCount() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var n float64
-	for _, r := range c.records {
+	for _, r := range c.order {
 		n += r.Metrics["count"]
 	}
 	return n
@@ -281,8 +341,7 @@ func (c *Recorder) Profile() *Profile {
 	}
 	c.metaMu.Unlock()
 	c.mu.Lock()
-	for _, key := range c.order {
-		r := c.records[key]
+	for _, r := range c.order {
 		cp := Record{
 			Path:    append([]string(nil), r.Path...),
 			Metrics: make(map[string]float64, len(r.Metrics)),

@@ -1,55 +1,33 @@
 package caliper
 
-import "time"
-
 // Overhead self-measurement: real Caliper ships papers' favorite
-// question — "what did the measurement cost?" — as a calibration of its
-// own annotation path. We reproduce that: time a batch of empty regions
-// under the run's exact service configuration and report the
-// per-region instrumentation cost, which the suite scales by the run's
-// region count into an overhead fraction recorded in metadata.
+// question — "what did the measurement cost?" — as self-profiling of its
+// own annotation path. The recorder answers it in the run itself: Begin
+// and End time the work they do besides the region (counter sampling,
+// tree bookkeeping, trace emission), so the cost is that of the run's
+// real regions under its exact service set, and the suite scales it into
+// an overhead fraction recorded in metadata.
 
-// Overhead is the result of one calibration pass.
+// Overhead is the annotation path's measured cost over a run.
 type Overhead struct {
-	// PerRegionSec is the mean wall cost of one empty Begin/End pair
-	// under the calibrated service set.
+	// PerRegionSec is the mean time Begin and End spent on the
+	// recorder's own work per closed region.
 	PerRegionSec float64
-	// Samples is how many empty regions the calibration timed.
+	// Samples is the number of regions closed, the count the mean is
+	// taken over.
 	Samples int
 }
 
-// DefaultOverheadSamples is the calibration batch size used when
-// CalibrateOverhead's samples argument is zero or negative.
-const DefaultOverheadSamples = 2000
-
-// CalibrateOverhead measures the recorder's own per-region cost: it
-// builds a scratch recorder with the same counter sources (and, when
-// tracing is on, a scratch tracer of matching shape, so trace emission
-// is paid but the real trace is not polluted), then times empty
-// Begin/End pairs. The scratch recorder shares source instances with c,
-// so run it from the goroutine driving c, not concurrently with it.
-func (c *Recorder) CalibrateOverhead(samples int) Overhead {
-	if samples <= 0 {
-		samples = DefaultOverheadSamples
+// Overhead returns the annotation cost measured so far: the time Begin
+// and End spent outside the regions they delimit, per closed region.
+// Like Begin and End, call it from the goroutine driving the run.
+func (c *Recorder) Overhead() Overhead {
+	if c.closed == 0 {
+		return Overhead{}
 	}
-	cfg := Config{Sources: c.cfg.Sources}
-	if c.cfg.Tracer != nil {
-		cfg.Tracer = NewTracer(1, samples+1)
-	}
-	scratch := NewRecorderWith(cfg)
-	scratch.Region("cali.calibrate", func() {
-		start := time.Now()
-		for i := 0; i < samples; i++ {
-			scratch.Begin("cali.empty")
-			scratch.End("cali.empty") //nolint:errcheck // always matched
-		}
-		elapsed := time.Since(start).Seconds()
-		scratch.SetMetric("per_region_sec", elapsed/float64(samples))
-	})
-	rec := scratch.Profile().Find("cali.calibrate")
 	return Overhead{
-		PerRegionSec: rec.Metrics["per_region_sec"],
-		Samples:      samples,
+		PerRegionSec: c.spent.Seconds() / float64(c.closed),
+		Samples:      c.closed,
 	}
 }
 

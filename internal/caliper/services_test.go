@@ -134,26 +134,36 @@ func TestRuntimeSource(t *testing.T) {
 	}
 }
 
+// TestCalibrateOverhead checks the in-run overhead measurement: every
+// closed region is one sample, each is traced once, and the measured cost
+// is positive under the runtime source with a real tracer.
 func TestCalibrateOverhead(t *testing.T) {
 	svc, err := ParseServices("runtime")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecorderWith(Config{
-		Sources: svc.CounterSources(),
-		Tracer:  NewTracer(1, 64),
-	})
-	ov := rec.CalibrateOverhead(200)
+	const n = 200
+	tracer := NewTracer(1, 2*n)
+	rec := NewRecorderWith(Config{Sources: svc.CounterSources(), Tracer: tracer})
+	if ov := rec.Overhead(); ov != (Overhead{}) {
+		t.Errorf("Overhead before any region = %+v, want zero", ov)
+	}
+	rec.Begin("outer")
+	for i := 0; i < n-1; i++ {
+		rec.Region("r", func() {})
+	}
+	if err := rec.End("outer"); err != nil {
+		t.Fatal(err)
+	}
+	ov := rec.Overhead()
 	if ov.PerRegionSec <= 0 {
 		t.Errorf("PerRegionSec = %v, want > 0", ov.PerRegionSec)
 	}
-	if ov.Samples != 200 {
-		t.Errorf("Samples = %d, want 200", ov.Samples)
+	if ov.Samples != n {
+		t.Errorf("Samples = %d, want %d regions closed", ov.Samples, n)
 	}
-	// The calibration scratch tracer must not leak events into the
-	// recorder's real tracer.
-	if n := len(rec.cfg.Tracer.Events()); n != 0 {
-		t.Errorf("calibration leaked %d events into the run tracer", n)
+	if got := len(tracer.Events()); got != n {
+		t.Errorf("tracer holds %d events, want one per region (%d)", got, n)
 	}
 	if f := ov.Fraction(10, 1); f <= 0 {
 		t.Errorf("Fraction(10, 1s) = %v, want > 0", f)

@@ -1,46 +1,59 @@
 package kernels
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
-// registry holds kernel factories in registration order.
+// registry holds kernel factories and each kernel's sort key.
 var registry = struct {
 	sync.Mutex
-	order     []string
+	sorted    []entry // by group, then name: the order Names returns
 	factories map[string]func() Kernel
 }{factories: map[string]func() Kernel{}}
+
+// entry is one registered kernel's figure-order sort key and full name,
+// recorded at Register so sorting never constructs a kernel.
+type entry struct {
+	group      Group
+	name, full string
+}
+
+func (a entry) compare(b entry) int {
+	if a.group != b.group {
+		return cmp.Compare(a.group, b.group)
+	}
+	return strings.Compare(a.name, b.name)
+}
 
 // Register adds a kernel factory to the global registry. It panics if a
 // kernel with the same full name is already registered. Kernel packages
 // call it from init.
 func Register(f func() Kernel) {
-	name := f().Info().FullName()
+	info := f().Info()
+	e := entry{group: info.Group, name: info.Name, full: info.FullName()}
 	registry.Lock()
 	defer registry.Unlock()
-	if _, dup := registry.factories[name]; dup {
-		panic(fmt.Sprintf("kernels: duplicate registration of %s", name))
+	if _, dup := registry.factories[e.full]; dup {
+		panic(fmt.Sprintf("kernels: duplicate registration of %s", e.full))
 	}
-	registry.factories[name] = f
-	registry.order = append(registry.order, name)
+	registry.factories[e.full] = f
+	i, _ := slices.BinarySearchFunc(registry.sorted, e, entry.compare)
+	registry.sorted = slices.Insert(registry.sorted, i, e)
 }
 
 // Names returns the full names of all registered kernels sorted by group
 // then name, the order the paper's figures use.
 func Names() []string {
 	registry.Lock()
-	names := append([]string(nil), registry.order...)
-	factories := registry.factories
-	registry.Unlock()
-	sort.Slice(names, func(i, j int) bool {
-		a, b := factories[names[i]]().Info(), factories[names[j]]().Info()
-		if a.Group != b.Group {
-			return a.Group < b.Group
-		}
-		return a.Name < b.Name
-	})
+	defer registry.Unlock()
+	names := make([]string, len(registry.sorted))
+	for i, e := range registry.sorted {
+		names[i] = e.full
+	}
 	return names
 }
 

@@ -72,6 +72,10 @@ func TestRunWithServices(t *testing.T) {
 	if ovPerRegion <= 0 {
 		t.Errorf("caliper.overhead.per_region_sec = %v, want > 0", ovPerRegion)
 	}
+	// One overhead sample per region closed: each kernel run and "suite".
+	if got, want := p.Metadata["caliper.overhead.samples"], p.Metadata["kernels_run"].(int)+1; got != want {
+		t.Errorf("caliper.overhead.samples = %v, want %d (kernels run + 1)", got, want)
+	}
 	ovPct, ok := p.Metadata["caliper.overhead.pct"].(float64)
 	if !ok || ovPct < 0 || ovPct > 100 {
 		t.Errorf("caliper.overhead.pct = %v, want a percentage", p.Metadata["caliper.overhead.pct"])

@@ -16,7 +16,7 @@
 //     profile ("error" metric, "errors"/"kernels_failed" metadata) and
 //     the run continues instead of discarding the whole profile;
 //   - finalize closes the run: end-of-collection metadata and the
-//     recorder's overhead self-measurement.
+//     annotation overhead the recorder measured during the run.
 //
 // RunContext threads context cancellation between kernels, so a campaign
 // can abandon an in-flight run at kernel granularity.
@@ -267,8 +267,8 @@ func (r *run) close() {
 }
 
 // finalize closes the run: end-of-collection metadata, failure accounting,
-// and the recorder's overhead self-measurement under the run's exact
-// service set.
+// and the annotation overhead the recorder measured on the run's own
+// regions.
 func (r *run) finalize() *caliper.Profile {
 	wall := time.Since(r.wallStart).Seconds()
 	r.rec.AddMetadata("collection_end", adiak.Timestamp())
@@ -279,10 +279,10 @@ func (r *run) finalize() *caliper.Profile {
 		r.rec.AddMetadata("errors", append([]string(nil), r.failed...))
 	}
 
-	ov := r.rec.CalibrateOverhead(0)
+	ov := r.rec.Overhead()
 	r.rec.AddMetadata("caliper.overhead.per_region_sec", ov.PerRegionSec)
 	r.rec.AddMetadata("caliper.overhead.samples", ov.Samples)
-	r.rec.AddMetadata("caliper.overhead.pct", 100*ov.Fraction(r.rec.RegionCount(), wall))
+	r.rec.AddMetadata("caliper.overhead.pct", 100*ov.Fraction(float64(ov.Samples), wall))
 	return r.rec.Profile()
 }
 
