@@ -37,6 +37,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"rajaperf/internal/frame"
 )
 
 // Baseline is the checked-in acceptance floor the gate enforces.
@@ -214,9 +216,9 @@ func gatePortability(results map[string]map[string][]float64, bl PortBaseline) P
 			continue
 		}
 		kr := PortKernelReport{
-			BaseNs: median(units["base_seq_ns/op"]),
-			RAJANs: median(units["raja_seq_ns/op"]),
-			Ratio:  median(ratios),
+			BaseNs: frame.MedianInPlace(slices.Clone(units["base_seq_ns/op"])),
+			RAJANs: frame.MedianInPlace(slices.Clone(units["raja_seq_ns/op"])),
+			Ratio:  frame.MedianInPlace(slices.Clone(ratios)),
 		}
 		rep.Kernels[name] = kr
 		ceil := kb.Ratio * (1 + bl.TolerancePct/100)
@@ -228,20 +230,6 @@ func gatePortability(results map[string]map[string][]float64, bl PortBaseline) P
 	}
 	rep.Pass = len(rep.Failures) == 0
 	return rep
-}
-
-// median returns the middle value of xs (the mean of the two middle
-// values for an even count), or 0 for none.
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := slices.Clone(xs)
-	slices.Sort(s)
-	if len(s)%2 == 1 {
-		return s[len(s)/2]
-	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
 // runPortability is the -portability entry point: parse, gate, report.

@@ -38,7 +38,7 @@ func goldenCampaign(t *testing.T) string {
 	}
 	kernels := []string{"Stream_TRIAD", "Basic_DAXPY", "Polybench_GEMM"}
 	for i, sp := range specs {
-		c := caliper.NewRecorder()
+		c := caliper.NewRecorderWith(caliper.Config{})
 		c.AddMetadata("machine", sp.machine)
 		c.AddMetadata("variant", sp.variant)
 		if sp.sched != "" {

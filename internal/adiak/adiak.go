@@ -6,7 +6,6 @@ package adiak
 import (
 	"os"
 	"runtime"
-	"sort"
 	"time"
 )
 
@@ -64,16 +63,6 @@ func Merge(m Metadata, extra Metadata) Metadata {
 		out[k] = v
 	}
 	return out
-}
-
-// Keys returns m's keys sorted, for deterministic output.
-func Keys(m Metadata) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }
 
 // String returns v's string value if it is a string, else "".

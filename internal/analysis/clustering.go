@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"rajaperf/internal/cluster"
+	"rajaperf/internal/frame"
 	"rajaperf/internal/kernels"
 	"rajaperf/internal/machine"
 	"rajaperf/internal/thicket"
@@ -157,9 +158,9 @@ func (s *Session) Cluster(threshold float64) (*ClusterResult, error) {
 		st.Retiring /= n
 		st.CoreBound /= n
 		st.MemoryBound /= n
-		st.SpeedupHBM = median(spLists[id][0])
-		st.SpeedupV100 = median(spLists[id][1])
-		st.SpeedupMI250X = median(spLists[id][2])
+		st.SpeedupHBM = frame.MedianInPlace(spLists[id][0])
+		st.SpeedupV100 = frame.MedianInPlace(spLists[id][1])
+		st.SpeedupMI250X = frame.MedianInPlace(spLists[id][2])
 		sort.Strings(st.Kernels)
 	}
 	res.Stats = stats
@@ -177,20 +178,6 @@ func (s *Session) Cluster(threshold float64) (*ClusterResult, error) {
 		res.GroupCounts[g][id]++
 	}
 	return res, nil
-}
-
-// median returns the middle value of xs (0 if empty).
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n := len(s); n%2 == 1 {
-		return s[n/2]
-	} else {
-		return 0.5 * (s[n/2-1] + s[n/2])
-	}
 }
 
 // MostMemoryBoundCluster returns the ID of the cluster with the highest

@@ -13,7 +13,7 @@ import (
 func TestSessionLoadDirLenient(t *testing.T) {
 	dir := t.TempDir()
 	for i, m := range []string{"SPR-DDR", "SPR-HBM"} {
-		c := caliper.NewRecorder()
+		c := caliper.NewRecorderWith(caliper.Config{})
 		c.AddMetadata("machine", m)
 		c.AddMetadata("variant", "RAJA_Seq")
 		c.SetMetricAt([]string{"suite", "K"}, "time", float64(i+1))
@@ -27,7 +27,7 @@ func TestSessionLoadDirLenient(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "torn"+caliper.FileExt), []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	anon := caliper.NewRecorder()
+	anon := caliper.NewRecorderWith(caliper.Config{})
 	anon.SetMetricAt([]string{"suite", "K"}, "time", 9)
 	if err := anon.Profile().WriteFile(filepath.Join(dir, "anon"+caliper.FileExt)); err != nil {
 		t.Fatal(err)

@@ -14,24 +14,23 @@
 // service is enabled through the same Services set.
 //
 // The recorder keeps a tree of nodes, children looked up by region name,
-// and a stack of the open regions' nodes: Begin, End, SetMetric and
-// AddMetric work on the top node, and SetMetricAt and AddMetricAt walk
-// their path from the root, so none joins a path or allocates on a node
-// that already has a record. Begin and End time their own work (counter
-// sampling, bookkeeping, trace emission); Overhead reports that cost per
-// closed region, measured on the run's own regions.
+// and a stack of the open regions' nodes: Begin, End and SetMetric work
+// on the top node, and SetMetricAt walks its path from the root, so none
+// joins a path or allocates on a node that already has a record. Begin
+// and End time their own work (counter sampling, bookkeeping, trace
+// emission); Overhead reports that cost per closed region, measured on
+// the run's own regions.
 //
 // # Concurrency contract
 //
-// Region structure is per-driver: Begin, End, Region and Overhead must
-// be called, properly nested, from the single goroutine driving the run
-// (Caliper's per-thread annotation stacks). Metric recording —
-// SetMetric, AddMetric, SetMetricAt, AddMetricAt — and AddMetadata are
-// safe to call from any goroutine at any time. Counter sources are
-// sampled only from the driving goroutine, outside the recorder's locks,
-// so a slow source never blocks concurrent metric writers. Profile may be
-// called concurrently with metric and metadata writers; it snapshots both
-// under their locks.
+// Region structure is per-driver: Begin, End and Overhead must be
+// called, properly nested, from the single goroutine driving the run
+// (Caliper's per-thread annotation stacks). Metric recording (SetMetric
+// and SetMetricAt) and AddMetadata are safe to call from any goroutine at
+// any time. Counter sources are sampled only from the driving goroutine,
+// outside the recorder's locks, so a slow source never blocks concurrent
+// metric writers. Profile may be called concurrently with metric and
+// metadata writers; it snapshots both under their locks.
 package caliper
 
 import (
@@ -137,9 +136,6 @@ type Recorder struct {
 	metadata map[string]any
 }
 
-// NewRecorder returns an empty recorder with no services enabled.
-func NewRecorder() *Recorder { return NewRecorderWith(Config{}) }
-
 // NewRecorderWith returns an empty recorder with the given measurement
 // services enabled.
 func NewRecorderWith(cfg Config) *Recorder {
@@ -243,13 +239,6 @@ func (c *Recorder) End(name string) error {
 	return nil
 }
 
-// Region runs f inside a region named name.
-func (c *Recorder) Region(name string, f func()) {
-	c.Begin(name)
-	defer c.End(name) //nolint:errcheck // Begin guarantees matching
-	f()
-}
-
 // currentLocked returns the innermost open region's node, or the "main"
 // pseudo-root's when none is open. Callers hold c.mu.
 func (c *Recorder) currentLocked() *node {
@@ -267,27 +256,12 @@ func (c *Recorder) SetMetric(metric string, v float64) {
 	c.mu.Unlock()
 }
 
-// AddMetric accumulates metric value v on the innermost open region.
-func (c *Recorder) AddMetric(metric string, v float64) {
-	c.mu.Lock()
-	c.recordLocked(c.currentLocked()).Metrics[metric] += v
-	c.mu.Unlock()
-}
-
 // SetMetricAt records metric v on an explicit region path, creating the
 // node if needed. Analysis passes use it to attach modeled hardware
 // counters to kernel nodes after the run.
 func (c *Recorder) SetMetricAt(path []string, metric string, v float64) {
 	c.mu.Lock()
 	c.recordLocked(c.nodeLocked(path)).Metrics[metric] = v
-	c.mu.Unlock()
-}
-
-// AddMetricAt accumulates metric v on an explicit region path, creating
-// the node if needed.
-func (c *Recorder) AddMetricAt(path []string, metric string, v float64) {
-	c.mu.Lock()
-	c.recordLocked(c.nodeLocked(path)).Metrics[metric] += v
 	c.mu.Unlock()
 }
 
@@ -309,26 +283,6 @@ func (c *Recorder) recordLocked(n *node) *Record {
 		c.order = append(c.order, n.rec)
 	}
 	return n.rec
-}
-
-// OpenDepth reports how many regions are currently open (for verifying
-// balanced annotations in tests).
-func (c *Recorder) OpenDepth() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.stack)
-}
-
-// RegionCount returns the total number of closed region instances (the
-// sum of every node's "count" metric).
-func (c *Recorder) RegionCount() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n float64
-	for _, r := range c.order {
-		n += r.Metrics["count"]
-	}
-	return n
 }
 
 // Profile snapshots the recorder into a serializable profile. Records

@@ -76,7 +76,7 @@ var realProfiles = sync.OnceValues(func() ([]namedProfile, error) {
 	reg := &telemetry.Registry{}
 	reg.Counter("suite.kernels.run").Add(7)
 	reg.Gauge("campaign.runs.in_flight").Set(2)
-	reg.Histogram("campaign.spec.seconds").ObserveDuration(3 * time.Millisecond)
+	reg.Histogram("campaign.spec.seconds").Observe((3 * time.Millisecond).Nanoseconds())
 	tele := telemetry.SnapshotProfile(reg.Snapshot(), 1, 500*time.Millisecond,
 		map[string]any{"campaign": "codec-test"})
 	out = append(out, namedProfile{"telemetry", tele})
@@ -231,7 +231,7 @@ var edgeCases = []string{
 // smallProfile is a short valid profile whose every prefix the fuzzer
 // starts from: truncation is how a crash tears a profile.
 func smallProfile(tb testing.TB) []byte {
-	c := caliper.NewRecorder()
+	c := caliper.NewRecorderWith(caliper.Config{})
 	c.AddMetadata("machine", "SPR-DDR")
 	c.AddMetadata("ranks", 112)
 	c.AddMetadata("errors", []string{"Basic_PI_ATOMIC: boom"})

@@ -224,18 +224,3 @@ func ReadDir(dir string) ([]*Profile, error) {
 	}
 	return ps, nil
 }
-
-// ReadDirLenient reads like ReadDir but returns the good profiles plus
-// the per-file errors for profiles that failed to decode, instead of
-// failing the whole directory on the first broken file.
-func ReadDirLenient(dir string) ([]*Profile, []FileError, error) {
-	var ps []*Profile
-	ferrs, err := WalkDirLenient(dir, func(_ string, p *Profile) error {
-		ps = append(ps, p)
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return ps, ferrs, nil
-}

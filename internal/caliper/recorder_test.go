@@ -17,6 +17,7 @@ type refRecorder struct {
 	stack   []string
 	records map[string]*Record
 	order   []string
+	closed  int // regions closed
 }
 
 func newRefRecorder() *refRecorder {
@@ -57,15 +58,8 @@ func (r *refRecorder) end(name string) error {
 	rec.Metrics["time"] += 0
 	rec.Metrics["count"]++
 	r.stack = r.stack[:len(r.stack)-1]
+	r.closed++
 	return nil
-}
-
-func (r *refRecorder) regionCount() float64 {
-	var n float64
-	for _, rec := range r.records {
-		n += rec.Metrics["count"]
-	}
-	return n
 }
 
 func (r *refRecorder) profile() []Record {
@@ -78,7 +72,7 @@ func (r *refRecorder) profile() []Record {
 
 // Recorder fuzz alphabet: three region names, one of them the "main"
 // pseudo-root, and three metrics, one of them the "count" that End bumps
-// and RegionCount sums.
+// and SetMetric can overwrite.
 var (
 	fuzzNames   = [3]string{"a", "b", "main"}
 	fuzzMetrics = [3]string{"x", "y", "count"}
@@ -89,22 +83,20 @@ const (
 	opBegin = iota
 	opEnd
 	opSetMetric
-	opAddMetric
 	opSetMetricAt
-	opAddMetricAt
 	numOps
 )
 
 // FuzzRecorderMatchesReference decodes its input into Begin, End,
-// SetMetric, AddMetric, SetMetricAt and AddMetricAt calls at depth <= 3
-// and checks the Recorder against refRecorder: every End's error and
-// the open depth after each call, then RegionCount and the profile's
+// SetMetric and SetMetricAt calls at depth <= 3 and checks the Recorder
+// against refRecorder: every End's error and the open depth after each
+// call, then the regions closed (Overhead().Samples) and the profile's
 // record order, paths and metrics ("time" only for presence).
 //
 // Op encoding: Begin and End take name fuzzNames[arg%3] (a Begin past
-// depth 3 is dropped); SetMetric/AddMetric read one more byte m for
-// metric fuzzMetrics[m%3] and value m/3; SetMetricAt/AddMetricAt read
-// 1+arg%3 name bytes, then a metric byte.
+// depth 3 is dropped); SetMetric reads one more byte m for metric
+// fuzzMetrics[m%3] and value m/3; SetMetricAt reads 1+arg%3 name bytes,
+// then a metric byte.
 func FuzzRecorderMatchesReference(f *testing.F) {
 	const a, b, main = 0, 1, 2 // name arguments
 	op := func(code, arg int) byte { return byte(code + numOps*arg) }
@@ -113,22 +105,23 @@ func FuzzRecorderMatchesReference(f *testing.F) {
 		// it: a/b's record must come before a's.
 		{op(opSetMetricAt, 1), a, b, 3, op(opBegin, a), op(opEnd, a)},
 		// The "main" pseudo-root, then a region named main.
-		{op(opSetMetric, 0), 4, op(opBegin, main), op(opAddMetric, 0), 7, op(opEnd, main)},
+		{op(opSetMetric, 0), 4, op(opBegin, main), op(opSetMetric, 0), 7, op(opEnd, main)},
 		// Misnested End, End on an empty stack, and a region closed
 		// twice so "count" accumulates.
 		{op(opBegin, a), op(opBegin, b), op(opEnd, a), op(opEnd, b), op(opEnd, a), op(opEnd, a),
 			op(opBegin, a), op(opEnd, a)},
 		// Depth 3 plus a dropped fourth Begin, and a three-name path
 		// sharing a prefix with the open regions.
-		{op(opBegin, a), op(opBegin, b), op(opBegin, a), op(opBegin, b), op(opAddMetricAt, 2), a, b, b, 5,
+		{op(opBegin, a), op(opBegin, b), op(opBegin, a), op(opBegin, b), op(opSetMetricAt, 2), a, b, b, 5,
 			op(opEnd, a), op(opEnd, b), op(opEnd, a)},
-		// SetMetric("count") on an open region feeds RegionCount.
-		{op(opBegin, b), op(opSetMetric, 0), 2 + 3*9, op(opEnd, b), op(opAddMetricAt, 0), b, 2},
+		// SetMetric("count") on an open region changes its record's
+		// count, not the number of regions closed.
+		{op(opBegin, b), op(opSetMetric, 0), 2 + 3*9, op(opEnd, b), op(opSetMetricAt, 0), b, 2},
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, ref := NewRecorder(), newRefRecorder()
+		rec, ref := NewRecorderWith(Config{}), newRefRecorder()
 		pos := 0
 		next := func() int {
 			if pos >= len(data) {
@@ -168,27 +161,18 @@ func FuzzRecorderMatchesReference(f *testing.F) {
 				m, v := metric()
 				rec.SetMetric(m, v)
 				ref.ensure(ref.current()).Metrics[m] = v
-			case opAddMetric:
-				m, v := metric()
-				rec.AddMetric(m, v)
-				ref.ensure(ref.current()).Metrics[m] += v
 			case opSetMetricAt:
 				p := path(arg)
 				m, v := metric()
 				rec.SetMetricAt(p, m, v)
 				ref.ensure(p).Metrics[m] = v
-			case opAddMetricAt:
-				p := path(arg)
-				m, v := metric()
-				rec.AddMetricAt(p, m, v)
-				ref.ensure(p).Metrics[m] += v
 			}
 			if got, want := rec.OpenDepth(), len(ref.stack); got != want {
 				t.Fatalf("OpenDepth = %d, reference %d", got, want)
 			}
 		}
-		if got, want := rec.RegionCount(), ref.regionCount(); got != want {
-			t.Errorf("RegionCount = %v, reference %v", got, want)
+		if got, want := rec.Overhead().Samples, ref.closed; got != want {
+			t.Errorf("Overhead().Samples = %d, reference closed %d regions", got, want)
 		}
 		got, want := rec.Profile().Records, ref.profile()
 		if len(got) != len(want) {
@@ -215,14 +199,14 @@ func FuzzRecorderMatchesReference(f *testing.F) {
 // TestRecorderHotPathAllocs checks that, with no counter sources and no
 // tracer, annotating a node that already has a record allocates nothing.
 func TestRecorderHotPathAllocs(t *testing.T) {
-	c := NewRecorder()
+	c := NewRecorderWith(Config{})
 	path := []string{"suite", "k"}
 	c.Begin("suite")
 	c.Region("k", func() {})
 	defer c.End("suite") //nolint:errcheck // matched Begin above
 	for _, tc := range []struct {
 		name string
-		inK  bool // time f with suite/k open, the node SetMetric/AddMetric land on
+		inK  bool // time f with suite/k open, the node SetMetric lands on
 		f    func()
 	}{
 		{"Begin+End", false, func() {
@@ -230,9 +214,7 @@ func TestRecorderHotPathAllocs(t *testing.T) {
 			c.End("k") //nolint:errcheck // matched Begin above
 		}},
 		{"SetMetric", true, func() { c.SetMetric("m", 1) }},
-		{"AddMetric", true, func() { c.AddMetric("a", 1) }},
 		{"SetMetricAt", false, func() { c.SetMetricAt(path, "s", 1) }},
-		{"AddMetricAt", false, func() { c.AddMetricAt(path, "t", 1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.inK {
@@ -249,10 +231,10 @@ func TestRecorderHotPathAllocs(t *testing.T) {
 // TestRecorderConcurrentMetricWriters exercises the concurrency
 // contract: metric writers on other goroutines, on new and existing
 // paths, while the driving goroutine opens and closes regions and a
-// reader takes profiles. Every sum must come out exact.
+// reader takes profiles. Every writer's last value must land.
 func TestRecorderConcurrentMetricWriters(t *testing.T) {
 	const writers, iters, driverRegions = 4, 512, 300
-	c := NewRecorder()
+	c := NewRecorderWith(Config{})
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -260,8 +242,8 @@ func TestRecorderConcurrentMetricWriters(t *testing.T) {
 			defer wg.Done()
 			own := []string{"writer", fmt.Sprint(w)}
 			for i := 0; i < iters; i++ {
-				c.AddMetricAt([]string{"suite", "k"}, "hits", 1)
-				c.AddMetricAt(own, "n", 1)
+				c.SetMetricAt([]string{"suite", "k"}, fmt.Sprint("hits", w), float64(i+1))
+				c.SetMetricAt(own, "n", float64(i+1))
 				c.SetMetricAt([]string{"suite", fmt.Sprint("k", i%8)}, fmt.Sprint("w", w), float64(i))
 			}
 		}()
@@ -285,7 +267,7 @@ func TestRecorderConcurrentMetricWriters(t *testing.T) {
 	for i := 0; i < driverRegions; i++ {
 		c.Begin("suite")
 		c.Begin("k")
-		c.AddMetric("driver", 1)
+		c.SetMetric("driver", float64(i+1))
 		if err := c.End("k"); err != nil {
 			t.Fatal(err)
 		}
@@ -302,10 +284,13 @@ func TestRecorderConcurrentMetricWriters(t *testing.T) {
 	if k == nil || k.PathKey() != "suite/k" {
 		t.Fatalf("suite/k record = %v", k)
 	}
-	if k.Metrics["hits"] != writers*iters || k.Metrics["driver"] != driverRegions ||
-		k.Metrics["count"] != driverRegions {
-		t.Errorf("suite/k metrics = %v, want hits %d, driver and count %d",
-			k.Metrics, writers*iters, driverRegions)
+	if k.Metrics["driver"] != driverRegions || k.Metrics["count"] != driverRegions {
+		t.Errorf("suite/k metrics = %v, want driver and count %d", k.Metrics, driverRegions)
+	}
+	for w := 0; w < writers; w++ {
+		if got := k.Metrics[fmt.Sprint("hits", w)]; got != iters {
+			t.Errorf("suite/k hits%d = %v, want %d", w, got, iters)
+		}
 	}
 	for w := 0; w < writers; w++ {
 		key := fmt.Sprint("writer/", w)
@@ -331,7 +316,7 @@ func TestRecorderConcurrentMetricWriters(t *testing.T) {
 			}
 		}
 	}
-	if got := c.RegionCount(); got != 2*driverRegions {
-		t.Errorf("RegionCount = %v, want %d", got, 2*driverRegions)
+	if got := c.Overhead().Samples; got != 2*driverRegions {
+		t.Errorf("Overhead().Samples = %d, want %d", got, 2*driverRegions)
 	}
 }

@@ -75,10 +75,6 @@ func NewTracer(lanes, perLane int) *Tracer {
 	return t
 }
 
-// Epoch returns the tracer's time origin; event timestamps are
-// microseconds since this instant.
-func (t *Tracer) Epoch() time.Time { return t.epoch }
-
 // RegionEvent records a Caliper region as a complete event on the
 // driver thread (tid 0).
 func (t *Tracer) RegionEvent(name string, start time.Time, dur time.Duration) {
@@ -209,14 +205,4 @@ func (t *Tracer) WriteFile(path string) error {
 		return fmt.Errorf("caliper: %w", err)
 	}
 	return f.Close()
-}
-
-// ReadChromeTrace parses a Chrome-trace JSON object, for tests and
-// tooling that validate emitted traces.
-func ReadChromeTrace(r io.Reader) ([]TraceEvent, error) {
-	var ct chromeTrace
-	if err := json.NewDecoder(r).Decode(&ct); err != nil {
-		return nil, fmt.Errorf("caliper: corrupt trace: %w", err)
-	}
-	return ct.TraceEvents, nil
 }

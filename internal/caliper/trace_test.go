@@ -17,7 +17,7 @@ import (
 // Perfetto requires to load the file.
 func TestTraceChromeSchema(t *testing.T) {
 	tr := NewTracer(2, 64)
-	base := tr.Epoch()
+	base := tr.epoch
 	tr.RegionEvent("suite", base, 10*time.Millisecond)
 	tr.LaneEvent(0, "block", base.Add(time.Millisecond), time.Millisecond)
 	tr.LaneEvent(1, "block", base.Add(2*time.Millisecond), time.Millisecond)
@@ -122,7 +122,7 @@ func TestTraceDeterministicMerge(t *testing.T) {
 	const lanes, perLane = 4, 128
 	mk := func() *Tracer {
 		tr := NewTracer(lanes, perLane)
-		base := tr.Epoch()
+		base := tr.epoch
 		var wg sync.WaitGroup
 		for l := 0; l < lanes; l++ {
 			wg.Add(1)
@@ -156,7 +156,7 @@ func TestTraceDeterministicMerge(t *testing.T) {
 func TestTraceDropWhenFull(t *testing.T) {
 	const perLane, writers, each = 8, 4, 100
 	tr := NewTracer(1, perLane)
-	base := tr.Epoch()
+	base := tr.epoch
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -185,8 +185,8 @@ func TestTraceDropWhenFull(t *testing.T) {
 // TestTraceRoundTrip writes a trace to disk and reads it back.
 func TestTraceRoundTrip(t *testing.T) {
 	tr := NewTracer(2, 16)
-	tr.RegionEvent("r", tr.Epoch(), time.Millisecond)
-	tr.LaneEvent(1, "chunk", tr.Epoch(), time.Millisecond)
+	tr.RegionEvent("r", tr.epoch, time.Millisecond)
+	tr.LaneEvent(1, "chunk", tr.epoch, time.Millisecond)
 	path := t.TempDir() + "/sub/trace.json"
 	if err := tr.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -196,12 +196,12 @@ func TestTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	evs, err := ReadChromeTrace(f)
-	if err != nil {
+	var ct chromeTrace
+	if err := json.NewDecoder(f).Decode(&ct); err != nil {
 		t.Fatal(err)
 	}
 	names := map[string]bool{}
-	for _, ev := range evs {
+	for _, ev := range ct.TraceEvents {
 		names[ev.Name] = true
 	}
 	for _, want := range []string{"r", "chunk", "process_name", "thread_name"} {
@@ -216,8 +216,8 @@ func TestTraceRoundTrip(t *testing.T) {
 // tracks instead of panicking.
 func TestTraceLaneFolding(t *testing.T) {
 	tr := NewTracer(2, 16)
-	tr.LaneEvent(-1, "e", tr.Epoch(), time.Microsecond)
-	tr.LaneEvent(7, "e", tr.Epoch(), time.Microsecond)
+	tr.LaneEvent(-1, "e", tr.epoch, time.Microsecond)
+	tr.LaneEvent(7, "e", tr.epoch, time.Microsecond)
 	evs := tr.Events()
 	if len(evs) != 2 {
 		t.Fatalf("events = %d, want 2", len(evs))

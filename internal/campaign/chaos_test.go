@@ -156,12 +156,9 @@ func TestChaosCampaignKillAndResume(t *testing.T) {
 			t.Errorf("spec %s consumed %d attempts, budget %d", s.ID(), e.Attempts, opts.Retry.MaxAttempts)
 		}
 	}
-	ps, ferrs, err := caliper.ReadDirLenient(chaosDir)
+	ps, err := caliper.ReadDir(chaosDir)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ferrs) != 0 {
-		t.Fatalf("recovered directory still holds broken profiles: %v", ferrs)
+		t.Fatalf("recovered directory still holds broken profiles: %v", err)
 	}
 	if len(ps) != 4 {
 		t.Fatalf("recovered directory holds %d profiles, want 4", len(ps))

@@ -99,9 +99,10 @@ func TestRecoverSweepsTempsAndQuarantines(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A valid profile, a torn one, and two interrupted atomic writes.
-	c := caliper.NewRecorder()
+	c := caliper.NewRecorderWith(caliper.Config{})
 	c.AddMetadata("machine", "SPR-DDR")
-	c.Region("Stream_ADD", func() {})
+	c.Begin("Stream_ADD")
+	c.End("Stream_ADD") //nolint:errcheck
 	if err := c.Profile().WriteFile(filepath.Join(dir, "good"+caliper.FileExt)); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 
 	"rajaperf/internal/raja"
@@ -216,19 +215,6 @@ func (l *Linkage) NumClusters(threshold float64) int {
 		}
 	}
 	return max + 1
-}
-
-// Members returns the leaf labels of each flat cluster at a threshold.
-func (l *Linkage) Members(threshold float64) map[int][]string {
-	ids := l.CutByDistance(threshold)
-	out := map[int][]string{}
-	for leaf, id := range ids {
-		out[id] = append(out[id], l.labels[leaf])
-	}
-	for _, ms := range out {
-		sort.Strings(ms)
-	}
-	return out
 }
 
 // Dendrogram renders the merge tree as indented text, deepest merges last,

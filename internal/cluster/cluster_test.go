@@ -33,7 +33,10 @@ func TestWardRecoversSeparatedBlobs(t *testing.T) {
 	if got := link.NumClusters(5.0); got != 4 {
 		t.Fatalf("NumClusters(5.0) = %d, want 4", got)
 	}
-	members := link.Members(5.0)
+	members := map[int][]string{}
+	for leaf, id := range link.CutByDistance(5.0) {
+		members[id] = append(members[id], labels[leaf])
+	}
 	for id, ms := range members {
 		prefix := ms[0][:1]
 		for _, m := range ms {

@@ -588,13 +588,6 @@ func (c *Coordinator) Redispatches() int64 { return c.redispatches.Load() }
 // Respawns counts workers successfully respawned by supervision.
 func (c *Coordinator) Respawns() int64 { return c.respawns.Load() }
 
-// LiveWorkers is the current live fleet size.
-func (c *Coordinator) LiveWorkers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.workers)
-}
-
 // Close dismisses the fleet: it closes every worker's connection — each
 // worker sees EOF, finishes any in-flight spec into its shard WAL, and
 // exits — and resolves anything still queued as canceled. Idempotent.

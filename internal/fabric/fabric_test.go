@@ -35,6 +35,13 @@ import (
 // one of the fleet's worker processes, not a test run.
 const envWorker = "RAJAPERF_FABRIC_WORKER"
 
+// LiveWorkers is the current live fleet size.
+func (c *Coordinator) LiveWorkers() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.workers)
+}
+
 func TestMain(m *testing.M) {
 	if os.Getenv(envWorker) != "" {
 		conn, err := InheritedConn()

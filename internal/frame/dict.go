@@ -89,15 +89,6 @@ func (d *Dict) Intern(s string) int32 {
 	return id
 }
 
-// InternBytes interns the string spelled by b, allocating it only on
-// first use (lookups on the existing table are allocation-free).
-func (d *Dict) InternBytes(b []byte) int32 {
-	if id, ok := d.lookupBytes(b); ok {
-		return id
-	}
-	return d.Intern(string(b))
-}
-
 func (d *Dict) lookupBytes(b []byte) (int32, bool) {
 	mask := uint32(len(d.tab) - 1)
 	i := dictHash(b) & mask

@@ -2,7 +2,7 @@ package frame
 
 // Part is one input of a Merge: a source frame plus an ascending row
 // selection into it (nil = every row). Merge is the columnar engine
-// behind both Thicket.Concat and parallel sharded ingest.
+// behind parallel sharded ingest.
 type Part struct {
 	F   *Frame
 	Sel []int32

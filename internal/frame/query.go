@@ -1,6 +1,6 @@
 package frame
 
-// The vectorized query layer: lazy queries (Where/GroupBy/Select) over a
+// The vectorized query layer: lazy queries (Where/GroupBy) over a
 // Frame, executed by an Engine with predicate pushdown and batched
 // kernels.
 //
@@ -102,7 +102,6 @@ type Query struct {
 	conj     []Pred  // top-level conjunction
 	groupKey string
 	grouped  bool
-	metrics  []string // Select/Agg targets for StatsAll
 }
 
 // Query starts a lazy query over f (base nil = every row; otherwise an
@@ -114,7 +113,6 @@ func (e *Engine) Query(f *Frame, base []int32) *Query {
 func (q *Query) clone() *Query {
 	cp := *q
 	cp.conj = q.conj[:len(q.conj):len(q.conj)]
-	cp.metrics = q.metrics[:len(q.metrics):len(q.metrics)]
 	return &cp
 }
 
@@ -131,16 +129,6 @@ func (q *Query) GroupBy(key string) *Query {
 	cp.groupKey, cp.grouped = key, true
 	return cp
 }
-
-// Select names the metric columns Agg/StatsAll aggregate.
-func (q *Query) Select(metrics ...string) *Query {
-	cp := q.clone()
-	cp.metrics = append(cp.metrics, metrics...)
-	return cp
-}
-
-// Agg is Select under its aggregation-pipeline name.
-func (q *Query) Agg(metrics ...string) *Query { return q.Select(metrics...) }
 
 // plan is a compiled query: predicates pushed to their scan level.
 type plan struct {
@@ -494,15 +482,6 @@ func (q *Query) Stats(metric string) GroupStats {
 	}
 	out := q.statsUncached(pl, metric)
 	q.cachePut(pl, kind, out)
-	return out
-}
-
-// StatsAll runs Stats for every Select/Agg metric.
-func (q *Query) StatsAll() map[string]GroupStats {
-	out := make(map[string]GroupStats, len(q.metrics))
-	for _, m := range q.metrics {
-		out[m] = q.Stats(m)
-	}
 	return out
 }
 

@@ -37,7 +37,8 @@ func (k *Scan) SetUp(rp kernels.RunParams) {
 	kernels.InitData(k.x, 1.0)
 	n := float64(k.n)
 	k.SetMetrics(kernels.AnalyticMetrics{
-		// The three-phase parallel scan re-reads the output.
+		// The parallel scan reads the input twice: once for the chunk
+		// totals and once more to store the prefixes.
 		BytesRead:    16 * n,
 		BytesWritten: 8 * n,
 		Flops:        2 * n,
@@ -60,17 +61,11 @@ func (k *Scan) Run(v kernels.VariantID, rp kernels.RunParams) error {
 				acc += x[i]
 			}
 		}
-	case kernels.BaseOpenMP, kernels.BaseGPU:
+	case kernels.BaseOpenMP, kernels.BaseGPU,
+		kernels.RAJASeq, kernels.RAJAOpenMP, kernels.RAJAGPU:
 		pol := rp.Policy(v)
 		for r := 0; r < reps; r++ {
 			raja.ExclusiveScanSum(pol, y, x)
-		}
-	case kernels.RAJASeq, kernels.RAJAOpenMP, kernels.RAJAGPU:
-		pol := rp.Policy(v)
-		// Fused scan: three span dispatches with specialized load and
-		// store bodies.
-		for r := 0; r < reps; r++ {
-			raja.ForallExclusiveScan[float64](pol, n, scanStore{x: x, y: y})
 		}
 	default:
 		return k.Unsupported(v)

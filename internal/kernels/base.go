@@ -100,9 +100,6 @@ func ChecksumInts(x []int64) float64 {
 	return s
 }
 
-// ChecksumValue folds a scalar result into a digest.
-func ChecksumValue(v float64) float64 { return v }
-
 // InitData fills x with the suite's deterministic initialization pattern:
 // small positive values that vary per element but keep sums exactly
 // representable enough for cross-variant comparison.

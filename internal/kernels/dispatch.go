@@ -123,10 +123,6 @@ func (m *merged[A, B]) add(part A) {
 	m.mu.Unlock()
 }
 
-// SeqVariants is the sequential-only variant set used by kernels with
-// loop-carried structure that the paper only runs sequentially.
-var SeqVariants = []VariantID{BaseSeq, LambdaSeq, RAJASeq}
-
 // AllVariants is the full eight-variant set.
 var AllVariants = []VariantID{
 	BaseSeq, LambdaSeq, RAJASeq,
@@ -138,9 +134,4 @@ var AllVariants = []VariantID{
 // Lambda variants (feature kernels like sorts and scans).
 var NoLambdaVariants = []VariantID{
 	BaseSeq, RAJASeq, BaseOpenMP, RAJAOpenMP, BaseGPU, RAJAGPU,
-}
-
-// CPUOnlyVariants is for kernels the paper does not run on GPUs.
-var CPUOnlyVariants = []VariantID{
-	BaseSeq, LambdaSeq, RAJASeq, BaseOpenMP, LambdaOpenMP, RAJAOpenMP,
 }

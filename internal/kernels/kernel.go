@@ -317,9 +317,7 @@ type RunParams struct {
 	Ranks    int // simulated MPI ranks for Comm kernels (0 = 4)
 
 	// Ctx carries cancellation for the run. The suite driver checks it
-	// between kernels; long-running kernels may additionally poll
-	// Canceled between repetitions to abandon work early. Nil means
-	// context.Background().
+	// between kernels. Nil means context.Background().
 	Ctx context.Context
 
 	// Schedule selects the parallel loop schedule (static/dynamic/guided)
@@ -342,15 +340,6 @@ func (rp RunParams) Context() context.Context {
 		return rp.Ctx
 	}
 	return context.Background()
-}
-
-// Canceled reports whether the run's context has been canceled — the
-// check kernels with long rep loops poll between repetitions.
-func (rp RunParams) Canceled() bool {
-	if rp.Ctx == nil {
-		return false
-	}
-	return rp.Ctx.Err() != nil
 }
 
 // ExecPool resolves the executor pool for this run.

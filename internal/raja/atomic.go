@@ -25,39 +25,3 @@ func AtomicAddFloat64(p *float64, v float64) float64 {
 func AtomicAddInt64(p *int64, v int64) int64 {
 	return atomic.AddInt64(p, v)
 }
-
-// AtomicIncInt64 atomically increments *p and returns the previous value,
-// the "grab a slot" idiom used by the INDEXLIST kernels.
-func AtomicIncInt64(p *int64) int64 {
-	return atomic.AddInt64(p, 1) - 1
-}
-
-// AtomicMaxFloat64 atomically folds a maximum into *p.
-func AtomicMaxFloat64(p *float64, v float64) {
-	addr := (*uint64)(unsafe.Pointer(p))
-	for {
-		old := atomic.LoadUint64(addr)
-		cur := math.Float64frombits(old)
-		if v <= cur {
-			return
-		}
-		if atomic.CompareAndSwapUint64(addr, old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// AtomicMinFloat64 atomically folds a minimum into *p.
-func AtomicMinFloat64(p *float64, v float64) {
-	addr := (*uint64)(unsafe.Pointer(p))
-	for {
-		old := atomic.LoadUint64(addr)
-		cur := math.Float64frombits(old)
-		if v >= cur {
-			return
-		}
-		if atomic.CompareAndSwapUint64(addr, old, math.Float64bits(v)) {
-			return
-		}
-	}
-}

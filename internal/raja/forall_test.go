@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// ParPolicy returns a parallel policy over n workers (0 = all cores).
+func ParPolicy(n int) Policy { return Policy{Kind: Par, Workers: n} }
+
+// GPUPolicy returns a block-scheduled policy with the given block size
+// (0 = DefaultBlock) over all cores.
+func GPUPolicy(block int) Policy { return Policy{Kind: GPU, Block: block} }
+
 var testPolicies = []Policy{
 	SeqPolicy(),
 	ParPolicy(0),
@@ -93,50 +100,6 @@ func TestForallSeqIsOrdered(t *testing.T) {
 	})
 	if !ok || prev != 999 {
 		t.Fatal("sequential policy did not iterate in order")
-	}
-}
-
-func TestForall2DAnd3DCoverage(t *testing.T) {
-	for _, p := range testPolicies {
-		const ni, nj, nk = 13, 7, 5
-		hits2 := make([]int32, ni*nj)
-		Forall2D(p, ni, nj, func(c Ctx, i, j int) {
-			atomic.AddInt32(&hits2[i*nj+j], 1)
-		})
-		for idx, h := range hits2 {
-			if h != 1 {
-				t.Fatalf("policy %v: 2D cell %d hit %d times", p, idx, h)
-			}
-		}
-		hits3 := make([]int32, ni*nj*nk)
-		Forall3D(p, ni, nj, nk, func(c Ctx, i, j, k int) {
-			atomic.AddInt32(&hits3[(i*nj+j)*nk+k], 1)
-		})
-		for idx, h := range hits3 {
-			if h != 1 {
-				t.Fatalf("policy %v: 3D cell %d hit %d times", p, idx, h)
-			}
-		}
-	}
-}
-
-func TestForallSegments(t *testing.T) {
-	segs := []Range{{0, 5}, {10, 12}, {20, 20}, {30, 33}}
-	want := map[int]bool{0: true, 1: true, 2: true, 3: true, 4: true,
-		10: true, 11: true, 30: true, 31: true, 32: true}
-	for _, p := range testPolicies {
-		got := make([]int32, 40)
-		ForallSegments(p, segs, func(c Ctx, i int) {
-			atomic.AddInt32(&got[i], 1)
-		})
-		for i := range got {
-			if want[i] && got[i] != 1 {
-				t.Fatalf("policy %v: index %d hit %d times, want 1", p, i, got[i])
-			}
-			if !want[i] && got[i] != 0 {
-				t.Fatalf("policy %v: index %d outside segments was hit", p, i)
-			}
-		}
 	}
 }
 

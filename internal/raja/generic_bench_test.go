@@ -58,39 +58,3 @@ func BenchmarkDispatchModes(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkForall2DCollapsed measures the collapsed 2-D dispatch against
-// the pre-flattening shape (one parallel dispatch per row). Collapsing
-// turns ni dispatches into one, so the allocation count per op drops
-// from O(ni) to O(1) and small-row iteration spaces stop being
-// dominated by dispatch latency.
-//
-//	go test -bench BenchmarkForall2DCollapsed -benchmem ./internal/raja/
-func BenchmarkForall2DCollapsed(b *testing.B) {
-	lanes := 2 * max(2, runtime.GOMAXPROCS(0))
-	for _, dims := range []struct{ ni, nj int }{{64, 64}, {256, 256}} {
-		ni, nj := dims.ni, dims.nj
-		grid := make([]float64, ni*nj)
-		pool := NewPool(lanes)
-		p := Policy{Kind: Par, Workers: lanes, Pool: pool}
-		body := func(_ Ctx, i, j int) { grid[i*nj+j] += float64(i - j) }
-		Forall2D(p, ni, nj, body) // park the workers outside the timer
-
-		b.Run(fmt.Sprintf("collapsed/%dx%d", ni, nj), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				Forall2D(p, ni, nj, body)
-			}
-		})
-		b.Run(fmt.Sprintf("per-row/%dx%d", ni, nj), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for row := 0; row < ni; row++ {
-					row := row
-					Forall(p, nj, func(c Ctx, j int) { body(c, row, j) })
-				}
-			}
-		})
-		pool.Close()
-	}
-}

@@ -99,18 +99,22 @@ func TestForallReduceMatchesClosure(t *testing.T) {
 	}
 }
 
-// sliceScanBody adapts (dst, src) slices to the fused ScanBody.
-type sliceScanBody struct {
-	dst, src []float64
+// seqExclusive is the sequential exclusive prefix sum the scan tests
+// compare against.
+func seqExclusive[T Number](src []T) []T {
+	want := make([]T, len(src))
+	var acc T
+	for i, v := range src {
+		want[i] = acc
+		acc += v
+	}
+	return want
 }
 
-func (s sliceScanBody) ScanElem(i int) float64     { return s.src[i] }
-func (s sliceScanBody) ScanStore(i int, v float64) { s.dst[i] = v }
-
-// TestForallScanMatchesScanSum requires the fused scan to be
-// bit-identical to the slice scan under every policy and schedule: the
-// chunk partition depends only on the worker count, and the fused phases
-// replay the same per-chunk associations.
+// TestForallScanMatchesScanSum requires the scan to equal the sequential
+// exclusive prefix bit for bit under every policy and schedule.
+// fillRamp's elements are multiples of 0.25, so every prefix is exact
+// however the parallel scan associates it.
 func TestForallScanMatchesScanSum(t *testing.T) {
 	for _, p := range testPolicies {
 		for _, sched := range testSchedules {
@@ -118,24 +122,49 @@ func TestForallScanMatchesScanSum(t *testing.T) {
 			p.Schedule = sched
 			for _, n := range []int{0, 1, 7, 100, 1023, 4096} {
 				src := fillRamp(n)
-				for _, exclusive := range []bool{false, true} {
-					want := make([]float64, n)
-					got := make([]float64, n)
-					if exclusive {
-						ExclusiveScanSum(p, want, src)
-						ForallExclusiveScan(p, n, sliceScanBody{dst: got, src: src})
-					} else {
-						InclusiveScanSum(p, want, src)
-						ForallInclusiveScan(p, n, sliceScanBody{dst: got, src: src})
-					}
-					for i := range want {
-						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("policy %v sched %v n=%d exclusive=%v: fused[%d]=%v want %v",
-								p, sched, n, exclusive, i, got[i], want[i])
-						}
+				want := seqExclusive(src)
+				got := make([]float64, n)
+				ExclusiveScanSum(p, got, src)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("policy %v sched %v n=%d: scan[%d]=%v want %v",
+							p, sched, n, i, got[i], want[i])
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestExclusiveScanInPlace requires the in-place scan (dst == src) to
+// equal the sequential exclusive prefix under every policy and schedule,
+// for integer and floating-point elements.
+func TestExclusiveScanInPlace(t *testing.T) {
+	for _, p := range testPolicies {
+		for _, sched := range testSchedules {
+			p := p
+			p.Schedule = sched
+			for _, n := range []int{0, 1, 7, 100, 1023, 4096} {
+				ints := make([]int64, n)
+				for i := range ints {
+					ints[i] = int64(i%7 - 3)
+				}
+				checkScanInPlace(t, p, ints)
+				checkScanInPlace(t, p, fillRamp(n))
+			}
+		}
+	}
+}
+
+func checkScanInPlace[T Number](t *testing.T, p Policy, src []T) {
+	t.Helper()
+	want := seqExclusive(src)
+	x := append([]T(nil), src...)
+	ExclusiveScanSum(p, x, x)
+	for i := range want {
+		if x[i] != want[i] {
+			t.Fatalf("policy %v sched %v n=%d %T: in-place scan[%d]=%v want %v",
+				p, p.Schedule, len(src), src, i, x[i], want[i])
 		}
 	}
 }

@@ -5,9 +5,9 @@
 // block-scheduled parallel (the GPU analog used by the simulated devices).
 //
 // The package provides the RAJA feature set exercised by the RAJA
-// Performance Suite: forall and nested-loop dispatch, reductions, atomic
-// operations, multi-dimensional views, scans, sorts, and workgroups for
-// fused kernel launches.
+// Performance Suite: forall and span dispatch, reductions, atomic
+// operations, multi-dimensional views, an exclusive scan, sorts, and
+// workgroups for fused kernel launches.
 package raja
 
 import "runtime"
@@ -66,13 +66,6 @@ const DefaultBlock = 256
 
 // SeqPolicy returns a sequential execution policy.
 func SeqPolicy() Policy { return Policy{Kind: Seq} }
-
-// ParPolicy returns a parallel policy over n workers (0 = all cores).
-func ParPolicy(n int) Policy { return Policy{Kind: Par, Workers: n} }
-
-// GPUPolicy returns a block-scheduled policy with the given block size
-// (0 = DefaultBlock) over all cores.
-func GPUPolicy(block int) Policy { return Policy{Kind: GPU, Block: block} }
 
 // workers resolves the effective worker count for the policy.
 func (p Policy) workers() int {

@@ -1,83 +1,70 @@
 package raja
 
-// InclusiveScanSum writes the inclusive prefix sum of src into dst
-// (RAJA::inclusive_scan). Under parallel policies it uses the classic
-// three-phase scan: per-chunk partial sums, a sequential scan of the chunk
-// totals, then a per-chunk fix-up pass.
-func InclusiveScanSum[T Number](p Policy, dst, src []T) {
-	scanSum(p, dst, src, false)
-}
-
 // ExclusiveScanSum writes the exclusive prefix sum of src into dst
-// (RAJA::exclusive_scan); dst[0] is zero.
+// (RAJA::exclusive_scan); dst[0] is zero. dst may be src: each src[i] is
+// read before dst[i] is written.
+//
+// Under parallel policies it uses the scan-reduce formulation: phase 1
+// sums each chunk (no stores), phase 2 exclusive-scans the chunk totals
+// in place, phase 3 rescans each chunk and stores localPrefix+offset, so
+// each element is stored once and the scan allocates one scratch slice.
+// Phase 3 recomputes the same ascending association phase 1 summed, so
+// the result depends on the worker count but never on the schedule.
+// Chunk 0's offset is +0, and a sum that starts at +0 is never -0, so
+// adding it changes no bit.
 func ExclusiveScanSum[T Number](p Policy, dst, src []T) {
-	scanSum(p, dst, src, true)
-}
-
-func scanSum[T Number](p Policy, dst, src []T, exclusive bool) {
 	n := len(src)
 	if len(dst) != n {
 		panic("raja: scan length mismatch")
 	}
-	if n == 0 {
-		return
-	}
 	workers := p.workers()
 	if p.Kind == Seq || workers <= 1 || n < 4*workers {
 		var acc T
-		if exclusive {
-			for i := 0; i < n; i++ {
-				dst[i] = acc
-				acc += src[i]
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				acc += src[i]
-				dst[i] = acc
-			}
+		for i, v := range src {
+			dst[i] = acc
+			acc += v
 		}
 		return
 	}
 
 	chunk := (n + workers - 1) / workers
 	chunks := (n + chunk - 1) / chunk
-	totals := make([]T, chunks)
+	offsets := make([]T, chunks)
 	pp := chunkLoopPolicy(p)
 
-	// Phase 1: independent per-chunk scans, one chunk per forall index.
-	ForallRange(pp, RangeN(chunks), func(_ Ctx, w int) {
-		lo, hi := bounds(w, chunk, n)
-		var acc T
-		if exclusive {
-			for i := lo; i < hi; i++ {
-				dst[i] = acc
-				acc += src[i]
+	// Phase 1: per-chunk totals.
+	forall(pp, RangeN(chunks), spanFunc(func(_ Ctx, wlo, whi int) {
+		for w := wlo; w < whi; w++ {
+			lo, hi := bounds(w, chunk, n)
+			var acc T
+			for _, v := range src[lo:hi] {
+				acc += v
 			}
-		} else {
-			for i := lo; i < hi; i++ {
-				acc += src[i]
-				dst[i] = acc
-			}
+			offsets[w] = acc
 		}
-		totals[w] = acc
-	})
+	}))
 
-	// Phase 2: scan the chunk totals sequentially.
+	// Phase 2: exclusive-scan the totals sequentially, in place.
 	var run T
-	offsets := make([]T, chunks)
 	for w := 0; w < chunks; w++ {
+		t := offsets[w]
 		offsets[w] = run
-		run += totals[w]
+		run += t
 	}
 
-	// Phase 3: add each chunk's offset.
-	ForallRange(pp, Range{1, chunks}, func(_ Ctx, w int) {
-		lo, hi := bounds(w, chunk, n)
-		off := offsets[w]
-		for i := lo; i < hi; i++ {
-			dst[i] += off
+	// Phase 3: rescan each chunk, storing final prefixes.
+	forall(pp, RangeN(chunks), spanFunc(func(_ Ctx, wlo, whi int) {
+		for w := wlo; w < whi; w++ {
+			lo, hi := bounds(w, chunk, n)
+			var acc T
+			off := offsets[w]
+			for i := lo; i < hi; i++ {
+				v := src[i]
+				dst[i] = acc + off
+				acc += v
+			}
 		}
-	})
+	}))
 }
 
 // chunkLoopPolicy derives the policy scan and sort use to distribute

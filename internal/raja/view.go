@@ -11,11 +11,6 @@ type Layout3 struct {
 	N1, N2 int // extents of the two fastest-varying dimensions
 }
 
-// Layout4 maps a four-dimensional index space onto linear storage.
-type Layout4 struct {
-	N1, N2, N3 int
-}
-
 // View1 is a one-dimensional typed view over linear storage with an
 // optional index offset, mirroring RAJA::View with an OffsetLayout. The
 // suite's INIT_VIEW1D kernels exercise exactly this indirection.
@@ -50,9 +45,6 @@ func NewView2[T any](data []T, n1 int) View2[T] {
 	return View2[T]{Data: data, L: Layout2{N1: n1}}
 }
 
-// Idx returns the linear index of (i, j).
-func (v View2[T]) Idx(i, j int) int { return i*v.L.N1 + j }
-
 // At returns the element at (i, j).
 func (v View2[T]) At(i, j int) T { return v.Data[i*v.L.N1+j] }
 
@@ -70,34 +62,8 @@ func NewView3[T any](data []T, n1, n2 int) View3[T] {
 	return View3[T]{Data: data, L: Layout3{N1: n1, N2: n2}}
 }
 
-// Idx returns the linear index of (i, j, k).
-func (v View3[T]) Idx(i, j, k int) int { return (i*v.L.N1+j)*v.L.N2 + k }
-
 // At returns the element at (i, j, k).
 func (v View3[T]) At(i, j, k int) T { return v.Data[(i*v.L.N1+j)*v.L.N2+k] }
 
 // Set stores x at (i, j, k).
 func (v View3[T]) Set(i, j, k int, x T) { v.Data[(i*v.L.N1+j)*v.L.N2+k] = x }
-
-// View4 is a row-major four-dimensional view; the suite's LTIMES kernel
-// indexes its angular flux arrays through one.
-type View4[T any] struct {
-	Data []T
-	L    Layout4
-}
-
-// NewView4 wraps data as an n0 x n1 x n2 x n3 view.
-func NewView4[T any](data []T, n1, n2, n3 int) View4[T] {
-	return View4[T]{Data: data, L: Layout4{N1: n1, N2: n2, N3: n3}}
-}
-
-// Idx returns the linear index of (i, j, k, l).
-func (v View4[T]) Idx(i, j, k, l int) int {
-	return ((i*v.L.N1+j)*v.L.N2+k)*v.L.N3 + l
-}
-
-// At returns the element at (i, j, k, l).
-func (v View4[T]) At(i, j, k, l int) T { return v.Data[v.Idx(i, j, k, l)] }
-
-// Set stores x at (i, j, k, l).
-func (v View4[T]) Set(i, j, k, l int, x T) { v.Data[v.Idx(i, j, k, l)] = x }

@@ -21,15 +21,6 @@ func (g *WorkGroup) Enqueue(n int, body Body) {
 // Len reports the number of enqueued loops.
 func (g *WorkGroup) Len() int { return len(g.items) }
 
-// TotalIterations reports the summed iteration count of all enqueued loops.
-func (g *WorkGroup) TotalIterations() int {
-	t := 0
-	for _, it := range g.items {
-		t += it.n
-	}
-	return t
-}
-
 // Run executes every enqueued loop under a single fused dispatch and clears
 // the group. Under parallel policies whole items are distributed across
 // workers dynamically; iterations of one item never split across workers,

@@ -188,40 +188,3 @@ func (r *Report) FailedKernels() []string {
 	sort.Strings(out)
 	return out
 }
-
-// CSV renders the timing data as comma-separated values with a header row.
-func (r *Report) CSV() string {
-	var b strings.Builder
-	b.WriteString("kernel")
-	for _, v := range r.Variants {
-		b.WriteString("," + v.String())
-	}
-	b.WriteString("\n")
-	for _, res := range r.Results {
-		b.WriteString(res.Name)
-		for _, v := range r.Variants {
-			if t, ok := res.Times[v]; ok {
-				fmt.Fprintf(&b, ",%.9f", t)
-			} else {
-				b.WriteString(",")
-			}
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// SpeedupOverBase returns, per kernel, the Base/RAJA time ratio for the
-// given back-end pair (values below 1 mean the RAJA variant is slower —
-// abstraction overhead).
-func (r *Report) SpeedupOverBase(base, raja kernels.VariantID) map[string]float64 {
-	out := map[string]float64{}
-	for _, res := range r.Results {
-		tb, ok1 := res.Times[base]
-		tr, ok2 := res.Times[raja]
-		if ok1 && ok2 && tr > 0 {
-			out[res.Name] = tb / tr
-		}
-	}
-	return out
-}

@@ -77,41 +77,6 @@ func TestChecksumFailureDetected(t *testing.T) {
 	}
 }
 
-func TestCSVShape(t *testing.T) {
-	rep, err := Run(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(rep.CSV()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("CSV has %d lines, want header + 3", len(lines))
-	}
-	if lines[0] != "kernel,Base_Seq,RAJA_Seq,RAJA_OpenMP" {
-		t.Errorf("CSV header = %q", lines[0])
-	}
-	for _, l := range lines[1:] {
-		if strings.Count(l, ",") != 3 {
-			t.Errorf("CSV row %q malformed", l)
-		}
-	}
-}
-
-func TestSpeedupOverBase(t *testing.T) {
-	rep, err := Run(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := rep.SpeedupOverBase(kernels.BaseSeq, kernels.RAJASeq)
-	if len(sp) != 3 {
-		t.Fatalf("speedup map has %d entries", len(sp))
-	}
-	for k, v := range sp {
-		if v <= 0 {
-			t.Errorf("%s base/raja ratio = %v", k, v)
-		}
-	}
-}
-
 func TestUnknownKernelErrors(t *testing.T) {
 	_, err := Run(Config{Kernels: []string{"No_SUCH"}})
 	if err == nil {

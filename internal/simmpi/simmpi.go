@@ -73,10 +73,6 @@ func (r *Rank) ID() int { return r.id }
 // Size returns the communicator size.
 func (r *Rank) Size() int { return r.comm.size }
 
-// CommSeconds returns the modeled communication time this rank has
-// accumulated.
-func (r *Rank) CommSeconds() float64 { return r.commSec }
-
 // Send delivers data to rank dst with the given tag. The payload is copied
 // so the sender may reuse its buffer, matching MPI semantics.
 func (r *Rank) Send(dst, tag int, data []float64) {
@@ -89,7 +85,7 @@ func (r *Rank) Send(dst, tag int, data []float64) {
 	r.commSec += r.comm.LatencySec + float64(len(data)*8)/r.comm.BWBytesSec
 }
 
-// AnySource matches a message from any sender in Recv.
+// AnySource matches a message from any sender in Irecv.
 const AnySource = -1
 
 // match returns the next message matching (src, tag), draining the inbox
@@ -112,13 +108,6 @@ func (r *Rank) match(src, tag int) Message {
 		}
 		r.pending = append(r.pending, m)
 	}
-}
-
-// Recv blocks until a message from src with the given tag arrives and
-// returns its payload. Messages from one sender arrive in send order.
-// Pass AnySource to match any sender.
-func (r *Rank) Recv(src, tag int) []float64 {
-	return r.match(src, tag).Data
 }
 
 // Request represents a nonblocking operation.
@@ -151,28 +140,6 @@ func (r *Rank) Irecv(src, tag int) *Request {
 		ch <- r.match(src, tag).Data
 	}()
 	return &Request{done: ch}
-}
-
-// Barrier blocks until every rank has reached it.
-func (r *Rank) Barrier() { r.comm.barrier.await() }
-
-// AllreduceSum returns the sum of x across all ranks, delivered to every
-// rank.
-func (r *Rank) AllreduceSum(x float64) float64 {
-	const tag = -1000
-	if r.id == 0 {
-		total := x
-		for s := 1; s < r.comm.size; s++ {
-			// Accept contributions in any rank order.
-			total += r.Recv(AnySource, tag)[0]
-		}
-		for d := 1; d < r.comm.size; d++ {
-			r.Send(d, tag-1, []float64{total})
-		}
-		return total
-	}
-	r.Send(0, tag, []float64{x})
-	return r.Recv(0, tag-1)[0]
 }
 
 // Run executes f on every rank of a fresh communicator of the given size

@@ -6,6 +6,20 @@ import (
 	"testing/quick"
 )
 
+// Recv blocks until a message from src with the given tag arrives and
+// returns its payload. Messages from one sender arrive in send order.
+// Pass AnySource to match any sender.
+func (r *Rank) Recv(src, tag int) []float64 {
+	return r.match(src, tag).Data
+}
+
+// Barrier blocks until every rank has reached it.
+func (r *Rank) Barrier() { r.comm.barrier.await() }
+
+// CommSeconds returns the modeled communication time this rank has
+// accumulated.
+func (r *Rank) CommSeconds() float64 { return r.commSec }
+
 func TestSendRecvRoundtrip(t *testing.T) {
 	Run(2, func(r *Rank) {
 		if r.ID() == 0 {
@@ -111,16 +125,6 @@ func TestBarrierSynchronizes(t *testing.T) {
 				return
 			}
 			r.Barrier()
-		}
-	})
-}
-
-func TestAllreduceSum(t *testing.T) {
-	const ranks = 5
-	Run(ranks, func(r *Rank) {
-		got := r.AllreduceSum(float64(r.ID() + 1))
-		if got != 15 {
-			t.Errorf("rank %d: allreduce = %v, want 15", r.ID(), got)
 		}
 	})
 }

@@ -59,10 +59,9 @@ func ParseLevel(quiet, verbose bool) Level {
 // Logger writes leveled, structured lines. A nil *Logger discards
 // everything, so optional logging needs no conditionals.
 type Logger struct {
-	mu     sync.Mutex
-	w      io.Writer
-	min    Level
-	fields []string // pre-rendered "k=v" context, e.g. the campaign ID
+	mu  sync.Mutex
+	w   io.Writer
+	min Level
 }
 
 // NewLogger returns a logger writing records at or above min to w.
@@ -89,19 +88,6 @@ func L() *Logger {
 	defaultLoggerMu.Lock()
 	defer defaultLoggerMu.Unlock()
 	return defaultLogger
-}
-
-// With returns a child logger carrying extra key=value context fields
-// appended to every record (e.g. campaign and run IDs).
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	child := &Logger{w: l.w, min: l.min, fields: append([]string(nil), l.fields...)}
-	l.mu.Unlock()
-	child.fields = appendFields(child.fields, kv)
-	return child
 }
 
 // Enabled reports whether records at level would be written.
@@ -140,10 +126,6 @@ func (l *Logger) log(level Level, msg string, kv []any) {
 	b.WriteString(level.String())
 	b.WriteByte(' ')
 	b.WriteString(msg)
-	for _, f := range l.fields {
-		b.WriteByte(' ')
-		b.WriteString(f)
-	}
 	for _, f := range appendFields(nil, kv) {
 		b.WriteByte(' ')
 		b.WriteString(f)

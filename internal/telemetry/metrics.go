@@ -28,7 +28,6 @@ import (
 	"math"
 	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter. The zero value
@@ -176,9 +175,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// ObserveDuration records a duration in nanoseconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Nanoseconds()) }
-
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() int64 {
 	if h == nil {
@@ -293,35 +289,4 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 		seen += n
 	}
 	return 0
-}
-
-// QuantileBounds returns the bucket bounds [lo, hi) containing the
-// q-quantile — the error interval any exact-oracle comparison must land
-// in. Returns (0, 0) when empty.
-func (s HistSnapshot) QuantileBounds(q float64) (lo, hi int64) {
-	if s.Count == 0 {
-		return 0, 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i := 0; i < histBuckets; i++ {
-		n := s.Buckets[i]
-		if n == 0 {
-			continue
-		}
-		if seen+n >= rank {
-			return bucketBounds(i)
-		}
-		seen += n
-	}
-	return 0, 0
 }

@@ -14,7 +14,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"sync/atomic"
 	"time"
 )
 
@@ -23,9 +22,8 @@ type Server struct {
 	reg *Registry
 	bus *Bus
 
-	ln     net.Listener
-	srv    *http.Server
-	health atomic.Pointer[string] // non-nil = unhealthy, value = reason
+	ln  net.Listener
+	srv *http.Server
 
 	// scrapes counts /metrics requests — itself a telemetry signal.
 	scrapes Counter
@@ -81,20 +79,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.srv.Shutdown(ctx)
 }
 
-// SetUnhealthy marks /healthz failing with the given reason; an empty
-// reason restores health. The campaign watchdog layer flips this when
-// runs start timing out.
-func (s *Server) SetUnhealthy(reason string) {
-	if reason == "" {
-		s.health.Store(nil)
-		return
-	}
-	s.health.Store(&reason)
-}
-
-// Scrapes reports how many /metrics scrapes the server has answered.
-func (s *Server) Scrapes() int64 { return s.scrapes.Value() }
-
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.scrapes.Inc()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -109,11 +93,6 @@ func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	if reason := s.health.Load(); reason != nil {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(map[string]any{"status": "unhealthy", "reason": *reason}) //nolint:errcheck
-		return
-	}
 	json.NewEncoder(w).Encode(map[string]any{"status": "ok"}) //nolint:errcheck
 }
 

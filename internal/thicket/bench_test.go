@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"rajaperf/internal/caliper"
+	"rajaperf/internal/frame"
 )
 
 const (
@@ -50,7 +51,7 @@ func benchCorpusOnce() {
 	}
 	ps := make([]*caliper.Profile, 0, benchProfiles)
 	for i := 0; i < benchProfiles; i++ {
-		c := caliper.NewRecorder()
+		c := caliper.NewRecorderWith(caliper.Config{})
 		c.AddMetadata("machine", benchMachines[i%len(benchMachines)])
 		c.AddMetadata("variant", fmt.Sprintf("variant_%d", i%3))
 		c.AddMetadata("executor.schedule", []string{"static", "dynamic", "guided"}[i%3])
@@ -136,7 +137,7 @@ func BenchmarkThicketFilterGroupBy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := tk.Filter(func(md map[string]any) bool { return md["variant"] != "variant_1" })
+		f := tk.Where(frame.MetaPred(func(md map[string]any) bool { return md["variant"] != "variant_1" }))
 		gs := f.GroupBy("executor.schedule")
 		if len(gs) == 0 {
 			b.Fatal("no groups")

@@ -183,7 +183,7 @@ func legacySummarize(node, metric string, xs []float64) Stats {
 	if len(xs) > 1 {
 		s.Std = math.Sqrt(varsum / float64(len(xs)-1))
 	}
-	s.Median = medianInPlace(xs)
+	s.Median = frame.MedianInPlace(xs)
 	return s
 }
 

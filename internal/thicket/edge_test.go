@@ -11,11 +11,12 @@ import (
 	"testing"
 
 	"rajaperf/internal/caliper"
+	"rajaperf/internal/frame"
 )
 
 func edgeThicket() *Thicket {
 	mk := func(machine string, times map[string]float64) *caliper.Profile {
-		c := caliper.NewRecorder()
+		c := caliper.NewRecorderWith(caliper.Config{})
 		c.AddMetadata("machine", machine)
 		for node, v := range times {
 			c.SetMetricAt([]string{"suite", node}, "time", v)
@@ -30,7 +31,7 @@ func edgeThicket() *Thicket {
 
 func TestFilterRejectAllIsEmpty(t *testing.T) {
 	tk := edgeThicket()
-	none := tk.Filter(func(map[string]any) bool { return false })
+	none := tk.Where(frame.MetaPred(func(map[string]any) bool { return false }))
 	if got := none.NumRows(); got != 0 {
 		t.Fatalf("reject-all Filter has %d rows, want 0", got)
 	}
@@ -47,14 +48,14 @@ func TestFilterRejectAllIsEmpty(t *testing.T) {
 		t.Fatal("reject-all Metric hit")
 	}
 	// Chaining off an empty view stays empty.
-	if got := none.FilterNodes(func(string) bool { return true }).NumRows(); got != 0 {
+	if got := none.Where(frame.NodePred(func(string) bool { return true })).NumRows(); got != 0 {
 		t.Fatalf("FilterNodes over empty view has %d rows", got)
 	}
 }
 
 func TestFilterNodesRejectAllIsEmpty(t *testing.T) {
 	tk := edgeThicket()
-	none := tk.FilterNodes(func(string) bool { return false })
+	none := tk.Where(frame.NodePred(func(string) bool { return false }))
 	if got := none.NumRows(); got != 0 {
 		t.Fatalf("reject-all FilterNodes has %d rows, want 0", got)
 	}
@@ -65,7 +66,7 @@ func TestFilterNodesRejectAllIsEmpty(t *testing.T) {
 
 func TestConcatWithEmptyView(t *testing.T) {
 	tk := edgeThicket()
-	none := tk.Filter(func(map[string]any) bool { return false })
+	none := tk.Where(frame.MetaPred(func(map[string]any) bool { return false }))
 	both := Concat(none, tk)
 	if got := both.NumRows(); got != tk.NumRows() {
 		t.Fatalf("Concat(empty, full) rows = %d, want %d", got, tk.NumRows())
@@ -87,14 +88,14 @@ func TestAggregateStatsAllInvalidMetric(t *testing.T) {
 	}
 	// A column valid only outside the view: filter to m1, ask for a
 	// metric carried only by m0.
-	c := caliper.NewRecorder()
+	c := caliper.NewRecorderWith(caliper.Config{})
 	c.AddMetadata("machine", "m0")
 	c.SetMetricAt([]string{"suite", "A"}, "rare", 7)
-	c2 := caliper.NewRecorder()
+	c2 := caliper.NewRecorderWith(caliper.Config{})
 	c2.AddMetadata("machine", "m1")
 	c2.SetMetricAt([]string{"suite", "A"}, "time", 1)
 	tk2 := FromProfiles([]*caliper.Profile{c.Profile(), c2.Profile()})
-	m1 := tk2.Filter(func(md map[string]any) bool { return md["machine"] == "m1" })
+	m1 := tk2.Where(frame.MetaPred(func(md map[string]any) bool { return md["machine"] == "m1" }))
 	if got := m1.AggregateStats("rare"); len(got) != 0 {
 		t.Fatalf("AggregateStats over all-invalid view = %v", got)
 	}
@@ -115,8 +116,8 @@ func TestMedianInPlaceEdgeCases(t *testing.T) {
 	}
 	for _, c := range cases {
 		xs := append([]float64(nil), c.xs...)
-		if got := medianInPlace(xs); got != c.want {
-			t.Errorf("medianInPlace(%v) = %v, want %v", c.xs, got, c.want)
+		if got := frame.MedianInPlace(xs); got != c.want {
+			t.Errorf("MedianInPlace(%v) = %v, want %v", c.xs, got, c.want)
 		}
 	}
 }
@@ -137,7 +138,7 @@ func TestMedianMatchesSortedReference(t *testing.T) {
 		} else {
 			want = 0.5 * (ref[n/2-1] + ref[n/2])
 		}
-		if got := medianInPlace(xs); got != want {
+		if got := frame.MedianInPlace(xs); got != want {
 			t.Fatalf("trial %d: median(%v) = %v, want %v", trial, xs, got, want)
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"rajaperf/internal/caliper"
+	"rajaperf/internal/frame"
 )
 
 // oracleRow mirrors one DataFrame row in the naive model.
@@ -94,7 +95,7 @@ func equivCorpus(seed int64, profiles int) ([]*caliper.Profile, *oracle) {
 	o := &oracle{}
 	var ps []*caliper.Profile
 	for p := 0; p < profiles; p++ {
-		c := caliper.NewRecorder()
+		c := caliper.NewRecorderWith(caliper.Config{})
 		md := map[string]any{}
 		if rng.Intn(5) != 0 { // ~1 in 5 profiles lacks the groupby key
 			m := machines[rng.Intn(len(machines))]
@@ -235,7 +236,7 @@ func TestFilteredViewMatchesOracle(t *testing.T) {
 	tk := FromProfiles(ps)
 
 	pred := func(md map[string]any) bool { return md["machine"] == "SPR-HBM" }
-	fv := tk.Filter(pred)
+	fv := tk.Where(frame.MetaPred(pred))
 
 	var kept []oracleRow
 	for _, r := range o.rows {
@@ -260,7 +261,7 @@ func TestFilteredViewMatchesOracle(t *testing.T) {
 	}
 	// FilterNodes parity.
 	nodePred := func(n string) bool { return len(n) <= 4 }
-	nv := tk.FilterNodes(nodePred)
+	nv := tk.Where(frame.NodePred(nodePred))
 	n := 0
 	for _, r := range o.rows {
 		if nodePred(r.node) {

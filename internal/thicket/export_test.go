@@ -8,16 +8,17 @@ import (
 	"testing"
 
 	"rajaperf/internal/caliper"
+	"rajaperf/internal/frame"
 )
 
 func exportFixture() *Thicket {
-	c1 := caliper.NewRecorder()
+	c1 := caliper.NewRecorderWith(caliper.Config{})
 	c1.AddMetadata("machine", "SPR-DDR")
 	c1.AddMetadata("variant", "seq")
 	c1.SetMetricAt([]string{"suite", "DAXPY"}, "time", 1.5)
 	c1.SetMetricAt([]string{"suite", "DAXPY"}, "flops", 64)
 	c1.SetMetricAt([]string{"suite", "MUL"}, "time", 0.5)
-	c2 := caliper.NewRecorder()
+	c2 := caliper.NewRecorderWith(caliper.Config{})
 	c2.AddMetadata("machine", "SPR-HBM")
 	c2.SetMetricAt([]string{"suite", "DAXPY"}, "time", 0.75)
 	return FromProfiles([]*caliper.Profile{c1.Profile(), c2.Profile()})
@@ -113,7 +114,7 @@ func TestWriteJSON(t *testing.T) {
 	}
 	// A filtered view exports only its selection.
 	var buf2 bytes.Buffer
-	fv := exportFixture().FilterNodes(func(n string) bool { return n == "MUL" })
+	fv := exportFixture().Where(frame.NodePred(func(n string) bool { return n == "MUL" }))
 	if err := fv.WriteMetricsCSV(&buf2); err != nil {
 		t.Fatal(err)
 	}

@@ -23,10 +23,9 @@ func init() {
 }
 
 // Query starts a lazy engine query over this view. Composing Where /
-// GroupBy clauses and executing Rows / Groups / Stats on it is the typed,
-// cacheable counterpart of the closure-based Filter and GroupStats
-// wrappers below; results of cacheable queries are shared with the
-// engine's LRU and must be treated as read-only.
+// GroupBy clauses and executing Rows / Groups / Stats on it is what the
+// GroupStats wrapper below does; results of cacheable queries are shared
+// with the engine's LRU and must be treated as read-only.
 func (t *Thicket) Query() *frame.Query { return eng.Query(t.f, t.sel) }
 
 // AggregateStats computes per-node summary statistics of a metric across
@@ -48,10 +47,6 @@ func (t *Thicket) AggregateStats(metric string) []Stats {
 	return out
 }
 
-// medianInPlace returns the median of xs, partially reordering it — the
-// engine's quickselect, re-exported for the statistical edge-case tests.
-func medianInPlace(xs []float64) float64 { return frame.MedianInPlace(xs) }
-
 // GroupStats partitions the view by a metadata key and computes the
 // per-node summary statistics of a metric within each group — the
 // groupby-then-aggregate composition the Thicket paper applies to
@@ -64,23 +59,6 @@ func medianInPlace(xs []float64) float64 { return frame.MedianInPlace(xs) }
 // selections are materialized. Results are cached and shared: read-only.
 func (t *Thicket) GroupStats(key, metric string) map[string][]Stats {
 	return t.Query().GroupBy(key).Stats(metric)
-}
-
-// GroupStatsSweep runs GroupStats for every key x metric combination —
-// the paper's per-machine/per-variant/per-tuning analysis sweep. Each
-// cell is one fused engine aggregation (and one cache entry, so re-running
-// the sweep over an identically composed campaign is pure cache hits).
-func (t *Thicket) GroupStatsSweep(keys, metrics []string) map[string]map[string]map[string][]Stats {
-	out := make(map[string]map[string]map[string][]Stats, len(keys))
-	for _, key := range keys {
-		q := t.Query().GroupBy(key)
-		byMetric := make(map[string]map[string][]Stats, len(metrics))
-		for _, metric := range metrics {
-			byMetric[metric] = q.Stats(metric)
-		}
-		out[key] = byMetric
-	}
-	return out
 }
 
 // SpeedupTable computes, per node, baselineMetric/otherMetric between two

@@ -4,12 +4,13 @@
 // a performance DataFrame indexed by (node, profile) holding one column
 // per metric, a metadata table with one row per profile, and an aggregated
 // statistics frame — and provides the composition operations the paper
-// uses: Concat, Filter, GroupBy over metadata, and per-node aggregation.
+// uses: composition, Where, GroupBy over metadata, and per-node
+// aggregation.
 //
 // Storage is the columnar core of package frame: a Thicket is a *view* —
-// an immutable Frame plus an ascending row selection. Filter, FilterNodes,
-// and GroupBy allocate selections, never row copies; Metric is a
-// (node, profile) index hit; NodeVector walks the node's row postings.
+// an immutable Frame plus an ascending row selection. Where and GroupBy
+// allocate selections, never row copies; Metric is a (node, profile)
+// index hit; NodeVector walks the node's row postings.
 // Views share the frame, so a Thicket and everything derived from it must
 // be treated as read-only.
 package thicket
@@ -309,18 +310,6 @@ func (t *Thicket) MetricNames() []string {
 	return out
 }
 
-// Concat composes several Thickets into one, renumbering profiles — the
-// paper's cross-run composition step. Metric cells move as dense
-// column-major copies; no per-row metric maps are rebuilt.
-func Concat(ts ...*Thicket) *Thicket {
-	defer observeCompose(time.Now(), 0)
-	parts := make([]frame.Part, len(ts))
-	for i, t := range ts {
-		parts[i] = frame.Part{F: t.f, Sel: t.sel}
-	}
-	return fromFrame(frame.Merge(parts...))
-}
-
 // Where returns the sub-view of rows satisfying every predicate,
 // executed by the engine with predicate pushdown: metadata conjuncts
 // skip whole profile row ranges, node conjuncts resolve once per
@@ -332,22 +321,6 @@ func (t *Thicket) Where(ps ...frame.Pred) *Thicket {
 		return t
 	}
 	return &Thicket{f: t.f, sel: t.Query().Where(ps...).Rows()}
-}
-
-// Filter returns a view containing only rows whose profile metadata
-// satisfies pred. Metadata of all profiles is retained (IDs are stable).
-// pred is evaluated once per profile. Prefer Where with frame.MetaEq /
-// frame.MetaIn where possible — closure predicates cannot be cached.
-func (t *Thicket) Filter(pred func(md map[string]any) bool) *Thicket {
-	return t.Where(frame.MetaPred(pred))
-}
-
-// FilterNodes returns a view with only rows whose node satisfies pred.
-// pred is evaluated once per distinct node name. Prefer Where with
-// frame.NodeEq / frame.NodeIn where possible — closure predicates
-// cannot be cached.
-func (t *Thicket) FilterNodes(pred func(node string) bool) *Thicket {
-	return t.Where(frame.NodePred(pred))
 }
 
 // GroupBy partitions the view by the string value of a metadata key,

@@ -9,12 +9,23 @@ import (
 	"testing"
 
 	"rajaperf/internal/caliper"
+	"rajaperf/internal/frame"
 )
 
 // makeProfile builds a profile with one kernel node carrying the given
 // time, tagged with variant metadata.
+// Concat composes several Thickets into one, renumbering profiles — the
+// paper's cross-run composition step.
+func Concat(ts ...*Thicket) *Thicket {
+	parts := make([]frame.Part, len(ts))
+	for i, t := range ts {
+		parts[i] = frame.Part{F: t.f, Sel: t.sel}
+	}
+	return fromFrame(frame.Merge(parts...))
+}
+
 func makeProfile(variant, machine string, kernels map[string]float64) *caliper.Profile {
-	c := caliper.NewRecorder()
+	c := caliper.NewRecorderWith(caliper.Config{})
 	c.AddMetadata("variant", variant)
 	c.AddMetadata("machine", machine)
 	for name, tv := range kernels {
@@ -60,11 +71,11 @@ func TestGroupByAndFilter(t *testing.T) {
 	if groups["RAJA_Seq"].NumRows() != 2 {
 		t.Errorf("RAJA_Seq group has %d rows, want 2", groups["RAJA_Seq"].NumRows())
 	}
-	f := tk.Filter(func(md map[string]any) bool { return md["machine"] == "SPR-HBM" })
+	f := tk.Where(frame.MetaPred(func(md map[string]any) bool { return md["machine"] == "SPR-HBM" }))
 	if f.NumRows() != 1 {
 		t.Errorf("Filter kept %d rows, want 1", f.NumRows())
 	}
-	fn := tk.FilterNodes(func(n string) bool { return n == "A" })
+	fn := tk.Where(frame.NodePred(func(n string) bool { return n == "A" }))
 	if fn.NumRows() != 3 {
 		t.Errorf("FilterNodes kept %d rows, want 3", fn.NumRows())
 	}
@@ -157,11 +168,13 @@ func TestFromDirRoundtrip(t *testing.T) {
 }
 
 func TestTreeRendering(t *testing.T) {
-	c := caliper.NewRecorder()
+	c := caliper.NewRecorderWith(caliper.Config{})
 	c.AddMetadata("variant", "RAJA_Seq")
 	c.Begin("suite")
-	c.Region("Stream_TRIAD", func() {})
-	c.Region("Basic_DAXPY", func() {})
+	for _, k := range []string{"Stream_TRIAD", "Basic_DAXPY"} {
+		c.Begin(k)
+		c.End(k) //nolint:errcheck
+	}
 	c.End("suite") //nolint:errcheck
 	c.SetMetricAt([]string{"suite", "Stream_TRIAD"}, "time", 2.5)
 	c.SetMetricAt([]string{"suite", "Basic_DAXPY"}, "time", 9.0)
