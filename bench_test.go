@@ -214,10 +214,8 @@ func BenchmarkFig8_ParallelCoords(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, st := range res.Stats {
-			if len(st.Vector()) != 8 {
-				b.Fatal("parallel coordinates need 8 axes")
-			}
+		if len(res.Stats) == 0 {
+			b.Fatal("no cluster axes")
 		}
 	}
 }

@@ -52,23 +52,3 @@ func Executor(schedule string, workers, lanes, block int, services string) Metad
 		"executor.services": services,
 	}
 }
-
-// Merge returns a copy of m overlaid with extra (extra wins on conflicts).
-func Merge(m Metadata, extra Metadata) Metadata {
-	out := make(Metadata, len(m)+len(extra))
-	for k, v := range m {
-		out[k] = v
-	}
-	for k, v := range extra {
-		out[k] = v
-	}
-	return out
-}
-
-// String returns v's string value if it is a string, else "".
-func String(m Metadata, key string) string {
-	if s, ok := m[key].(string); ok {
-		return s
-	}
-	return ""
-}

@@ -32,14 +32,6 @@ type ClusterStat struct {
 	SpeedupMI250X  float64
 }
 
-// Vector returns the Fig 8 parallel-coordinates axes for the cluster.
-func (c *ClusterStat) Vector() []float64 {
-	return []float64{
-		c.FrontendBound, c.BadSpeculation, c.Retiring, c.CoreBound,
-		c.MemoryBound, c.SpeedupHBM, c.SpeedupV100, c.SpeedupMI250X,
-	}
-}
-
 // ClusterResult is the full Sec IV analysis output.
 type ClusterResult struct {
 	Linkage     *cluster.Linkage

@@ -36,7 +36,6 @@ package caliper
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -145,9 +144,6 @@ func NewRecorderWith(cfg Config) *Recorder {
 	}
 	return c
 }
-
-// Config returns the recorder's service configuration.
-func (c *Recorder) Config() Config { return c.cfg }
 
 // AddMetadata attaches a run attribute (Adiak-style) to the profile.
 func (c *Recorder) AddMetadata(key string, value any) {
@@ -325,22 +321,6 @@ func (p *Profile) Find(name string) *Record {
 		}
 	}
 	return nil
-}
-
-// MetricNames returns the union of metric names across records, sorted.
-func (p *Profile) MetricNames() []string {
-	set := map[string]bool{}
-	for _, r := range p.Records {
-		for m := range r.Metrics {
-			set[m] = true
-		}
-	}
-	names := make([]string, 0, len(set))
-	for m := range set {
-		names = append(names, m)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Validate checks structural invariants: nonempty paths, no duplicate

@@ -75,7 +75,7 @@ var realProfiles = sync.OnceValues(func() ([]namedProfile, error) {
 
 	reg := &telemetry.Registry{}
 	reg.Counter("suite.kernels.run").Add(7)
-	reg.Gauge("campaign.runs.in_flight").Set(2)
+	reg.Gauge("campaign.runs.in_flight").Add(2)
 	reg.Histogram("campaign.spec.seconds").Observe((3 * time.Millisecond).Nanoseconds())
 	tele := telemetry.SnapshotProfile(reg.Snapshot(), 1, 500*time.Millisecond,
 		map[string]any{"campaign": "codec-test"})

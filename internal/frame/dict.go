@@ -1,7 +1,7 @@
 // Package frame is the columnar dataframe core under package thicket:
 // dictionary-encoded node and path index columns, dense float64 metric
-// columns with validity bitmaps, an interned metric-name schema, and a
-// (node, profile) -> row index built once at ingest. A Frame is immutable
+// columns with validity bitmaps, an interned metric-name schema, and
+// per-node row postings built once at seal. A Frame is immutable
 // after Build/Merge; every composition operation over it (filter, group,
 // concat) works on row selections — ascending []int32 row indices into
 // shared column storage — so slicing a campaign-scale profile set never

@@ -36,71 +36,10 @@ type Frame struct {
 	meta       []map[string]any // per profile
 	profStarts []int32          // per profile: first row (rows are contiguous per profile)
 
-	index     rowIndex  // (profile, node) -> first row; built by finish
 	nodeRows  [][]int32 // per node id: rows carrying the node, in row order; built by finish
 	nodeOrder []int32   // node ids in name order; built by finish
 
 	hash uint64 // content hash accumulated during ingest (see hash.go)
-}
-
-func indexKey(prof, node int32) uint64 {
-	return uint64(uint32(prof))<<32 | uint64(uint32(node))
-}
-
-// rowIndex is a fixed-size open-addressing (profile, node) -> row table,
-// sized once at seal time. Slots hold key+1 so the zero word means
-// empty; node id -1 is never indexed, so key+1 cannot wrap.
-type rowIndex struct {
-	keys []uint64
-	rows []int32
-}
-
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return x
-}
-
-func newRowIndex(n int) rowIndex {
-	size := 16
-	for size < n+n/2 { // load factor <= 2/3
-		size <<= 1
-	}
-	return rowIndex{keys: make([]uint64, size), rows: make([]int32, size)}
-}
-
-// put stores k -> r, overwriting any existing entry for k.
-func (ix *rowIndex) put(k uint64, r int32) {
-	mask := uint64(len(ix.keys) - 1)
-	i := mix64(k) & mask
-	for {
-		kk := ix.keys[i]
-		if kk == 0 || kk == k+1 {
-			ix.keys[i] = k + 1
-			ix.rows[i] = r
-			return
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (ix *rowIndex) get(k uint64) (int32, bool) {
-	if len(ix.keys) == 0 {
-		return 0, false
-	}
-	mask := uint64(len(ix.keys) - 1)
-	i := mix64(k) & mask
-	for {
-		kk := ix.keys[i]
-		if kk == k+1 {
-			return ix.rows[i], true
-		}
-		if kk == 0 {
-			return 0, false
-		}
-		i = (i + 1) & mask
-	}
 }
 
 // NumRows returns the row count.
@@ -158,12 +97,6 @@ func (f *Frame) Column(metric string) *Column {
 // ColumnAt returns the column with schema id i.
 func (f *Frame) ColumnAt(i int32) *Column { return f.cols[i] }
 
-// Row returns the first row at (node, profile), the ingest-built index
-// hit behind O(1) Metric lookups.
-func (f *Frame) Row(node, prof int32) (int32, bool) {
-	return f.index.get(indexKey(prof, node))
-}
-
 // NodeRows returns every row carrying node, in row order (shared;
 // read-only).
 func (f *Frame) NodeRows(node int32) []int32 {
@@ -185,9 +118,9 @@ func (f *Frame) ProfileRange(p int32) (lo, hi int32) {
 }
 
 // finish seals the frame: pads every column to the final row count and
-// builds the (node, profile) row index and the per-node postings lists
-// in one dense pass — deferring these to seal time keeps them off the
-// per-row ingest path and lets both be sized exactly.
+// builds the per-node postings lists and the name-ordered node ids —
+// deferring these to seal time keeps them off the per-row ingest path
+// and lets the postings be sized exactly.
 func (f *Frame) finish() *Frame {
 	n := len(f.nodeIDs)
 	for _, c := range f.cols {
@@ -209,18 +142,6 @@ func (f *Frame) finish() *Frame {
 	for id, c := range counts {
 		f.nodeRows[id] = backing[off : off : off+c]
 		off += c
-	}
-	f.index = newRowIndex(valid)
-	// Descending row order with overwriting stores: the lowest row per
-	// (profile, node) key writes last, so the index is first-wins with a
-	// single probe per row.
-	profIDs := f.profIDs
-	for r := n - 1; r >= 0; r-- {
-		id := f.nodeIDs[r]
-		if id < 0 {
-			continue
-		}
-		f.index.put(indexKey(profIDs[r], id), int32(r))
 	}
 	for r, id := range f.nodeIDs {
 		if id >= 0 {

@@ -80,6 +80,16 @@ func TestBitmapAndColumn(t *testing.T) {
 	}
 }
 
+// firstRow returns the first row at (node, prof), walking node's postings.
+func firstRow(f *Frame, node, prof int32) (int32, bool) {
+	for _, r := range f.NodeRows(node) {
+		if f.ProfIDs()[r] == prof {
+			return r, true
+		}
+	}
+	return 0, false
+}
+
 // buildTestFrame: 2 profiles; p0 has kernels A,B (A duplicated), p1 has B,C.
 func buildTestFrame(t *testing.T) *Frame {
 	t.Helper()
@@ -103,11 +113,11 @@ func TestBuilderFrameInvariants(t *testing.T) {
 	if f.NumRows() != 5 || f.NumProfiles() != 2 {
 		t.Fatalf("rows = %d, profiles = %d", f.NumRows(), f.NumProfiles())
 	}
-	// Index is first-wins: the duplicate (A, p0) row resolves to row 0.
+	// The first (A, p0) row is row 0, ahead of its duplicate.
 	aid, _ := f.NodeDict().Lookup("A")
-	r, ok := f.Row(aid, 0)
+	r, ok := firstRow(f, aid, 0)
 	if !ok || r != 0 {
-		t.Fatalf("Row(A, 0) = %d, %v", r, ok)
+		t.Fatalf("firstRow(A, 0) = %d, %v", r, ok)
 	}
 	if v, ok := f.Column("time").Value(r); !ok || v != 1 {
 		t.Fatalf("time at first (A,0) row = %v, %v", v, ok)
@@ -125,7 +135,7 @@ func TestBuilderFrameInvariants(t *testing.T) {
 	}
 	// Missing cells are invalid, not zero.
 	bid, _ := f.NodeDict().Lookup("B")
-	rb, _ := f.Row(bid, 1)
+	rb, _ := firstRow(f, bid, 1)
 	if _, ok := f.Column("flops").Value(rb); ok {
 		t.Fatal("flops at (B,1) should be absent")
 	}
@@ -153,16 +163,16 @@ func TestMergeWithSelectionAndEmptyProfiles(t *testing.T) {
 	if !ok {
 		t.Fatal("A not in merged dict")
 	}
-	r, ok := m.Row(aid, 2)
+	r, ok := firstRow(m, aid, 2)
 	if !ok {
-		t.Fatal("Row(A, 2) missing")
+		t.Fatal("firstRow(A, 2) missing")
 	}
 	if v, ok := m.Column("time").Value(r); !ok || v != 1 {
 		t.Fatalf("merged time at (A, p2) = %v, %v", v, ok)
 	}
 	// The selected part kept only B for p0: (A, 0) must be absent.
-	if _, ok := m.Row(aid, 0); ok {
-		t.Fatal("Row(A, 0) should be dropped by selection")
+	if _, ok := firstRow(m, aid, 0); ok {
+		t.Fatal("firstRow(A, 0) should be dropped by selection")
 	}
 	// Profile ranges stay contiguous and ordered after merge.
 	prev := int32(0)
@@ -176,31 +186,5 @@ func TestMergeWithSelectionAndEmptyProfiles(t *testing.T) {
 	// Metadata is shared through the merge.
 	if m.MetaString(1, "machine") != "m1" || m.MetaString(3, "machine") != "m1" {
 		t.Fatal("metadata lost in merge")
-	}
-}
-
-func TestRowIndexPutGet(t *testing.T) {
-	ix := newRowIndex(100)
-	for i := int32(0); i < 100; i++ {
-		ix.put(indexKey(i, i%7), i)
-	}
-	for i := int32(0); i < 100; i++ {
-		r, ok := ix.get(indexKey(i, i%7))
-		if !ok || r != i {
-			t.Fatalf("get(%d) = %d, %v", i, r, ok)
-		}
-	}
-	if _, ok := ix.get(indexKey(500, 500)); ok {
-		t.Fatal("absent key found")
-	}
-	// Overwrite is allowed (finish relies on it for first-wins).
-	ix.put(indexKey(5, 5), 99)
-	if r, _ := ix.get(indexKey(5, 5)); r != 99 {
-		t.Fatalf("overwrite = %d", r)
-	}
-	// Key zero (profile 0, node 0) is representable.
-	var empty rowIndex
-	if _, ok := empty.get(0); ok {
-		t.Fatal("empty index found a key")
 	}
 }

@@ -21,6 +21,15 @@ const hashSeed = 0x9e3779b97f4a7c15
 // Hash returns the frame's content hash.
 func (f *Frame) Hash() uint64 { return f.hash }
 
+// mix64 scrambles x: the xor-shift-multiply rounds of MurmurHash3's
+// 64-bit finalizer.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	return x
+}
+
 // strHash is FNV-1a over s.
 func strHash(s string) uint64 {
 	h := uint64(14695981039346656037)

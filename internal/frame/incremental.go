@@ -12,10 +12,10 @@ package frame
 // and the column validity bitmaps (a builder append sets a bit inside
 // the same word a snapshot reader scans; value and index appends land
 // strictly beyond every snapshot's capped length, touching disjoint
-// memory). It then rebuilds the (profile, node) row index and node
-// postings for the snapshot prefix. The result: appending k profiles to
-// a composed campaign of n rows costs O(k) ingest plus an O(n) seal —
-// no JSON re-decode, no re-interning, no column copies.
+// memory). It then rebuilds the node postings for the snapshot prefix.
+// The result: appending k profiles to a composed campaign of n rows
+// costs O(k) ingest plus an O(n) seal — no JSON re-decode, no
+// re-interning, no column copies.
 //
 // Concurrency contract: StartProfile/AddRow/Snapshot are issued from one
 // goroutine (or externally synchronized), exactly like Builder; Frames
@@ -40,9 +40,6 @@ func NewIncremental() *Incremental {
 	return &Incremental{b: NewBuilder()}
 }
 
-// Reserve presizes for about rows total rows (before the first profile).
-func (inc *Incremental) Reserve(rows int) { inc.b.Reserve(rows) }
-
 // StartProfile opens the next profile; see Builder.StartProfile.
 func (inc *Incremental) StartProfile(meta map[string]any) int32 {
 	return inc.b.StartProfile(meta)
@@ -52,12 +49,6 @@ func (inc *Incremental) StartProfile(meta map[string]any) int32 {
 func (inc *Incremental) AddRow(path []string, metrics map[string]float64) {
 	inc.b.AddRow(path, metrics)
 }
-
-// NumProfiles returns the number of profiles ingested so far.
-func (inc *Incremental) NumProfiles() int { return inc.b.f.NumProfiles() }
-
-// NumRows returns the number of rows ingested so far.
-func (inc *Incremental) NumRows() int { return inc.b.f.NumRows() }
 
 // Snapshot seals the current state into an immutable, queryable Frame
 // without disturbing ingest; appends may continue afterwards and do not

@@ -87,10 +87,10 @@ func Merge(parts ...Part) *Frame {
 		}
 		f.meta = append(f.meta, src.meta...)
 
-		// Index columns, row by row over the selection. The (node,
-		// profile) index and node postings are rebuilt by finish. A row's
-		// node id is its path's node — the same invariant the Builder
-		// maintains — so one path remap resolves both index columns.
+		// Index columns, row by row over the selection. The node
+		// postings are rebuilt by finish. A row's node id is its path's
+		// node — the same invariant the Builder maintains — so one path
+		// remap resolves both index columns.
 		appendRow := func(r int32) {
 			row := int32(len(f.nodeIDs))
 			if starts[src.profIDs[r]] < 0 {

@@ -128,9 +128,6 @@ func NewDevice(m *machine.Machine) (*Device, error) {
 	return &Device{mach: m}, nil
 }
 
-// Machine returns the underlying machine model.
-func (d *Device) Machine() *machine.Machine { return d.mach }
-
 // sectorsPerWarpAccess returns how many 32-byte sectors one warp-wide
 // 8-byte access generates under the given pattern. A fully coalesced warp
 // of 32 threads touching consecutive doubles covers 256 bytes = 8 sectors;

@@ -30,7 +30,6 @@ const (
 	Lcals
 	Polybench
 	Stream
-	numGroups
 )
 
 // String returns the group name used in kernel identifiers, e.g. "Algorithm"
@@ -316,8 +315,8 @@ type RunParams struct {
 	GPUBlock int // block size for GPU back-end (0 = raja.DefaultBlock)
 	Ranks    int // simulated MPI ranks for Comm kernels (0 = 4)
 
-	// Ctx carries cancellation for the run. The suite driver checks it
-	// between kernels. Nil means context.Background().
+	// Ctx carries cancellation for the run. The suite driver sets it and
+	// checks it between kernels; an injected slow lane waits on it.
 	Ctx context.Context
 
 	// Schedule selects the parallel loop schedule (static/dynamic/guided)
@@ -332,14 +331,6 @@ type RunParams struct {
 	// without allocating kernel data (see Alloc); Run must not follow.
 	// The zero value executes.
 	ModelOnly bool
-}
-
-// Context resolves the run's cancellation context.
-func (rp RunParams) Context() context.Context {
-	if rp.Ctx != nil {
-		return rp.Ctx
-	}
-	return context.Background()
 }
 
 // ExecPool resolves the executor pool for this run.

@@ -32,7 +32,7 @@ func TestCanvasWriteFile(t *testing.T) {
 	dir := t.TempDir()
 	c := NewCanvas(10, 10)
 	path := filepath.Join(dir, "sub", "fig.svg")
-	if err := c.WriteFile(path); err != nil {
+	if err := WriteSVGFile(path, c.String()); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

@@ -71,16 +71,6 @@ func (c *Canvas) TextRotated(x, y float64, s string, deg float64, size int) {
 // String finalizes and returns the SVG document.
 func (c *Canvas) String() string { return c.b.String() + "</svg>\n" }
 
-// WriteFile writes the document, creating parent directories.
-func (c *Canvas) WriteFile(path string) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("plot: %w", err)
-		}
-	}
-	return os.WriteFile(path, []byte(c.String()), 0o644)
-}
-
 // WriteSVGFile writes an already-rendered SVG document to path, creating
 // parent directories.
 func WriteSVGFile(path, svg string) error {

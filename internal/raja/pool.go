@@ -309,7 +309,9 @@ func (p *Pool) dispatch(sched Schedule, workers, size int, r Range, w spanWork) 
 // t, one fresh goroutine per lane, with the pool's instrumentation,
 // trace and heartbeat wired exactly as on the pooled path.
 func (p *Pool) spawnLanes(t *poolTask) {
-	p.noteFallback()
+	if p.fallbackStart() {
+		defer p.active.Add(-1)
+	}
 	t.instr, t.trace, t.beats = p.activeInstr(), p.activeTrace(), &p.beats
 	var wg sync.WaitGroup
 	wg.Add(t.lanes)

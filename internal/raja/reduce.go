@@ -25,15 +25,6 @@ func NewMultiReduceSum[T Number](p Policy, bins int) *MultiReduceSum[T] {
 // Add accumulates v into bin b of the calling worker's lane.
 func (m *MultiReduceSum[T]) Add(c Ctx, b int, v T) { m.lanes[c.Worker][b] += v }
 
-// Get returns the combined value of bin b.
-func (m *MultiReduceSum[T]) Get(b int) T {
-	var s T
-	for _, l := range m.lanes {
-		s += l[b]
-	}
-	return s
-}
-
 // GetAll combines all bins into dst, which must have length bins.
 func (m *MultiReduceSum[T]) GetAll(dst []T) {
 	for b := range dst {

@@ -225,9 +225,6 @@ func TestMultiReduceSum(t *testing.T) {
 			if got[b] != want {
 				t.Errorf("policy %v: bin %d = %v, want %v", p, b, got[b], want)
 			}
-			if m.Get(b) != got[b] {
-				t.Errorf("policy %v: Get(%d) != GetAll", p, b)
-			}
 		}
 	}
 }

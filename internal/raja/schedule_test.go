@@ -229,8 +229,10 @@ func TestSchedulesAgreeOnReduction(t *testing.T) {
 				}
 				m := NewMultiReduceSum[int64](p, 1)
 				Forall(p, n, func(c Ctx, i int) { m.Add(c, 0, elem(i)) })
-				if got := m.Get(0); got != want {
-					t.Errorf("%v/%v/w%d: MultiReduceSum sum = %d, want %d", kind, sched, workers, got, want)
+				got := make([]int64, 1)
+				m.GetAll(got)
+				if got[0] != want {
+					t.Errorf("%v/%v/w%d: MultiReduceSum sum = %d, want %d", kind, sched, workers, got[0], want)
 				}
 			}
 		}

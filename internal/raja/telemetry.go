@@ -115,11 +115,17 @@ func (p *Pool) EnableDispatchTelemetry(reg *telemetry.Registry) {
 	})
 }
 
-// noteFallback counts a spawn-fallback dispatch (telemetry on only).
-func (p *Pool) noteFallback() {
-	if t := p.tele.Load(); t != nil {
-		t.fallbacks.Inc()
+// fallbackStart counts a spawn-fallback dispatch and marks it in flight
+// (telemetry on only); it reports whether the caller must decrement
+// p.active when the region ends.
+func (p *Pool) fallbackStart() bool {
+	t := p.tele.Load()
+	if t == nil {
+		return false
 	}
+	t.fallbacks.Inc()
+	p.active.Add(1)
+	return true
 }
 
 // dispatchStart opens a dispatch measurement window; dispatchEnd closes

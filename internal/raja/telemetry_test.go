@@ -33,7 +33,7 @@ func TestPoolTelemetry(t *testing.T) {
 	}
 	// The latency histogram samples 1 in dispatchSample, starting with
 	// the first dispatch: ordinals 1, 9, 17.
-	if got := reg.Histogram("raja.pool.dispatch_ns").Count(); got != 3 {
+	if got := reg.Histogram("raja.pool.dispatch_ns").Snapshot().Count; got != 3 {
 		t.Errorf("raja.pool.dispatch_ns count = %d, want 3 sampled of %d", got, dispatches)
 	}
 
@@ -66,6 +66,57 @@ func TestPoolTelemetry(t *testing.T) {
 			t.Errorf("per-lane busy gauge missing for lane %d", lane)
 		}
 	}
+}
+
+// TestPoolActiveDispatchesCountsFallbacks: raja.pool.active_dispatches
+// counts every parallel region in flight, spawn fallbacks included.
+func TestPoolActiveDispatchesCountsFallbacks(t *testing.T) {
+	active := func(reg *telemetry.Registry) float64 {
+		for _, g := range reg.Snapshot().Gauges {
+			if g.Name == "raja.pool.active_dispatches" {
+				return g.Value
+			}
+		}
+		t.Fatal("raja.pool.active_dispatches not registered")
+		return 0
+	}
+	t.Run("closed_pool", func(t *testing.T) {
+		reg := &telemetry.Registry{}
+		pool := NewPool(2)
+		pool.EnableTelemetry(reg)
+		pool.Close()
+		var inside [2]float64
+		parent := active(reg)
+		Forall(Policy{Kind: Par, Workers: 2, Pool: pool}, 2, func(c Ctx, i int) { inside[i] = active(reg) })
+		if parent != 0 || inside != [2]float64{1, 1} {
+			t.Errorf("closed pool: parent reads %v, body reads %v; want 0 and [1 1]", parent, inside)
+		}
+		if got := active(reg); got != 0 {
+			t.Errorf("closed pool: %v at rest, want 0", got)
+		}
+	})
+	t.Run("nested_in_pooled", func(t *testing.T) {
+		reg := &telemetry.Registry{}
+		pool := NewPool(2)
+		defer pool.Close()
+		pool.EnableTelemetry(reg)
+		p := Policy{Kind: Par, Workers: 2, Pool: pool}
+		var parent float64
+		var inner [2]float64
+		Forall(p, 2, func(c Ctx, i int) {
+			if i != 0 {
+				return
+			}
+			parent = active(reg)
+			Forall(p, 2, func(c Ctx, j int) { inner[j] = active(reg) })
+		})
+		if parent != 1 || inner != [2]float64{2, 2} {
+			t.Errorf("nested: parent reads %v, inner body reads %v; want 1 and [2 2]", parent, inner)
+		}
+		if got := active(reg); got != 0 {
+			t.Errorf("nested: %v at rest, want 0", got)
+		}
+	})
 }
 
 // TestPoolTelemetryConcurrentEnable: flipping telemetry on while

@@ -28,9 +28,6 @@ func NewView1Offset[T any](data []T, offset int) View1[T] {
 	return View1[T]{Data: data, Offset: offset}
 }
 
-// At returns the element at logical index i.
-func (v View1[T]) At(i int) T { return v.Data[i-v.Offset] }
-
 // Set stores x at logical index i.
 func (v View1[T]) Set(i int, x T) { v.Data[i-v.Offset] = x }
 
@@ -47,9 +44,6 @@ func NewView2[T any](data []T, n1 int) View2[T] {
 
 // At returns the element at (i, j).
 func (v View2[T]) At(i, j int) T { return v.Data[i*v.L.N1+j] }
-
-// Set stores x at (i, j).
-func (v View2[T]) Set(i, j int, x T) { v.Data[i*v.L.N1+j] = x }
 
 // View3 is a row-major three-dimensional view.
 type View3[T any] struct {

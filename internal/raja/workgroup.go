@@ -18,9 +18,6 @@ func (g *WorkGroup) Enqueue(n int, body Body) {
 	g.items = append(g.items, workItem{n: n, body: body})
 }
 
-// Len reports the number of enqueued loops.
-func (g *WorkGroup) Len() int { return len(g.items) }
-
 // Run executes every enqueued loop under a single fused dispatch and clears
 // the group. Under parallel policies whole items are distributed across
 // workers dynamically; iterations of one item never split across workers,

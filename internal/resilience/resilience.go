@@ -220,11 +220,6 @@ func (in *Injector) Fired(point string) int64 {
 	return 0
 }
 
-// Enabled reports whether the named point is armed at all.
-func (in *Injector) Enabled(point string) bool {
-	return in != nil && in.points[point] != nil
-}
-
 // String returns the spec the injector was parsed from ("" for nil).
 func (in *Injector) String() string {
 	if in == nil {

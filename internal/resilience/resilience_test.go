@@ -11,6 +11,11 @@ import (
 	"time"
 )
 
+// Enabled reports whether the named point is armed at all.
+func (in *Injector) Enabled(point string) bool {
+	return in != nil && in.points[point] != nil
+}
+
 func TestParseFaultsRejectsBadSpecs(t *testing.T) {
 	for _, spec := range []string{
 		"no.such.point",             // unknown point

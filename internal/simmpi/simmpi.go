@@ -1,10 +1,10 @@
 // Package simmpi provides a small message-passing substrate that stands in
 // for MPI in the suite's Comm group kernels. Each simulated rank runs on
 // its own goroutine; ranks exchange tagged messages over channels with
-// point-to-point FIFO ordering, support nonblocking send/receive with
-// requests, and synchronize on barriers. A simple latency/bandwidth model
-// accumulates per-rank communication time so halo kernels can report their
-// communication share.
+// point-to-point FIFO ordering and support nonblocking send/receive with
+// requests. It models no interconnect cost: a Comm kernel's communication
+// share is its instruction mix's MPIFraction, which the tma and gpusim
+// models apply.
 //
 // The package's message discipline — typed tagged frames, spawn-all
 // rendezvous before any rank communicates, per-sender FIFO ordering —
@@ -26,37 +26,21 @@ type Message struct {
 
 // Comm is a communicator over a fixed set of ranks.
 type Comm struct {
-	size    int
-	mail    []chan Message // one inbox per destination rank
-	barrier *barrier
-
-	// Modeled interconnect parameters.
-	LatencySec float64 // per-message latency
-	BWBytesSec float64 // per-link bandwidth
+	size int
+	mail []chan Message // one inbox per destination rank
 }
 
-// NewComm creates a communicator with the given number of ranks. The
-// default interconnect model is a 1.5 us / 12 GB/s link, typical of the
-// node-local MPI the paper's Comm kernels exercise.
+// NewComm creates a communicator with the given number of ranks.
 func NewComm(size int) *Comm {
 	if size <= 0 {
 		panic("simmpi: communicator needs at least one rank")
 	}
-	c := &Comm{
-		size:       size,
-		mail:       make([]chan Message, size),
-		barrier:    newBarrier(size),
-		LatencySec: 1.5e-6,
-		BWBytesSec: 12e9,
-	}
+	c := &Comm{size: size, mail: make([]chan Message, size)}
 	for i := range c.mail {
 		c.mail[i] = make(chan Message, 4*size)
 	}
 	return c
 }
-
-// Size returns the number of ranks.
-func (c *Comm) Size() int { return c.size }
 
 // Rank is the per-goroutine handle a rank uses to communicate.
 type Rank struct {
@@ -64,7 +48,6 @@ type Rank struct {
 	id      int
 	pending []Message // received but not yet matched
 	mu      sync.Mutex
-	commSec float64 // modeled communication time
 }
 
 // ID returns this rank's index in [0, Size).
@@ -82,7 +65,6 @@ func (r *Rank) Send(dst, tag int, data []float64) {
 	buf := make([]float64, len(data))
 	copy(buf, data)
 	r.comm.mail[dst] <- Message{Src: r.id, Tag: tag, Data: buf}
-	r.commSec += r.comm.LatencySec + float64(len(data)*8)/r.comm.BWBytesSec
 }
 
 // AnySource matches a message from any sender in Irecv.
@@ -143,51 +125,16 @@ func (r *Rank) Irecv(src, tag int) *Request {
 }
 
 // Run executes f on every rank of a fresh communicator of the given size
-// and returns the communicator after all ranks finish (its per-rank comm
-// times remain queryable through the ranks slice it returns).
-func Run(size int, f func(r *Rank)) []*Rank {
+// and returns when all ranks finish.
+func Run(size int, f func(r *Rank)) {
 	c := NewComm(size)
-	ranks := make([]*Rank, size)
 	var wg sync.WaitGroup
 	for i := 0; i < size; i++ {
-		ranks[i] = &Rank{comm: c, id: i}
 		wg.Add(1)
 		go func(r *Rank) {
 			defer wg.Done()
 			f(r)
-		}(ranks[i])
+		}(&Rank{comm: c, id: i})
 	}
 	wg.Wait()
-	return ranks
-}
-
-// barrier is a reusable N-party barrier.
-type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	n     int
-	count int
-	phase int
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) await() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	phase := b.phase
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.phase++
-		b.cond.Broadcast()
-		return
-	}
-	for phase == b.phase {
-		b.cond.Wait()
-	}
 }

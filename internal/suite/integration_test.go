@@ -64,10 +64,11 @@ func TestPipelineDiskRoundtrip(t *testing.T) {
 	}
 
 	// Metadata survives the roundtrip.
-	for id := thicket.ProfileID(0); int(id) < tk.NumProfiles(); id++ {
-		md := tk.Metadata(id)
-		if md["variant"] == nil || md["tuning"] == nil || md["size_per_node"] == nil {
-			t.Errorf("profile %d missing Adiak metadata: %v", id, md)
+	for _, key := range []string{"variant", "tuning", "size_per_node"} {
+		for id, v := range tk.MetadataColumn(key) {
+			if v == "<nil>" {
+				t.Errorf("profile %d missing Adiak metadata %s", id, key)
+			}
 		}
 	}
 

@@ -12,7 +12,6 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	cases := map[string]func(){
 		"counter.inc":  func() { c.Inc() },
 		"counter.add":  func() { c.Add(3) },
-		"gauge.set":    func() { g.Set(1.5) },
 		"gauge.add":    func() { g.Add(-0.5) },
 		"hist.observe": func() { h.Observe(12345) },
 		"bus.nil":      func() { (*Bus)(nil).Publish(Event{}) },
@@ -30,19 +29,12 @@ func TestHotPathZeroAlloc(t *testing.T) {
 func BenchmarkTelemetryHotPath(b *testing.B) {
 	reg := &Registry{}
 	c := reg.Counter("bench.counter")
-	g := reg.Gauge("bench.gauge")
 	h := reg.Histogram("bench.hist")
 
 	b.Run("CounterInc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			c.Inc()
-		}
-	})
-	b.Run("GaugeSet", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g.Set(float64(i))
 		}
 	})
 	b.Run("HistObserve", func(b *testing.B) {

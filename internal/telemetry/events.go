@@ -46,16 +46,13 @@ type Event struct {
 
 // Sub is one subscription: receive events from C until Close. If the
 // subscriber lags past its buffer, the oldest pending events are
-// dropped; Dropped reports how many.
+// dropped and counted.
 type Sub struct {
 	C chan Event
 
 	bus     *Bus
 	dropped atomic.Int64
 }
-
-// Dropped reports how many events this subscriber lost to backpressure.
-func (s *Sub) Dropped() int64 { return s.dropped.Load() }
 
 // Close detaches the subscription and closes its channel.
 func (s *Sub) Close() {
@@ -159,13 +156,4 @@ func (b *Bus) unsubscribe(s *Sub) {
 		delete(b.subs, s)
 		close(s.C)
 	}
-}
-
-// Stats reports bus-level counters: events published and events dropped
-// across all subscribers.
-func (b *Bus) Stats() (published, dropped int64) {
-	if b == nil {
-		return 0, 0
-	}
-	return b.pub.Value(), b.drop.Value()
 }

@@ -5,6 +5,18 @@ import (
 	"testing"
 )
 
+// Dropped reports how many events this subscriber lost to backpressure.
+func (s *Sub) Dropped() int64 { return s.dropped.Load() }
+
+// Stats reports bus-level counters: events published and events dropped
+// across all subscribers.
+func (b *Bus) Stats() (published, dropped int64) {
+	if b == nil {
+		return 0, 0
+	}
+	return b.pub.Value(), b.drop.Value()
+}
+
 // TestBusOrdering: a subscriber keeping up sees every event in publish
 // order with strictly increasing sequence numbers — even when many
 // goroutines publish concurrently.

@@ -90,16 +90,6 @@ func L() *Logger {
 	return defaultLogger
 }
 
-// Enabled reports whether records at level would be written.
-func (l *Logger) Enabled(level Level) bool {
-	if l == nil {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return level >= l.min
-}
-
 func appendFields(dst []string, kv []any) []string {
 	for i := 0; i+1 < len(kv); i += 2 {
 		dst = append(dst, fmt.Sprintf("%v=%v", kv[i], kv[i+1]))

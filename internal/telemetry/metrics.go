@@ -1,6 +1,6 @@
 // Package telemetry is the suite's runtime observability plane: a
 // zero-alloc-on-hot-path metrics core (atomic counters and gauges,
-// log-bucketed latency histograms with mergeable snapshots), a
+// log-bucketed latency histograms with subtractable snapshots), a
 // process-wide Registry with cheap label support, live exposition over
 // HTTP (Prometheus text, expvar-style JSON, health, and an SSE event
 // stream), a small leveled structured logger, and a snapshotter that
@@ -16,7 +16,7 @@
 //
 // # Overhead contract
 //
-// Hot-path updates (Counter.Add, Gauge.Set, Histogram.Observe) are one
+// Hot-path updates (Counter.Add, Gauge.Add, Histogram.Observe) are one
 // or two uncontended atomic operations and never allocate. Metric
 // handles are resolved once at setup (Registry.Counter etc., which take
 // a lock) and then shared; nothing on a kernel's execution path performs
@@ -66,14 +66,6 @@ func (c *Counter) Value() int64 {
 // nil *Gauge discards updates.
 type Gauge struct {
 	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
 }
 
 // Add adjusts the gauge by delta (may be negative). Lock-free via CAS.
@@ -152,8 +144,7 @@ func bucketBounds(i int) (lo, hi int64) {
 // worst-case quantile estimation error — is 1/histSub (12.5%).
 // The zero value is ready; a nil *Histogram discards observations.
 type Histogram struct {
-	count atomic.Int64
-	sum   atomic.Int64
+	sum atomic.Int64
 	// buckets are plain atomics, unpadded: a histogram is written by many
 	// lanes but each sample touches one word, and the alternative —
 	// padding ~500 buckets to cache lines — would cost 32 KiB per
@@ -171,19 +162,10 @@ func (h *Histogram) Observe(v int64) {
 		v = 0
 	}
 	h.buckets[bucketIndex(v)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Snapshot copies the histogram into a mergeable point-in-time view.
+// Snapshot copies the histogram into a point-in-time view.
 // Safe concurrently with Observe; a snapshot taken mid-record is a
 // consistent-enough view (each word is individually atomic, and Count
 // is reconstructed from the bucket copies so quantile ranks never
@@ -207,28 +189,13 @@ func (h *Histogram) Snapshot() HistSnapshot {
 }
 
 // HistSnapshot is a point-in-time copy of a histogram: sparse bucket
-// counts plus the running sum. Snapshots merge and subtract, so a
-// periodic flusher can emit per-interval deltas whose sum reconstructs
-// the cumulative series.
+// counts plus the running sum. Snapshots subtract, so a periodic flusher
+// can emit per-interval deltas whose sum reconstructs the cumulative
+// series.
 type HistSnapshot struct {
 	Buckets map[int]int64
 	Count   int64
 	Sum     int64
-}
-
-// Merge returns the combination of s and o (associative, commutative).
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	out := HistSnapshot{Count: s.Count + o.Count, Sum: s.Sum + o.Sum}
-	if len(s.Buckets)+len(o.Buckets) > 0 {
-		out.Buckets = make(map[int]int64, len(s.Buckets)+len(o.Buckets))
-		for i, n := range s.Buckets {
-			out.Buckets[i] += n
-		}
-		for i, n := range o.Buckets {
-			out.Buckets[i] += n
-		}
-	}
-	return out
 }
 
 // Sub returns s minus an earlier snapshot of the same histogram — the

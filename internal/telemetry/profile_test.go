@@ -165,7 +165,7 @@ func TestBoot(t *testing.T) {
 	if srv == nil {
 		t.Fatal("Boot with Addr returned no server")
 	}
-	if code, _ := get(t, srv.URL()+"/healthz"); code != 200 {
+	if code, _ := get(t, "http://"+srv.Addr()+"/healthz"); code != 200 {
 		t.Fatalf("booted server unhealthy: %d", code)
 	}
 	// Default-registry activity lands in the shutdown flush.

@@ -152,8 +152,8 @@ type MetricValue struct {
 	Value float64 `json:"value"`
 }
 
-// HistValue is one histogram in a snapshot: the mergeable bucket copy
-// plus derived summary statistics.
+// HistValue is one histogram in a snapshot: the bucket copy plus
+// derived summary statistics.
 type HistValue struct {
 	Name string       `json:"name"`
 	Hist HistSnapshot `json:"-"`

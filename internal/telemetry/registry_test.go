@@ -22,7 +22,7 @@ func TestSnapshotDeterminism(t *testing.T) {
 		ops := []func(){
 			func() { r.Counter("c.alpha").Add(3) },
 			func() { r.Counter("c.beta", "k", "v").Add(7) },
-			func() { r.Gauge("g.depth").Set(2.5) },
+			func() { r.Gauge("g.depth").Add(2.5) },
 			func() { r.Histogram("h.lat").Observe(1000) },
 			func() { r.Histogram("h.lat").Observe(2000) },
 			func() { r.GaugeFunc("g.fn", func() float64 { return 9 }) },
@@ -79,13 +79,13 @@ func TestSnapshotSub(t *testing.T) {
 	g := r.Gauge("depth")
 	c.Add(5)
 	h.Observe(100)
-	g.Set(1)
+	g.Add(1)
 	prev := r.Snapshot()
 
 	c.Add(3)
 	h.Observe(200)
 	h.Observe(300)
-	g.Set(9)
+	g.Add(8)
 	r.Counter("fresh").Add(11)
 	delta := r.Snapshot().Sub(prev)
 

@@ -70,9 +70,6 @@ func Serve(addr string, opts ServerOptions) (*Server, error) {
 // Addr returns the server's bound address (resolving a :0 request).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// URL returns "http://<addr>".
-func (s *Server) URL() string { return "http://" + s.Addr() }
-
 // Shutdown gracefully stops the server: in-flight scrapes finish, SSE
 // streams close, the listener is released.
 func (s *Server) Shutdown(ctx context.Context) error {

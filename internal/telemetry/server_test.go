@@ -45,14 +45,14 @@ func get(t *testing.T, url string) (int, string) {
 func TestServerMetrics(t *testing.T) {
 	reg := &Registry{}
 	reg.Counter("campaign.runs", "status", "done").Add(4)
-	reg.Gauge("pool.depth").Set(2)
+	reg.Gauge("pool.depth").Add(2)
 	h := reg.Histogram("dispatch.ns")
 	for _, v := range []int64{100, 1000, 10_000, 10_000} {
 		h.Observe(v)
 	}
 	srv := startServer(t, reg, nil)
 
-	code, body := get(t, srv.URL()+"/metrics")
+	code, body := get(t, "http://"+srv.Addr()+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
 	}
@@ -99,7 +99,7 @@ func TestServerVars(t *testing.T) {
 	reg.Histogram("lat").Observe(500)
 	srv := startServer(t, reg, nil)
 
-	code, body := get(t, srv.URL()+"/debug/vars")
+	code, body := get(t, "http://"+srv.Addr()+"/debug/vars")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/vars status %d", code)
 	}
@@ -121,7 +121,7 @@ func TestServerVars(t *testing.T) {
 // TestServerHealth: /healthz answers 200 with status ok.
 func TestServerHealth(t *testing.T) {
 	srv := startServer(t, &Registry{}, nil)
-	if code, body := get(t, srv.URL()+"/healthz"); code != http.StatusOK || !strings.Contains(body, `"ok"`) {
+	if code, body := get(t, "http://"+srv.Addr()+"/healthz"); code != http.StatusOK || !strings.Contains(body, `"ok"`) {
 		t.Fatalf("healthz: %d %s", code, body)
 	}
 }
@@ -168,7 +168,7 @@ func TestServerSSE(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		bus.Publish(Event{Type: "run", Run: fmt.Sprintf("spec-%d", i), Status: "done"})
 	}
-	resp, err := http.Get(srv.URL() + "/events?replay=10")
+	resp, err := http.Get("http://" + srv.Addr() + "/events?replay=10")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestServerSSE(t *testing.T) {
 // TestServerSSEWithoutBus: /events 404s when no bus is wired.
 func TestServerSSEWithoutBus(t *testing.T) {
 	srv := startServer(t, &Registry{}, nil)
-	if code, _ := get(t, srv.URL()+"/events"); code != http.StatusNotFound {
+	if code, _ := get(t, "http://"+srv.Addr()+"/events"); code != http.StatusNotFound {
 		t.Fatalf("/events without bus: %d, want 404", code)
 	}
 }

@@ -120,18 +120,6 @@ func BenchmarkThicketComposeGroupStats(b *testing.B) {
 	}
 }
 
-func BenchmarkThicketMetric(b *testing.B) {
-	tk := FromProfiles(benchCorpus())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v, ok := tk.Metric("Kernel_40", ProfileID(i%benchProfiles), "time")
-		if !ok || v <= 0 {
-			b.Fatal("metric miss")
-		}
-	}
-}
-
 func BenchmarkThicketFilterGroupBy(b *testing.B) {
 	tk := FromProfiles(benchCorpus())
 	b.ReportAllocs()

@@ -80,18 +80,14 @@ func TestFromDirOverCampaignOutput(t *testing.T) {
 		t.Errorf("machine column %v lost per-profile values", machines)
 	}
 	// Grouping keeps profile IDs stable, so each group's rows reference
-	// exactly one underlying run.
+	// exactly one underlying run: one spec, since every spec differs.
 	groups := tk.GroupBy("machine")
 	if len(groups) != 3 {
 		t.Fatalf("GroupBy(machine) = %d groups, want 3", len(groups))
 	}
 	for m, g := range groups {
-		ids := map[thicket.ProfileID]bool{}
-		for _, r := range g.Rows() {
-			ids[r.Profile] = true
-		}
-		if len(ids) != 1 {
-			t.Errorf("group %q rows span %d profiles, want 1", m, len(ids))
+		if specs := g.GroupBy("campaign.spec"); len(specs) != 1 {
+			t.Errorf("group %q rows span %d specs, want 1", m, len(specs))
 		}
 	}
 }
@@ -116,22 +112,22 @@ func TestConcatRenumbersCampaignProfiles(t *testing.T) {
 	if tk.NumRows() != ta.NumRows()+tb.NumRows() {
 		t.Errorf("NumRows = %d, want %d", tk.NumRows(), ta.NumRows()+tb.NumRows())
 	}
-	// The second campaign's rows must point at the renumbered profile, and
-	// every row's profile ID must resolve to metadata.
-	maxID := thicket.ProfileID(-1)
-	for _, r := range tk.Rows() {
-		if tk.Metadata(r.Profile) == nil {
-			t.Fatalf("row %q has dangling profile ID %d", r.Node, r.Profile)
-		}
-		if r.Profile > maxID {
-			maxID = r.Profile
-		}
-	}
-	if maxID != 2 {
-		t.Errorf("max profile ID = %d, want 2 after renumbering", maxID)
-	}
-	if got, _ := tk.Metadata(2)["machine"].(string); got != "P9-V100" {
+	// The second campaign's rows must point at the renumbered profile 2,
+	// whose metadata is the concatenated campaign's: grouping by machine
+	// gives that profile exactly the second campaign's rows.
+	if got := tk.MetadataColumn("machine")[2]; got != "P9-V100" {
 		t.Errorf("profile 2 machine = %q, want the concatenated campaign's", got)
+	}
+	groups := tk.GroupBy("machine")
+	rows := 0
+	for _, g := range groups {
+		rows += g.NumRows()
+	}
+	if rows != tk.NumRows() {
+		t.Errorf("machine groups hold %d rows, want all %d", rows, tk.NumRows())
+	}
+	if g := groups["P9-V100"]; g == nil || g.NumRows() != tb.NumRows() {
+		t.Errorf("P9-V100 group does not hold exactly the second campaign's %d rows", tb.NumRows())
 	}
 
 }

@@ -4,7 +4,7 @@ package thicket
 // every query exactly like a naive model built from maps over the same
 // profiles. The corpus is pseudo-random but deterministic — sparse
 // metrics, duplicate (node, profile) rows, profiles missing the groupby
-// key — so the index fast paths, the view fallbacks, and the MissingKey
+// key — so the postings walks, the view selections, and the MissingKey
 // group all get exercised. Run under -race this also checks the parallel
 // ingest and stats fan-out paths.
 
@@ -65,7 +65,7 @@ func (o *oracle) nodeVector(node string, metrics []string) ([]float64, bool) {
 func (o *oracle) groupKeys(key string) map[string]int {
 	out := map[string]int{}
 	for _, r := range o.rows {
-		k := MissingKey
+		k := frame.MissingKey
 		if v, ok := o.meta[r.prof][key]; ok {
 			k = v.(string)
 		}
@@ -185,9 +185,9 @@ func TestGroupByMatchesOracleIncludingMissingKey(t *testing.T) {
 			t.Fatalf("group %q rows = %d, oracle %d", k, g.NumRows(), n)
 		}
 	}
-	if _, ok := groups[MissingKey]; !ok {
+	if _, ok := groups[frame.MissingKey]; !ok {
 		t.Fatalf("no %q group despite profiles lacking the key; groups = %v",
-			MissingKey, keysOf(groups))
+			frame.MissingKey, keysOf(groups))
 	}
 	if _, ok := groups["<nil>"]; ok {
 		t.Fatal("missing metadata key leaked as \"<nil>\" group")
@@ -247,7 +247,7 @@ func TestFilteredViewMatchesOracle(t *testing.T) {
 	if fv.NumRows() != len(kept) {
 		t.Fatalf("filtered rows = %d, oracle %d", fv.NumRows(), len(kept))
 	}
-	// Metric on the view must see only kept profiles (index fallback path).
+	// Metric on the view must see only kept profiles.
 	for _, r := range o.rows {
 		want, wok := 0.0, false
 		if pred(o.meta[r.prof]) {
@@ -301,8 +301,8 @@ func TestConcatMatchesOracle(t *testing.T) {
 		}
 	}
 	// Second part's metadata survives renumbering.
-	if tk.Metadata(ProfileID(12))["rep"] != 0 {
-		t.Fatalf("renumbered metadata = %v", tk.Metadata(ProfileID(12)))
+	if got := tk.MetadataColumn("rep")[12]; got != "0" {
+		t.Fatalf("renumbered metadata rep = %q, want 0", got)
 	}
 }
 

@@ -54,7 +54,7 @@ func (t *Thicket) AggregateStats(metric string) []Stats {
 // (executor.schedule, executor.services) and the imbalance metrics the
 // measurement services attach (imbalance_pct, lane_busy_max_sec, ...).
 // Group keys are the stringified metadata values; profiles lacking the
-// key aggregate under MissingKey. The engine fuses grouping and
+// key aggregate under frame.MissingKey. The engine fuses grouping and
 // aggregation into two passes over the metric column; no per-group
 // selections are materialized. Results are cached and shared: read-only.
 func (t *Thicket) GroupStats(key, metric string) map[string][]Stats {

@@ -9,8 +9,8 @@
 //
 // Storage is the columnar core of package frame: a Thicket is a *view* —
 // an immutable Frame plus an ascending row selection. Where and GroupBy
-// allocate selections, never row copies; Metric is a (node, profile)
-// index hit; NodeVector walks the node's row postings.
+// allocate selections, never row copies; NodeVector walks the node's row
+// postings.
 // Views share the frame, so a Thicket and everything derived from it must
 // be treated as read-only.
 package thicket
@@ -27,21 +27,6 @@ import (
 
 // ProfileID identifies one run within a Thicket.
 type ProfileID int
-
-// MissingKey is the GroupBy key of profiles whose metadata lacks the
-// grouped key entirely (a key present with a nil value still stringifies
-// to "<nil>").
-const MissingKey = frame.MissingKey
-
-// Row is one (node, profile) row of the performance DataFrame in its
-// materialized, map-per-row form — the pre-columnar compatibility shape
-// Rows() rebuilds on demand.
-type Row struct {
-	Node    string // call-tree node name (kernel name)
-	Path    []string
-	Profile ProfileID
-	Metrics map[string]float64
-}
 
 // Thicket composes multiple performance profiles as a view over a
 // columnar frame.
@@ -178,9 +163,6 @@ type Composer struct {
 // NewComposer returns an empty streaming composition.
 func NewComposer() *Composer { return &Composer{inc: frame.NewIncremental()} }
 
-// Reserve presizes for about rows total DataFrame rows.
-func (c *Composer) Reserve(rows int) { c.inc.Reserve(rows) }
-
 // Add appends one profile to the composition.
 func (c *Composer) Add(p *caliper.Profile) {
 	c.inc.StartProfile(p.Metadata)
@@ -189,9 +171,6 @@ func (c *Composer) Add(p *caliper.Profile) {
 	}
 	profilesComposed.Inc()
 }
-
-// NumProfiles returns the number of profiles added so far.
-func (c *Composer) NumProfiles() int { return c.inc.NumProfiles() }
 
 // Snapshot seals the profiles added so far into a Thicket. The ingest
 // sequence determines the underlying frame's content hash, so a
@@ -227,40 +206,13 @@ func (t *Thicket) eachRow(fn func(r int32)) {
 	}
 }
 
-// Rows materializes the view's DataFrame rows in the legacy map-per-row
-// shape. Paths and metadata are shared with the frame; treat everything
-// as read-only. Prefer the typed accessors — this exists for callers that
-// want to walk raw rows.
-func (t *Thicket) Rows() []Row {
-	out := make([]Row, 0, t.NumRows())
-	nodes := t.f.NodeDict()
-	metricNames := t.f.MetricDict().Names()
-	nodeIDs := t.f.NodeIDs()
-	profIDs := t.f.ProfIDs()
-	t.eachRow(func(r int32) {
-		m := map[string]float64{}
-		for mi, name := range metricNames {
-			if v, ok := t.f.ColumnAt(int32(mi)).Value(r); ok {
-				m[name] = v
-			}
-		}
-		name := ""
-		if id := nodeIDs[r]; id >= 0 {
-			name = nodes.Name(id)
-		}
-		out = append(out, Row{
-			Node:    name,
-			Path:    t.f.PathSegsAt(r),
-			Profile: ProfileID(profIDs[r]),
-			Metrics: m,
-		})
-	})
-	return out
-}
-
-// Metadata returns the metadata of one profile (shared; read-only).
-func (t *Thicket) Metadata(id ProfileID) map[string]any {
-	return t.f.Meta(int32(id))
+// selected reports whether frame row r is part of this view.
+func (t *Thicket) selected(r int32) bool {
+	if t.sel == nil {
+		return true
+	}
+	i := sort.Search(len(t.sel), func(i int) bool { return t.sel[i] >= r })
+	return i < len(t.sel) && t.sel[i] == r
 }
 
 // MetadataColumn returns the value of key for every profile, as strings.
@@ -297,19 +249,6 @@ func (t *Thicket) Nodes() []string {
 	return out
 }
 
-// MetricNames returns the metric columns with at least one value in this
-// view, sorted.
-func (t *Thicket) MetricNames() []string {
-	var out []string
-	for mi, name := range t.f.MetricDict().Names() {
-		if t.f.ColumnAt(int32(mi)).AnyValid(t.sel) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Where returns the sub-view of rows satisfying every predicate,
 // executed by the engine with predicate pushdown: metadata conjuncts
 // skip whole profile row ranges, node conjuncts resolve once per
@@ -325,8 +264,8 @@ func (t *Thicket) Where(ps ...frame.Pred) *Thicket {
 
 // GroupBy partitions the view by the string value of a metadata key,
 // returning sub-views keyed by that value. Profiles lacking the key are
-// grouped under MissingKey. The engine resolves the group key once per
-// profile and emits per-group selections in one scan; the selections
+// grouped under frame.MissingKey. The engine resolves the group key once
+// per profile and emits per-group selections in one scan; the selections
 // are shared with the engine's cache — read-only, like every view.
 func (t *Thicket) GroupBy(key string) map[string]*Thicket {
 	groups := t.Query().GroupBy(key).Groups()
@@ -335,47 +274,6 @@ func (t *Thicket) GroupBy(key string) map[string]*Thicket {
 		out[k] = &Thicket{f: t.f, sel: sel}
 	}
 	return out
-}
-
-// Metric returns the metric value at (node, profile), with ok reporting
-// presence — a dictionary lookup plus a (node, profile) index hit.
-func (t *Thicket) Metric(node string, id ProfileID, metric string) (float64, bool) {
-	nid, ok := t.f.NodeDict().Lookup(node)
-	if !ok {
-		return 0, false
-	}
-	col := t.f.Column(metric)
-	if col == nil {
-		return 0, false
-	}
-	r, ok := t.f.Row(nid, int32(id))
-	if !ok {
-		return 0, false
-	}
-	if !t.selected(r) {
-		// The view excludes the frame-level first (node, profile) row;
-		// fall back to the node's postings for the first selected one.
-		r, ok = -1, false
-		for _, rr := range t.f.NodeRows(nid) {
-			if t.f.ProfIDs()[rr] == int32(id) && t.selected(rr) {
-				r, ok = rr, true
-				break
-			}
-		}
-		if !ok {
-			return 0, false
-		}
-	}
-	return col.Value(r)
-}
-
-// selected reports whether frame row r is part of this view.
-func (t *Thicket) selected(r int32) bool {
-	if t.sel == nil {
-		return true
-	}
-	i := sort.Search(len(t.sel), func(i int) bool { return t.sel[i] >= r })
-	return i < len(t.sel) && t.sel[i] == r
 }
 
 // NodeVector collects one metric across a list of metric names for a node

@@ -1,18 +1,26 @@
 package rajaperf
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// exceptions lists the exported names that no non-test file names but that
+// exceptions lists the declarations that no non-test code reaches but that
 // stay, keyed as in the test's failure lines (package.Name or
 // package.Type.Method), each with the reason it stays.
 var exceptions = map[string]string{
@@ -23,29 +31,126 @@ var exceptions = map[string]string{
 	"resilience.Injector.Fired":        "campaign and suite fault tests observe which fault points fired through it",
 }
 
-// exemptPackages are test-support packages: their exports exist for other
-// packages' tests, so they are not checked. Their references still count.
+// exemptPackages are test-support packages: their declarations exist for
+// other packages' tests, so they are not checked. Their uses still count.
 var exemptPackages = map[string]bool{
 	"internal/kernels/kerneltest": true,
 	"internal/frame/querytest":    true,
 }
 
-// export is one exported top-level declaration of a non-main package.
-type export struct {
-	key string // package.Name or package.Type.Method
-	pos token.Position
+// modulePath is the root module's path. The nested perfbench module's path,
+// rajaperf/perfbench, is its directory under it, so one mapping from
+// directory to import path serves both modules.
+const modulePath = "rajaperf"
+
+// sourcePackage is the non-test files of one directory.
+type sourcePackage struct {
+	dir   string // slash-separated, relative to the module root
+	files []*ast.File
 }
 
-// TestExportsReachable fails on any exported function, method, var, const or
-// type that no non-test file of the module or of the nested perfbench module
-// names. Matching is by identifier, so it is conservative: a name collision
-// can hide a dead export, but never flags a live one. perfbench counts as a
-// caller: it builds against this module's packages but is its own module, so
-// the root `go build ./...` never compiles it.
+// TestExportsReachable fails on any package-level func, var, const or type,
+// and any method of a package-level named type, that no non-test code of the
+// module or of the nested perfbench module uses, exported or not. Uses are
+// type-checked objects, so a live name elsewhere cannot hide a dead one.
+// Calls through an interface name no concrete method, so a method also
+// counts as reached when an interface of the module or of an imported
+// standard-library package has one of its name and signature, or a generic
+// interface of the module has one of its name (see interfaceMethods).
+// Standard-library types come from compiler export data that one
+// `go list -export` run locates; a failure there or a type error fails the
+// test rather than skipping it. perfbench counts as a caller: it
+// builds against this module's packages but is its own module, so the root
+// `go build ./...` never compiles it.
 func TestExportsReachable(t *testing.T) {
 	fset := token.NewFileSet()
-	var exports []export
-	refs := map[string]int{}
+	pkgs, err := parsePackages(fset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, stdImports := importOrder(pkgs)
+	exports, err := listExports(stdImports)
+	if err != nil {
+		t.Fatal(err)
+	}
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+
+	info := &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}
+	checked := map[string]*types.Package{}
+	conf := types.Config{
+		Importer: importerFunc(func(path string) (*types.Package, error) {
+			if p, ok := checked[path]; ok {
+				return p, nil
+			}
+			return std.Import(path)
+		}),
+		Error: func(err error) { t.Error(err) },
+	}
+	for _, path := range order {
+		p, _ := conf.Check(path, fset, pkgs[path].files, info)
+		checked[path] = p
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	reached := map[types.Object]bool{}
+	skip := receiverIdents(pkgs)
+	for id, obj := range info.Uses {
+		if skip[id] {
+			continue
+		}
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		reached[obj] = true
+	}
+	viaInterface := interfaceMethods(info, std, stdImports)
+
+	declared := map[string]bool{} // by key: whether it is reached
+	var dead []string
+	for _, path := range order {
+		if exemptPackages[pkgs[path].dir] {
+			continue
+		}
+		for _, d := range declarations(checked[path]) {
+			live := reached[d.obj] || viaInterface(d.obj)
+			declared[d.key] = live
+			if _, ok := exceptions[d.key]; !ok && !live {
+				pos := fset.Position(d.obj.Pos())
+				dead = append(dead, fmt.Sprintf("%s:%d %s", pos.Filename, pos.Line, d.key))
+			}
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("%s: declared but never reached outside tests; delete it or list it in exceptions", d)
+	}
+	for key := range exceptions {
+		live, ok := declared[key]
+		switch {
+		case !ok:
+			t.Errorf("stale exception %s: no longer declared", key)
+		case live:
+			t.Errorf("stale exception %s: now reached", key)
+		}
+	}
+}
+
+// parsePackages parses every non-test .go file under the module root and
+// perfbench/ that the build constraints of this platform accept, skipping
+// dot-directories and testdata/, keyed by import path.
+func parsePackages(fset *token.FileSet) (map[string]*sourcePackage, error) {
+	pkgs := map[string]*sourcePackage{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -59,107 +164,219 @@ func TestExportsReachable(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
+		dir := filepath.Dir(path)
+		if ok, err := build.Default.MatchFile(dir, d.Name()); err != nil || !ok {
+			return err
+		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		checked := f.Name.Name != "main" && !exemptPackages[filepath.ToSlash(filepath.Dir(path))]
-		exports = append(exports, collectRefs(fset, f, checked, refs)...)
+		dir = filepath.ToSlash(dir)
+		imp := modulePath + "/" + dir
+		if dir == "." {
+			imp = modulePath
+		}
+		if pkgs[imp] == nil {
+			pkgs[imp] = &sourcePackage{dir: dir}
+		}
+		pkgs[imp].files = append(pkgs[imp].files, f)
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	return pkgs, err
+}
 
-	declared := map[string]bool{}
-	var dead []string
-	for _, e := range exports {
-		declared[e.key] = true
-		if refs[e.key[strings.LastIndexByte(e.key, '.')+1:]] > 0 {
+// importOrder returns the module's packages with every package after those it
+// imports, and the sorted standard-library packages they import.
+func importOrder(pkgs map[string]*sourcePackage) (order, std []string) {
+	stdSet := map[string]bool{}
+	done := map[string]bool{}
+	var visit func(path string)
+	visit = func(path string) {
+		if done[path] {
+			return
+		}
+		done[path] = true
+		for _, f := range pkgs[path].files {
+			for _, spec := range f.Imports {
+				imp := strings.Trim(spec.Path.Value, `"`)
+				if pkgs[imp] != nil {
+					visit(imp)
+				} else {
+					stdSet[imp] = true
+				}
+			}
+		}
+		order = append(order, path)
+	}
+	paths := make([]string, 0, len(pkgs))
+	for path := range pkgs {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		visit(path)
+	}
+	for imp := range stdSet {
+		std = append(std, imp)
+	}
+	sort.Strings(std)
+	return order, std
+}
+
+// listExports maps each of the standard-library packages and their
+// dependencies to its compiler export data file, from one `go list -export`
+// run by the toolchain that runs this test.
+func listExports(std []string) (map[string]string, error) {
+	goCmd := filepath.Join(runtime.GOROOT(), "bin", "go")
+	args := append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}}\t{{.Export}}"}, std...)
+	var stderr bytes.Buffer
+	cmd := exec.Command(goCmd, args...)
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -export: %v\n%s", err, stderr.Bytes())
+	}
+	exports := map[string]string{}
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, "\t"); ok {
+			exports[path] = file
+		}
+	}
+	return exports, nil
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// receiverIdents returns the identifiers in method receivers: a type named
+// only by its own methods' receivers is not reached.
+func receiverIdents(pkgs map[string]*sourcePackage) map[*ast.Ident]bool {
+	skip := map[*ast.Ident]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil {
+					ast.Inspect(fn.Recv, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							skip[id] = true
+						}
+						return true
+					})
+				}
+			}
+		}
+	}
+	return skip
+}
+
+// interfaceMethods returns a predicate that reports whether a method can be
+// reached through an interface: one declared in the module, exported by an
+// imported standard-library package, or the predeclared error, with a method
+// of the same name and an identical signature; or a generic interface
+// declared in the module, such as the constraint raja.Reducer[A], whose
+// signatures name its type parameters, with a method of the same name.
+func interfaceMethods(info *types.Info, std types.Importer, stdImports []string) func(types.Object) bool {
+	var sigs []*types.Func
+	addSigs := func(t types.Type) {
+		if iface, ok := t.Underlying().(*types.Interface); ok {
+			for i := 0; i < iface.NumMethods(); i++ {
+				sigs = append(sigs, iface.Method(i))
+			}
+		}
+	}
+	for expr, tv := range info.Types {
+		if _, ok := expr.(*ast.InterfaceType); ok {
+			addSigs(tv.Type)
+		}
+	}
+	addSigs(types.Universe.Lookup("error").Type())
+	for _, path := range stdImports {
+		if p, err := std.Import(path); err == nil {
+			for _, name := range p.Scope().Names() {
+				if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+					addSigs(tn.Type())
+				}
+			}
+		}
+	}
+	names := map[string]bool{}
+	for _, obj := range info.Defs {
+		tn, ok := obj.(*types.TypeName)
+		if !ok {
 			continue
 		}
-		if _, ok := exceptions[e.key]; !ok {
-			dead = append(dead, fmt.Sprintf("%s:%d %s", e.pos.Filename, e.pos.Line, e.key))
+		named, ok := tn.Type().(*types.Named)
+		if !ok || named.TypeParams().Len() == 0 {
+			continue
+		}
+		if iface, ok := named.Underlying().(*types.Interface); ok {
+			for i := 0; i < iface.NumMethods(); i++ {
+				names[iface.Method(i).Name()] = true
+			}
 		}
 	}
-	sort.Strings(dead)
-	for _, d := range dead {
-		t.Errorf("%s: exported but never named outside tests; delete it or list it in exceptions", d)
-	}
-	for key := range exceptions {
-		switch {
-		case !declared[key]:
-			t.Errorf("stale exception %s: no longer declared", key)
-		case refs[key[strings.LastIndexByte(key, '.')+1:]] > 0:
-			t.Errorf("stale exception %s: now referenced", key)
+	return func(obj types.Object) bool {
+		fn, ok := obj.(*types.Func)
+		if !ok || fn.Type().(*types.Signature).Recv() == nil {
+			return false
 		}
+		if names[fn.Name()] {
+			return true
+		}
+		for _, m := range sigs {
+			if m.Name() == fn.Name() && types.Identical(m.Type(), fn.Type()) {
+				return true
+			}
+		}
+		return false
 	}
 }
 
-// collectRefs counts every identifier of f in refs, except the names that
-// top-level declarations declare and method receivers. When checked is set it
-// returns f's exported top-level declarations.
-func collectRefs(fset *token.FileSet, f *ast.File, checked bool, refs map[string]int) []export {
-	pkg := f.Name.Name
-	var exports []export
-	skip := map[*ast.Ident]bool{}
-	declare := func(id *ast.Ident, key string) {
-		skip[id] = true
-		if checked && id.IsExported() {
-			exports = append(exports, export{key: key, pos: fset.Position(id.Pos())})
+// declaration is one checked package-level object or method.
+type declaration struct {
+	key string
+	obj types.Object
+}
+
+// declarations returns the package-level funcs, vars, consts and types of
+// pkg declared in its non-test files, and the methods of its named types,
+// without main, init and the blank identifier.
+func declarations(pkg *types.Package) []declaration {
+	var out []declaration
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		obj := scope.Lookup(name)
+		if name != "main" && name != "init" && name != "_" {
+			out = append(out, declaration{objectKey(obj), obj})
 		}
-	}
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if d.Recv == nil {
-				declare(d.Name, pkg+"."+d.Name.Name)
-				continue
-			}
-			ast.Inspect(d.Recv, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					skip[id] = true
-				}
-				return true
-			})
-			declare(d.Name, pkg+"."+receiverType(d.Recv.List[0].Type)+"."+d.Name.Name)
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				switch s := spec.(type) {
-				case *ast.TypeSpec:
-					declare(s.Name, pkg+"."+s.Name.Name)
-				case *ast.ValueSpec:
-					for _, id := range s.Names {
-						declare(id, pkg+"."+id.Name)
+		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+			if named, ok := tn.Type().(*types.Named); ok {
+				for i := 0; i < named.NumMethods(); i++ {
+					m := named.Method(i)
+					if m.Name() != "_" {
+						out = append(out, declaration{objectKey(m), m})
 					}
 				}
 			}
 		}
 	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && !skip[id] {
-			refs[id.Name]++
-		}
-		return true
-	})
-	return exports
+	return out
 }
 
-// receiverType returns the type name of a method receiver: T for T, *T,
-// T[P] and *T[P].
-func receiverType(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
+// objectKey names obj as package.Name, or package.Type.Method for a method.
+func objectKey(obj types.Object) string {
+	prefix := obj.Pkg().Name() + "."
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			prefix += t.(*types.Named).Obj().Name() + "."
 		}
 	}
+	return prefix + obj.Name()
 }
