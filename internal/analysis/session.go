@@ -47,14 +47,9 @@ type Session struct {
 	mu       sync.Mutex
 	profiles map[string]*caliper.Profile
 
-	// tkMu guards the composed-thicket memo. Compositions stream
-	// through one thicket.Composer: a request extending the previously
-	// composed machine sequence appends only the new profiles and
-	// snapshots — no re-ingest — and identical requests return the
-	// memoized view (whose engine-level query cache they then share).
+	// tkMu guards the composed-thicket memo: identical requests return
+	// the memoized view (whose engine-level query cache they then share).
 	tkMu     sync.Mutex
-	composer *thicket.Composer
-	composed []string // machine shorthands in the composer, in order
 	thickets map[string]*thicket.Thicket
 }
 
@@ -166,11 +161,8 @@ func (s *Session) Profile(m *machine.Machine) (*caliper.Profile, error) {
 
 // Thicket composes the profiles of the given machines, collecting any
 // that are missing (concurrently when Jobs > 1). Compositions are
-// memoized: repeating a request returns the same view, and a request
-// that extends the previously composed machine sequence appends only
-// the new profiles through the session's streaming Composer instead of
-// re-ingesting the whole set. Views and their aggregation results are
-// shared — treat them as read-only.
+// memoized: repeating a request returns the same view. Views and their
+// aggregation results are shared — treat them as read-only.
 func (s *Session) Thicket(ms ...*machine.Machine) (*thicket.Thicket, error) {
 	if err := s.Prefetch(ms...); err != nil {
 		return nil, err
@@ -192,39 +184,12 @@ func (s *Session) Thicket(ms ...*machine.Machine) (*thicket.Thicket, error) {
 	if tk, ok := s.thickets[key]; ok {
 		return tk, nil
 	}
-	var tk *thicket.Thicket
-	if extendsComposed(names, s.composed) {
-		if s.composer == nil {
-			s.composer = thicket.NewComposer()
-		}
-		for _, p := range ps[len(s.composed):] {
-			s.composer.Add(p)
-		}
-		s.composed = names
-		tk = s.composer.Snapshot()
-	} else {
-		tk = thicket.FromProfiles(ps)
-	}
+	tk := thicket.FromProfiles(ps)
 	if s.thickets == nil {
 		s.thickets = map[string]*thicket.Thicket{}
 	}
 	s.thickets[key] = tk
 	return tk, nil
-}
-
-// extendsComposed reports whether the requested machine sequence starts
-// with everything already in the session's composer — the case the
-// incremental append path serves.
-func extendsComposed(names, composed []string) bool {
-	if len(names) < len(composed) {
-		return false
-	}
-	for i, c := range composed {
-		if names[i] != c {
-			return false
-		}
-	}
-	return true
 }
 
 // MachineThicket returns a single-machine Thicket.

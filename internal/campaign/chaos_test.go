@@ -66,8 +66,9 @@ func TestChaosCampaignKillAndResume(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	kill := opts
-	kill.Progress = func(e Event) {
-		if e.Finished == 2 {
+	finished := 0 // Progress calls are serialized by the orchestrator
+	kill.Progress = func(Event) {
+		if finished++; finished == 2 {
 			cancel()
 		}
 	}

@@ -14,11 +14,14 @@ package campaign
 //     rebalancing, per-shard WALs, and failure-domain isolation. It
 //     satisfies this interface, so the orchestrator drives both
 //     identically.
+//
+// Submit is the whole seam. Lifecycle and counters stay on the concrete
+// types: whoever creates a Coordinator closes it and reads its steal
+// count.
 
 import (
 	"context"
 	"runtime"
-	"sync/atomic"
 )
 
 // Executor runs RunSpecs to terminal SpecResults on behalf of the
@@ -29,20 +32,6 @@ type Executor interface {
 	// outcome is known. All failure modes collapse into the SpecResult;
 	// Submit never panics and never returns a zero Status.
 	Submit(ctx context.Context, spec RunSpec) SpecResult
-	// Heartbeat returns a monotone liveness counter aggregated across the
-	// backend's execution resources — local attempts here, remote worker
-	// heartbeats for the distributed fabric. Liveness monitors (watchdogs,
-	// operators scraping /metrics) sample it; the absolute value is
-	// meaningless, only advancement matters.
-	Heartbeat() int64
-	// Steals counts specs the backend rebalanced away from their home
-	// execution resource (always 0 in-process; work-stealing fabric
-	// backends report their rebalancing here).
-	Steals() int64
-	// Close releases backend resources after the campaign finishes. The
-	// orchestrator closes only executors it created itself; a caller who
-	// passes Options.Executor owns its lifecycle.
-	Close() error
 }
 
 // Drainer is an optional Executor capability: graceful shutdown at a
@@ -66,7 +55,6 @@ type LocalExecutor struct {
 	lanes int
 	opts  Options
 	tele  *campaignTele
-	beats atomic.Int64
 }
 
 // NewLocalExecutor builds an in-process executor from the campaign
@@ -92,20 +80,5 @@ func newLocalExecutor(lanes int, opts Options, tele *campaignTele) *LocalExecuto
 // Submit runs one spec through the retry loop: behavior-identical to the
 // pre-Executor orchestrator, which called this path directly.
 func (e *LocalExecutor) Submit(ctx context.Context, spec RunSpec) SpecResult {
-	e.beats.Add(1)
-	sr := runSpec(ctx, spec, e.lanes, e.opts, e.tele)
-	e.beats.Add(1)
-	return sr
+	return runSpec(ctx, spec, e.lanes, e.opts, e.tele)
 }
-
-// Heartbeat counts submissions and completions — a coarse liveness
-// signal; per-attempt liveness is the per-run watchdog's job (runAttempt
-// samples pool granules and kernel boundaries directly).
-func (e *LocalExecutor) Heartbeat() int64 { return e.beats.Load() }
-
-// Steals is always zero: in-process execution has no shards to rebalance.
-func (e *LocalExecutor) Steals() int64 { return 0 }
-
-// Close is a no-op; per-attempt pools are created and closed inside each
-// Submit.
-func (e *LocalExecutor) Close() error { return nil }

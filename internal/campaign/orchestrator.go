@@ -150,14 +150,7 @@ type Options struct {
 type Event struct {
 	Spec    RunSpec
 	Status  Status
-	Err     error
 	Elapsed time.Duration
-	// Attempts is how many run attempts the spec consumed (0 for specs
-	// that never ran: resumed, skipped, canceled before start).
-	Attempts int
-	// Finished counts specs that have reached a terminal state so far,
-	// Total the campaign's spec count.
-	Finished, Total int
 }
 
 // SpecResult is the terminal record of one spec.
@@ -369,11 +362,7 @@ func Run(ctx context.Context, plan Plan, opts Options) (*Result, error) {
 		tele.recordOutcome(sr)
 		publishRun(opts.Bus, campID, sr, finished, len(specs))
 		if opts.Progress != nil {
-			opts.Progress(Event{
-				Spec: sr.Spec, Status: sr.Status, Err: sr.Err,
-				Elapsed: sr.Elapsed, Attempts: sr.Attempts,
-				Finished: finished, Total: len(specs),
-			})
+			opts.Progress(Event{Spec: sr.Spec, Status: sr.Status, Elapsed: sr.Elapsed})
 		}
 	}
 

@@ -282,13 +282,14 @@ func TestCampaignCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	finished := 0 // Progress calls are serialized by the orchestrator
 	res, err := Run(ctx, plan, Options{
 		OutDir:  dir,
 		Workers: 1,
 		// Cancel as soon as the first spec completes: the rest must end
 		// canceled, not failed, and the manifest must stay consistent.
-		Progress: func(e Event) {
-			if e.Finished == 1 {
+		Progress: func(Event) {
+			if finished++; finished == 1 {
 				cancel()
 			}
 		},
@@ -358,14 +359,8 @@ func (s *stubExecutor) Submit(_ context.Context, spec RunSpec) SpecResult {
 	return sr
 }
 
-func (s *stubExecutor) Heartbeat() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int64(len(s.submits))
-}
-
-func (s *stubExecutor) Steals() int64 { return 0 }
-
+// Close counts calls: the orchestrator must never close a backend it
+// did not create, not even through an io.Closer assertion.
 func (s *stubExecutor) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -508,8 +503,11 @@ func TestExecutorSeamBreakerSkips(t *testing.T) {
 	if res.Failed != 2 || res.Skipped != 2 {
 		t.Fatalf("failed %d skipped %d, want 2/2", res.Failed, res.Skipped)
 	}
-	if got := stub.Heartbeat(); got != 2 {
-		t.Errorf("backend saw %d submissions, want 2 (one per breaker key)", got)
+	stub.mu.Lock()
+	submitted := len(stub.submits)
+	stub.mu.Unlock()
+	if submitted != 2 {
+		t.Errorf("backend saw %d submissions, want 2 (one per breaker key)", submitted)
 	}
 	for _, sr := range res.Specs {
 		if sr.Status == StatusSkipped && !strings.Contains(sr.Err.Error(), "circuit open") {

@@ -138,7 +138,6 @@ type Coordinator struct {
 	restarts        map[int]int // cumulative spawn attempts by shard
 	pendingRespawns int         // supervisors in flight (defers fleet-failure)
 
-	beats        atomic.Int64 // frames received: the Executor heartbeat
 	steals       atomic.Int64
 	redispatches atomic.Int64
 	respawns     atomic.Int64
@@ -234,7 +233,6 @@ func (c *Coordinator) serve(w *workerConn) {
 		}
 		switch f.Type {
 		case frameHeartbeat:
-			c.beats.Add(1)
 			c.tele.heartbeats.Inc()
 			w.beat.Add(1)
 		case frameResult:
@@ -371,7 +369,6 @@ func (c *Coordinator) handleResult(w *workerConn, r *wireResult) {
 	if r == nil {
 		return
 	}
-	c.beats.Add(1)
 	c.mu.Lock()
 	it := w.inflight
 	if it == nil || it.id != r.ID {
@@ -574,12 +571,7 @@ func (c *Coordinator) Drain(ctx context.Context) error {
 	}
 }
 
-// Heartbeat aggregates liveness across the fleet: every heartbeat and
-// result frame received advances it. Part of campaign.Executor.
-func (c *Coordinator) Heartbeat() int64 { return c.beats.Load() }
-
-// Steals counts specs dispatched off their home shard. Part of
-// campaign.Executor.
+// Steals counts specs dispatched off their home shard.
 func (c *Coordinator) Steals() int64 { return c.steals.Load() }
 
 // Redispatches counts in-flight specs re-run because their worker died.
@@ -591,7 +583,6 @@ func (c *Coordinator) Respawns() int64 { return c.respawns.Load() }
 // Close dismisses the fleet: it closes every worker's connection — each
 // worker sees EOF, finishes any in-flight spec into its shard WAL, and
 // exits — and resolves anything still queued as canceled. Idempotent.
-// Part of campaign.Executor.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	if c.closed {

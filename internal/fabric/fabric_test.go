@@ -551,15 +551,16 @@ func TestWireResultTransience(t *testing.T) {
 	}
 }
 
-// TestFabricHeartbeat: a connected worker's heartbeat frames advance the
-// coordinator's liveness counter even when no specs are in flight — the
-// signal the per-worker stall watchdog consumes.
+// TestFabricHeartbeat: a connected worker's heartbeat frames reach the
+// coordinator even when no specs are in flight — the signal the
+// per-worker stall watchdog consumes — and advance fabric.heartbeats.
 func TestFabricHeartbeat(t *testing.T) {
-	cfg := Config{Workers: 1, Campaign: "hb", Metrics: new(telemetry.Registry),
+	reg := new(telemetry.Registry)
+	cfg := Config{Workers: 1, Campaign: "hb", Metrics: reg,
 		Worker: WorkerConfig{HeartbeatEvery: 50 * time.Millisecond}}
 	f := startFleet(t, cfg)
 	deadline := time.Now().Add(10 * time.Second)
-	for f.coord.Heartbeat() == 0 {
+	for reg.Counter("fabric.heartbeats").Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no heartbeat frames arrived within 10s")
 		}

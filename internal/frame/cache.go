@@ -2,12 +2,11 @@ package frame
 
 // Query-result cache: a small LRU keyed by (frame content hash, base
 // selection hash, canonical query key). The frame hash is accumulated
-// during ingest (see Builder) and chained through Merge and Incremental
-// snapshots, so two frames composed from the same profile sequence share
-// keys — a recomposed campaign re-hits the cache of its previous
-// composition — while an incremental append changes the hash and makes
-// every stale entry unreachable. Unreachable entries age out by LRU;
-// Invalidate drops a frame's entries eagerly.
+// during Builder ingest and carried into every Snapshot, so two frames
+// composed from the same profile sequence share keys — a recomposed
+// campaign re-hits the cache of its previous composition — while an
+// append changes the hash and makes every stale entry unreachable.
+// Unreachable entries age out by LRU.
 
 import (
 	"container/list"
@@ -122,31 +121,6 @@ func (c *Cache) sidePut(k cacheKey, v any) {
 		clear(c.side)
 	}
 	c.side[k] = v
-}
-
-// Invalidate eagerly drops every entry cached against the given frame
-// content hash — the explicit invalidation hook for callers that know a
-// composition was superseded (incremental appends already miss by key).
-func (c *Cache) Invalidate(frameHash uint64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*cacheEntry); e.key.frame == frameHash {
-			c.ll.Remove(el)
-			delete(c.entries, e.key)
-			c.evictions++
-		}
-		el = next
-	}
-	for k := range c.side {
-		if k.frame == frameHash {
-			delete(c.side, k)
-		}
-	}
 }
 
 // Clear drops every entry.

@@ -1,11 +1,11 @@
 // Package frame is the columnar dataframe core under package thicket:
 // dictionary-encoded node and path index columns, dense float64 metric
 // columns with validity bitmaps, an interned metric-name schema, and
-// per-node row postings built once at seal. A Frame is immutable
-// after Build/Merge; every composition operation over it (filter, group,
-// concat) works on row selections — ascending []int32 row indices into
-// shared column storage — so slicing a campaign-scale profile set never
-// copies or re-boxes rows.
+// per-node row postings built once at seal. A Frame is immutable once
+// a Builder seals it (Finish or Snapshot); every operation over it
+// (filter, group, aggregate) works on row selections — ascending []int32
+// row indices into shared column storage — so slicing a campaign-scale
+// profile set never copies or re-boxes rows.
 package frame
 
 // Dict interns strings to dense int32 ids in first-seen order. It is an

@@ -117,10 +117,10 @@ func (f *Frame) ProfileRange(p int32) (lo, hi int32) {
 	return lo, hi
 }
 
-// finish seals the frame: pads every column to the final row count and
-// builds the per-node postings lists and the name-ordered node ids —
-// deferring these to seal time keeps them off the per-row ingest path
-// and lets the postings be sized exactly.
+// finish seals the frame for Finish and Snapshot: pads every column to
+// the final row count and builds the per-node postings lists and the
+// name-ordered node ids — deferring these to seal time keeps them off
+// the per-row ingest path and lets the postings be sized exactly.
 func (f *Frame) finish() *Frame {
 	n := len(f.nodeIDs)
 	for _, c := range f.cols {
@@ -161,9 +161,9 @@ func (f *Frame) finish() *Frame {
 	return f
 }
 
-// Builder ingests profiles row by row into a new Frame. It is not safe
-// for concurrent use; parallel ingest builds one Builder per shard and
-// Merges the results.
+// Builder ingests profiles row by row into a Frame. It is the one way
+// profiles become a frame: Finish seals a batch composition, Snapshot a
+// live one that keeps ingesting. It is not safe for concurrent use.
 type Builder struct {
 	f      *Frame
 	keyBuf []byte // scratch for path-key lookups
@@ -221,8 +221,7 @@ func (b *Builder) Reserve(rows int) {
 
 // StartProfile opens the next profile and returns its id. Subsequent
 // AddRow calls attach to it. The metadata map is shared, not copied —
-// the frame is read-only and ingest takes ownership of the profile
-// (Merge shares source metadata the same way).
+// the frame is read-only and ingest takes ownership of the profile.
 func (b *Builder) StartProfile(meta map[string]any) int32 {
 	f := b.f
 	id := int32(len(f.meta))
@@ -303,3 +302,78 @@ func (b *Builder) Finish() *Frame {
 	b.f = nil
 	return f.finish()
 }
+
+// Snapshot seals the profiles ingested so far into an immutable,
+// queryable Frame without disturbing ingest: appends may continue
+// afterwards and do not affect the returned frame. It must not follow
+// Finish.
+//
+// Cost model. A snapshot shares the big immutable storage with the live
+// builder — metric value arrays, index columns, path segments, metadata
+// maps — through length-capped slice headers, and copies only what later
+// appends would mutate in place: the dictionary probe tables and the
+// column validity bitmaps (an append sets a bit inside the same word a
+// snapshot reader scans; value and index appends land strictly beyond
+// every snapshot's capped length, touching disjoint memory). It then
+// rebuilds the node postings for the snapshot prefix. Appending k
+// profiles to a composed campaign of n rows thus costs O(k) ingest plus
+// an O(n) seal — no JSON re-decode, no re-interning, no column copies.
+//
+// Concurrency contract: StartProfile, AddRow and Snapshot are issued
+// from one goroutine (or externally synchronized); frames returned by
+// earlier Snapshot calls may be read concurrently with ongoing appends
+// and later snapshots. That holds under the race detector and is
+// exercised by the engine's tests.
+//
+// Each snapshot carries the builder's rolling content hash at its cut
+// point, so the query cache tells snapshots apart (an append changes the
+// hash, so stale entries become unreachable) while a from-scratch ingest
+// of the same profile sequence reproduces the hash and re-hits them.
+func (b *Builder) Snapshot() *Frame {
+	src := b.f
+	n := len(src.nodeIDs)
+	s := &Frame{
+		nodes:      src.nodes.snapshot(),
+		paths:      src.paths.snapshot(),
+		metrics:    src.metrics.snapshot(),
+		pathSegs:   capSegs(src.pathSegs),
+		pathNode:   capI32(src.pathNode),
+		nodeIDs:    capI32(src.nodeIDs),
+		pathIDs:    capI32(src.pathIDs),
+		profIDs:    capI32(src.profIDs),
+		meta:       src.meta[:len(src.meta):len(src.meta)],
+		profStarts: capI32(src.profStarts),
+		hash:       src.hash,
+	}
+	s.cols = make([]*Column, len(src.cols))
+	words := (n + 63) / 64
+	for i, c := range src.cols {
+		// Pad the live column to the cut point first: every later append
+		// then lands strictly beyond the snapshot's capped view, in
+		// disjoint memory, so the value array can be shared. The validity
+		// bitmap cannot — an append into the cut point's partial word
+		// would mutate a word the snapshot scans — so it is copied.
+		c.pad(n)
+		valid := make(Bitmap, words)
+		copy(valid, c.valid)
+		if n&63 != 0 && n>>6 < len(valid) {
+			valid[n>>6] &= (1 << uint(n&63)) - 1
+		}
+		s.cols[i] = &Column{Data: c.Data[:n:n], valid: valid}
+	}
+	return s.finish()
+}
+
+// snapshot returns a read-only copy-on-cut view of the dictionary: the
+// id-ordered names are shared through a capped header (interning only
+// appends), while the probe table — mutated in place by future interns
+// and replaced wholesale by growth — is copied.
+func (d *Dict) snapshot() *Dict {
+	tab := make([]int32, len(d.tab))
+	copy(tab, d.tab)
+	return &Dict{names: d.names[:len(d.names):len(d.names)], tab: tab}
+}
+
+func capI32(s []int32) []int32 { return s[:len(s):len(s)] }
+
+func capSegs(s [][]string) [][]string { return s[:len(s):len(s)] }

@@ -146,45 +146,3 @@ func TestBuilderFrameInvariants(t *testing.T) {
 		t.Fatalf("MetaString = %q, %q", f.MetaString(0, "machine"), f.MetaString(0, "absent"))
 	}
 }
-
-func TestMergeWithSelectionAndEmptyProfiles(t *testing.T) {
-	f := buildTestFrame(t)
-	// Select only p0's B row (row 2) and p1's C row (row 4): p0 and p1
-	// keep their metadata but collapse to single-row ranges.
-	m := Merge(Part{F: f, Sel: []int32{2, 4}}, Part{F: f})
-	if m.NumProfiles() != 4 {
-		t.Fatalf("profiles = %d", m.NumProfiles())
-	}
-	if m.NumRows() != 2+5 {
-		t.Fatalf("rows = %d", m.NumRows())
-	}
-	// Renumbered profile 2 is source p0 of the full part.
-	aid, ok := m.NodeDict().Lookup("A")
-	if !ok {
-		t.Fatal("A not in merged dict")
-	}
-	r, ok := firstRow(m, aid, 2)
-	if !ok {
-		t.Fatal("firstRow(A, 2) missing")
-	}
-	if v, ok := m.Column("time").Value(r); !ok || v != 1 {
-		t.Fatalf("merged time at (A, p2) = %v, %v", v, ok)
-	}
-	// The selected part kept only B for p0: (A, 0) must be absent.
-	if _, ok := firstRow(m, aid, 0); ok {
-		t.Fatal("firstRow(A, 0) should be dropped by selection")
-	}
-	// Profile ranges stay contiguous and ordered after merge.
-	prev := int32(0)
-	for p := int32(0); p < int32(m.NumProfiles()); p++ {
-		lo, hi := m.ProfileRange(p)
-		if lo > hi || lo < prev {
-			t.Fatalf("ProfileRange(%d) = [%d, %d) not monotone", p, lo, hi)
-		}
-		prev = hi
-	}
-	// Metadata is shared through the merge.
-	if m.MetaString(1, "machine") != "m1" || m.MetaString(3, "machine") != "m1" {
-		t.Fatal("metadata lost in merge")
-	}
-}

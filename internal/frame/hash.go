@@ -1,12 +1,12 @@
 package frame
 
 // Content hashing for cache keys. A frame's 64-bit hash is accumulated
-// during ingest — one mix per profile's metadata and per row — and
-// chained through Merge and Incremental snapshots, so it is available
-// for free at seal time: no post-hoc scan over the columns. The hash
-// identifies the ingest *sequence*; two frames built from the same
-// profiles in the same order share it, which is exactly what the query
-// cache needs for a recomposed campaign to re-hit its previous entries.
+// during Builder ingest — one mix per profile's metadata and per row —
+// and carried into every Snapshot, so it is available for free at seal
+// time: no post-hoc scan over the columns. The hash identifies the
+// ingest *sequence*; two frames built from the same profiles in the same
+// order share it, which is exactly what the query cache needs for a
+// recomposed campaign to re-hit its previous entries.
 // It is a mixing hash, not a cryptographic one; the query cache also
 // keys on the canonical query spelling, so a 64-bit collision across
 // live frames is the only exposure and is vanishingly unlikely.

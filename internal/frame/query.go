@@ -83,9 +83,6 @@ func (e *Engine) CacheStats() CacheStats { return e.cache.Stats() }
 // ClearCache drops every cached query result.
 func (e *Engine) ClearCache() { e.cache.Clear() }
 
-// InvalidateFrame eagerly drops cached results of the given frame.
-func (e *Engine) InvalidateFrame(f *Frame) { e.cache.Invalidate(f.Hash()) }
-
 // defaultEngine serves frame users that do not manage their own engine.
 var defaultEngine = NewEngine(256)
 

@@ -188,7 +188,7 @@ func TestDifferentialRandomQueries(t *testing.T) {
 }
 
 // TestDifferentialIncrementalSnapshots runs the differential check
-// against frames produced by Incremental snapshots mid-stream, and
+// against frames produced by Builder snapshots mid-stream, and
 // checks that a snapshot of the full sequence is row- and hash-identical
 // to a one-shot Builder ingest of the same sequence.
 func TestDifferentialIncrementalSnapshots(t *testing.T) {
@@ -260,7 +260,7 @@ func TestConcurrentQueriesWithIncrementalAppends(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			snaps <- snap
 		}
-		buildCorpus(ing, 2, inc.StartProfile, inc.AddRow)
+		buildCorpus(ing, 2, inc)
 	}
 	close(snaps)
 	wg.Wait()

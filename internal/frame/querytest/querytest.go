@@ -237,27 +237,18 @@ func DefaultVocabulary() Vocabulary {
 // paths), and occasional duplicate (node, profile) rows — every shape
 // the engine's scan must survive.
 func Corpus(seed int64, profiles int) *frame.Frame {
-	r := rand.New(rand.NewSource(seed))
+	return CorpusIncremental(seed, profiles).Finish()
+}
+
+// CorpusIncremental builds the same campaign and returns the live
+// Builder, to Snapshot mid-stream or append to.
+func CorpusIncremental(seed int64, profiles int) *frame.Builder {
 	b := frame.NewBuilder()
-	buildCorpus(r, profiles, b.StartProfile, b.AddRow)
-	return b.Finish()
+	buildCorpus(rand.New(rand.NewSource(seed)), profiles, b)
+	return b
 }
 
-// CorpusIncremental builds the same shape of campaign through an
-// Incremental, returning the live composition (snapshot it to query).
-func CorpusIncremental(seed int64, profiles int) *frame.Incremental {
-	r := rand.New(rand.NewSource(seed))
-	inc := frame.NewIncremental()
-	buildCorpus(r, profiles, inc.StartProfile, inc.AddRow)
-	return inc
-}
-
-func buildCorpus(
-	r *rand.Rand,
-	profiles int,
-	startProfile func(map[string]any) int32,
-	addRow func([]string, map[string]float64),
-) {
+func buildCorpus(r *rand.Rand, profiles int, b *frame.Builder) {
 	v := DefaultVocabulary()
 	for p := 0; p < profiles; p++ {
 		meta := map[string]any{
@@ -270,7 +261,7 @@ func buildCorpus(
 		if r.Intn(4) == 0 {
 			meta["sometimes.key"] = 17 // non-string: exercises fmt.Sprint keys
 		}
-		startProfile(meta)
+		b.StartProfile(meta)
 		if r.Intn(10) == 0 {
 			continue // empty profile: a range the scan must skip
 		}
@@ -298,7 +289,7 @@ func buildCorpus(
 					metrics[m] = float64(r.Intn(5)) * 0.25
 				}
 			}
-			addRow(path, metrics)
+			b.AddRow(path, metrics)
 		}
 	}
 }

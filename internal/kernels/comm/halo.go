@@ -29,8 +29,7 @@ const numFaces = 6
 // (d+2)^3 grid (interior d^3 plus one ghost layer), with per-face pack and
 // unpack index lists.
 type haloDomain struct {
-	d       int // interior edge
-	e       int // padded edge (d+2)
+	e       int // padded edge: interior edge d plus two ghost layers
 	vars    [haloVars][]float64
 	pack    [numFaces][]int32 // interior indices serialized per face
 	unpack  [numFaces][]int32 // ghost indices filled per face
@@ -45,7 +44,7 @@ func newHaloDomain(rp kernels.RunParams, size, rank int) *haloDomain {
 	if d < 3 {
 		d = 3
 	}
-	h := &haloDomain{d: d, e: d + 2}
+	h := &haloDomain{e: d + 2}
 	if rp.ModelOnly {
 		return h
 	}

@@ -81,8 +81,8 @@ func TestPackedBufferContents(t *testing.T) {
 		return
 	}
 	for f := 0; f < numFaces; f++ {
-		if len(h.pack[f]) != h.d*h.d {
-			t.Fatalf("face %d pack list has %d entries, want %d", f, len(h.pack[f]), h.d*h.d)
+		if d := h.e - 2; len(h.pack[f]) != d*d {
+			t.Fatalf("face %d pack list has %d entries, want %d", f, len(h.pack[f]), d*d)
 		}
 		for _, idx := range h.pack[f] {
 			i, j, k := at(idx)

@@ -8,14 +8,12 @@ type Number interface {
 // MultiReduceSum accumulates nbins independent sums, the abstraction behind
 // the suite's MULTI_REDUCE and HISTOGRAM kernels (RAJA::MultiReduceSum).
 type MultiReduceSum[T Number] struct {
-	bins  int
 	lanes [][]T
 }
 
 // NewMultiReduceSum returns a multi-bin sum reducer.
 func NewMultiReduceSum[T Number](p Policy, bins int) *MultiReduceSum[T] {
-	m := &MultiReduceSum[T]{bins: bins}
-	m.lanes = make([][]T, p.MaxWorkers())
+	m := &MultiReduceSum[T]{lanes: make([][]T, p.MaxWorkers())}
 	for i := range m.lanes {
 		m.lanes[i] = make([]T, bins)
 	}

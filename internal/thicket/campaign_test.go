@@ -10,9 +10,11 @@ import (
 	"context"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
+	"rajaperf/internal/caliper"
 	"rajaperf/internal/campaign"
 	"rajaperf/internal/thicket"
 )
@@ -97,15 +99,16 @@ func TestConcatRenumbersCampaignProfiles(t *testing.T) {
 	runCampaign(t, dirA, []string{"SPR-DDR", "SPR-HBM"})
 	runCampaign(t, dirB, []string{"P9-V100"})
 
-	ta, err := thicket.FromDir(dirA)
+	psA, err := caliper.ReadDir(dirA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := thicket.FromDir(dirB)
+	psB, err := caliper.ReadDir(dirB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk := thicket.Concat(ta, tb)
+	ta, tb := thicket.FromProfiles(psA), thicket.FromProfiles(psB)
+	tk := thicket.FromProfiles(slices.Concat(psA, psB))
 	if tk.NumProfiles() != 3 {
 		t.Fatalf("NumProfiles = %d, want 3", tk.NumProfiles())
 	}

@@ -64,23 +64,6 @@ func TestFilterNodesRejectAllIsEmpty(t *testing.T) {
 	}
 }
 
-func TestConcatWithEmptyView(t *testing.T) {
-	tk := edgeThicket()
-	none := tk.Where(frame.MetaPred(func(map[string]any) bool { return false }))
-	both := Concat(none, tk)
-	if got := both.NumRows(); got != tk.NumRows() {
-		t.Fatalf("Concat(empty, full) rows = %d, want %d", got, tk.NumRows())
-	}
-	// The empty part contributes no phantom nodes.
-	if got, want := both.Nodes(), tk.Nodes(); len(got) != len(want) {
-		t.Fatalf("Concat(empty, full) nodes = %v, want %v", got, want)
-	}
-	// Profile ids shift by the empty part's (row-less) profiles.
-	if both.NumProfiles() != 2*tk.NumProfiles() {
-		t.Fatalf("profiles = %d", both.NumProfiles())
-	}
-}
-
 func TestAggregateStatsAllInvalidMetric(t *testing.T) {
 	tk := edgeThicket()
 	if got := tk.AggregateStats("no_such_metric"); got != nil {

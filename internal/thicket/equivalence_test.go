@@ -6,11 +6,12 @@ package thicket
 // metrics, duplicate (node, profile) rows, profiles missing the groupby
 // key — so the postings walks, the view selections, and the MissingKey
 // group all get exercised. Run under -race this also checks the parallel
-// ingest and stats fan-out paths.
+// stats fan-out path.
 
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -276,7 +277,7 @@ func TestFilteredViewMatchesOracle(t *testing.T) {
 func TestConcatMatchesOracle(t *testing.T) {
 	ps1, o1 := equivCorpus(19, 12)
 	ps2, o2 := equivCorpus(23, 9)
-	tk := Concat(FromProfiles(ps1), FromProfiles(ps2))
+	tk := FromProfiles(slices.Concat(ps1, ps2))
 
 	if tk.NumProfiles() != 21 {
 		t.Fatalf("NumProfiles = %d", tk.NumProfiles())

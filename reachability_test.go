@@ -26,7 +26,6 @@ import (
 var exceptions = map[string]string{
 	"caliper.FileError.Unwrap":         "reached through errors.Is/As on a FileError",
 	"resilience.TransientError.Unwrap": "reached through errors.Is/As on a TransientError",
-	"frame.Engine.InvalidateFrame":     "querytest's TestCacheInvalidationAfterAppend drives eager invalidation through it",
 	"kernels.ByGroup":                  "each kernel group's tests (basic, lcals, polybench, stream, apps, algorithms, comm) enumerate their group through it",
 	"resilience.Injector.Fired":        "campaign and suite fault tests observe which fault points fired through it",
 }
