@@ -119,23 +119,23 @@ func (s *Session) Prefetch(ms ...*machine.Machine) error {
 // caller to report, so one torn file never blocks an analysis over an
 // otherwise healthy campaign. Profiles are keyed by their "machine"
 // metadata; the first profile per machine wins and already-cached
-// machines are not overwritten. It returns how many profiles were
-// loaded into the cache.
+// machines are not overwritten, and only a profile that wins is built.
+// It returns how many profiles were loaded into the cache.
 func (s *Session) LoadDir(dir string) (int, []caliper.FileError, error) {
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	loaded := 0
-	ferrs, err := caliper.WalkDirLenient(dir, func(path string, p *caliper.Profile) error {
-		m, _ := p.Metadata["machine"].(string)
+	ferrs, err := caliper.WalkDirLenient(dir, func(path string, r *caliper.Rows) error {
+		m, _ := r.Metadata["machine"].(string)
 		if m == "" {
 			return nil
 		}
 		s.mu.Lock()
+		defer s.mu.Unlock()
 		if _, ok := s.profiles[m]; !ok {
-			s.profiles[m] = p
+			s.profiles[m] = r.Profile()
 			loaded++
 		}
-		s.mu.Unlock()
 		return nil
 	})
 	if err != nil {

@@ -328,19 +328,36 @@ func (p *Profile) Find(name string) *Record {
 func (p *Profile) Validate() error {
 	seen := map[string]bool{}
 	for i, r := range p.Records {
-		if len(r.Path) == 0 {
-			return fmt.Errorf("caliper: record %d has empty path", i)
-		}
 		key := r.PathKey()
-		if seen[key] {
-			return fmt.Errorf("caliper: duplicate record path %q", key)
+		if err := recordError(i, r.Path, key, seen[key]); err != nil {
+			return err
 		}
 		seen[key] = true
 		for m, v := range r.Metrics {
-			if v != v || v > 1e308 || v < -1e308 {
-				return fmt.Errorf("caliper: record %q metric %q is not finite", key, m)
+			if err := metricError(key, m, v); err != nil {
+				return err
 			}
 		}
+	}
+	return nil
+}
+
+// recordError and metricError are Validate's rules, which a decoded
+// Rows is held to as well. seen reports whether an earlier record had
+// the path key.
+func recordError(i int, path []string, key string, seen bool) error {
+	switch {
+	case len(path) == 0:
+		return fmt.Errorf("caliper: record %d has empty path", i)
+	case seen:
+		return fmt.Errorf("caliper: duplicate record path %q", key)
+	}
+	return nil
+}
+
+func metricError(key, name string, v float64) error {
+	if v != v || v > 1e308 || v < -1e308 {
+		return fmt.Errorf("caliper: record %q metric %q is not finite", key, name)
 	}
 	return nil
 }

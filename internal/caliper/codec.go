@@ -7,15 +7,19 @@ package caliper
 //
 //   - appendProfile writes exactly the bytes json.MarshalIndent(p, "", " ")
 //     writes, so the on-disk format is the one every earlier release wrote;
-//   - decodeProfile accepts exactly the inputs json.Unmarshal accepts into a
-//     Profile, and returns a Profile reflect.DeepEqual to the one it fills:
-//     case-insensitive field names, merged duplicate objects, slices decoded
-//     in place, null ignored or zeroing as encoding/json does, U+FFFD for
-//     invalid UTF-8 and unpaired surrogates, and float64 numbers.
+//   - Rows.decode accepts exactly the inputs json.Unmarshal accepts into a
+//     Profile, and Rows.Profile then returns a Profile reflect.DeepEqual to
+//     the one json.Unmarshal fills: case-insensitive field names, merged
+//     duplicate objects, slices decoded in place, null ignored or zeroing
+//     as encoding/json does, U+FFFD for invalid UTF-8 and unpaired
+//     surrogates, and float64 numbers.
 //
-// Within one file the decoder interns metric names and path segments, so
-// every record carries the same string for "time"; frame.Builder's name
-// cache keys on string identity and hits for decoded profiles too.
+// The decoder writes no per-record map: records land in a Rows' flat
+// arenas. It interns metric names and path segments in a table its Rows
+// keeps across the files it is reused for, so every record, and every
+// file a walk decodes into that Rows, carries the same string for "time";
+// frame.Builder's name cache keys on string identity and hits for
+// decoded profiles too.
 
 import (
 	"bytes"
@@ -313,33 +317,55 @@ func (e *encoder) str(s string) {
 // maxDepth is encoding/json's nesting limit for arrays and objects.
 const maxDepth = 10000
 
-// decoder parses one profile file in a single pass over its bytes.
+// decoder parses one profile file in a single pass over its bytes. The
+// Rows that holds it keeps its intern table, its string scratch and its
+// marks from file to file.
 type decoder struct {
 	data  []byte
 	pos   int
 	depth int
-	names map[string]string // interned metric names and path segments
-	buf   []byte            // scratch for strings with escapes
-	pairs []metricPair      // scratch for the metrics object being read
+	buf   []byte           // scratch for strings with escapes and path keys
+	ids   map[string]int32 // interned strings: names, path segments and keys
+	strs  []string         // interned strings by id
+	marks []mark           // per interned string
+	stamp uint32           // last value next handed out
 }
 
-type metricPair struct {
-	name string
-	v    float64
+// mark records, for one interned string, the last metrics object that
+// set it as a metric name and at which cell, and the last validation pass
+// that met it as a path key. Stamps come from next, so a stale mark never
+// matches and nothing is cleared between objects or files.
+type mark struct {
+	run, pass uint32
+	at        int32
 }
 
-// decodeProfile parses data as json.Unmarshal into a Profile would. It
-// does not Validate the result.
-func decodeProfile(data []byte) (*Profile, error) {
-	d := decoder{data: data, names: make(map[string]string, 64)}
-	p := &Profile{}
-	if err := d.profile(p); err != nil {
-		return nil, err
+// next returns a stamp no mark carries yet.
+func (d *decoder) next() uint32 {
+	if d.stamp++; d.stamp == 0 {
+		clear(d.marks)
+		d.stamp = 1
 	}
-	if d.space(); d.pos < len(d.data) {
-		return nil, d.syntax("after top-level value")
+	return d.stamp
+}
+
+// decode parses data into r as json.Unmarshal parses it into a Profile.
+// It does not validate the result.
+func (r *Rows) decode(data []byte) error {
+	r.Metadata, r.hasRecs, r.size, r.dirBytes = nil, false, 0, 0
+	r.recs, r.recHW = r.recs[:0], 0
+	r.segs, r.names, r.vals = r.segs[:0], r.names[:0], r.vals[:0]
+	d := &r.d
+	d.data, d.pos, d.depth = data, 0, 0
+	if d.ids == nil {
+		d.ids = make(map[string]int32, 64)
 	}
-	return p, nil
+	err := r.profile()
+	if d.space(); err == nil && d.pos < len(d.data) {
+		err = d.syntax("after top-level value")
+	}
+	d.data = nil
+	return err
 }
 
 func (d *decoder) syntax(where string) error {
@@ -499,7 +525,8 @@ func foldRune(r rune) rune {
 	}
 }
 
-func (d *decoder) profile(p *Profile) error {
+func (r *Rows) profile() error {
+	d := &r.d
 	switch d.peek() {
 	case '{':
 	case 'n':
@@ -510,11 +537,9 @@ func (d *decoder) profile(p *Profile) error {
 	return d.members(func(key []byte) error {
 		switch field(key, "metadata", "records") {
 		case 0:
-			return d.metadata(&p.Metadata)
+			return d.metadata(&r.Metadata)
 		case 1:
-			var err error
-			p.Records, err = d.records(p.Records)
-			return err
+			return r.records()
 		}
 		return d.skip()
 	})
@@ -540,48 +565,43 @@ func (d *decoder) metadata(m *map[string]any) error {
 	})
 }
 
-// records decodes an array into s the way encoding/json fills a slice:
-// elements are decoded in place over whatever s already holds, the slice
-// is cut to the array's length, and an empty array yields an empty,
-// non-nil slice.
-func (d *decoder) records(s []Record) ([]Record, error) {
+// records decodes an array into r.recs the way encoding/json fills a
+// slice: elements are decoded in place over the records already there,
+// an index past the length re-exposes what an earlier array wrote there
+// (as reflect.Value.SetLen within capacity does), the slice is cut to
+// the array's length, and an empty array yields a new, empty slice.
+func (r *Rows) records() error {
+	d := &r.d
 	switch d.peek() {
 	case '[':
 	case 'n':
-		return nil, d.literal("null")
+		r.recs, r.recHW, r.hasRecs = r.recs[:0], 0, false
+		return d.literal("null")
 	default:
-		return s, d.wrongType("records")
+		return d.wrongType("records")
 	}
 	n := 0
 	err := d.elements(func(i int) error {
-		s = extend(s, i)
+		switch {
+		case i < len(r.recs):
+		case i < r.recHW:
+			r.recs = r.recs[:i+1]
+		default:
+			r.recs = append(r.recs, rowRec{})
+			r.recHW = i + 1
+		}
 		n = i + 1
-		return d.record(&s[i])
+		return r.record(i)
 	})
-	return truncate(s, n), err
-}
-
-// extend makes index i addressable, re-exposing earlier contents within
-// capacity as reflect.Value.SetLen does.
-func extend[T any](s []T, i int) []T {
-	switch {
-	case i < len(s):
-		return s
-	case i < cap(s):
-		return s[:i+1]
-	}
-	var zero T
-	return append(s, zero)
-}
-
-func truncate[T any](s []T, n int) []T {
+	r.recs, r.hasRecs = r.recs[:n], true
 	if n == 0 {
-		return []T{}
+		r.recHW = 0
 	}
-	return s[:n]
+	return err
 }
 
-func (d *decoder) record(r *Record) error {
+func (r *Rows) record(i int) error {
+	d := &r.d
 	switch d.peek() {
 	case '{':
 	case 'n':
@@ -592,77 +612,110 @@ func (d *decoder) record(r *Record) error {
 	return d.members(func(key []byte) error {
 		switch field(key, "path", "metrics") {
 		case 0:
-			var err error
-			r.Path, err = d.path(r.Path)
-			return err
+			return r.path(&r.recs[i])
 		case 1:
-			return d.metrics(&r.Metrics)
+			return r.metrics(&r.recs[i])
 		}
 		return d.skip()
 	})
 }
 
-func (d *decoder) path(s []string) ([]string, error) {
+// path decodes an array over rec's path as records decodes over r.recs;
+// a null segment leaves the segment as it was. The path first moves to
+// the end of the arena, unless it ends there already, so that the array
+// can extend it in place.
+func (r *Rows) path(rec *rowRec) error {
+	d := &r.d
 	switch d.peek() {
 	case '[':
 	case 'n':
-		return nil, d.literal("null")
+		rec.hasPath, rec.segN, rec.segHW = false, 0, 0
+		return d.literal("null")
 	default:
-		return s, d.wrongType("path")
+		return d.wrongType("path")
+	}
+	if end := rec.segOff + rec.segHW; int(end) != len(r.segs) {
+		off := len(r.segs)
+		r.segs = append(r.segs, r.segs[rec.segOff:end]...)
+		rec.segOff = int32(off)
 	}
 	n := 0
 	err := d.elements(func(i int) error {
-		s = extend(s, i)
+		if i == int(rec.segHW) {
+			r.segs = append(r.segs, "")
+			rec.segHW++
+		}
 		n = i + 1
 		switch d.peek() {
 		case '"':
 			seg, err := d.str()
-			s[i] = d.intern(seg)
+			r.segs[int(rec.segOff)+i], _ = d.intern(seg)
 			return err
 		case 'n':
 			return d.literal("null") // null leaves a string as it was
 		}
 		return d.wrongType("path segment")
 	})
-	return truncate(s, n), err
+	rec.hasPath, rec.segN = true, int32(n)
+	if n == 0 {
+		rec.segHW = 0
+	}
+	return err
 }
 
-// metrics reads a metrics object into *m, creating the map presized to
-// the object when it is nil and merging into it otherwise.
-func (d *decoder) metrics(m *map[string]float64) error {
+// metrics merges a metrics object into rec's cells as encoding/json
+// merges it into the record's map: a name already there takes the new
+// value, null stores 0, and nil metrics become empty ones. The cells
+// first move to the end of the arena, unless they end there already, so
+// that new names can extend them.
+func (r *Rows) metrics(rec *rowRec) error {
+	d := &r.d
 	switch d.peek() {
 	case '{':
 	case 'n':
-		*m = nil
+		rec.hasMetrics, rec.cellN = false, 0
 		return d.literal("null")
 	default:
 		return d.wrongType("metrics")
 	}
-	pairs := d.pairs[:0]
+	if end := rec.cellOff + rec.cellN; int(end) != len(r.names) {
+		off := len(r.names)
+		r.names = append(r.names, r.names[rec.cellOff:end]...)
+		r.vals = append(r.vals, r.vals[rec.cellOff:end]...)
+		rec.cellOff = int32(off)
+	}
+	run := d.next()
+	for j := rec.cellOff; j < rec.cellOff+rec.cellN; j++ {
+		m := &d.marks[d.ids[r.names[j]]]
+		m.run, m.at = run, j
+	}
 	err := d.members(func(key []byte) error {
-		name := d.intern(key)
+		name, id := d.intern(key)
+		v := 0.0
 		switch d.peek() {
 		case 'n':
-			pairs = append(pairs, metricPair{name, 0})
-			return d.literal("null")
+			if err := d.literal("null"); err != nil {
+				return err
+			}
 		case '-', '0', '1', '2', '3', '4', '5', '6', '7', '8', '9':
-			v, err := d.number()
-			pairs = append(pairs, metricPair{name, v})
-			return err
+			var err error
+			if v, err = d.number(); err != nil {
+				return err
+			}
+		default:
+			return d.wrongType("metric value")
 		}
-		return d.wrongType("metric value")
+		if m := &d.marks[id]; m.run == run {
+			r.vals[m.at] = v
+		} else {
+			m.run, m.at = run, int32(len(r.vals))
+			r.names = append(r.names, name)
+			r.vals = append(r.vals, v)
+		}
+		return nil
 	})
-	d.pairs = pairs
-	if err != nil {
-		return err
-	}
-	if *m == nil {
-		*m = make(map[string]float64, len(pairs))
-	}
-	for _, p := range pairs {
-		(*m)[p.name] = p.v
-	}
-	return nil
+	rec.hasMetrics, rec.cellN = true, int32(len(r.names))-rec.cellOff
+	return err
 }
 
 // any decodes a value of any JSON type as encoding/json decodes into an
@@ -790,15 +843,17 @@ func (d *decoder) digits() bool {
 	return d.pos > start
 }
 
-// intern returns the string for b, the same string for every equal b in
-// this file.
-func (d *decoder) intern(b []byte) string {
-	if s, ok := d.names[string(b)]; ok {
-		return s
+// intern returns the string for b, the same string for every equal b
+// the decoder meets, and its id.
+func (d *decoder) intern(b []byte) (string, int32) {
+	if id, ok := d.ids[string(b)]; ok {
+		return d.strs[id], id
 	}
-	s := string(b)
-	d.names[s] = s
-	return s
+	s, id := string(b), int32(len(d.strs))
+	d.ids[s] = id
+	d.strs = append(d.strs, s)
+	d.marks = append(d.marks, mark{})
+	return s, id
 }
 
 // str reads the string literal at d.pos and returns its contents

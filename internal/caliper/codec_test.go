@@ -26,6 +26,7 @@ import (
 	"rajaperf/internal/resilience"
 	"rajaperf/internal/suite"
 	"rajaperf/internal/telemetry"
+	"rajaperf/internal/thicket"
 )
 
 type namedProfile struct {
@@ -315,6 +316,61 @@ func FuzzReadProfile(f *testing.F) {
 			t.Fatalf("re-encoded %.300q, json.MarshalIndent wrote %.300q", out, ref)
 		}
 	})
+}
+
+// FuzzFromDirLenient writes each input as the one profile file of a
+// directory. FromDirLenient, which ingests the walk's flat decoded form,
+// and ReadFile followed by FromProfiles, which ingests a Profile's maps,
+// must accept exactly what encoding/json and Profile.Validate accept, and
+// then compose the same frame.
+func FuzzFromDirLenient(f *testing.F) {
+	for _, np := range corpus(f) {
+		f.Add(marshal(f, np.p))
+	}
+	for _, s := range edgeCases {
+		f.Add([]byte(s))
+	}
+	small := smallProfile(f)
+	for i := 0; i <= len(small); i++ {
+		f.Add(small[:i])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "p"+caliper.FileExt)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, werr := referenceRead(data)
+		p, rerr := caliper.ReadFile(path)
+		got, _, derr := thicket.FromDirLenient(dir)
+		if (rerr == nil) != (werr == nil) || (derr == nil) != (werr == nil) {
+			t.Fatalf("ReadFile error %v, FromDirLenient error %v, encoding/json error %v, for %.200q", rerr, derr, werr, data)
+		}
+		if werr != nil {
+			return
+		}
+		want := thicket.FromProfiles([]*caliper.Profile{p})
+		if got.NumRows() != want.NumRows() || got.NumProfiles() != want.NumProfiles() {
+			t.Fatalf("FromDirLenient: %d rows of %d profiles, FromProfiles: %d of %d",
+				got.NumRows(), got.NumProfiles(), want.NumRows(), want.NumProfiles())
+		}
+		if g, w := frameText(t, got), frameText(t, want); g != w {
+			t.Fatalf("FromDirLenient composed\n%s\nFromProfiles composed\n%s", g, w)
+		}
+	})
+}
+
+// frameText renders a thicket's rows, with metric columns in name order,
+// and its metadata table.
+func frameText(t *testing.T, tk *thicket.Thicket) string {
+	var b bytes.Buffer
+	if err := tk.WriteMetricsCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	if err := tk.WriteMetadataCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 // TestDecodeInternsNames: every record of a decoded file shares one

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // FileExt is the extension of serialized profiles (the ".cali" analog).
@@ -64,18 +65,12 @@ func (e FileError) Unwrap() error { return e.Err }
 
 // ReadFile deserializes and validates a profile from path.
 func ReadFile(path string) (*Profile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("caliper: %w", err)
+	r := getRows()
+	defer putRows(r)
+	if err := r.readFile(path); err != nil {
+		return nil, err
 	}
-	p, err := decodeProfile(data)
-	if err != nil {
-		return nil, fmt.Errorf("caliper: corrupt profile %s: %w", path, err)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("caliper: invalid profile %s: %w", path, err)
-	}
-	return p, nil
+	return r.Profile(), nil
 }
 
 // decodeWorkers bounds the parallel profile decoders WalkDir runs. Capped
@@ -94,16 +89,19 @@ func decodeWorkers(files int) int {
 
 // WalkDir streams every profile file under dir (by FileExt) through fn in
 // sorted file-name order — the deterministic composition order — while
-// decoding up to a bounded number of files concurrently. At most one
-// decoded profile per worker is in flight, so campaign-scale directories
-// ingest without materializing the whole profile set. Only files carrying
-// the full FileExt suffix are profiles; other .json files a run directory
+// decoding up to a bounded number of files concurrently. Each file is
+// decoded and validated into a Rows, which fn may read only during the
+// call: the walk recycles it, with the file's read buffer, for a later
+// file. fn calls Rows.Profile for a Profile to keep. At most two files
+// per decoder are in flight, so campaign-scale directories ingest without
+// materializing the whole profile set. Only files carrying the full
+// FileExt suffix are profiles; other .json files a run directory
 // accumulates (campaign manifests, Chrome traces) are ignored.
 //
 // Decode errors surface in sorted order: the error returned names the
 // first broken file by that order, independent of worker timing. A
-// non-nil error from fn stops the walk.
-func WalkDir(dir string, fn func(path string, p *Profile) error) error {
+// non-nil error from fn stops the walk. No decoder outlives the call.
+func WalkDir(dir string, fn func(path string, r *Rows) error) error {
 	_, err := walkDir(dir, fn, false)
 	return err
 }
@@ -115,96 +113,104 @@ func WalkDir(dir string, fn func(path string, p *Profile) error) error {
 // failure) still aborts the walk. This is the ingestion mode for
 // directories a crashed or fault-injected campaign may have littered
 // with partial files.
-func WalkDirLenient(dir string, fn func(path string, p *Profile) error) ([]FileError, error) {
+func WalkDirLenient(dir string, fn func(path string, r *Rows) error) ([]FileError, error) {
 	return walkDir(dir, fn, true)
 }
 
-func walkDir(dir string, fn func(path string, p *Profile) error, lenient bool) ([]FileError, error) {
+// walkFile is one profile file of a walk, with its size from the listing.
+type walkFile struct {
+	name string
+	size int64
+}
+
+func walkDir(dir string, fn func(path string, r *Rows) error, lenient bool) ([]FileError, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("caliper: %w", err)
 	}
-	var names []string
+	var files []walkFile
+	var dirBytes int64
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), FileExt) {
-			names = append(names, e.Name())
+		if e.IsDir() || !strings.HasSuffix(e.Name(), FileExt) {
+			continue
 		}
+		f := walkFile{name: e.Name()}
+		if info, err := e.Info(); err == nil {
+			f.size = info.Size()
+		}
+		files = append(files, f)
+		dirBytes += f.size
 	}
-	sort.Strings(names)
+	sort.Slice(files, func(i, j int) bool { return files[i].name < files[j].name })
 	var ferrs []FileError
-	skip := func(path string, err error) error {
-		if !lenient {
-			return err
-		}
-		ferrs = append(ferrs, FileError{Path: path, Err: err})
-		return nil
-	}
-	workers := decodeWorkers(len(names))
-	if workers <= 1 {
-		for _, n := range names {
-			path := filepath.Join(dir, n)
-			p, err := ReadFile(path)
-			if err != nil {
-				if err := skip(path, err); err != nil {
-					return nil, err
-				}
-				continue
+	deliver := func(i int, r *Rows, err error) error {
+		path := filepath.Join(dir, files[i].name)
+		if err != nil {
+			if !lenient {
+				return err
 			}
-			if err := fn(path, p); err != nil {
+			ferrs = append(ferrs, FileError{Path: path, Err: err})
+			return nil
+		}
+		r.size, r.dirBytes = files[i].size, dirBytes
+		return fn(path, r)
+	}
+	workers := decodeWorkers(len(files))
+	if workers <= 1 {
+		r := getRows()
+		defer putRows(r)
+		for i := range files {
+			if err := deliver(i, r, r.readFile(filepath.Join(dir, files[i].name))); err != nil {
 				return nil, err
 			}
 		}
 		return ferrs, nil
 	}
 
+	// Decoder w reads files w, w+workers, ... in order and hands each on
+	// its own channel, so taking file i from channel i%workers delivers
+	// in sorted order. Every return path stops the decoders and waits for
+	// them: none may still write into a pooled Rows after the walk.
 	type result struct {
-		idx int
-		p   *Profile
+		r   *Rows
 		err error
 	}
-	sem := make(chan struct{}, workers)
-	results := make(chan result, workers)
+	chans := make([]chan result, workers)
 	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for i, n := range names {
-			select {
-			case sem <- struct{}{}:
-			case <-stop:
-				return
-			}
-			go func(i int, path string) {
-				p, err := ReadFile(path)
-				select {
-				case results <- result{i, p, err}:
-				case <-stop:
-				}
-				<-sem
-			}(i, filepath.Join(dir, n))
-		}
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
 	}()
-
-	pending := map[int]result{}
-	for next := 0; next < len(names); {
-		r, ok := pending[next]
-		if !ok {
-			rr := <-results
-			pending[rr.idx] = rr
-			continue
-		}
-		delete(pending, next)
-		path := filepath.Join(dir, names[next])
-		if r.err != nil {
-			if err := skip(path, r.err); err != nil {
-				return nil, err
+	for w := range chans {
+		chans[w] = make(chan result, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(files); i += workers {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r := getRows()
+				err := r.readFile(filepath.Join(dir, files[i].name))
+				select {
+				case chans[w] <- result{r, err}:
+				case <-stop:
+					putRows(r)
+					return
+				}
 			}
-			next++
-			continue
-		}
-		if err := fn(path, r.p); err != nil {
+		}()
+	}
+	for i := range files {
+		res := <-chans[i%workers]
+		err := deliver(i, res.r, res.err)
+		putRows(res.r)
+		if err != nil {
 			return nil, err
 		}
-		next++
 	}
 	return ferrs, nil
 }
@@ -215,8 +221,8 @@ func walkDir(dir string, fn func(path string, p *Profile) error, lenient bool) (
 // contract.
 func ReadDir(dir string) ([]*Profile, error) {
 	var ps []*Profile
-	err := WalkDir(dir, func(_ string, p *Profile) error {
-		ps = append(ps, p)
+	err := WalkDir(dir, func(_ string, r *Rows) error {
+		ps = append(ps, r.Profile())
 		return nil
 	})
 	if err != nil {

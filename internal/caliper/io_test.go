@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -101,9 +102,9 @@ func TestWalkDirDeterministicOrderAndErrorPosition(t *testing.T) {
 
 	var got []string
 	var seqs []int
-	err := WalkDir(dir, func(path string, p *Profile) error {
+	err := WalkDir(dir, func(path string, r *Rows) error {
 		got = append(got, filepath.Base(path))
-		seqs = append(seqs, int(p.Metadata["seq"].(float64))) // ints round-trip as float64
+		seqs = append(seqs, int(r.Metadata["seq"].(float64))) // ints round-trip as float64
 		return nil
 	})
 	if err != nil {
@@ -125,7 +126,7 @@ func TestWalkDirDeterministicOrderAndErrorPosition(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = got[:0]
-	err = WalkDir(dir, func(path string, p *Profile) error {
+	err = WalkDir(dir, func(path string, r *Rows) error {
 		got = append(got, filepath.Base(path))
 		return nil
 	})
@@ -144,7 +145,7 @@ func TestWalkDirStopsOnCallbackError(t *testing.T) {
 	}
 	calls := 0
 	sentinel := errors.New("stop here")
-	err := WalkDir(dir, func(path string, p *Profile) error {
+	err := WalkDir(dir, func(path string, r *Rows) error {
 		calls++
 		if calls == 3 {
 			return sentinel
@@ -156,6 +157,79 @@ func TestWalkDirStopsOnCallbackError(t *testing.T) {
 	}
 	if calls != 3 {
 		t.Fatalf("callback ran %d times after erroring on the 3rd", calls)
+	}
+}
+
+// writeFullProfile writes a profile of a full suite run's size: 76
+// kernel records of 13 metrics each, about 45 KB.
+func writeFullProfile(t *testing.T, path string) {
+	t.Helper()
+	c := NewRecorderWith(Config{})
+	c.AddMetadata("machine", "SPR-DDR")
+	for k := 0; k < 76; k++ {
+		kernel := []string{"suite", fmt.Sprintf("Kernel_%02d", k)}
+		for m := 0; m < 13; m++ {
+			c.SetMetricAt(kernel, fmt.Sprintf("metric_%02d", m), float64(k*m)*1e-3)
+		}
+	}
+	if err := c.Profile().WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// goroutinesRunningCode counts goroutines as runtime.NumGoroutine does,
+// less those whose work is over but whose exit the scheduler has not run
+// yet: one returned from its function, whose stack holds nothing but
+// runtime.goexit1, and one still inside the WaitGroup.Done that released
+// its waiter.
+func goroutinesRunningCode() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if !strings.Contains(g, "\nruntime.goexit1(") && !strings.Contains(g, "\nsync.(*WaitGroup).Done(") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestWalkDirWaitsForDecoders: a walk stopped early, by a torn file or
+// by its callback, returns only after every decoder it started has
+// exited, since a decoder still running would write into pooled buffers.
+func TestWalkDirWaitsForDecoders(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("one decoder: the walk starts no goroutines")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "run00"+FileExt), []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 16; i++ {
+		writeFullProfile(t, filepath.Join(dir, fmt.Sprintf("run%02d%s", i, FileExt)))
+	}
+	sentinel := errors.New("stop here")
+	walks := []struct {
+		name string
+		walk func() error
+	}{
+		{"torn file", func() error {
+			return WalkDir(dir, func(string, *Rows) error { return nil })
+		}},
+		{"callback error", func() error {
+			_, err := WalkDirLenient(dir, func(string, *Rows) error { return sentinel })
+			return err
+		}},
+	}
+	for _, w := range walks {
+		for i := 0; i < 20; i++ {
+			before := runtime.NumGoroutine()
+			if err := w.walk(); err == nil {
+				t.Fatalf("%s: walk succeeded", w.name)
+			}
+			if after := runtime.NumGoroutine(); after > before && goroutinesRunningCode() > before {
+				t.Fatalf("%s: %d goroutines before the walk, %d right after it returned", w.name, before, after)
+			}
+		}
 	}
 }
 
@@ -178,7 +252,7 @@ func TestWalkDirLenientSkipsBrokenFiles(t *testing.T) {
 	}
 
 	var got []string
-	ferrs, err := WalkDirLenient(dir, func(path string, p *Profile) error {
+	ferrs, err := WalkDirLenient(dir, func(path string, r *Rows) error {
 		got = append(got, filepath.Base(path))
 		return nil
 	})
@@ -201,7 +275,7 @@ func TestWalkDirLenientSkipsBrokenFiles(t *testing.T) {
 
 	// Strict walk over the same directory still fails on the first broken
 	// file by sorted order.
-	if err := WalkDir(dir, func(string, *Profile) error { return nil }); err == nil ||
+	if err := WalkDir(dir, func(string, *Rows) error { return nil }); err == nil ||
 		!strings.Contains(err.Error(), "run03"+FileExt) {
 		t.Errorf("strict WalkDir = %v, want error naming run03", err)
 	}
@@ -214,7 +288,7 @@ func TestWalkDirLenientCallbackErrorStillAborts(t *testing.T) {
 	}
 	sentinel := errors.New("stop here")
 	calls := 0
-	_, err := WalkDirLenient(dir, func(string, *Profile) error {
+	_, err := WalkDirLenient(dir, func(string, *Rows) error {
 		calls++
 		if calls == 2 {
 			return sentinel

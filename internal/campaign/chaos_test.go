@@ -39,8 +39,8 @@ func TestChaosCampaignKillAndResume(t *testing.T) {
 		t.Fatalf("baseline campaign = %+v, %v", res, err)
 	}
 	baseline := map[string]*caliper.Profile{}
-	if err := caliper.WalkDir(baseDir, func(_ string, p *caliper.Profile) error {
-		baseline[p.Metadata["campaign.spec"].(string)] = p
+	if err := caliper.WalkDir(baseDir, func(_ string, r *caliper.Rows) error {
+		baseline[r.Metadata["campaign.spec"].(string)] = r.Profile()
 		return nil
 	}); err != nil {
 		t.Fatal(err)

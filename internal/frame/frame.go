@@ -175,13 +175,13 @@ type Builder struct {
 // nameCache memoizes metric-name interning by string identity: profiles
 // produced in-process (suite kernels, measurement services, the
 // campaign orchestrator) pass the same literal or hoisted name strings
-// to the Recorder on every record, and caliper.ReadFile interns each
-// metric name once per file, so the (data pointer, length) pair
-// repeats across rows and resolves without hashing any bytes; a
-// decoded file misses only on its first record. Two strings with equal
-// data pointer and length are the same string, so a hit is always
-// correct: the cached pointer keeps its string alive, so its address is
-// never reused for another string while cached.
+// to the Recorder on every record, and the caliper decoder interns each
+// metric name in a table that outlives the file, so the (data pointer,
+// length) pair repeats across rows and resolves without hashing any
+// bytes; a decoded file misses at most on its first record. Two strings
+// with equal data pointer and length are the same string, so a hit is
+// always correct: the cached pointer keeps its string alive, so its
+// address is never reused for another string while cached.
 type nameCache struct {
 	ptrs [nameCacheSize]*byte
 	lens [nameCacheSize]int
@@ -239,12 +239,33 @@ func (b *Builder) StartProfile(meta map[string]any) int32 {
 // columns. Path segments are copied on first intern only; resolving an
 // already-known path or metric name allocates nothing.
 func (b *Builder) AddRow(path []string, metrics map[string]float64) {
+	row, h := b.beginRow(path)
+	for name, v := range metrics {
+		h ^= b.cell(row, name, v)
+	}
+	b.f.hash = mix64(b.f.hash ^ h)
+}
+
+// AddCells appends a row like AddRow whose metrics are the parallel
+// names and vals slices, each name at most once. Neither slice is kept.
+func (b *Builder) AddCells(path, names []string, vals []float64) {
+	row, h := b.beginRow(path)
+	for i, name := range names {
+		h ^= b.cell(row, name, vals[i])
+	}
+	b.f.hash = mix64(b.f.hash ^ h)
+}
+
+// beginRow appends the row's index entries and returns its row number
+// and the seed of its content hash: the path id, to which the caller
+// XORs each cell's hash (cells combine order-independently, since a map
+// feeds them in no fixed order).
+func (b *Builder) beginRow(path []string) (row int, hash uint64) {
 	f := b.f
 	if len(f.meta) == 0 {
 		panic("frame: AddRow before StartProfile")
 	}
-	row := len(f.nodeIDs)
-	prof := int32(len(f.meta) - 1)
+	row = len(f.nodeIDs)
 
 	buf := b.keyBuf[:0]
 	for i, s := range path {
@@ -267,32 +288,32 @@ func (b *Builder) AddRow(path []string, metrics map[string]float64) {
 	}
 	f.nodeIDs = append(f.nodeIDs, f.pathNode[pid])
 	f.pathIDs = append(f.pathIDs, pid)
-	f.profIDs = append(f.profIDs, prof)
+	f.profIDs = append(f.profIDs, int32(len(f.meta)-1))
+	return row, mix64(uint64(uint32(pid)) + hashSeed)
+}
 
-	// Row content hash: the path id plus the metric cells, the latter
-	// combined order-independently (metrics is a map).
-	rowHash := mix64(uint64(uint32(pid)) + hashSeed)
-	for name, v := range metrics {
-		var mi int32
-		nc := &b.names
-		if i := nc.slot(name); nc.ptrs[i] == unsafe.StringData(name) && nc.lens[i] == len(name) {
-			mi = nc.ids[i]
-		} else {
-			mi = f.metrics.Intern(name)
-			nc.ptrs[i] = unsafe.StringData(name)
-			nc.lens[i] = len(name)
-			nc.ids[i] = mi
-		}
-		for int(mi) >= len(f.cols) {
-			f.cols = append(f.cols, newColumn(b.colCap))
-		}
-		for int(mi) >= len(b.mHash) {
-			b.mHash = append(b.mHash, strHash(f.metrics.Name(int32(len(b.mHash)))))
-		}
-		f.cols[mi].set(row, v)
-		rowHash ^= rowMetricHash(b.mHash[mi], v)
+// cell stores one metric value of row, interning its name, and returns
+// the cell's hash.
+func (b *Builder) cell(row int, name string, v float64) uint64 {
+	f := b.f
+	var mi int32
+	nc := &b.names
+	if i := nc.slot(name); nc.ptrs[i] == unsafe.StringData(name) && nc.lens[i] == len(name) {
+		mi = nc.ids[i]
+	} else {
+		mi = f.metrics.Intern(name)
+		nc.ptrs[i] = unsafe.StringData(name)
+		nc.lens[i] = len(name)
+		nc.ids[i] = mi
 	}
-	f.hash = mix64(f.hash ^ rowHash)
+	for int(mi) >= len(f.cols) {
+		f.cols = append(f.cols, newColumn(b.colCap))
+	}
+	for int(mi) >= len(b.mHash) {
+		b.mHash = append(b.mHash, strHash(f.metrics.Name(int32(len(b.mHash)))))
+	}
+	f.cols[mi].set(row, v)
+	return rowMetricHash(b.mHash[mi], v)
 }
 
 // Finish seals and returns the frame. The builder must not be used

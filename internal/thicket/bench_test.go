@@ -4,14 +4,20 @@ package thicket
 // shaped like one campaign sweep (machines x variants x schedules x
 // repetition), each profile carrying the suite's ~76 kernel nodes with a
 // realistic metric-column count. BenchmarkThicketCompose measures ingest
-// (the FromProfiles path), BenchmarkThicketGroupStats one
+// (the FromProfiles path), BenchmarkThicketFromDir the same corpus read
+// from profile files (decode, validation and ingest: the FromDir path),
+// BenchmarkThicketGroupStats one
 // groupby-then-aggregate call, and BenchmarkThicketComposeGroupStats the
 // compose+groupstats path the acceptance criteria track: compose once,
 // then run the paper's analysis sweep — aggregate statistics grouped by
 // each metadata dimension for the primary and derived metric columns.
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 
 	"rajaperf/internal/caliper"
@@ -69,6 +75,43 @@ func benchCorpusOnce() {
 	benchCorpusProfiles = ps
 }
 
+// benchDir is the directory benchCorpusDir wrote, which TestMain removes.
+var benchDir string
+
+// benchCorpusDir writes the bench corpus once per process as profile
+// files, one per profile in corpus order.
+var benchCorpusDir = sync.OnceValues(func() (string, error) {
+	dir, err := os.MkdirTemp("", "thicket-bench-")
+	if err != nil {
+		return "", err
+	}
+	benchDir = dir
+	return dir, writeProfiles(dir, benchCorpus())
+})
+
+// writeProfiles writes ps into dir as run0000.cali.json, run0001... in
+// the bytes Profile.WriteFile writes, without its per-file fsync.
+func writeProfiles(dir string, ps []*caliper.Profile) error {
+	for i, p := range ps {
+		data, err := json.MarshalIndent(p, "", " ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("run%04d%s", i, caliper.FileExt)), data, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if benchDir != "" {
+		os.RemoveAll(benchDir)
+	}
+	os.Exit(code)
+}
+
 func BenchmarkThicketCompose(b *testing.B) {
 	ps := benchCorpus()
 	b.ReportAllocs()
@@ -77,6 +120,21 @@ func BenchmarkThicketCompose(b *testing.B) {
 		tk := FromProfiles(ps)
 		if tk.NumProfiles() != benchProfiles {
 			b.Fatal("bad compose")
+		}
+	}
+}
+
+func BenchmarkThicketFromDir(b *testing.B) {
+	dir, err := benchCorpusDir()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tk, err := FromDir(dir)
+		if err != nil || tk.NumProfiles() != benchProfiles {
+			b.Fatalf("FromDir = %v, %v", tk, err)
 		}
 	}
 }
