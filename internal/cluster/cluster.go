@@ -8,10 +8,7 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
-
-	"rajaperf/internal/raja"
 )
 
 // Merge records one agglomeration step: clusters A and B (indices into the
@@ -33,7 +30,13 @@ type Linkage struct {
 // Ward clusters the observation vectors with Ward linkage on Euclidean
 // distance and returns the merge tree. Labels name the observations for
 // dendrogram rendering; pass nil for index labels. All vectors must share
-// one dimensionality.
+// one dimensionality and have finite coordinates.
+//
+// Each step merges the closest pair, the first in input order on ties,
+// and the merged cluster takes its first member's place. Every place
+// caches its nearest later neighbour (Müllner's generic algorithm,
+// arXiv:1109.2378), so a merge rescans only the rows whose partner it
+// consumed: O(n^2) on typical inputs, with a full pair scan's merges.
 func Ward(vectors [][]float64, labels []string) (*Linkage, error) {
 	n := len(vectors)
 	if n == 0 {
@@ -43,6 +46,11 @@ func Ward(vectors [][]float64, labels []string) (*Linkage, error) {
 	for i, v := range vectors {
 		if len(v) != dim {
 			return nil, fmt.Errorf("cluster: observation %d has dimension %d, want %d", i, len(v), dim)
+		}
+		for k, x := range v {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return nil, fmt.Errorf("cluster: observation %d has non-finite coordinate %d (%v)", i, k, x)
+			}
 		}
 	}
 	if labels == nil {
@@ -55,106 +63,78 @@ func Ward(vectors [][]float64, labels []string) (*Linkage, error) {
 		return nil, fmt.Errorf("cluster: %d labels for %d observations", len(labels), n)
 	}
 
-	// Active clusters tracked by centroid and size; Ward distance via
-	// the Lance-Williams centroid formula:
-	// d(A,B)^2 = (2*|A|*|B|/(|A|+|B|)) * ||c_A - c_B||^2.
-	active := make([]wardNode, n)
-	for i := range active {
-		active[i] = wardNode{id: i, size: 1, centroid: append([]float64(nil), vectors[i]...)}
+	// Position i holds one cluster while live: its tree node id, size and
+	// centroid. A merge keeps the first position and retires the second,
+	// so live positions stay in the order of a list that drops merged-away
+	// clusters. nn[i] is i's nearest live later position (smallest index
+	// on ties) at squared Ward distance dist[i]; -1 when none is left.
+	ids := make([]int, n)
+	sizes := make([]int, n)
+	cents := make([]float64, n*dim)
+	live := make([]bool, n)
+	nn := make([]int, n)
+	dist := make([]float64, n)
+	for i, v := range vectors {
+		ids[i], sizes[i], live[i] = i, 1, true
+		copy(cents[i*dim:], v)
+	}
+	cent := func(i int) []float64 { return cents[i*dim : (i+1)*dim] }
+	rescan := func(i int) {
+		bj, best := -1, 0.0
+		si, ci := sizes[i], cent(i)
+		for j := i + 1; j < n; j++ {
+			if !live[j] {
+				continue
+			}
+			if d := wardDist(si, sizes[j], ci, cent(j)); bj < 0 || d < best {
+				bj, best = j, d
+			}
+		}
+		nn[i], dist[i] = bj, best
+	}
+	for i := range nn {
+		rescan(i)
 	}
 
 	link := &Linkage{N: n, labels: append([]string(nil), labels...)}
-	next := n
-	for len(active) > 1 {
-		bi, bj, best := closestPair(active)
-		a, b := active[bi], active[bj]
-		merged := wardNode{
-			id:       next,
-			size:     a.size + b.size,
-			centroid: make([]float64, dim),
+	for next := n; next < 2*n-1; next++ {
+		a := -1
+		for i, j := range nn {
+			if live[i] && j >= 0 && (a < 0 || dist[i] < dist[a]) {
+				a = i
+			}
 		}
-		for k := 0; k < dim; k++ {
-			merged.centroid[k] = (float64(a.size)*a.centroid[k] +
-				float64(b.size)*b.centroid[k]) / float64(merged.size)
+		b := nn[a]
+		size := sizes[a] + sizes[b]
+		ca, cb := cent(a), cent(b)
+		for k := range ca {
+			ca[k] = (float64(sizes[a])*ca[k] + float64(sizes[b])*cb[k]) / float64(size)
 		}
 		link.Merges = append(link.Merges, Merge{
-			A: a.id, B: b.id, Distance: math.Sqrt(best), Size: merged.size,
+			A: ids[a], B: ids[b], Distance: math.Sqrt(dist[a]), Size: size,
 		})
-		next++
-		// Remove bj first (higher index), then bi.
-		active = append(active[:bj], active[bj+1:]...)
-		active[bi] = merged
+		ids[a], sizes[a], live[b] = next, size, false
+
+		// Distances between untouched clusters stand. A row whose partner
+		// was merged rescans; any other row before a sees one new
+		// distance, to a; a row after a cannot see a at all.
+		for i := range nn {
+			switch {
+			case !live[i]:
+			case i == a || nn[i] == a || nn[i] == b:
+				rescan(i)
+			case i < a:
+				if d := wardDist(sizes[i], size, cent(i), ca); d < dist[i] || d == dist[i] && a < nn[i] {
+					nn[i], dist[i] = a, d
+				}
+			}
+		}
 	}
 	return link, nil
 }
 
-// wardNode is one active cluster during agglomeration.
-type wardNode struct {
-	id       int
-	size     int
-	centroid []float64
-}
-
-// pairSearchThreshold is the active-cluster count below which the
-// closest-pair scan stays serial: under it the O(k^2) sweep is cheaper
-// than a fan-out.
-const pairSearchThreshold = 96
-
-// closestPair returns the indices and squared Ward distance of the
-// nearest active pair. Large fronts fan the row scan across the raja
-// pool; each lane keeps a local argmin and the reduction applies the
-// same (distance, i, j) lexicographic tie-break as the serial loop, so
-// the result is identical for any worker count.
-func closestPair(active []wardNode) (int, int, float64) {
-	k := len(active)
-	rowScan := func(i int) (int, float64) {
-		bj, best := -1, math.Inf(1)
-		for j := i + 1; j < k; j++ {
-			d := wardDist(active[i].size, active[j].size,
-				active[i].centroid, active[j].centroid)
-			if d < best {
-				best, bj = d, j
-			}
-		}
-		return bj, best
-	}
-	if k < pairSearchThreshold {
-		bi, bj, best := -1, -1, math.Inf(1)
-		for i := 0; i < k-1; i++ {
-			if j, d := rowScan(i); d < best {
-				best, bi, bj = d, i, j
-			}
-		}
-		return bi, bj, best
-	}
-
-	type argmin struct {
-		i, j int
-		d    float64
-	}
-	workers := runtime.GOMAXPROCS(0)
-	locals := make([]argmin, workers)
-	lanes := raja.Default().StaticChunks(workers, k-1, func(w, lo, hi int) {
-		lm := argmin{i: -1, j: -1, d: math.Inf(1)}
-		for i := lo; i < hi; i++ {
-			if j, d := rowScan(i); d < lm.d {
-				lm = argmin{i: i, j: j, d: d}
-			}
-		}
-		locals[w] = lm
-	})
-	bi, bj, best := -1, -1, math.Inf(1)
-	for _, lm := range locals[:lanes] {
-		// Chunks are contiguous and ascending in i, so strict < already
-		// prefers the lexicographically smallest pair among ties across
-		// workers — matching the serial scan exactly.
-		if lm.j >= 0 && lm.d < best {
-			best, bi, bj = lm.d, lm.i, lm.j
-		}
-	}
-	return bi, bj, best
-}
-
+// wardDist is the squared Ward distance between clusters of na and nb
+// members with centroids ca and cb: 2*na*nb/(na+nb) * ||ca - cb||^2.
 func wardDist(na, nb int, ca, cb []float64) float64 {
 	d2 := 0.0
 	for k := range ca {

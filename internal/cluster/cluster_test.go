@@ -177,57 +177,151 @@ func TestDendrogramSVG(t *testing.T) {
 	}
 }
 
-// TestClosestPairParallelMatchesSerial checks the fanned-out pair search
-// against the plain double loop on a front large enough to engage the
-// pool, including exact-tie inputs where the lexicographic (i, j)
-// tie-break decides the winner.
-func TestClosestPairParallelMatchesSerial(t *testing.T) {
-	const n = 3 * pairSearchThreshold
-	rng := rand.New(rand.NewSource(42))
-	active := make([]wardNode, n)
+// refNode is one active cluster of the reference Ward below.
+type refNode struct {
+	id       int
+	size     int
+	centroid []float64
+}
+
+// refWard is the plain full pair scan: a compacting list of active
+// clusters, and before each merge a scan of every remaining pair for the
+// smallest Ward distance, first pair on ties.
+func refWard(vectors [][]float64) []Merge {
+	n, dim := len(vectors), len(vectors[0])
+	active := make([]refNode, n)
 	for i := range active {
-		// Coordinates on a coarse grid force duplicate points, so many
-		// pairs share the exact minimum distance.
-		c := []float64{float64(rng.Intn(7)), float64(rng.Intn(7)), float64(rng.Intn(7))}
-		active[i] = wardNode{id: i, size: 1 + rng.Intn(3), centroid: c}
+		active[i] = refNode{id: i, size: 1, centroid: append([]float64(nil), vectors[i]...)}
+	}
+	var merges []Merge
+	for next := n; len(active) > 1; next++ {
+		bi, bj, best := -1, -1, math.Inf(1)
+		for i := 0; i < len(active)-1; i++ {
+			for j := i + 1; j < len(active); j++ {
+				d := wardDist(active[i].size, active[j].size, active[i].centroid, active[j].centroid)
+				if d < best {
+					best, bi, bj = d, i, j
+				}
+			}
+		}
+		a, b := active[bi], active[bj]
+		merged := refNode{id: next, size: a.size + b.size, centroid: make([]float64, dim)}
+		for k := 0; k < dim; k++ {
+			merged.centroid[k] = (float64(a.size)*a.centroid[k] +
+				float64(b.size)*b.centroid[k]) / float64(merged.size)
+		}
+		merges = append(merges, Merge{A: a.id, B: b.id, Distance: math.Sqrt(best), Size: merged.size})
+		active = append(active[:bj], active[bj+1:]...)
+		active[bi] = merged
+	}
+	return merges
+}
+
+// TestWardMatchesFullPairScan holds the cached-nearest-neighbour Ward to
+// the full pair scan, merge for merge and bit for bit, on random inputs
+// of 1 to 288 observations in 1 to 5 dimensions. Half the inputs sit on
+// a coarse integer grid, where duplicate points and equal distances make
+// the tie-break decide merges. The rest of the test draws near-regular
+// tetrahedra: their six distances agree to a few ulps, so rounding
+// decides which pair is closest, and only the merged cluster's freshly
+// computed distance to an earlier row can reorder that row's candidates.
+func TestWardMatchesFullPairScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 17, 31, 32, 33, 63, 76, 95, 96, 97, 150, 191, 192, 288}
+	for c, n := range sizes {
+		for g, grid := range []bool{false, true} {
+			dim := 1 + (2*c+g)%5
+			vecs := make([][]float64, n)
+			for i := range vecs {
+				vecs[i] = make([]float64, dim)
+				for k := range vecs[i] {
+					if grid {
+						vecs[i][k] = float64(rng.Intn(4))
+					} else {
+						vecs[i][k] = rng.NormFloat64()
+					}
+				}
+			}
+			checkWard(t, fmt.Sprintf("n=%d dim=%d grid=%v", n, dim, grid), vecs)
+		}
 	}
 
-	si, sj, sd := -1, -1, math.Inf(1)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := wardDist(active[i].size, active[j].size, active[i].centroid, active[j].centroid)
-			if d < sd {
-				sd, si, sj = d, i, j
+	tet := [4][3]float64{{1, 1, 1}, {1, -1, -1}, {-1, 1, -1}, {-1, -1, 1}}
+	for c := 0; c < 10000; c++ {
+		vecs := make([][]float64, 4)
+		for i := range vecs {
+			vecs[i] = make([]float64, 3)
+			for k := range vecs[i] {
+				ulps := float64(rng.Intn(9)-4) * float64(rng.Intn(3))
+				vecs[i][k] = tet[i][k] * (1 + ulps*0x1p-53)
+			}
+		}
+		checkWard(t, fmt.Sprintf("tetrahedron %d %v", c, vecs), vecs)
+	}
+}
+
+func checkWard(t *testing.T, ctx string, vecs [][]float64) {
+	t.Helper()
+	link, err := Ward(vecs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := refWard(vecs)
+	if len(link.Merges) != len(want) {
+		t.Fatalf("%s: %d merges, reference %d", ctx, len(link.Merges), len(want))
+	}
+	for i, w := range want {
+		g := link.Merges[i]
+		if g.A != w.A || g.B != w.B || g.Size != w.Size ||
+			math.Float64bits(g.Distance) != math.Float64bits(w.Distance) {
+			t.Fatalf("%s: merge %d = %+v, reference %+v", ctx, i, g, w)
+		}
+	}
+}
+
+// TestWardRejectsNonFinite checks that a NaN or infinite coordinate is
+// an error naming the observation, not a failed pair search.
+func TestWardRejectsNonFinite(t *testing.T) {
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, tc := range []struct {
+			vecs [][]float64
+			bad  int
+		}{
+			{[][]float64{{x}, {1}}, 0},
+			{[][]float64{{0, 1}, {2, 3}, {4, x}}, 2},
+		} {
+			link, err := Ward(tc.vecs, nil)
+			if err == nil {
+				t.Fatalf("Ward(%v) = %+v, want an error", tc.vecs, link)
+			}
+			if want := fmt.Sprintf("observation %d ", tc.bad); !strings.Contains(err.Error(), want) {
+				t.Errorf("Ward(%v) error %q does not name %q", tc.vecs, err, want)
 			}
 		}
 	}
-	gi, gj, gd := closestPair(active)
-	if gi != si || gj != sj || gd != sd {
-		t.Fatalf("closestPair = (%d, %d, %v), serial scan (%d, %d, %v)", gi, gj, gd, si, sj, sd)
-	}
+}
 
-	// The full clustering must also be invariant: Ward on a shuffled-size
-	// corpus gives byte-identical merge sequences however the scan runs.
-	vecs := make([][]float64, n)
-	labels := make([]string, n)
-	for i := range vecs {
-		vecs[i] = active[i].centroid
-		labels[i] = fmt.Sprintf("k%03d", i)
-	}
-	l1, err := Ward(vecs, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := Ward(vecs, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(l1.Merges) != len(l2.Merges) {
-		t.Fatalf("merge counts differ: %d vs %d", len(l1.Merges), len(l2.Merges))
-	}
-	for i := range l1.Merges {
-		if l1.Merges[i] != l2.Merges[i] {
-			t.Fatalf("merge %d differs: %+v vs %+v", i, l1.Merges[i], l2.Merges[i])
-		}
+// BenchmarkWard clusters random five-dimensional tuples: 76 is one Fig 6
+// view's kernel count, 288 a view three times the size of the old
+// parallel pair-search threshold.
+func BenchmarkWard(b *testing.B) {
+	for _, n := range []int{76, 288} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			vecs := make([][]float64, n)
+			for i := range vecs {
+				vecs[i] = make([]float64, 5)
+				for k := range vecs[i] {
+					vecs[i][k] = rng.Float64()
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Ward(vecs, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -20,9 +20,14 @@ package frame
 // Aggregation is fused: grouped per-node statistics gather values in
 // one counting pass and one fill pass over the metric column — no
 // per-group selection is materialized and no per-row (value, ok) branch
-// runs in the hot loop. Results are byte-identical to the naive
-// row-at-a-time reference evaluator in querytest, which CI enforces
-// differentially.
+// runs in the hot loop. Over the full frame with at most profile-scope
+// conjuncts the passes walk the kept profiles' row ranges word by word;
+// any other query (a base selection, as every Where-derived view has,
+// or a node or metric conjunct) first runs the filter in one
+// closure-free pass into a row selection — the base itself when there
+// are no conjuncts — and both passes loop over it. Results are
+// byte-identical to the naive row-at-a-time reference evaluator in
+// querytest, which CI enforces differentially.
 //
 // Results of cacheable queries (no function predicates) are memoized in
 // the engine's LRU keyed by frame content hash; cached values are
@@ -314,85 +319,108 @@ func trimTail(ws []uint64, n int) {
 	}
 }
 
-// scan drives the pushed-down traversal: emit is called for every
-// surviving row in ascending row order.
-func (q *Query) scan(pl *plan, emit func(prof, r int32)) {
+// selection runs the pushed-down filter in one pass and returns the
+// surviving rows in ascending order: kept profiles' row ranges (or the
+// base rows of kept profiles) that pass the node keep table and the
+// vectorized mask, then the mixed-scope conjuncts row by row. A query
+// without conjuncts selects its base itself, which callers share and
+// never write into.
+func (q *Query) selection(pl *plan) []int32 {
+	if len(q.conj) == 0 && q.base != nil {
+		return q.base
+	}
 	f := q.f
 	mask := pl.rowMask(f)
 	nodeIDs := f.nodeIDs
-	pass := func(prof, r int32) {
-		if id := nodeIDs[r]; id >= 0 {
-			if pl.keepNode != nil && !pl.keepNode[id] {
-				return
-			}
-		} else if !pl.keepNoNode {
-			return
-		}
-		if mask != nil && mask[r>>6]&(1<<uint(r&63)) == 0 {
-			return
-		}
-		for _, p := range pl.scalar {
-			if !evalRow(p, f, r) {
-				return
-			}
-		}
-		emit(prof, r)
-	}
+	var sel []int32
 	if q.base == nil {
+		n := int32(0)
+		for prof := int32(0); prof < int32(f.NumProfiles()); prof++ {
+			if pl.keepProf == nil || pl.keepProf[prof] {
+				lo, hi := f.ProfileRange(prof)
+				n += hi - lo
+			}
+		}
+		sel = make([]int32, 0, n)
+		// Without node or metric conjuncts every kept row survives:
+		// compile clears keepNoNode only beside a keepNode table.
+		everyRow := pl.keepNode == nil && mask == nil
 		for prof := int32(0); prof < int32(f.NumProfiles()); prof++ {
 			if pl.keepProf != nil && !pl.keepProf[prof] {
 				continue // pushdown: the whole contiguous range is skipped
 			}
 			lo, hi := f.ProfileRange(prof)
 			for r := lo; r < hi; r++ {
-				pass(prof, r)
+				if everyRow || pl.keeps(mask, nodeIDs[r], r) {
+					sel = append(sel, r)
+				}
 			}
 		}
-		return
-	}
-	profIDs := f.profIDs
-	for _, r := range q.base {
-		prof := profIDs[r]
-		if pl.keepProf != nil && !pl.keepProf[prof] {
-			continue
+	} else {
+		sel = make([]int32, 0, len(q.base))
+		profIDs := f.profIDs
+		for _, r := range q.base {
+			if (pl.keepProf == nil || pl.keepProf[profIDs[r]]) && pl.keeps(mask, nodeIDs[r], r) {
+				sel = append(sel, r)
+			}
 		}
-		pass(prof, r)
 	}
+	if len(pl.scalar) == 0 {
+		return sel
+	}
+	kept := sel[:0]
+outer:
+	for _, r := range sel {
+		for _, p := range pl.scalar {
+			if !evalRow(p, f, r) {
+				continue outer
+			}
+		}
+		kept = append(kept, r)
+	}
+	return kept
 }
 
-// cacheGet looks kind+pl.key up for this query's frame and base.
-func (q *Query) cacheGet(pl *plan, kind string) (any, bool) {
+// keeps reports whether row r, carrying node id, passes the node-scope
+// keep table and the vectorized conjuncts' mask (nil = no such
+// conjuncts).
+func (pl *plan) keeps(mask []uint64, id, r int32) bool {
+	if id >= 0 {
+		if pl.keepNode != nil && !pl.keepNode[id] {
+			return false
+		}
+	} else if !pl.keepNoNode {
+		return false
+	}
+	return mask == nil || mask[r>>6]&(1<<uint(r&63)) != 0
+}
+
+// memo answers one execution of kind from the engine cache, or computes
+// and caches it when the plan is cacheable. The key is built once per
+// execution: its selection hash walks the whole base.
+func memo[T any](q *Query, pl *plan, kind string, compute func() T) T {
 	if !pl.cacheable {
-		return nil, false
+		return compute()
 	}
-	return q.e.cache.get(q.ckey(pl, kind))
-}
-
-func (q *Query) cachePut(pl *plan, kind string, v any) {
-	if pl.cacheable {
-		q.e.cache.put(q.ckey(pl, kind), v)
+	k := cacheKey{frame: q.f.Hash(), sel: selHash(q.base), query: kind + "|" + pl.key}
+	if v, ok := q.e.cache.get(k); ok {
+		return v.(T)
 	}
-}
-
-func (q *Query) ckey(pl *plan, kind string) cacheKey {
-	return cacheKey{frame: q.f.Hash(), sel: selHash(q.base), query: kind + "|" + pl.key}
+	v := compute()
+	q.e.cache.put(k, v)
+	return v
 }
 
 // Rows executes the filter and returns the surviving ascending row
 // selection (shared when cached — treat as read-only). A query with no
-// predicates over the full frame returns nil, meaning every row.
+// predicates returns its base: nil over the full frame, meaning every
+// row.
 func (q *Query) Rows() []int32 {
+	if len(q.conj) == 0 {
+		return q.base
+	}
 	pl := q.compile()
-	if len(q.conj) == 0 && q.base == nil {
-		return nil
-	}
-	if v, ok := q.cacheGet(pl, "rows"); ok {
-		return v.([]int32)
-	}
-	sel := []int32{}
-	q.scan(pl, func(_, r int32) { sel = append(sel, r) })
-	q.cachePut(pl, "rows", sel)
-	return sel
+	return memo(q, pl, "rows", func() []int32 { return q.selection(pl) })
 }
 
 // groupTab is a resolved GroupBy key over every profile of one frame.
@@ -438,24 +466,22 @@ func (q *Query) groupTable() (profGroup []int32, keys []string) {
 // read-only.
 func (q *Query) Groups() map[string][]int32 {
 	pl := q.compile()
-	kind := "groups|" + q.groupKeySpelling()
-	if v, ok := q.cacheGet(pl, kind); ok {
-		return v.(map[string][]int32)
-	}
-	profGroup, keys := q.groupTable()
-	sels := make([][]int32, len(keys))
-	q.scan(pl, func(prof, r int32) {
-		g := profGroup[prof]
-		sels[g] = append(sels[g], r)
-	})
-	out := map[string][]int32{}
-	for g, sel := range sels {
-		if sel != nil {
-			out[keys[g]] = sel
+	return memo(q, pl, "groups|"+q.groupKeySpelling(), func() map[string][]int32 {
+		profGroup, keys := q.groupTable()
+		profIDs := q.f.profIDs
+		sels := make([][]int32, len(keys))
+		for _, r := range q.selection(pl) {
+			g := profGroup[profIDs[r]]
+			sels[g] = append(sels[g], r)
 		}
-	}
-	q.cachePut(pl, kind, out)
-	return out
+		out := map[string][]int32{}
+		for g, sel := range sels {
+			if sel != nil {
+				out[keys[g]] = sel
+			}
+		}
+		return out
+	})
 }
 
 func (q *Query) groupKeySpelling() string {
@@ -473,13 +499,8 @@ func (q *Query) groupKeySpelling() string {
 // differential oracle pins. Cached results are shared — read-only.
 func (q *Query) Stats(metric string) GroupStats {
 	pl := q.compile()
-	kind := "stats|" + q.groupKeySpelling() + "|metric=" + metric
-	if v, ok := q.cacheGet(pl, kind); ok {
-		return v.(GroupStats)
-	}
-	out := q.statsUncached(pl, metric)
-	q.cachePut(pl, kind, out)
-	return out
+	return memo(q, pl, "stats|"+q.groupKeySpelling()+"|metric="+metric,
+		func() GroupStats { return q.statsUncached(pl, metric) })
 }
 
 func (q *Query) statsUncached(pl *plan, metric string) GroupStats {
@@ -493,8 +514,11 @@ func (q *Query) statsUncached(pl *plan, metric string) GroupStats {
 	// appear in the result even with zero valid metric cells.
 	groupSeen := make([]bool, nGroups)
 
+	profIDs := f.profIDs
 	if col == nil {
-		q.scan(pl, func(prof, _ int32) { groupSeen[profGroup[prof]] = true })
+		for _, r := range q.selection(pl) {
+			groupSeen[profGroup[profIDs[r]]] = true
+		}
 		out := make(GroupStats, nGroups)
 		for g, seen := range groupSeen {
 			if seen {
@@ -645,6 +669,8 @@ func (q *Query) statsUncached(pl *plan, metric string) GroupStats {
 		}
 	}
 
+	var sel []int32 // the view path's surviving rows
+
 	// wdense, when available, is the memoized per-worker count table under
 	// the assumption that every cell of every row is valid. It depends
 	// only on (frame, grouping, chunking) — not the metric — so a metric
@@ -702,14 +728,18 @@ func (q *Query) statsUncached(pl *plan, metric string) GroupStats {
 			}
 		}
 	} else {
-		q.scan(pl, func(prof, r int32) {
-			groupSeen[profGroup[prof]] = true
-			if col.Valid(r) {
+		// The view path: one selection pass, then count and fill passes
+		// over the surviving rows, reading the validity bit inline.
+		sel = q.selection(pl)
+		for _, r := range sel {
+			g := profGroup[profIDs[r]]
+			groupSeen[g] = true
+			if valid[r>>6]&(1<<uint(r&63)) != 0 {
 				if id := nodeIDs[r]; id >= 0 {
-					counts[int(profGroup[prof])*nNodes+int(id)]++
+					counts[int(g)*nNodes+int(id)]++
 				}
 			}
-		})
+		}
 	}
 
 	// Exact-size bucket allocation from the counting pass.
@@ -751,15 +781,15 @@ func (q *Query) statsUncached(pl *plan, metric string) GroupStats {
 		sc.next = growI32(sc.next, slots)
 		next := sc.next
 		copy(next, offsets)
-		q.scan(pl, func(prof, r int32) {
-			if col.Valid(r) {
+		for _, r := range sel {
+			if valid[r>>6]&(1<<uint(r&63)) != 0 {
 				if id := nodeIDs[r]; id >= 0 {
-					slot := int(profGroup[prof])*nNodes + int(id)
+					slot := int(profGroup[profIDs[r]])*nNodes + int(id)
 					backing[next[slot]] = data[r]
 					next[slot]++
 				}
 			}
-		})
+		}
 	}
 
 	// Emit per group: walk the frame's seal-time name-sorted node order
@@ -900,15 +930,14 @@ func maskedWord(word uint64, w int, lo, hi int32) uint64 {
 // value). Cached results are shared — read-only.
 func (q *Query) LastPositivePerNode(metric string) []float64 {
 	pl := q.compile()
-	kind := "lastpos|metric=" + metric
-	if v, ok := q.cacheGet(pl, kind); ok {
-		return v.([]float64)
-	}
+	return memo(q, pl, "lastpos|metric="+metric, func() []float64 { return q.lastPositive(pl, metric) })
+}
+
+func (q *Query) lastPositive(pl *plan, metric string) []float64 {
 	f := q.f
 	out := make([]float64, f.nodes.Len())
 	col := f.Column(metric)
 	if col == nil {
-		q.cachePut(pl, kind, out)
 		return out
 	}
 	data := col.Data
@@ -937,15 +966,14 @@ func (q *Query) LastPositivePerNode(metric string) []float64 {
 			}
 		}
 	} else {
-		q.scan(pl, func(_, r int32) {
-			if v, ok := col.Value(r); ok && v > 0 {
+		for _, r := range q.selection(pl) {
+			if valid[r>>6]&(1<<uint(r&63)) != 0 && data[r] > 0 {
 				if id := nodeIDs[r]; id >= 0 {
-					out[id] = v
+					out[id] = data[r]
 				}
 			}
-		})
+		}
 	}
-	q.cachePut(pl, kind, out)
 	return out
 }
 

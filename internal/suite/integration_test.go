@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rajaperf/internal/caliper"
+	"rajaperf/internal/frame"
 	"rajaperf/internal/kernels"
 	"rajaperf/internal/machine"
 	"rajaperf/internal/thicket"
@@ -66,7 +67,7 @@ func TestPipelineDiskRoundtrip(t *testing.T) {
 	// Metadata survives the roundtrip.
 	for _, key := range []string{"variant", "tuning", "size_per_node"} {
 		for id, v := range tk.MetadataColumn(key) {
-			if v == "<nil>" {
+			if v == frame.MissingKey {
 				t.Errorf("profile %d missing Adiak metadata %s", id, key)
 			}
 		}

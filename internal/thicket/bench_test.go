@@ -6,11 +6,12 @@ package thicket
 // realistic metric-column count. BenchmarkThicketCompose measures ingest
 // (the FromProfiles path), BenchmarkThicketFromDir the same corpus read
 // from profile files (decode, validation and ingest: the FromDir path),
-// BenchmarkThicketGroupStats one
-// groupby-then-aggregate call, and BenchmarkThicketComposeGroupStats the
-// compose+groupstats path the acceptance criteria track: compose once,
-// then run the paper's analysis sweep — aggregate statistics grouped by
-// each metadata dimension for the primary and derived metric columns.
+// BenchmarkThicketGroupStats one groupby-then-aggregate call,
+// BenchmarkThicketGroupStatsView a cold aggregation sweep over a filtered
+// view, and BenchmarkThicketComposeGroupStats the compose+groupstats path
+// the acceptance criteria track: compose once, then run the paper's
+// analysis sweep — aggregate statistics grouped by each metadata
+// dimension for the primary and derived metric columns.
 
 import (
 	"encoding/json"
@@ -147,6 +148,23 @@ func BenchmarkThicketGroupStats(b *testing.B) {
 		gs := tk.GroupStats("machine", "time")
 		if len(gs) != len(benchMachines) {
 			b.Fatalf("groups = %d", len(gs))
+		}
+	}
+}
+
+// BenchmarkThicketGroupStatsView runs the key x metric sweep over the
+// corpus's kernel-node view, Where(Not(NodeEq("suite"))), the shape of
+// every analysis question that filters before it aggregates. The cache
+// is cleared every iteration, so the Where and each GroupStats run cold
+// on the view path.
+func BenchmarkThicketGroupStatsView(b *testing.B) {
+	tk := FromProfiles(benchCorpus())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frame.DefaultEngine().ClearCache()
+		if benchSweep(tk.Where(frame.Not(frame.NodeEq("suite")))) == 0 {
+			b.Fatal("no groups")
 		}
 	}
 }

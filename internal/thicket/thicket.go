@@ -185,11 +185,13 @@ func (t *Thicket) selected(r int32) bool {
 	return i < len(t.sel) && t.sel[i] == r
 }
 
-// MetadataColumn returns the value of key for every profile, as strings.
+// MetadataColumn returns the value of key for every profile, as strings,
+// with frame.MissingKey for a profile that lacks the key: the spelling
+// GroupBy and frame.MetaEq match on.
 func (t *Thicket) MetadataColumn(key string) []string {
 	out := make([]string, t.f.NumProfiles())
 	for i := range out {
-		out[i] = fmt.Sprint(t.f.Meta(int32(i))[key])
+		out[i] = t.f.MetaString(int32(i), key)
 	}
 	return out
 }

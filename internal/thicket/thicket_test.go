@@ -102,6 +102,37 @@ func TestConcatRenumbersProfiles(t *testing.T) {
 	}
 }
 
+// TestMetadataColumnMatchesMetaEq: every value MetadataColumn reports,
+// including the one for a profile that lacks the key, selects through
+// MetaEq exactly the profiles that report it.
+func TestMetadataColumnMatchesMetaEq(t *testing.T) {
+	ps := []*caliper.Profile{
+		makeProfile("a", "m1", map[string]float64{"K": 1, "L": 2}),
+		makeProfile("b", "m2", map[string]float64{"K": 3}),
+		makeProfile("a", "m3", map[string]float64{"K": 5, "L": 6}),
+	}
+	ps[1].Metadata["tuning"] = "block_256"
+	ps[2].Metadata["tuning"] = "default"
+	tk := FromProfiles(ps)
+	for _, key := range []string{"variant", "tuning"} {
+		col := tk.MetadataColumn(key)
+		for _, v := range col {
+			got := map[int32]bool{}
+			for _, r := range tk.Where(frame.MetaEq(key, v)).sel {
+				got[tk.f.ProfIDs()[r]] = true
+			}
+			for p, pv := range col {
+				if got[int32(p)] != (pv == v) {
+					t.Errorf("%s=%q: profile %d (value %q) selected %v", key, v, p, pv, got[int32(p)])
+				}
+			}
+		}
+	}
+	if got := tk.MetadataColumn("tuning")[0]; got != frame.MissingKey {
+		t.Errorf("MetadataColumn(tuning)[0] = %q, want %q", got, frame.MissingKey)
+	}
+}
+
 func TestAggregateStats(t *testing.T) {
 	tk := FromProfiles([]*caliper.Profile{
 		makeProfile("v", "m1", map[string]float64{"K": 2}),
