@@ -44,8 +44,6 @@ func newRuntimeSource() CounterSource {
 	return s
 }
 
-func (s *runtimeSource) Name() string { return "runtime" }
-
 func (s *runtimeSource) Counters() []Counter { return s.counters }
 
 func (s *runtimeSource) Sample(buf []float64) {

@@ -26,13 +26,12 @@ type Counter struct {
 }
 
 // CounterSource is a pluggable per-region counter provider — the role
-// PAPI plays in real Caliper. Sample fills buf with the current value of
-// each counter, in the order returned by Counters. Implementations need
-// not be safe for concurrent Sample calls: a Recorder samples only from
-// the goroutine driving Begin/End.
+// PAPI plays in real Caliper. A source is named by the service name it
+// registers under (RegisterSource). Sample fills buf with the current
+// value of each counter, in the order returned by Counters.
+// Implementations need not be safe for concurrent Sample calls: a
+// Recorder samples only from the goroutine driving Begin/End.
 type CounterSource interface {
-	// Name is the service name the source registers under.
-	Name() string
 	// Counters lists the metrics this source emits.
 	Counters() []Counter
 	// Sample fills buf (len == len(Counters())) with current values.
@@ -160,8 +159,6 @@ func (s Services) CounterSources() []CounterSource {
 // read cost, so enabling "null" isolates the instrumentation framework's
 // own overhead — the baseline for overhead self-measurement.
 type nullSource struct{}
-
-func (nullSource) Name() string { return "null" }
 
 func (nullSource) Counters() []Counter {
 	return []Counter{{Name: "null.zero"}, {Name: "null.gauge", Gauge: true}}

@@ -11,7 +11,6 @@ import (
 // per sample, "test.gauge" reports the sample ordinal directly.
 type testSource struct{ samples float64 }
 
-func (s *testSource) Name() string { return "testsrc" }
 func (s *testSource) Counters() []Counter {
 	return []Counter{{Name: "test.cum"}, {Name: "test.gauge", Gauge: true}}
 }

@@ -218,9 +218,6 @@ func (c *Column) Value(row int32) (float64, bool) {
 	return c.Data[i], true
 }
 
-// Valid reports whether row carries the metric.
-func (c *Column) Valid(row int32) bool { return c.valid.Get(int(row)) }
-
 // AnyValid reports whether any of the given rows carries the metric;
 // rows nil means any row at all.
 func (c *Column) AnyValid(rows []int32) bool {

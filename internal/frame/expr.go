@@ -1,15 +1,15 @@
 package frame
 
-// Lazy predicate expression trees for the query engine. Building an
-// expression allocates only AST nodes; nothing is evaluated until a
-// Query executor runs it. Every predicate leaf has a scope — profile,
-// node, or row — and the engine pushes each top-level conjunct down to
-// the cheapest scan level its scope allows: profile-scope conjuncts are
-// evaluated once per profile and skip whole contiguous row ranges,
-// node-scope conjuncts once per distinct node id, and only genuinely
-// row-scope conjuncts (metric comparisons, or trees mixing scopes) are
-// evaluated against row data — vectorized when they are pure metric
-// predicates.
+// Predicates of the query engine. A Where is a conjunction of leaves —
+// MetaEq, NodeEq, MetricCmp and HasMetric — each optionally under Not.
+// Building one allocates only its nodes; nothing is evaluated until a
+// Query executor runs it. Every leaf has a scope — profile, node, or
+// row — that Not keeps, and the engine pushes each conjunct down to the
+// cheapest scan level its scope allows: profile-scope conjuncts are
+// decided once per profile and skip whole contiguous row ranges,
+// node-scope conjuncts once per distinct node id, and row-scope
+// conjuncts (the metric leaves) run as vectorized kernels over the
+// column validity bitmaps.
 
 import (
 	"fmt"
@@ -70,34 +70,21 @@ type predScope uint8
 const (
 	scopeProfile predScope = iota // decided by profile metadata alone
 	scopeNode                     // decided by the node name alone
-	scopeRow                      // needs row data (metric cells, or mixed)
+	scopeRow                      // needs row data (metric cells)
 )
 
-// Pred is a filter predicate tree over frame rows.
+// Pred is one conjunct of a query: a leaf predicate over frame rows,
+// possibly negated.
 type Pred interface {
-	// scope reports the cheapest scan level the predicate can be
-	// decided at.
+	// scope reports the scan level the predicate is decided at.
 	scope() predScope
-	// cacheKey appends a canonical spelling to sb and reports whether
-	// the predicate is cacheable (function predicates are not).
-	cacheKey(sb *strings.Builder) bool
+	// cacheKey appends a canonical spelling to sb.
+	cacheKey(sb *strings.Builder)
 }
 
-type andPred struct{ ps []Pred }
-type orPred struct{ ps []Pred }
 type notPred struct{ p Pred }
-
 type metaEqPred struct{ key, val string }
-type metaInPred struct {
-	key  string
-	vals []string
-}
-type metaFnPred struct{ fn func(md map[string]any) bool }
-
 type nodeEqPred struct{ name string }
-type nodeInPred struct{ names []string }
-type nodeFnPred struct{ fn func(node string) bool }
-
 type metricCmpPred struct {
 	metric string
 	op     CmpOp
@@ -105,44 +92,20 @@ type metricCmpPred struct {
 }
 type hasMetricPred struct{ metric string }
 
-// And is true when every child is true (And() is true).
-func And(ps ...Pred) Pred { return &andPred{ps: ps} }
-
-// Or is true when any child is true (Or() is false).
-func Or(ps ...Pred) Pred { return &orPred{ps: ps} }
-
-// Not negates p.
+// Not negates p: it is true exactly for the rows p is false for.
 func Not(p Pred) Pred { return &notPred{p: p} }
 
 // MetaEq is true for rows of profiles whose stringified metadata value
 // of key equals val (profiles lacking the key stringify as MissingKey).
 func MetaEq(key, val string) Pred { return &metaEqPred{key: key, val: val} }
 
-// MetaIn is true when the profile's stringified metadata value of key
-// is any of vals.
-func MetaIn(key string, vals ...string) Pred {
-	return &metaInPred{key: key, vals: append([]string(nil), vals...)}
-}
-
-// MetaPred wraps an arbitrary metadata predicate. It is evaluated once
-// per profile; queries using it are not cacheable.
-func MetaPred(fn func(md map[string]any) bool) Pred { return &metaFnPred{fn: fn} }
-
 // NodeEq is true for rows whose node name equals name.
 func NodeEq(name string) Pred { return &nodeEqPred{name: name} }
 
-// NodeIn is true for rows whose node name is any of names.
-func NodeIn(names ...string) Pred {
-	return &nodeInPred{names: append([]string(nil), names...)}
-}
-
-// NodePred wraps an arbitrary node-name predicate. It is evaluated once
-// per distinct node; queries using it are not cacheable.
-func NodePred(fn func(node string) bool) Pred { return &nodeFnPred{fn: fn} }
-
 // MetricCmp is true for rows that carry metric and whose value compares
-// true against x (rows lacking the metric are always false, also under
-// Not — wrap in Or(Not(HasMetric(...)), ...) for missing-is-true).
+// true against x; rows lacking the metric are false. Not is plain
+// negation, so Not(MetricCmp(...)) selects the rows lacking the metric
+// too; conjoin HasMetric(metric) to drop them.
 func MetricCmp(metric string, op CmpOp, x float64) Pred {
 	return &metricCmpPred{metric: metric, op: op, x: x}
 }
@@ -150,242 +113,53 @@ func MetricCmp(metric string, op CmpOp, x float64) Pred {
 // HasMetric is true for rows that carry a value of metric.
 func HasMetric(metric string) Pred { return &hasMetricPred{metric: metric} }
 
-func (p *andPred) scope() predScope { return maxScope(p.ps) }
-func (p *orPred) scope() predScope  { return maxScope(p.ps) }
-func (p *notPred) scope() predScope { return p.p.scope() }
-
+func (p *notPred) scope() predScope       { return p.p.scope() }
 func (p *metaEqPred) scope() predScope    { return scopeProfile }
-func (p *metaInPred) scope() predScope    { return scopeProfile }
-func (p *metaFnPred) scope() predScope    { return scopeProfile }
 func (p *nodeEqPred) scope() predScope    { return scopeNode }
-func (p *nodeInPred) scope() predScope    { return scopeNode }
-func (p *nodeFnPred) scope() predScope    { return scopeNode }
 func (p *metricCmpPred) scope() predScope { return scopeRow }
 func (p *hasMetricPred) scope() predScope { return scopeRow }
 
-// maxScope combines child scopes: all-profile stays profile, all-node
-// stays node, and anything mixed — including profile with node — needs
-// row context (a per-profile or per-node evaluation alone cannot decide
-// a tree that references the other dimension).
-func maxScope(ps []Pred) predScope {
-	hasProfile, hasNode := false, false
-	for _, p := range ps {
-		switch p.scope() {
-		case scopeRow:
-			return scopeRow
-		case scopeProfile:
-			hasProfile = true
-		case scopeNode:
-			hasNode = true
-		}
-	}
-	if hasProfile && hasNode {
-		return scopeRow
-	}
-	if hasNode {
-		return scopeNode
-	}
-	return scopeProfile
-}
-
-func (p *andPred) cacheKey(sb *strings.Builder) bool { return listKey(sb, "and", p.ps) }
-func (p *orPred) cacheKey(sb *strings.Builder) bool  { return listKey(sb, "or", p.ps) }
-
-func (p *notPred) cacheKey(sb *strings.Builder) bool {
+func (p *notPred) cacheKey(sb *strings.Builder) {
 	sb.WriteString("not(")
-	ok := p.p.cacheKey(sb)
+	p.p.cacheKey(sb)
 	sb.WriteByte(')')
-	return ok
 }
 
-func listKey(sb *strings.Builder, op string, ps []Pred) bool {
-	sb.WriteString(op)
-	sb.WriteByte('(')
-	ok := true
-	for i, p := range ps {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		ok = p.cacheKey(sb) && ok
-	}
-	sb.WriteByte(')')
-	return ok
-}
-
-func (p *metaEqPred) cacheKey(sb *strings.Builder) bool {
+func (p *metaEqPred) cacheKey(sb *strings.Builder) {
 	fmt.Fprintf(sb, "meta(%q==%q)", p.key, p.val)
-	return true
 }
 
-func (p *metaInPred) cacheKey(sb *strings.Builder) bool {
-	fmt.Fprintf(sb, "meta(%q in %q)", p.key, p.vals)
-	return true
-}
-
-func (p *metaFnPred) cacheKey(sb *strings.Builder) bool {
-	sb.WriteString("metafn")
-	return false
-}
-
-func (p *nodeEqPred) cacheKey(sb *strings.Builder) bool {
+func (p *nodeEqPred) cacheKey(sb *strings.Builder) {
 	fmt.Fprintf(sb, "node(==%q)", p.name)
-	return true
 }
 
-func (p *nodeInPred) cacheKey(sb *strings.Builder) bool {
-	fmt.Fprintf(sb, "node(in %q)", p.names)
-	return true
-}
-
-func (p *nodeFnPred) cacheKey(sb *strings.Builder) bool {
-	sb.WriteString("nodefn")
-	return false
-}
-
-func (p *metricCmpPred) cacheKey(sb *strings.Builder) bool {
+func (p *metricCmpPred) cacheKey(sb *strings.Builder) {
 	fmt.Fprintf(sb, "metric(%q%s%x)", p.metric, p.op, p.x)
-	return true
 }
 
-func (p *hasMetricPred) cacheKey(sb *strings.Builder) bool {
+func (p *hasMetricPred) cacheKey(sb *strings.Builder) {
 	fmt.Fprintf(sb, "has(%q)", p.metric)
-	return true
 }
 
-// evalProfile decides a profile-scope predicate tree for profile prof.
+// evalProfile decides a profile-scope predicate for profile prof.
 func evalProfile(p Pred, f *Frame, prof int32) bool {
 	switch p := p.(type) {
-	case *andPred:
-		for _, c := range p.ps {
-			if !evalProfile(c, f, prof) {
-				return false
-			}
-		}
-		return true
-	case *orPred:
-		for _, c := range p.ps {
-			if evalProfile(c, f, prof) {
-				return true
-			}
-		}
-		return false
 	case *notPred:
 		return !evalProfile(p.p, f, prof)
 	case *metaEqPred:
 		return f.MetaString(prof, p.key) == p.val
-	case *metaInPred:
-		v := f.MetaString(prof, p.key)
-		for _, x := range p.vals {
-			if v == x {
-				return true
-			}
-		}
-		return false
-	case *metaFnPred:
-		return p.fn(f.Meta(prof))
 	}
 	panic(fmt.Sprintf("frame: predicate %T is not profile-scope", p))
 }
 
-// evalNode decides a node-scope predicate tree for node id (id < 0 means
-// a row with no node; name predicates are false for it).
+// evalNode decides a node-scope predicate for node id (id < 0 means a
+// row with no node; NodeEq is false for it).
 func evalNode(p Pred, f *Frame, id int32) bool {
 	switch p := p.(type) {
-	case *andPred:
-		for _, c := range p.ps {
-			if !evalNode(c, f, id) {
-				return false
-			}
-		}
-		return true
-	case *orPred:
-		for _, c := range p.ps {
-			if evalNode(c, f, id) {
-				return true
-			}
-		}
-		return false
 	case *notPred:
 		return !evalNode(p.p, f, id)
 	case *nodeEqPred:
 		return id >= 0 && f.nodes.Name(id) == p.name
-	case *nodeInPred:
-		if id < 0 {
-			return false
-		}
-		name := f.nodes.Name(id)
-		for _, x := range p.names {
-			if name == x {
-				return true
-			}
-		}
-		return false
-	case *nodeFnPred:
-		return id >= 0 && p.fn(f.nodes.Name(id))
 	}
 	panic(fmt.Sprintf("frame: predicate %T is not node-scope", p))
-}
-
-// evalRow decides any predicate tree for one row — the scalar fallback
-// for mixed-scope trees; pure metric conjuncts take the vectorized
-// kernel path instead.
-func evalRow(p Pred, f *Frame, r int32) bool {
-	switch p := p.(type) {
-	case *andPred:
-		for _, c := range p.ps {
-			if !evalRow(c, f, r) {
-				return false
-			}
-		}
-		return true
-	case *orPred:
-		for _, c := range p.ps {
-			if evalRow(c, f, r) {
-				return true
-			}
-		}
-		return false
-	case *notPred:
-		return !evalRow(p.p, f, r)
-	case *metricCmpPred:
-		col := f.Column(p.metric)
-		if col == nil {
-			return false
-		}
-		v, ok := col.Value(r)
-		return ok && p.op.eval(v, p.x)
-	case *hasMetricPred:
-		col := f.Column(p.metric)
-		return col != nil && col.Valid(r)
-	case *metaEqPred, *metaInPred, *metaFnPred:
-		return evalProfile(p, f, f.profIDs[r])
-	case *nodeEqPred, *nodeInPred, *nodeFnPred:
-		return evalNode(p, f, f.nodeIDs[r])
-	}
-	panic(fmt.Sprintf("frame: unknown predicate %T", p))
-}
-
-// pureMetricPred reports whether the tree touches only metric cells —
-// the trees the vectorized comparison kernels can run directly.
-func pureMetricPred(p Pred) bool {
-	switch p := p.(type) {
-	case *andPred:
-		return allPureMetric(p.ps)
-	case *orPred:
-		return allPureMetric(p.ps)
-	case *notPred:
-		return pureMetricPred(p.p)
-	case *metricCmpPred, *hasMetricPred:
-		return true
-	}
-	return false
-}
-
-func allPureMetric(ps []Pred) bool {
-	for _, p := range ps {
-		if !pureMetricPred(p) {
-			return false
-		}
-	}
-	return true
 }

@@ -66,8 +66,8 @@ func TestBitmapAndColumn(t *testing.T) {
 			t.Fatalf("Value(%d) = %v, %v, want %v, %v", i, v, ok, want.v, want.ok)
 		}
 	}
-	if c.Value(99); c.Valid(99) {
-		t.Fatal("Valid(99) past end")
+	if _, ok := c.Value(99); ok {
+		t.Fatal("Value(99) past end is valid")
 	}
 	if !c.AnyValid(nil) {
 		t.Fatal("AnyValid(nil) = false")

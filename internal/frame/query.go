@@ -4,18 +4,17 @@ package frame
 // Frame, executed by an Engine with predicate pushdown and batched
 // kernels.
 //
-// Execution model. A query's top-level conjuncts are classified by
-// scope at plan time. Profile-scope conjuncts (metadata predicates)
-// are decided once per profile and prune whole contiguous row ranges
-// before any row is touched — the predicate pushdown into the columnar
-// scan. Node-scope conjuncts are decided once per distinct node id into
-// a dense keep table. Pure metric conjuncts are evaluated by
-// word-at-a-time kernels over the column validity bitmaps: the scan
-// walks 64 rows per word, skips invalid cells in bulk via
-// bits.TrailingZeros64, and indexes hoisted column slices so the
-// compiler can eliminate bounds checks. Only mixed-scope trees fall
-// back to scalar per-row evaluation, and then only inside ranges the
-// profile pushdown kept.
+// Execution model. A query is a conjunction of leaf predicates (each
+// possibly negated), classified by scope at plan time. Profile-scope
+// conjuncts (MetaEq) are decided once per profile and prune whole
+// contiguous row ranges before any row is touched — the predicate
+// pushdown into the columnar scan. Node-scope conjuncts (NodeEq) are
+// decided once per distinct node id into a dense keep table. Metric
+// conjuncts (MetricCmp, HasMetric) are evaluated by word-at-a-time
+// kernels over the column validity bitmaps: the scan walks 64 rows per
+// word, skips invalid cells in bulk via bits.TrailingZeros64, and
+// indexes hoisted column slices so the compiler can eliminate bounds
+// checks.
 //
 // Aggregation is fused: grouped per-node statistics gather values in
 // one counting pass and one fill pass over the metric column — no
@@ -29,9 +28,9 @@ package frame
 // byte-identical to the naive row-at-a-time reference evaluator in
 // querytest, which CI enforces differentially.
 //
-// Results of cacheable queries (no function predicates) are memoized in
-// the engine's LRU keyed by frame content hash; cached values are
-// shared — callers must treat them as read-only.
+// Every query result is memoized in the engine's LRU keyed by frame
+// content hash, base selection and the query's canonical spelling;
+// cached values are shared — callers must treat them as read-only.
 
 import (
 	"math"
@@ -137,22 +136,18 @@ type plan struct {
 	keepProf   []bool // nil = keep all
 	keepNode   []bool // per node id; nil = keep all
 	keepNoNode bool   // whether rows without a node pass the node preds
-	vec        []Pred // pure-metric row conjuncts (vectorized kernels)
-	scalar     []Pred // mixed-scope row conjuncts (per-row fallback)
-	cacheable  bool
-	key        string // canonical spelling (meaningful when cacheable)
+	vec        []Pred // metric conjuncts (vectorized kernels)
+	key        string // canonical spelling
 }
 
 // compile classifies the conjuncts and evaluates the profile- and
 // node-scope ones into dense keep tables.
 func (q *Query) compile() *plan {
 	f := q.f
-	pl := &plan{cacheable: true, keepNoNode: true}
+	pl := &plan{keepNoNode: true}
 	var sb strings.Builder
 	for _, p := range q.conj {
-		if !p.cacheKey(&sb) {
-			pl.cacheable = false
-		}
+		p.cacheKey(&sb)
 		sb.WriteByte(';')
 		switch p.scope() {
 		case scopeProfile:
@@ -181,11 +176,7 @@ func (q *Query) compile() *plan {
 			}
 			pl.keepNoNode = pl.keepNoNode && evalNode(p, f, -1)
 		default:
-			if pureMetricPred(p) {
-				pl.vec = append(pl.vec, p)
-			} else {
-				pl.scalar = append(pl.scalar, p)
-			}
+			pl.vec = append(pl.vec, p)
 		}
 	}
 	pl.key = sb.String()
@@ -194,7 +185,7 @@ func (q *Query) compile() *plan {
 
 // rowMask evaluates the vectorized conjuncts into an absolute
 // word-indexed bitmap over the whole frame (nil when there are none).
-// Pure metric predicates do not depend on profile or node, so one
+// Metric predicates do not depend on profile or node, so one
 // full-column kernel pass serves every kept range.
 func (pl *plan) rowMask(f *Frame) []uint64 {
 	if len(pl.vec) == 0 {
@@ -203,9 +194,9 @@ func (pl *plan) rowMask(f *Frame) []uint64 {
 	words := (f.NumRows() + 63) / 64
 	mask := make([]uint64, words)
 	tmp := make([]uint64, words)
-	evalVec(pl.vec[0], f, mask, tmp)
+	evalVec(pl.vec[0], f, mask)
 	for _, p := range pl.vec[1:] {
-		evalVec(p, f, tmp, make([]uint64, words))
+		evalVec(p, f, tmp)
 		for w := range mask {
 			mask[w] &= tmp[w]
 		}
@@ -213,9 +204,9 @@ func (pl *plan) rowMask(f *Frame) []uint64 {
 	return mask
 }
 
-// evalVec computes pred's truth bitmap over every frame row into dst
-// (len = ceil(rows/64)); tmp is same-size scratch for tree nodes.
-func evalVec(p Pred, f *Frame, dst, tmp []uint64) {
+// evalVec computes a metric predicate's truth bitmap over every frame
+// row into dst (len = ceil(rows/64)).
+func evalVec(p Pred, f *Frame, dst []uint64) {
 	switch p := p.(type) {
 	case *metricCmpPred:
 		cmpKernel(f, p, dst)
@@ -227,32 +218,11 @@ func evalVec(p Pred, f *Frame, dst, tmp []uint64) {
 		}
 		copy(dst, col.validWords())
 	case *notPred:
-		evalVec(p.p, f, dst, tmp)
-		n := f.NumRows()
+		evalVec(p.p, f, dst)
 		for w := range dst {
 			dst[w] = ^dst[w]
 		}
-		trimTail(dst, n)
-	case *andPred:
-		if len(p.ps) == 0 {
-			ones(dst, f.NumRows())
-			return
-		}
-		evalVec(p.ps[0], f, dst, tmp)
-		for _, c := range p.ps[1:] {
-			evalVec(c, f, tmp, make([]uint64, len(tmp)))
-			for w := range dst {
-				dst[w] &= tmp[w]
-			}
-		}
-	case *orPred:
-		zero(dst)
-		for _, c := range p.ps {
-			evalVec(c, f, tmp, make([]uint64, len(tmp)))
-			for w := range dst {
-				dst[w] |= tmp[w]
-			}
-		}
+		trimTail(dst, f.NumRows())
 	default:
 		panic("frame: evalVec on non-metric predicate")
 	}
@@ -301,14 +271,6 @@ func zero(ws []uint64) {
 	}
 }
 
-// ones sets the first n bits.
-func ones(ws []uint64, n int) {
-	for i := range ws {
-		ws[i] = ^uint64(0)
-	}
-	trimTail(ws, n)
-}
-
 // trimTail clears bits at positions >= n.
 func trimTail(ws []uint64, n int) {
 	if n&63 != 0 && n>>6 < len(ws) {
@@ -322,9 +284,8 @@ func trimTail(ws []uint64, n int) {
 // selection runs the pushed-down filter in one pass and returns the
 // surviving rows in ascending order: kept profiles' row ranges (or the
 // base rows of kept profiles) that pass the node keep table and the
-// vectorized mask, then the mixed-scope conjuncts row by row. A query
-// without conjuncts selects its base itself, which callers share and
-// never write into.
+// vectorized mask. A query without conjuncts selects its base itself,
+// which callers share and never write into.
 func (q *Query) selection(pl *plan) []int32 {
 	if len(q.conj) == 0 && q.base != nil {
 		return q.base
@@ -365,20 +326,7 @@ func (q *Query) selection(pl *plan) []int32 {
 			}
 		}
 	}
-	if len(pl.scalar) == 0 {
-		return sel
-	}
-	kept := sel[:0]
-outer:
-	for _, r := range sel {
-		for _, p := range pl.scalar {
-			if !evalRow(p, f, r) {
-				continue outer
-			}
-		}
-		kept = append(kept, r)
-	}
-	return kept
+	return sel
 }
 
 // keeps reports whether row r, carrying node id, passes the node-scope
@@ -396,12 +344,9 @@ func (pl *plan) keeps(mask []uint64, id, r int32) bool {
 }
 
 // memo answers one execution of kind from the engine cache, or computes
-// and caches it when the plan is cacheable. The key is built once per
-// execution: its selection hash walks the whole base.
+// and caches it. The key is built once per execution: its selection
+// hash walks the whole base.
 func memo[T any](q *Query, pl *plan, kind string, compute func() T) T {
-	if !pl.cacheable {
-		return compute()
-	}
 	k := cacheKey{frame: q.f.Hash(), sel: selHash(q.base), query: kind + "|" + pl.key}
 	if v, ok := q.e.cache.get(k); ok {
 		return v.(T)
@@ -531,7 +476,7 @@ func (q *Query) statsUncached(pl *plan, metric string) GroupStats {
 	// Fast fused path: no row/node predicates and a full-frame base
 	// means the scan is exactly the kept profiles' contiguous ranges —
 	// gather counts and values word-at-a-time off the validity bitmap.
-	fast := q.base == nil && len(pl.vec) == 0 && len(pl.scalar) == 0 && pl.keepNode == nil
+	fast := q.base == nil && len(pl.vec) == 0 && pl.keepNode == nil
 
 	sc := statsScratchPool.Get().(*statsScratch)
 	defer statsScratchPool.Put(sc)
@@ -943,7 +888,7 @@ func (q *Query) lastPositive(pl *plan, metric string) []float64 {
 	data := col.Data
 	valid := col.validWords()
 	nodeIDs := f.nodeIDs
-	fast := q.base == nil && len(pl.vec) == 0 && len(pl.scalar) == 0 && pl.keepNode == nil
+	fast := q.base == nil && len(pl.vec) == 0 && pl.keepNode == nil
 	if fast {
 		for prof := int32(0); prof < int32(f.NumProfiles()); prof++ {
 			if pl.keepProf != nil && !pl.keepProf[prof] {

@@ -109,28 +109,3 @@ func TestCacheEvictionNeverChangesAnswers(t *testing.T) {
 		t.Fatalf("LRU exceeded its budget: %+v", s)
 	}
 }
-
-// TestClosurePredicatesBypassCache: function predicates cannot be
-// canonically spelled, so queries using them must never populate the
-// cache — nor be served stale from it.
-func TestClosurePredicatesBypassCache(t *testing.T) {
-	f := Corpus(11, 10)
-	e := frame.NewEngine(64)
-	pred := frame.MetaPred(func(md map[string]any) bool { return md["variant"] == "RAJA_Seq" })
-	a := e.Query(f, nil).Where(pred).Rows()
-	b := e.Query(f, nil).Where(pred).Rows()
-	if s := e.CacheStats(); s.Entries != 0 || s.Hits != 0 {
-		t.Fatalf("closure predicate touched the cache: %+v", s)
-	}
-	want := RefRows(f, nil, []Spec{&metaFnSpec{key: "variant", val: "RAJA_Seq"}})
-	for _, got := range [][]int32{a, b} {
-		if len(got) != len(want) {
-			t.Fatalf("closure filter rows = %d, reference %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("closure filter row %d = %d, reference %d", i, got[i], want[i])
-			}
-		}
-	}
-}

@@ -94,15 +94,16 @@ func keys(gs frame.GroupStats) []string {
 }
 
 // checkOneQuery runs one randomized query through the engine twice (the
-// second run hitting the cache when the query is cacheable) and through
-// the reference evaluator, requiring byte-identical results each time.
+// second run served from the cache unless it was evicted meanwhile) and
+// through the reference evaluator, requiring byte-identical results each
+// time.
 func checkOneQuery(t *testing.T, e *frame.Engine, f *frame.Frame, r *rand.Rand, v Vocabulary) {
 	t.Helper()
 	base := RandomBase(r, f)
 	nSpecs := r.Intn(4)
 	specs := make([]Spec, nSpecs)
 	for i := range specs {
-		specs[i] = RandomSpec(r, v, r.Intn(3), true)
+		specs[i] = RandomSpec(r, v, r.Intn(3))
 	}
 	grouped := r.Intn(2) == 0
 	key := pick(r, v.MetaKeys)
@@ -168,9 +169,9 @@ func checkOneQuery(t *testing.T, e *frame.Engine, f *frame.Frame, r *rand.Rand, 
 }
 
 // TestDifferentialRandomQueries is the main differential sweep: seeded
-// synthetic campaigns, randomized expression trees, engine vs naive
+// synthetic campaigns, randomized conjunctions, engine vs naive
 // reference, byte-identical — including the second, cache-served pass
-// of every cacheable query.
+// of every query.
 func TestDifferentialRandomQueries(t *testing.T) {
 	v := DefaultVocabulary()
 	for seed := int64(1); seed <= 8; seed++ {

@@ -4,10 +4,10 @@
 // caching — is checked against a deliberately naive row-at-a-time
 // reference evaluator that uses only the frame's public accessors and
 // none of the engine's machinery. The harness generates seeded synthetic
-// campaigns and randomized query expression trees, evaluates both
-// engines, and requires byte-identical results (float comparisons via
-// math.Float64bits, not tolerances): the engine's gather order and
-// summary arithmetic are part of its contract.
+// campaigns and randomized conjunctions of leaf predicates under nested
+// Nots, evaluates both engines, and requires byte-identical results
+// (float comparisons via math.Float64bits, not tolerances): the engine's
+// gather order and summary arithmetic are part of its contract.
 package querytest
 
 import (
@@ -20,27 +20,19 @@ import (
 	"rajaperf/internal/frame"
 )
 
-// Spec is a randomized predicate specification. It lowers to both an
-// engine predicate (Pred) and a naive per-row truth evaluation (Eval),
-// and spells itself for failure messages.
+// Spec is a randomized query conjunct: a leaf predicate under zero or
+// more Nots. It lowers to both an engine predicate (Pred) and a naive
+// per-row truth evaluation (Eval), and spells itself for failure
+// messages.
 type Spec interface {
 	Pred() frame.Pred
 	Eval(f *frame.Frame, r int32) bool
 	String() string
 }
 
-type andSpec struct{ ps []Spec }
-type orSpec struct{ ps []Spec }
 type notSpec struct{ p Spec }
 type metaEqSpec struct{ key, val string }
-type metaInSpec struct {
-	key  string
-	vals []string
-}
-type metaFnSpec struct{ key, val string } // closure form of metaEq (uncacheable path)
 type nodeEqSpec struct{ name string }
-type nodeInSpec struct{ names []string }
-type nodeFnSpec struct{ prefix string } // closure node predicate (uncacheable path)
 type metricCmpSpec struct {
 	metric string
 	op     frame.CmpOp
@@ -48,81 +40,15 @@ type metricCmpSpec struct {
 }
 type hasMetricSpec struct{ metric string }
 
-func (s *andSpec) Pred() frame.Pred {
-	ps := make([]frame.Pred, len(s.ps))
-	for i, p := range s.ps {
-		ps[i] = p.Pred()
-	}
-	return frame.And(ps...)
-}
-
-func (s *orSpec) Pred() frame.Pred {
-	ps := make([]frame.Pred, len(s.ps))
-	for i, p := range s.ps {
-		ps[i] = p.Pred()
-	}
-	return frame.Or(ps...)
-}
-
 func (s *notSpec) Pred() frame.Pred       { return frame.Not(s.p.Pred()) }
 func (s *metaEqSpec) Pred() frame.Pred    { return frame.MetaEq(s.key, s.val) }
-func (s *metaInSpec) Pred() frame.Pred    { return frame.MetaIn(s.key, s.vals...) }
 func (s *nodeEqSpec) Pred() frame.Pred    { return frame.NodeEq(s.name) }
-func (s *nodeInSpec) Pred() frame.Pred    { return frame.NodeIn(s.names...) }
 func (s *metricCmpSpec) Pred() frame.Pred { return frame.MetricCmp(s.metric, s.op, s.x) }
 func (s *hasMetricSpec) Pred() frame.Pred { return frame.HasMetric(s.metric) }
-
-func (s *metaFnSpec) Pred() frame.Pred {
-	key, val := s.key, s.val
-	return frame.MetaPred(func(md map[string]any) bool {
-		v, ok := md[key]
-		if !ok {
-			return frame.MissingKey == val
-		}
-		return fmt.Sprint(v) == val
-	})
-}
-
-func (s *nodeFnSpec) Pred() frame.Pred {
-	prefix := s.prefix
-	return frame.NodePred(func(node string) bool { return strings.HasPrefix(node, prefix) })
-}
-
-func (s *andSpec) Eval(f *frame.Frame, r int32) bool {
-	for _, p := range s.ps {
-		if !p.Eval(f, r) {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *orSpec) Eval(f *frame.Frame, r int32) bool {
-	for _, p := range s.ps {
-		if p.Eval(f, r) {
-			return true
-		}
-	}
-	return false
-}
 
 func (s *notSpec) Eval(f *frame.Frame, r int32) bool { return !s.p.Eval(f, r) }
 
 func (s *metaEqSpec) Eval(f *frame.Frame, r int32) bool {
-	return f.MetaString(f.ProfIDs()[r], s.key) == s.val
-}
-
-func (s *metaInSpec) Eval(f *frame.Frame, r int32) bool {
-	v := f.MetaString(f.ProfIDs()[r], s.key)
-	for _, x := range s.vals {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *metaFnSpec) Eval(f *frame.Frame, r int32) bool {
 	return f.MetaString(f.ProfIDs()[r], s.key) == s.val
 }
 
@@ -137,24 +63,6 @@ func nodeName(f *frame.Frame, r int32) (string, bool) {
 func (s *nodeEqSpec) Eval(f *frame.Frame, r int32) bool {
 	name, ok := nodeName(f, r)
 	return ok && name == s.name
-}
-
-func (s *nodeInSpec) Eval(f *frame.Frame, r int32) bool {
-	name, ok := nodeName(f, r)
-	if !ok {
-		return false
-	}
-	for _, x := range s.names {
-		if name == x {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *nodeFnSpec) Eval(f *frame.Frame, r int32) bool {
-	name, ok := nodeName(f, r)
-	return ok && strings.HasPrefix(name, s.prefix)
 }
 
 func cmpEval(op frame.CmpOp, v, x float64) bool {
@@ -186,26 +94,16 @@ func (s *metricCmpSpec) Eval(f *frame.Frame, r int32) bool {
 
 func (s *hasMetricSpec) Eval(f *frame.Frame, r int32) bool {
 	col := f.Column(s.metric)
-	return col != nil && col.Valid(r)
-}
-
-func specList(ps []Spec) string {
-	parts := make([]string, len(ps))
-	for i, p := range ps {
-		parts[i] = p.String()
+	if col == nil {
+		return false
 	}
-	return strings.Join(parts, ", ")
+	_, ok := col.Value(r)
+	return ok
 }
 
-func (s *andSpec) String() string    { return "and(" + specList(s.ps) + ")" }
-func (s *orSpec) String() string     { return "or(" + specList(s.ps) + ")" }
 func (s *notSpec) String() string    { return "not(" + s.p.String() + ")" }
 func (s *metaEqSpec) String() string { return fmt.Sprintf("meta[%s]==%q", s.key, s.val) }
-func (s *metaInSpec) String() string { return fmt.Sprintf("meta[%s] in %q", s.key, s.vals) }
-func (s *metaFnSpec) String() string { return fmt.Sprintf("metafn[%s]==%q", s.key, s.val) }
 func (s *nodeEqSpec) String() string { return fmt.Sprintf("node==%q", s.name) }
-func (s *nodeInSpec) String() string { return fmt.Sprintf("node in %q", s.names) }
-func (s *nodeFnSpec) String() string { return fmt.Sprintf("nodefn prefix %q", s.prefix) }
 func (s *metricCmpSpec) String() string {
 	return fmt.Sprintf("metric[%s] %s %v", s.metric, s.op, s.x)
 }
@@ -320,63 +218,29 @@ func RandomBase(r *rand.Rand, f *frame.Frame) []int32 {
 	}
 }
 
-// RandomSpec generates a random predicate tree of the given depth.
-// Closure predicates (the uncacheable path) are included only when
-// closures is true, so callers can also generate fully cacheable trees.
-func RandomSpec(r *rand.Rand, v Vocabulary, depth int, closures bool) Spec {
+// RandomSpec generates a random conjunct: a leaf under up to depth
+// nested Nots.
+func RandomSpec(r *rand.Rand, v Vocabulary, depth int) Spec {
 	if depth > 0 && r.Intn(2) == 0 {
-		n := 1 + r.Intn(3)
-		ps := make([]Spec, n)
-		for i := range ps {
-			ps[i] = RandomSpec(r, v, depth-1, closures)
-		}
-		switch r.Intn(3) {
-		case 0:
-			return &andSpec{ps: ps}
-		case 1:
-			return &orSpec{ps: ps}
-		default:
-			return &notSpec{p: ps[0]}
-		}
+		return &notSpec{p: RandomSpec(r, v, depth-1)}
 	}
-	kinds := 6
-	if closures {
-		kinds = 8
-	}
-	switch r.Intn(kinds) {
+	switch r.Intn(4) {
 	case 0:
 		return &metaEqSpec{key: pick(r, v.MetaKeys), val: pick(r, v.MetaVals)}
 	case 1:
-		return &metaInSpec{key: pick(r, v.MetaKeys), vals: pickN(r, v.MetaVals)}
-	case 2:
 		return &nodeEqSpec{name: pick(r, v.Nodes)}
-	case 3:
-		return &nodeInSpec{names: pickN(r, v.Nodes)}
-	case 4:
+	case 2:
 		return &metricCmpSpec{
 			metric: pick(r, v.Metrics),
 			op:     frame.CmpOp(r.Intn(6)),
 			x:      []float64{-0.5, 0, 0.25, 0.5, 1}[r.Intn(5)],
 		}
-	case 5:
-		return &hasMetricSpec{metric: pick(r, v.Metrics)}
-	case 6:
-		return &metaFnSpec{key: pick(r, v.MetaKeys), val: pick(r, v.MetaVals)}
 	default:
-		return &nodeFnSpec{prefix: pick(r, []string{"St", "Basic", "Poly", "X"})}
+		return &hasMetricSpec{metric: pick(r, v.Metrics)}
 	}
 }
 
 func pick(r *rand.Rand, xs []string) string { return xs[r.Intn(len(xs))] }
-
-func pickN(r *rand.Rand, xs []string) []string {
-	n := 1 + r.Intn(3)
-	out := make([]string, n)
-	for i := range out {
-		out[i] = pick(r, xs)
-	}
-	return out
-}
 
 // --- The naive reference evaluator ---
 
@@ -552,4 +416,10 @@ func Preds(specs []Spec) []frame.Pred {
 }
 
 // SpecsString spells a spec list for failure messages.
-func SpecsString(specs []Spec) string { return specList(specs) }
+func SpecsString(specs []Spec) string {
+	parts := make([]string, len(specs))
+	for i, s := range specs {
+		parts[i] = s.String()
+	}
+	return strings.Join(parts, ", ")
+}

@@ -77,7 +77,6 @@ const (
 	RAJAOpenMP
 	BaseGPU
 	RAJAGPU
-	NumVariants
 )
 
 var variantNames = [...]string{
@@ -108,9 +107,6 @@ func ParseVariant(s string) (VariantID, error) {
 	}
 	return 0, fmt.Errorf("kernels: unknown variant %q", s)
 }
-
-// IsSeq reports whether the variant runs on the sequential back-end.
-func (v VariantID) IsSeq() bool { return v == BaseSeq || v == LambdaSeq || v == RAJASeq }
 
 // IsOpenMP reports whether the variant runs on the fork-join parallel
 // back-end.

@@ -211,7 +211,7 @@ func checkDeterminism(t *testing.T, fullName string) {
 		if !ok {
 			continue
 		}
-		if v.IsSeq() {
+		if !v.IsOpenMP() && !v.IsGPU() {
 			if first != second {
 				t.Errorf("%s not deterministic: %v then %v", v, first, second)
 			}
@@ -310,7 +310,7 @@ func checkRunPool(t *testing.T, fullName string) {
 		t.Fatal(err)
 	}
 	for _, v := range ref.Info().Variants {
-		if v.IsSeq() {
+		if !v.IsOpenMP() && !v.IsGPU() {
 			continue
 		}
 		pool := raja.NewPool(2)
@@ -399,7 +399,7 @@ func checkUnsupportedVariants(t *testing.T, k kernels.Kernel) {
 	rp := Params()
 	k.SetUp(rp)
 	defer k.TearDown()
-	for v := kernels.VariantID(0); v < kernels.NumVariants; v++ {
+	for _, v := range kernels.AllVariants {
 		if k.Info().HasVariant(v) {
 			continue
 		}

@@ -201,7 +201,8 @@ func BenchmarkThicketFilterGroupBy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := tk.Where(frame.MetaPred(func(md map[string]any) bool { return md["variant"] != "variant_1" }))
+		frame.DefaultEngine().ClearCache() // time the filter and group pass, not a cache hit
+		f := tk.Where(frame.Not(frame.MetaEq("variant", "variant_1")))
 		gs := f.GroupBy("executor.schedule")
 		if len(gs) == 0 {
 			b.Fatal("no groups")

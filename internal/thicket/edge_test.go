@@ -31,7 +31,7 @@ func edgeThicket() *Thicket {
 
 func TestFilterRejectAllIsEmpty(t *testing.T) {
 	tk := edgeThicket()
-	none := tk.Where(frame.MetaPred(func(map[string]any) bool { return false }))
+	none := tk.Where(frame.MetaEq("machine", "no_such_machine"))
 	if got := none.NumRows(); got != 0 {
 		t.Fatalf("reject-all Filter has %d rows, want 0", got)
 	}
@@ -48,14 +48,14 @@ func TestFilterRejectAllIsEmpty(t *testing.T) {
 		t.Fatal("reject-all Metric hit")
 	}
 	// Chaining off an empty view stays empty.
-	if got := none.Where(frame.NodePred(func(string) bool { return true })).NumRows(); got != 0 {
+	if got := none.Where(frame.Not(frame.NodeEq("no_such_node"))).NumRows(); got != 0 {
 		t.Fatalf("FilterNodes over empty view has %d rows", got)
 	}
 }
 
 func TestFilterNodesRejectAllIsEmpty(t *testing.T) {
 	tk := edgeThicket()
-	none := tk.Where(frame.NodePred(func(string) bool { return false }))
+	none := tk.Where(frame.NodeEq("no_such_node"))
 	if got := none.NumRows(); got != 0 {
 		t.Fatalf("reject-all FilterNodes has %d rows, want 0", got)
 	}
@@ -78,7 +78,7 @@ func TestAggregateStatsAllInvalidMetric(t *testing.T) {
 	c2.AddMetadata("machine", "m1")
 	c2.SetMetricAt([]string{"suite", "A"}, "time", 1)
 	tk2 := FromProfiles([]*caliper.Profile{c.Profile(), c2.Profile()})
-	m1 := tk2.Where(frame.MetaPred(func(md map[string]any) bool { return md["machine"] == "m1" }))
+	m1 := tk2.Where(frame.MetaEq("machine", "m1"))
 	if got := m1.AggregateStats("rare"); len(got) != 0 {
 		t.Fatalf("AggregateStats over all-invalid view = %v", got)
 	}

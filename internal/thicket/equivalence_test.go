@@ -237,7 +237,7 @@ func TestFilteredViewMatchesOracle(t *testing.T) {
 	tk := FromProfiles(ps)
 
 	pred := func(md map[string]any) bool { return md["machine"] == "SPR-HBM" }
-	fv := tk.Where(frame.MetaPred(pred))
+	fv := tk.Where(frame.MetaEq("machine", "SPR-HBM"))
 
 	var kept []oracleRow
 	for _, r := range o.rows {
@@ -261,11 +261,10 @@ func TestFilteredViewMatchesOracle(t *testing.T) {
 		}
 	}
 	// FilterNodes parity.
-	nodePred := func(n string) bool { return len(n) <= 4 }
-	nv := tk.Where(frame.NodePred(nodePred))
+	nv := tk.Where(frame.Not(frame.NodeEq("DAXPY")))
 	n := 0
 	for _, r := range o.rows {
-		if nodePred(r.node) {
+		if r.node != "DAXPY" {
 			n++
 		}
 	}

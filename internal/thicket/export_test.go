@@ -114,7 +114,7 @@ func TestWriteJSON(t *testing.T) {
 	}
 	// A filtered view exports only its selection.
 	var buf2 bytes.Buffer
-	fv := exportFixture().Where(frame.NodePred(func(n string) bool { return n == "MUL" }))
+	fv := exportFixture().Where(frame.NodeEq("MUL"))
 	if err := fv.WriteMetricsCSV(&buf2); err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,8 @@ func init() {
 
 // Query starts a lazy engine query over this view. Composing Where /
 // GroupBy clauses and executing Rows / Groups / Stats on it is what the
-// GroupStats wrapper below does; results of cacheable queries are shared
-// with the engine's LRU and must be treated as read-only.
+// GroupStats wrapper below does; results are shared with the engine's
+// LRU and must be treated as read-only.
 func (t *Thicket) Query() *frame.Query { return eng.Query(t.f, t.sel) }
 
 // AggregateStats computes per-node summary statistics of a metric across

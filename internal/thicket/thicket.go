@@ -221,12 +221,13 @@ func (t *Thicket) Nodes() []string {
 	return out
 }
 
-// Where returns the sub-view of rows satisfying every predicate,
+// Where returns the sub-view of rows satisfying every predicate (each a
+// MetaEq, NodeEq, MetricCmp or HasMetric leaf, optionally under Not),
 // executed by the engine with predicate pushdown: metadata conjuncts
 // skip whole profile row ranges, node conjuncts resolve once per
-// distinct node, and pure metric conjuncts run vectorized over the
-// column validity bitmaps. Selections of cacheable predicate sets are
-// shared with the engine's cache — read-only, like every view.
+// distinct node, and metric conjuncts run vectorized over the column
+// validity bitmaps. Selections are shared with the engine's cache —
+// read-only, like every view.
 func (t *Thicket) Where(ps ...frame.Pred) *Thicket {
 	if len(ps) == 0 {
 		return t

@@ -73,11 +73,11 @@ func TestGroupByAndFilter(t *testing.T) {
 	if groups["RAJA_Seq"].NumRows() != 2 {
 		t.Errorf("RAJA_Seq group has %d rows, want 2", groups["RAJA_Seq"].NumRows())
 	}
-	f := tk.Where(frame.MetaPred(func(md map[string]any) bool { return md["machine"] == "SPR-HBM" }))
+	f := tk.Where(frame.MetaEq("machine", "SPR-HBM"))
 	if f.NumRows() != 1 {
 		t.Errorf("Filter kept %d rows, want 1", f.NumRows())
 	}
-	fn := tk.Where(frame.NodePred(func(n string) bool { return n == "A" }))
+	fn := tk.Where(frame.NodeEq("A"))
 	if fn.NumRows() != 3 {
 		t.Errorf("FilterNodes kept %d rows, want 3", fn.NumRows())
 	}

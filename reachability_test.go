@@ -31,7 +31,8 @@ var exceptions = map[string]string{
 }
 
 // exemptPackages are test-support packages: their declarations exist for
-// other packages' tests, so they are not checked. Their uses still count.
+// other packages' tests, so they are not checked, and their uses do not
+// count either: what only a test-support package reaches only tests reach.
 var exemptPackages = map[string]bool{
 	"internal/kernels/kerneltest": true,
 	"internal/frame/querytest":    true,
@@ -49,13 +50,17 @@ type sourcePackage struct {
 }
 
 // TestExportsReachable fails on any package-level func, var, const or type,
-// and any method of a package-level named type, that no non-test code of the
-// module or of the nested perfbench module uses, exported or not. Uses are
-// type-checked objects, so a live name elsewhere cannot hide a dead one.
-// Calls through an interface name no concrete method, so a method also
-// counts as reached when an interface of the module or of an imported
-// standard-library package has one of its name and signature, or a generic
-// interface of the module has one of its name (see interfaceMethods).
+// any method of a package-level named type, and any method of a
+// package-level named interface, that no non-test code of the module or of
+// the nested perfbench module uses, exported or not. Uses are type-checked
+// objects, so a live name elsewhere cannot hide a dead one. Uses inside the
+// exempt packages, and uses of a function or method inside its own body,
+// do not count (see uncounted). Calls through an interface name no concrete
+// method, so a concrete method also counts as reached when an interface of
+// the module or of an imported standard-library package has one of its name
+// and signature, or a generic interface of the module has one of its name
+// (see interfaceMethods); an interface's own method counts only when a use
+// names it.
 // Standard-library types come from compiler export data that one
 // `go list -export` run locates; a failure there or a type error fails the
 // test rather than skipping it. perfbench counts as a caller: it
@@ -100,18 +105,11 @@ func TestExportsReachable(t *testing.T) {
 	}
 
 	reached := map[types.Object]bool{}
-	skip := receiverIdents(pkgs)
+	skip := uncounted(pkgs, info)
 	for id, obj := range info.Uses {
-		if skip[id] {
-			continue
+		if !skip[id] {
+			reached[origin(obj)] = true
 		}
-		switch o := obj.(type) {
-		case *types.Func:
-			obj = o.Origin()
-		case *types.Var:
-			obj = o.Origin()
-		}
-		reached[obj] = true
 	}
 	viaInterface := interfaceMethods(info, std, stdImports)
 
@@ -250,19 +248,52 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// receiverIdents returns the identifiers in method receivers: a type named
-// only by its own methods' receivers is not reached.
-func receiverIdents(pkgs map[string]*sourcePackage) map[*ast.Ident]bool {
+// origin maps a generic instance's func or var to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// uncounted returns the identifiers whose uses reach nothing: every
+// identifier in the exempt packages; the identifiers in method receivers,
+// so a type named only by its own methods' receivers is not reached; and a
+// function's or method's uses of itself inside its own body, so recursion
+// does not reach itself. Longer cycles, functions reached only from each
+// other, still count.
+func uncounted(pkgs map[string]*sourcePackage, info *types.Info) map[*ast.Ident]bool {
 	skip := map[*ast.Ident]bool{}
+	mark := func(n ast.Node, pred func(*ast.Ident) bool) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && pred(id) {
+				skip[id] = true
+			}
+			return true
+		})
+	}
+	all := func(*ast.Ident) bool { return true }
 	for _, p := range pkgs {
 		for _, f := range p.files {
+			if exemptPackages[p.dir] {
+				mark(f, all)
+				continue
+			}
 			for _, decl := range f.Decls {
-				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil {
-					ast.Inspect(fn.Recv, func(n ast.Node) bool {
-						if id, ok := n.(*ast.Ident); ok {
-							skip[id] = true
-						}
-						return true
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				if fn.Recv != nil {
+					mark(fn.Recv, all)
+				}
+				if self := info.Defs[fn.Name]; self != nil && fn.Body != nil {
+					mark(fn.Body, func(id *ast.Ident) bool {
+						use, ok := info.Uses[id]
+						return ok && origin(use) == self
 					})
 				}
 			}
@@ -271,12 +302,13 @@ func receiverIdents(pkgs map[string]*sourcePackage) map[*ast.Ident]bool {
 	return skip
 }
 
-// interfaceMethods returns a predicate that reports whether a method can be
-// reached through an interface: one declared in the module, exported by an
-// imported standard-library package, or the predeclared error, with a method
-// of the same name and an identical signature; or a generic interface
-// declared in the module, such as the constraint raja.Reducer[A], whose
-// signatures name its type parameters, with a method of the same name.
+// interfaceMethods returns a predicate that reports whether a concrete
+// method can be reached through an interface: one declared in the module,
+// exported by an imported standard-library package, or the predeclared
+// error, with a method of the same name and an identical signature; or a
+// generic interface declared in the module, such as the constraint
+// raja.Reducer[A], whose signatures name its type parameters, with a method
+// of the same name.
 func interfaceMethods(info *types.Info, std types.Importer, stdImports []string) func(types.Object) bool {
 	var sigs []*types.Func
 	addSigs := func(t types.Type) {
@@ -319,7 +351,11 @@ func interfaceMethods(info *types.Info, std types.Importer, stdImports []string)
 	}
 	return func(obj types.Object) bool {
 		fn, ok := obj.(*types.Func)
-		if !ok || fn.Type().(*types.Signature).Recv() == nil {
+		if !ok {
+			return false
+		}
+		recv := fn.Type().(*types.Signature).Recv()
+		if recv == nil || types.IsInterface(recv.Type()) {
 			return false
 		}
 		if names[fn.Name()] {
@@ -341,10 +377,16 @@ type declaration struct {
 }
 
 // declarations returns the package-level funcs, vars, consts and types of
-// pkg declared in its non-test files, and the methods of its named types,
-// without main, init and the blank identifier.
+// pkg declared in its non-test files, the methods of its named types and
+// the explicit methods of its named interfaces, without main, init and the
+// blank identifier.
 func declarations(pkg *types.Package) []declaration {
 	var out []declaration
+	add := func(m *types.Func) {
+		if m.Name() != "_" {
+			out = append(out, declaration{objectKey(m), m})
+		}
+	}
 	scope := pkg.Scope()
 	for _, name := range scope.Names() {
 		obj := scope.Lookup(name)
@@ -354,9 +396,11 @@ func declarations(pkg *types.Package) []declaration {
 		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
 			if named, ok := tn.Type().(*types.Named); ok {
 				for i := 0; i < named.NumMethods(); i++ {
-					m := named.Method(i)
-					if m.Name() != "_" {
-						out = append(out, declaration{objectKey(m), m})
+					add(named.Method(i))
+				}
+				if iface, ok := named.Underlying().(*types.Interface); ok {
+					for i := 0; i < iface.NumExplicitMethods(); i++ {
+						add(iface.ExplicitMethod(i))
 					}
 				}
 			}
