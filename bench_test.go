@@ -105,7 +105,7 @@ func BenchmarkTable4_NCUMetrics(b *testing.B) {
 func BenchmarkFig1_AnalyticMetrics(b *testing.B) {
 	var rows []analysis.Fig1Row
 	for i := 0; i < b.N; i++ {
-		rows = analysis.Fig1(100_000)
+		rows = analysis.Fig1()
 	}
 	b.ReportMetric(float64(len(rows)), "kernels")
 }

@@ -162,7 +162,7 @@ func run(s *analysis.Session, exp string, threshold float64, size int) error {
 	}
 	if all || exp == "fig1" {
 		section("Fig 1: analytic metrics per kernel")
-		fmt.Print(analysis.RenderFig1(analysis.Fig1(0)))
+		fmt.Print(analysis.RenderFig1(analysis.Fig1()))
 		did = true
 	}
 	if all || exp == "fig2" {

@@ -62,7 +62,6 @@ func realMain() int {
 		reps     = flag.Int("reps", 0, "kernel repetitions (0 = kernel defaults)")
 		workers  = flag.Int("workers", 0, "execution workers (0 = all cores)")
 		schedule = flag.String("schedule", "default", "parallel loop schedule: default, static, dynamic, guided")
-		_        = flag.String("dispatch", "", "removed: every RAJA variant runs its kernel's one loop body")
 		kerns    = flag.String("kernels", "", "comma-separated kernel names (empty = whole suite)")
 		group    = flag.String("group", "", "run only one group (Algorithm, Apps, Basic, Comm, Lcals, Polybench, Stream)")
 		feature  = flag.String("feature", "", "run only kernels exercising a RAJA feature (Sort, Scan, Reduction, Atomic, View, Workgroup, MPI)")
@@ -104,7 +103,6 @@ func realMain() int {
 		breaker     = flag.Int("breaker", 0, "open a (kernel set, variant) circuit after this many consecutive non-transient failures, skipping its remaining specs (0 = off)")
 		traceOut    = flag.String("trace", "", "write a Chrome-trace JSON event trace to this path (enables the trace service)")
 		cpuprof     = flag.String("pprof", "", "write a CPU profile of the run to this path")
-		pprofSrv    = flag.String("pprof-http", "", "removed: serve the telemetry plane (including /debug/pprof) with -metrics-addr")
 
 		// Telemetry plane: live HTTP exposition plus periodic flushing of
 		// registry deltas into the output directory as telemetry profiles.
@@ -114,10 +112,6 @@ func realMain() int {
 		verbose      = flag.Bool("v", false, "log debug detail (per-spec scheduling, heartbeats)")
 	)
 	flag.Parse()
-	if err := rejectDispatch(flag.CommandLine); err != nil {
-		fmt.Fprintln(os.Stderr, "rajaperf:", err)
-		return 2
-	}
 
 	// -faults list/help: print the catalog instead of burying it in the
 	// parse error of an unknown point.
@@ -194,17 +188,12 @@ func realMain() int {
 	}
 
 	// The telemetry plane: the default pool's dispatch metrics, the event
-	// bus every progress consumer shares, the HTTP server (promoted from
-	// the old -pprof-http ListenAndServe), and the periodic snapshotter.
+	// bus every progress consumer shares, the HTTP server, and the
+	// periodic snapshotter.
 	raja.Default().EnableTelemetry(nil)
 	bus := new(telemetry.Bus)
-	teleAddr, err := resolveMetricsAddr(*metricsAddr, *pprofSrv)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rajaperf:", err)
-		return 2
-	}
 	_, teleStop, err := telemetry.Boot(telemetry.BootOptions{
-		Addr:       teleAddr,
+		Addr:       *metricsAddr,
 		Bus:        bus,
 		FlushDir:   *outdir,
 		FlushEvery: *teleInterval,
@@ -440,8 +429,7 @@ func runCampaign(a campaignArgs) (int, error) {
 				log.Info("SIGTERM: draining fabric", "timeout", a.drainTimeout)
 				dctx, dcancel := context.WithTimeout(context.Background(), a.drainTimeout)
 				defer dcancel()
-				var d campaign.Drainer = coord
-				if err := d.Drain(dctx); err != nil {
+				if err := coord.Drain(dctx); err != nil {
 					log.Warn("fabric drain incomplete, canceling hard", "err", err)
 					hardCancel()
 				} else {
@@ -543,32 +531,6 @@ func watchProgress(bus *telemetry.Bus, log *telemetry.Logger) func() {
 		sub.Close()
 		<-done
 	}
-}
-
-// resolveMetricsAddr returns the telemetry listen address. The old
-// -pprof-http flag served its one release as a deprecated alias and is
-// now removed: setting it is an error that names the replacement, so a
-// stale script fails loudly at startup instead of silently serving
-// nothing.
-func resolveMetricsAddr(metricsAddr, pprofHTTP string) (string, error) {
-	if pprofHTTP != "" {
-		return "", errors.New("-pprof-http was removed; serve the telemetry plane (including /debug/pprof) with -metrics-addr")
-	}
-	return metricsAddr, nil
-}
-
-// rejectDispatch fails when fs was given -dispatch, whatever its value.
-// The flag chose between two RAJA paths, and one of them is gone: every
-// RAJA variant now runs its kernel's one loop body. A stale script fails
-// at startup instead of recording a choice that was never made.
-func rejectDispatch(fs *flag.FlagSet) error {
-	var err error
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "dispatch" {
-			err = errors.New("-dispatch was removed; every RAJA variant runs its kernel's one loop body")
-		}
-	})
-	return err
 }
 
 // workerSpawner forks fabric worker processes of this same binary, each

@@ -84,7 +84,7 @@ func (s *Session) WriteFigures(dir string) ([]string, error) {
 		for _, r := range roof.Rows {
 			p := r.Points[li]
 			byGroup[r.Group].Points = append(byGroup[r.Group].Points,
-				plot.Point{X: p.Intensity, Y: p.GIPS, Label: r.Kernel})
+				plot.Point{X: p.Intensity, Y: p.GIPS})
 		}
 		for _, g := range kernels.Groups() {
 			if len(byGroup[g].Points) > 0 {
@@ -126,7 +126,7 @@ func (s *Session) WriteFigures(dir string) ([]string, error) {
 		for _, p := range panel.Points {
 			if g, ok := kernelGroup(p.Kernel); ok {
 				byGroup[g].Points = append(byGroup[g].Points,
-					plot.Point{X: p.GBs, Y: p.GFLOPS, Label: p.Kernel})
+					plot.Point{X: p.GBs, Y: p.GFLOPS})
 			}
 		}
 		for _, g := range kernels.Groups() {

@@ -30,10 +30,6 @@ import (
 type Session struct {
 	// SizePerNode is the total node problem size (paper: 32M).
 	SizePerNode int
-	// Reps is the per-kernel repetition override (0 = kernel default).
-	Reps int
-	// Workers bounds execution parallelism per run (0 = all cores).
-	Workers int
 	// Execute runs the real kernel computations in addition to the
 	// hardware models.
 	Execute bool
@@ -89,8 +85,6 @@ func (s *Session) Prefetch(ms ...*machine.Machine) error {
 	plan := campaign.Plan{
 		Machines: missing,
 		Sizes:    []int{s.SizePerNode},
-		Reps:     s.Reps,
-		Workers:  s.Workers,
 		Execute:  s.Execute,
 	}
 	res, err := campaign.Run(context.Background(), plan, campaign.Options{

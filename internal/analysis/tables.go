@@ -158,12 +158,10 @@ type Fig1Row struct {
 	FlopsPerByte  float64
 }
 
-// Fig1 computes the analytic metrics of Fig 1 for every kernel at the
-// given per-rank problem size, normalized per problem-size unit.
-func Fig1(size int) []Fig1Row {
-	if size <= 0 {
-		size = 100_000
-	}
+// Fig1 computes the analytic metrics of Fig 1 for every kernel at a
+// per-rank problem size of 100,000, normalized per problem-size unit.
+func Fig1() []Fig1Row {
+	const size = 100_000
 	rows := make([]Fig1Row, 0, kernels.Count())
 	for _, name := range kernels.Names() {
 		k, err := kernels.New(name)

@@ -48,7 +48,6 @@ func (s *Session) TuningSweep(m *machine.Machine, blocks []int) (*TuningData, er
 			Variant:     suite.DefaultVariant(m),
 			GPUBlock:    block,
 			SizePerNode: s.SizePerNode,
-			Reps:        s.Reps,
 		})
 		if err != nil {
 			return nil, err

@@ -97,7 +97,3 @@ func histogramSum(h *metrics.Float64Histogram) float64 {
 	}
 	return total
 }
-
-func init() {
-	RegisterSource("runtime", newRuntimeSource)
-}

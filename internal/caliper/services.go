@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // This file is the service-configuration layer of the recorder, modeled
-// on Caliper's CALI_CONFIG mechanism: measurement services are named,
-// registered globally, and enabled per run. Two kinds of service exist:
+// on Caliper's CALI_CONFIG mechanism: measurement services are named and
+// enabled per run. Two kinds of service exist:
 //
 //   - counter sources (the PAPI analog): sampled at region Begin/End,
 //     their deltas recorded as per-region metrics;
@@ -26,9 +25,10 @@ type Counter struct {
 }
 
 // CounterSource is a pluggable per-region counter provider — the role
-// PAPI plays in real Caliper. A source is named by the service name it
-// registers under (RegisterSource). Sample fills buf with the current
-// value of each counter, in the order returned by Counters.
+// PAPI plays in real Caliper. A built-in source is named by its service
+// name in the sources table; any other is passed in Config.Sources.
+// Sample fills buf with the current value of each counter, in the order
+// returned by Counters.
 // Implementations need not be safe for concurrent Sample calls: a
 // Recorder samples only from the goroutine driving Begin/End.
 type CounterSource interface {
@@ -47,49 +47,20 @@ const (
 	ServiceImbalance = "imbalance"
 )
 
-var (
-	sourcesMu sync.Mutex
-	sources   = map[string]func() CounterSource{}
-)
-
-// RegisterSource registers a counter-source factory under name. Sources
-// register in init; registering a duplicate name panics.
-func RegisterSource(name string, factory func() CounterSource) {
-	sourcesMu.Lock()
-	defer sourcesMu.Unlock()
-	if _, dup := sources[name]; dup {
-		panic("caliper: duplicate counter source " + name)
-	}
-	sources[name] = factory
-}
-
-// NewSource instantiates the counter source registered under name.
-func NewSource(name string) (CounterSource, bool) {
-	sourcesMu.Lock()
-	factory, ok := sources[name]
-	sourcesMu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return factory(), true
-}
-
-// SourceNames returns the registered counter-source names, sorted.
-func SourceNames() []string {
-	sourcesMu.Lock()
-	defer sourcesMu.Unlock()
-	names := make([]string, 0, len(sources))
-	for n := range sources {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+// sources maps each counter-source service name to the factory of its
+// source.
+var sources = map[string]func() CounterSource{
+	"null":    func() CounterSource { return nullSource{} },
+	"runtime": newRuntimeSource,
 }
 
 // ServiceNames returns every enableable service name, sorted: the
-// registered counter sources plus the structural services.
+// counter sources plus the structural services.
 func ServiceNames() []string {
-	names := append(SourceNames(), ServiceTrace, ServiceImbalance)
+	names := []string{ServiceTrace, ServiceImbalance}
+	for n := range sources {
+		names = append(names, n)
+	}
 	sort.Strings(names)
 	return names
 }
@@ -144,11 +115,9 @@ func (s Services) String() string {
 // service, in sorted name order for deterministic metric layout.
 func (s Services) CounterSources() []CounterSource {
 	var out []CounterSource
-	for _, name := range SourceNames() {
-		if s[name] {
-			if src, ok := NewSource(name); ok {
-				out = append(out, src)
-			}
+	for _, name := range ServiceNames() {
+		if factory, ok := sources[name]; ok && s[name] {
+			out = append(out, factory())
 		}
 	}
 	return out
@@ -168,8 +137,4 @@ func (nullSource) Sample(buf []float64) {
 	for i := range buf {
 		buf[i] = 0
 	}
-}
-
-func init() {
-	RegisterSource("null", func() CounterSource { return nullSource{} })
 }

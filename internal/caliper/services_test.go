@@ -20,10 +20,6 @@ func (s *testSource) Sample(buf []float64) {
 	buf[1] = s.samples // gauge: recorder stores the End value
 }
 
-func init() {
-	RegisterSource("testsrc", func() CounterSource { return &testSource{} })
-}
-
 func TestParseServices(t *testing.T) {
 	empty, err := ParseServices("")
 	if err != nil || len(empty) != 0 {
@@ -64,11 +60,7 @@ func TestServiceNamesIncludeBuiltins(t *testing.T) {
 // into metrics: cumulative counters record the in-region delta summed
 // over visits, gauges record the value at the last region exit.
 func TestCounterRecordingSemantics(t *testing.T) {
-	svc, err := ParseServices("testsrc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := NewRecorderWith(Config{Sources: svc.CounterSources()})
+	rec := NewRecorderWith(Config{Sources: []CounterSource{&testSource{}}})
 	for i := 0; i < 3; i++ {
 		rec.Region("r", func() {})
 	}

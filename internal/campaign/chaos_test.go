@@ -61,7 +61,6 @@ func TestChaosCampaignKillAndResume(t *testing.T) {
 		Retry:        resilience.Policy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 		StallTimeout: 200 * time.Millisecond,
 		RunTimeout:   30 * time.Second,
-		Grace:        5 * time.Second,
 		Faults:       inj,
 	}
 	ctx, cancel := context.WithCancel(context.Background())

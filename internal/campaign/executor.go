@@ -34,18 +34,6 @@ type Executor interface {
 	Submit(ctx context.Context, spec RunSpec) SpecResult
 }
 
-// Drainer is an optional Executor capability: graceful shutdown at a
-// spec boundary. Drain stops the backend from accepting or dispatching
-// new work and blocks until everything already in flight reaches a
-// terminal result (or ctx's deadline expires) — so a SIGTERM'd campaign
-// ends with every started spec's outcome durable, and a later resume
-// re-runs only what never dispatched. Callers type-assert:
-//
-//	if d, ok := exec.(Drainer); ok { d.Drain(ctx) }
-type Drainer interface {
-	Drain(ctx context.Context) error
-}
-
 // LocalExecutor is the in-process execution backend: each Submit drives
 // one spec through the retry/watchdog attempt loop on a private executor
 // pool, writing its profile to Options.OutDir. It is the orchestrator's
@@ -59,15 +47,10 @@ type LocalExecutor struct {
 
 // NewLocalExecutor builds an in-process executor from the campaign
 // options that govern execution: OutDir, Retry, RunTimeout, StallTimeout,
-// Grace, Faults, Retain, and Metrics. PoolLanes sets each run's private
-// pool size (0 = NumCPU/Workers, floor 1, matching the orchestrator's
-// derivation).
+// Faults, Retain, and Metrics. Each run's private pool gets
+// max(1, NumCPU/Workers) lanes, the orchestrator's derivation.
 func NewLocalExecutor(opts Options) *LocalExecutor {
-	workers := max(opts.Workers, 1)
-	lanes := opts.PoolLanes
-	if lanes <= 0 {
-		lanes = max(1, runtime.NumCPU()/workers)
-	}
+	lanes := max(1, runtime.NumCPU()/max(opts.Workers, 1))
 	return newLocalExecutor(lanes, opts, newCampaignTele(opts.Metrics))
 }
 

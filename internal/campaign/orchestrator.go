@@ -88,9 +88,6 @@ type Options struct {
 	// composing in memory (analysis.Session). Off by default so large
 	// campaigns stream to disk without accumulating every run.
 	Retain bool
-	// PoolLanes sets each in-flight run's private executor pool size.
-	// Zero divides the machine evenly: max(1, NumCPU/Workers).
-	PoolLanes int
 	// Progress, when non-nil, receives one event per finished spec,
 	// serialized by the orchestrator's bookkeeping lock.
 	Progress func(Event)
@@ -104,13 +101,9 @@ type Options struct {
 	RunTimeout time.Duration
 	// StallTimeout cancels an attempt whose executor heartbeat (pool
 	// granules + kernel boundaries) stops advancing for this long
-	// (0 = stall detection off).
+	// (0 = stall detection off). An attempt still running 2 s after its
+	// cancellation is abandoned (runGrace).
 	StallTimeout time.Duration
-	// Grace bounds how long a canceled attempt may keep running before
-	// the worker abandons it and moves on (0 = 2s). An abandoned run's
-	// goroutine leaks until its kernel unblocks; the alternative — a
-	// wedged campaign worker — is worse.
-	Grace time.Duration
 	// Breaker opens a (kernel set, variant) circuit after this many
 	// consecutive non-transient failures, skipping its remaining specs
 	// (0 = no breaker).
@@ -141,9 +134,6 @@ type Options struct {
 	// Campaign is the identity stamped on bus events and flushed
 	// telemetry profiles (default: OutDir, or "campaign" when in-memory).
 	Campaign string
-	// EventInterval is the heartbeat event period when Bus is set
-	// (0 = 1s).
-	EventInterval time.Duration
 }
 
 // Event is one progress notification.
@@ -252,7 +242,7 @@ func idHash(id string) uint64 {
 // stream profiles + journaled manifest updates to OutDir as specs finish.
 // One spec failing never aborts the campaign. Cancellation via ctx stops
 // feeding new specs, waits for in-flight runs to notice (the suite checks
-// between kernels; Grace bounds the wait), marks the rest canceled, and
+// between kernels; runGrace bounds the wait), marks the rest canceled, and
 // returns ctx's cause alongside the partial result — which a later Resume
 // picks up, replaying the journal.
 func Run(ctx context.Context, plan Plan, opts Options) (*Result, error) {
@@ -311,7 +301,7 @@ func Run(ctx context.Context, plan Plan, opts Options) (*Result, error) {
 	})
 	var finishedA atomic.Int64
 	hbStop := make(chan struct{})
-	heartbeats(opts.Bus, campID, opts.EventInterval, func() (int, int, int) {
+	heartbeats(opts.Bus, campID, func() (int, int, int) {
 		return int(finishedA.Load()), len(specs), int(tele.inFlight.Value())
 	}, hbStop)
 	defer close(hbStop)
@@ -382,10 +372,7 @@ func Run(ctx context.Context, plan Plan, opts Options) (*Result, error) {
 	}
 
 	workers := min(max(opts.Workers, 1), max(len(todo), 1))
-	lanes := opts.PoolLanes
-	if lanes <= 0 {
-		lanes = max(1, runtime.NumCPU()/workers)
-	}
+	lanes := max(1, runtime.NumCPU()/workers)
 	br := resilience.NewBreaker(opts.Breaker)
 
 	// The execution backend: the caller's (distributed fabric, a test
@@ -520,6 +507,12 @@ func retryable(sr SpecResult) bool {
 	return false
 }
 
+// runGrace bounds how long a canceled attempt may keep running before its
+// campaign worker abandons it and moves on. An abandoned run's goroutine
+// leaks until its kernel unblocks; the alternative, a wedged campaign
+// worker, is worse.
+const runGrace = 2 * time.Second
+
 // runAttempt executes one attempt of one spec on a private executor pool
 // under a watchdog, and records its profile.
 func runAttempt(ctx context.Context, spec RunSpec, lanes int, opts Options, attempt int, tele *campaignTele) SpecResult {
@@ -591,23 +584,19 @@ func runAttempt(ctx context.Context, spec RunSpec, lanes int, opts Options, atte
 	case out = <-outc:
 	case <-runCtx.Done():
 		// The run was canceled (watchdog or operator); the suite notices
-		// at the next kernel boundary. Grace bounds how long we wait for
-		// that before abandoning the run so the worker survives a kernel
-		// wedged inside its body.
-		grace := opts.Grace
-		if grace <= 0 {
-			grace = 2 * time.Second
-		}
+		// at the next kernel boundary. runGrace bounds how long we wait
+		// for that before abandoning the run so the worker survives a
+		// kernel wedged inside its body.
 		select {
 		case out = <-outc:
-		case <-time.After(grace):
+		case <-time.After(runGrace):
 			cause := context.Cause(runCtx)
 			if errors.Is(cause, resilience.ErrRunTimeout) || errors.Is(cause, resilience.ErrRunStalled) {
 				sr.Status = StatusTimedOut
 			} else {
 				sr.Status = StatusCanceled
 			}
-			sr.Err = fmt.Errorf("campaign: run abandoned after %v grace: %w", grace, cause)
+			sr.Err = fmt.Errorf("campaign: run abandoned after %v grace: %w", runGrace, cause)
 			return sr
 		}
 	}

@@ -122,7 +122,6 @@ func TestWatchdogMarksTimedOutAndRetries(t *testing.T) {
 		Workers:      1,
 		Retry:        resilience.Policy{MaxAttempts: 2, BaseDelay: time.Millisecond},
 		StallTimeout: 150 * time.Millisecond,
-		Grace:        5 * time.Second,
 		Faults:       inj,
 	})
 	if err != nil {
@@ -154,7 +153,6 @@ func TestWatchdogTerminalTimeout(t *testing.T) {
 		OutDir:       dir,
 		Workers:      1,
 		StallTimeout: 150 * time.Millisecond,
-		Grace:        5 * time.Second,
 		Faults:       inj,
 	})
 	if err != nil {

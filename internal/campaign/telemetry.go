@@ -124,18 +124,15 @@ func publishRun(bus *telemetry.Bus, campaign string, sr SpecResult, finished, to
 	bus.Publish(ev)
 }
 
-// heartbeats publishes periodic campaign liveness events until stop is
-// closed. Returned only for the goroutine; callers just close(stop).
-func heartbeats(bus *telemetry.Bus, campaign string, interval time.Duration,
+// heartbeats publishes a campaign liveness event every second until stop
+// is closed. Returned only for the goroutine; callers just close(stop).
+func heartbeats(bus *telemetry.Bus, campaign string,
 	progress func() (finished, total, inFlight int), stop <-chan struct{}) {
 	if bus == nil {
 		return
 	}
-	if interval <= 0 {
-		interval = time.Second
-	}
 	go func() {
-		t := time.NewTicker(interval)
+		t := time.NewTicker(time.Second)
 		defer t.Stop()
 		for {
 			select {

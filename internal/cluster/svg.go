@@ -74,9 +74,9 @@ func (l *Linkage) SVG(threshold float64) string {
 		my := (a.y + b.y) / 2
 		// Elbow: horizontal from each child to the merge distance,
 		// then a vertical joining bar.
-		c.Line(a.x, a.y, mx, a.y, "#333", 1)
-		c.Line(b.x, b.y, mx, b.y, "#333", 1)
-		c.Line(mx, a.y, mx, b.y, "#333", 1)
+		c.Line(a.x, a.y, mx, a.y, "#333")
+		c.Line(b.x, b.y, mx, b.y, "#333")
+		c.Line(mx, a.y, mx, b.y, "#333")
 		nodePos[l.N+i] = pos{mx, my}
 	}
 
@@ -86,10 +86,10 @@ func (l *Linkage) SVG(threshold float64) string {
 		c.Text(tx, float64(h-10), "cut", "middle", 10)
 	}
 	// Distance axis along the bottom.
-	c.Line(ml, float64(h-24), ml+380, float64(h-24), "#000", 1)
+	c.Line(ml, float64(h-24), ml+380, float64(h-24), "#000")
 	for i := 0; i <= 4; i++ {
 		d := maxD * float64(i) / 4
-		c.Line(x(d), float64(h-24), x(d), float64(h-20), "#000", 1)
+		c.Line(x(d), float64(h-24), x(d), float64(h-20), "#000")
 		c.Text(x(d), float64(h-28), trimFloat(d), "middle", 9)
 	}
 	return c.String()

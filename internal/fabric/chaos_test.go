@@ -292,8 +292,7 @@ func TestDrainFinishesInFlight(t *testing.T) {
 
 	dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	var dr campaign.Drainer = f.coord
-	if err := dr.Drain(dctx); err != nil {
+	if err := f.coord.Drain(dctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	res := <-resCh

@@ -527,8 +527,7 @@ func (c *Coordinator) supervise(shard int) {
 // ctx's deadline — the graceful half of SIGTERM. Queued-but-undispatched
 // work resolves canceled immediately (resume re-runs it); in-flight
 // specs run to their terminal result, so the campaign ends at a spec
-// boundary with every outcome durable in its shard WAL. Part of the
-// campaign.Drainer capability.
+// boundary with every outcome durable in its shard WAL.
 func (c *Coordinator) Drain(ctx context.Context) error {
 	c.mu.Lock()
 	if c.closed || c.draining {

@@ -570,15 +570,16 @@ func TestFabricHeartbeat(t *testing.T) {
 }
 
 // BenchmarkFabric measures campaign wall-clock across fleet sizes over
-// a fixed CPU-bound plan; each worker runs single-laned so fleet size
-// is the only parallelism axis. The specs are deliberately heavy
-// (~100ms each) so compute dominates the per-spec fabric overhead
-// (assign/result round-trip, profile write, WAL fsync). CI emits these
-// as BENCH_fabric.json and gates on 4-worker scaling — meaningful only
-// on a host with >= 4 cores; on fewer cores the fleets time-slice one
-// another and wall-clock stays flat.
+// a fixed CPU-bound plan; its specs run only the sequential RAJA_Seq
+// variant, so fleet size is the only parallelism axis. The specs are
+// deliberately heavy (~100ms each) so compute dominates the per-spec
+// fabric overhead (assign/result round-trip, profile write, WAL fsync).
+// CI emits these as BENCH_fabric.json and gates on 4-worker scaling —
+// meaningful only on a host with >= 4 cores; on fewer cores the fleets
+// time-slice one another and wall-clock stays flat.
 func BenchmarkFabric(b *testing.B) {
 	plan := testPlan()
+	plan.Variants = []string{"RAJA_Seq"}
 	plan.Sizes = []int{1_000_000, 2_000_000}
 	plan.Reps = 1500
 	for _, n := range []int{1, 2, 4} {
@@ -587,7 +588,7 @@ func BenchmarkFabric(b *testing.B) {
 				b.StopTimer()
 				dir := b.TempDir()
 				cfg := Config{Workers: n,
-					Worker:   WorkerConfig{OutDir: dir, PoolLanes: 1},
+					Worker:   WorkerConfig{OutDir: dir},
 					Campaign: dir, Metrics: new(telemetry.Registry)}
 				f := startFleet(b, cfg)
 				b.StartTimer()

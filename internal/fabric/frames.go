@@ -69,8 +69,6 @@ type WorkerConfig struct {
 	// OutDir is the shared campaign output directory (single-host scope:
 	// coordinator and workers see one filesystem).
 	OutDir string `json:"out_dir,omitempty"`
-	// PoolLanes sizes each run's private executor pool inside the worker.
-	PoolLanes int `json:"pool_lanes,omitempty"`
 	// Retry/watchdog knobs, mirrored from campaign.Options.
 	MaxAttempts  int           `json:"max_attempts,omitempty"`
 	RunTimeout   time.Duration `json:"run_timeout,omitempty"`

@@ -65,7 +65,6 @@ func RunWorker(ctx context.Context, conn net.Conn) error {
 	exec := campaign.NewLocalExecutor(campaign.Options{
 		OutDir:       cfg.OutDir,
 		Workers:      1, // one spec in flight per worker: the fabric's capacity discipline
-		PoolLanes:    cfg.PoolLanes,
 		Retry:        resilience.Policy{MaxAttempts: cfg.MaxAttempts},
 		RunTimeout:   cfg.RunTimeout,
 		StallTimeout: cfg.StallTimeout,

@@ -21,17 +21,10 @@ type Dict struct {
 
 const emptySlot = int32(-1)
 
-// NewDict returns an empty dictionary.
-func NewDict() *Dict { return NewDictCap(8) }
-
-// NewDictCap returns an empty dictionary presized for about capHint
-// entries.
-func NewDictCap(capHint int) *Dict {
-	size := 16
-	for size < capHint*2 {
-		size <<= 1
-	}
-	d := &Dict{tab: make([]int32, size)}
+// NewDict returns an empty dictionary of 16 slots, which grows as it
+// fills.
+func NewDict() *Dict {
+	d := &Dict{tab: make([]int32, 16)}
 	for i := range d.tab {
 		d.tab[i] = emptySlot
 	}

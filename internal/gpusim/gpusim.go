@@ -331,12 +331,12 @@ func occupancy(block int, g *machine.GPUParams) float64 {
 // one cache level (Ding & Williams): x = warp instructions per transaction,
 // y = warp GIPS.
 type RooflinePoint struct {
-	Level     string  // "L1", "L2", or "HBM"
 	Intensity float64 // warp instructions per transaction
 	GIPS      float64 // 1e9 warp instructions per second
 }
 
-// Roofline converts a modeled result into its three roofline points.
+// Roofline converts a modeled result into its three roofline points, in
+// L1, L2, HBM order.
 func (d *Device) Roofline(r Result) []RooflinePoint {
 	w := r.Counters.WarpInst(d.mach.GPU.WarpSize)
 	t := r.Counters.TimeSec
@@ -345,18 +345,11 @@ func (d *Device) Roofline(r Result) []RooflinePoint {
 	}
 	gips := w / t / 1e9
 	pts := make([]RooflinePoint, 0, 3)
-	for _, lv := range []struct {
-		name string
-		txn  float64
-	}{
-		{"L1", r.Counters.L1Transactions()},
-		{"L2", r.Counters.L2Transactions()},
-		{"HBM", r.Counters.DRAMTransactions()},
-	} {
-		if lv.txn <= 0 {
-			lv.txn = 1
+	for _, txn := range []float64{r.Counters.L1Transactions(), r.Counters.L2Transactions(), r.Counters.DRAMTransactions()} {
+		if txn <= 0 {
+			txn = 1
 		}
-		pts = append(pts, RooflinePoint{Level: lv.name, Intensity: w / lv.txn, GIPS: gips})
+		pts = append(pts, RooflinePoint{Intensity: w / txn, GIPS: gips})
 	}
 	return pts
 }

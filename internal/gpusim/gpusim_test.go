@@ -170,12 +170,13 @@ func TestRooflinePoints(t *testing.T) {
 	if len(pts) != 3 {
 		t.Fatalf("got %d roofline points, want 3 (L1, L2, HBM)", len(pts))
 	}
+	names := []string{"L1", "L2", "HBM"}
 	levels := map[string]RooflinePoint{}
-	for _, p := range pts {
+	for i, p := range pts {
 		if p.Intensity <= 0 || p.GIPS <= 0 {
 			t.Errorf("point %+v not positive", p)
 		}
-		levels[p.Level] = p
+		levels[names[i]] = p
 	}
 	// Fewer transactions at lower levels => higher intensity.
 	if !(levels["HBM"].Intensity >= levels["L2"].Intensity &&
@@ -184,12 +185,12 @@ func TestRooflinePoints(t *testing.T) {
 	}
 	// No kernel exceeds the device ceilings.
 	maxGIPS, gtxns := d.Ceilings()
-	for _, p := range pts {
+	for i, p := range pts {
 		if p.GIPS > maxGIPS*1.001 {
-			t.Errorf("%s GIPS %.1f exceeds ceiling %.1f", p.Level, p.GIPS, maxGIPS)
+			t.Errorf("%s GIPS %.1f exceeds ceiling %.1f", names[i], p.GIPS, maxGIPS)
 		}
-		if bw := gtxns[p.Level]; p.GIPS > p.Intensity*bw*1.001 {
-			t.Errorf("%s point above bandwidth diagonal", p.Level)
+		if bw := gtxns[names[i]]; p.GIPS > p.Intensity*bw*1.001 {
+			t.Errorf("%s point above bandwidth diagonal", names[i])
 		}
 	}
 }

@@ -52,7 +52,6 @@ type CPUParams struct {
 	IssueWidth       int     // pipeline slots per cycle (TMA denominator)
 	SIMDDoubles      int     // FP64 lanes per vector instruction
 	FMAPerCycle      int     // vector FMA issue ports
-	L1KB             int     // per-core L1D
 	L2KB             int     // per-core L2
 	L3MBNode         int     // shared LLC per node
 	MemLatencyNs     float64 // loaded memory latency
@@ -66,7 +65,6 @@ type GPUParams struct {
 	SMs             int     // streaming multiprocessors / compute units
 	WarpSize        int     // threads per warp (32 NVIDIA, 64 AMD)
 	ClockGHz        float64 // SM clock
-	WarpIPC         float64 // warp instructions issued per cycle per SM
 	L1KBPerSM       int     // unified L1/shared per SM
 	L2MB            int     // device L2
 	SectorBytes     int     // memory transaction granularity
@@ -74,19 +72,18 @@ type GPUParams struct {
 	L1GTXNs         float64 // L1 transaction ceiling, 1e9 txn/s
 	L2GTXNs         float64 // L2 transaction ceiling, 1e9 txn/s
 	DRAMGTXNs       float64 // DRAM transaction ceiling, 1e9 txn/s
-	MaxWarpGIPS     float64 // instruction-issue ceiling, 1e9 warp-inst/s
+	MaxWarpGIPS     float64 // instruction-issue ceiling, 1e9 warp-inst/s (SMs × ClockGHz × 4)
 	AtomicThroughpt float64 // atomic ops per cycle per SM before serializing
 }
 
 // Machine describes one system from Table II plus the model parameters the
 // simulators need.
 type Machine struct {
-	Shorthand  string // e.g. "SPR-DDR"
-	SystemName string // e.g. "Poodle (DDR)"
-	Arch       string // e.g. "Intel Sapphire Rapids"
-	Kind       Kind
-	Backend    Backend // variant back-end from Table III
-	Tuning     string  // GPU block-size tuning from Table III ("" for CPU)
+	Shorthand string // e.g. "SPR-DDR"
+	Arch      string // e.g. "Intel Sapphire Rapids"
+	Kind      Kind
+	Backend   Backend // variant back-end from Table III
+	Tuning    string  // GPU block-size tuning from Table III ("" for CPU)
 
 	UnitsPerNode int // sockets or GPUs/GCDs per node
 	Ranks        int // MPI ranks per node used in the paper (Table III)
@@ -125,7 +122,6 @@ func (m *Machine) String() string { return m.Shorthand }
 func SPRDDR() *Machine {
 	return &Machine{
 		Shorthand:         "SPR-DDR",
-		SystemName:        "Poodle (DDR)",
 		Arch:              "Intel Sapphire Rapids",
 		Kind:              CPU,
 		Backend:           BackendSeq,
@@ -146,7 +142,6 @@ func SPRDDR() *Machine {
 func SPRHBM() *Machine {
 	return &Machine{
 		Shorthand:         "SPR-HBM",
-		SystemName:        "Poodle (HBM)",
 		Arch:              "Intel Sapphire Rapids",
 		Kind:              CPU,
 		Backend:           BackendSeq,
@@ -169,7 +164,6 @@ func sprCPUParams(memLatNs float64) *CPUParams {
 		IssueWidth:       6,
 		SIMDDoubles:      8, // AVX-512
 		FMAPerCycle:      2,
-		L1KB:             48,
 		L2KB:             2048,
 		L3MBNode:         225, // 112.5 MB per socket
 		MemLatencyNs:     memLatNs,
@@ -184,7 +178,6 @@ func sprCPUParams(memLatNs float64) *CPUParams {
 func P9V100() *Machine {
 	return &Machine{
 		Shorthand:         "P9-V100",
-		SystemName:        "Sierra",
 		Arch:              "NVIDIA V100",
 		Kind:              GPU,
 		Backend:           BackendCUDA,
@@ -201,7 +194,6 @@ func P9V100() *Machine {
 			SMs:             80,
 			WarpSize:        32,
 			ClockGHz:        1.53,
-			WarpIPC:         4,
 			L1KBPerSM:       128,
 			L2MB:            6,
 			SectorBytes:     32,
@@ -220,7 +212,6 @@ func P9V100() *Machine {
 func EPYCMI250X() *Machine {
 	return &Machine{
 		Shorthand:         "EPYC-MI250X",
-		SystemName:        "Tioga",
 		Arch:              "AMD MI250X",
 		Kind:              GPU,
 		Backend:           BackendHIP,
@@ -237,7 +228,6 @@ func EPYCMI250X() *Machine {
 			SMs:             110, // CUs per GCD
 			WarpSize:        64,  // wavefront
 			ClockGHz:        1.70,
-			WarpIPC:         4,
 			L1KBPerSM:       16,
 			L2MB:            8,
 			SectorBytes:     32,
@@ -260,7 +250,6 @@ func Host() *Machine {
 	bw := 0.08                      // ~80 GB/s generic DDR node
 	return &Machine{
 		Shorthand:         "Host",
-		SystemName:        "local host",
 		Arch:              runtime.GOARCH,
 		Kind:              CPU,
 		Backend:           BackendOpenMP,
@@ -278,7 +267,6 @@ func Host() *Machine {
 			IssueWidth:       4,
 			SIMDDoubles:      4,
 			FMAPerCycle:      2,
-			L1KB:             32,
 			L2KB:             1024,
 			L3MBNode:         32,
 			MemLatencyNs:     95,

@@ -7,14 +7,12 @@ import (
 
 // Point is one scatter marker.
 type Point struct {
-	X, Y  float64
-	Label string
+	X, Y float64
 }
 
-// Series is a named, colored point set.
+// Series is a named point set, colored by its index in the palette.
 type Series struct {
 	Name   string
-	Color  string // empty = palette by index
 	Points []Point
 }
 
@@ -33,15 +31,11 @@ type Scatter struct {
 	Diagonal              bool // draw y = x (Fig 10's dashed diagonal)
 	Ceilings              []CeilingLine
 	Series                []Series
-	W, H                  int // 0 = 720x520
 }
 
-// Render draws the scatter as an SVG document.
+// Render draws the scatter as an SVG document, 720x520 pixels.
 func (p *Scatter) Render() string {
-	w, h := p.W, p.H
-	if w == 0 {
-		w, h = 720, 520
-	}
+	const w, h = 720, 520
 	c := NewCanvas(w, h)
 	const ml, mr, mt, mb = 70, 160, 40, 55
 	xmin, xmax := math.Inf(1), math.Inf(-1)
@@ -92,10 +86,7 @@ func (p *Scatter) Render() string {
 	}
 
 	for i, s := range p.Series {
-		color := s.Color
-		if color == "" {
-			color = Palette[i%len(Palette)]
-		}
+		color := Palette[i%len(Palette)]
 		for _, pt := range s.Points {
 			if p.LogX && pt.X <= 0 || p.LogY && pt.Y <= 0 {
 				continue
@@ -126,16 +117,16 @@ func pad(lo, hi float64, log bool) (float64, float64) {
 }
 
 func frame(c *Canvas, ax, ay axis, xlabel, ylabel string) {
-	c.Line(ax.p0, ay.p0, ax.p1, ay.p0, "#000000", 1) // x axis
-	c.Line(ax.p0, ay.p0, ax.p0, ay.p1, "#000000", 1) // y axis
+	c.Line(ax.p0, ay.p0, ax.p1, ay.p0, "#000000") // x axis
+	c.Line(ax.p0, ay.p0, ax.p0, ay.p1, "#000000") // y axis
 	for _, t := range ax.ticks() {
 		x := ax.pos(t)
-		c.Line(x, ay.p0, x, ay.p0+4, "#000000", 1)
+		c.Line(x, ay.p0, x, ay.p0+4, "#000000")
 		c.Text(x, ay.p0+16, tickLabel(t, ax.log), "middle", 10)
 	}
 	for _, t := range ay.ticks() {
 		y := ay.pos(t)
-		c.Line(ax.p0-4, y, ax.p0, y, "#000000", 1)
+		c.Line(ax.p0-4, y, ax.p0, y, "#000000")
 		c.Text(ax.p0-6, y+3, tickLabel(t, ay.log), "end", 10)
 	}
 	c.Text((ax.p0+ax.p1)/2, ay.p0+34, xlabel, "middle", 12)
@@ -170,7 +161,6 @@ type StackedBars struct {
 	Categories []string
 	Stacks     []BarStack
 	YLabel     string
-	W, H       int
 }
 
 // BarStack is one layer across all categories.
@@ -180,13 +170,11 @@ type BarStack struct {
 	Values []float64 // one per category
 }
 
-// Render draws the chart as an SVG document.
+// Render draws the chart as an SVG document, 460 pixels high and 14
+// pixels wider per category.
 func (p *StackedBars) Render() string {
-	w, h := p.W, p.H
-	if w == 0 {
-		w = 40 + 14*len(p.Categories) + 170
-		h = 460
-	}
+	const h = 460
+	w := 40 + 14*len(p.Categories) + 170
 	c := NewCanvas(w, h)
 	const ml, mt = 60, 40
 	mb := 150
@@ -207,12 +195,12 @@ func (p *StackedBars) Render() string {
 	}
 
 	c.Text(float64(w)/2, 22, p.Title, "middle", 14)
-	c.Line(float64(ml), mt+plotH, float64(ml)+plotW, mt+plotH, "#000", 1)
-	c.Line(float64(ml), mt+plotH, float64(ml), mt, "#000", 1)
+	c.Line(float64(ml), mt+plotH, float64(ml)+plotW, mt+plotH, "#000")
+	c.Line(float64(ml), mt+plotH, float64(ml), mt, "#000")
 	for i := 0; i <= 5; i++ {
 		v := maxTotal * float64(i) / 5
 		y := mt + plotH*(1-v/maxTotal)
-		c.Line(float64(ml)-4, y, float64(ml), y, "#000", 1)
+		c.Line(float64(ml)-4, y, float64(ml), y, "#000")
 		c.Text(float64(ml)-6, y+3, fmt.Sprintf("%.2g", v), "end", 10)
 	}
 	c.TextRotated(float64(ml)-40, mt+plotH/2, p.YLabel, -90, 12)

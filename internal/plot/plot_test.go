@@ -9,7 +9,7 @@ import (
 
 func TestCanvasPrimitives(t *testing.T) {
 	c := NewCanvas(100, 80)
-	c.Line(0, 0, 100, 80, "#000", 1)
+	c.Line(0, 0, 100, 80, "#000")
 	c.DashedLine(0, 80, 100, 0, "#333")
 	c.Rect(10, 10, 20, 20, "#f00")
 	c.Rect(30, 30, -10, -10, "#0f0") // negative extents normalize

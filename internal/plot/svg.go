@@ -15,22 +15,21 @@ import (
 
 // Canvas accumulates SVG elements on a fixed pixel grid.
 type Canvas struct {
-	W, H int
-	b    strings.Builder
+	b strings.Builder
 }
 
 // NewCanvas returns an empty canvas of the given pixel size.
 func NewCanvas(w, h int) *Canvas {
-	c := &Canvas{W: w, H: h}
+	c := &Canvas{}
 	fmt.Fprintf(&c.b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">`+"\n", w, h, w, h)
 	fmt.Fprintf(&c.b, `<rect width="%d" height="%d" fill="white"/>`+"\n", w, h)
 	return c
 }
 
-// Line draws a straight segment.
-func (c *Canvas) Line(x1, y1, x2, y2 float64, stroke string, width float64) {
-	fmt.Fprintf(&c.b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="%.1f"/>`+"\n",
-		x1, y1, x2, y2, stroke, width)
+// Line draws a straight segment one pixel wide.
+func (c *Canvas) Line(x1, y1, x2, y2 float64, stroke string) {
+	fmt.Fprintf(&c.b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="1.0"/>`+"\n",
+		x1, y1, x2, y2, stroke)
 }
 
 // DashedLine draws a dashed segment.
@@ -96,10 +95,9 @@ var Palette = []string{
 // axis maps data coordinates onto a pixel interval, optionally
 // logarithmically.
 type axis struct {
-	lo, hi   float64
-	p0, p1   float64
-	log      bool
-	reversed bool
+	lo, hi float64
+	p0, p1 float64
+	log    bool
 }
 
 func (a axis) pos(v float64) float64 {
@@ -113,9 +111,6 @@ func (a axis) pos(v float64) float64 {
 	}
 	if f > 1 {
 		f = 1
-	}
-	if a.reversed {
-		f = 1 - f
 	}
 	return a.p0 + f*(a.p1-a.p0)
 }

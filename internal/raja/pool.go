@@ -153,7 +153,7 @@ type poolTask struct {
 	lanes   int
 	size    int // static: chunk size; dynamic: block size; guided: minimum grab
 	cursor  atomic.Int64
-	grabs   atomic.Int64 // guided: grab ordinal for Ctx.Block
+	grabs   atomic.Int64 // guided: grab ordinal, for steal accounting
 	pending atomic.Int32
 
 	// Observability, captured once per dispatch so one dispatch sees one
@@ -369,7 +369,7 @@ func (t *poolTask) runStatic(lane int) {
 		lo := t.r.Begin + w*t.size
 		// Chunk w's static owner is lane w%lanes == lane: static
 		// scheduling never steals.
-		t.runGranule(lane, lane, granuleChunk, Ctx{Worker: w, Block: w}, lo, min(lo+t.size, t.r.End))
+		t.runGranule(lane, lane, granuleChunk, Ctx{Worker: w}, lo, min(lo+t.size, t.r.End))
 	}
 }
 
@@ -382,7 +382,7 @@ func (t *poolTask) runDynamic(lane int) {
 			return
 		}
 		lo := t.r.Begin + b*t.size
-		t.runGranule(lane, b%t.lanes, granuleBlock, Ctx{Worker: lane, Block: b}, lo, min(lo+t.size, t.r.End))
+		t.runGranule(lane, b%t.lanes, granuleBlock, Ctx{Worker: lane}, lo, min(lo+t.size, t.r.End))
 	}
 }
 
@@ -401,7 +401,7 @@ func (t *poolTask) runGuided(lane int) {
 		}
 		g := int(t.grabs.Add(1) - 1)
 		lo := t.r.Begin + int(cur)
-		t.runGranule(lane, g%t.lanes, granuleGrab, Ctx{Worker: lane, Block: g}, lo, lo+int(take))
+		t.runGranule(lane, g%t.lanes, granuleGrab, Ctx{Worker: lane}, lo, lo+int(take))
 	}
 }
 

@@ -162,9 +162,8 @@ func itoa(v int) string {
 }
 
 // TestDynamicDegenerateBlockCtx verifies the single-worker dynamic path
-// reports the same block-granular Ctx semantics as the multi-worker
-// path: every iteration sees Block == position/blocksize, Worker == 0,
-// and blocks arrive in ascending order.
+// runs every iteration on Worker 0 and visits the blocks in ascending
+// order.
 func TestDynamicDegenerateBlockCtx(t *testing.T) {
 	const block, lo, hi = 7, 10, 95
 	single := Policy{Kind: GPU, Workers: 1, Block: block}
@@ -174,48 +173,12 @@ func TestDynamicDegenerateBlockCtx(t *testing.T) {
 		if c.Worker != 0 {
 			t.Fatalf("index %d: Worker = %d on single-lane path", i, c.Worker)
 		}
-		if want := (i - lo) / block; c.Block != want {
-			t.Fatalf("index %d: Block = %d, want %d", i, c.Block, want)
-		}
 		order = append(order, i)
 	})
 	for k := 1; k < len(order); k++ {
 		if order[k] != order[k-1]+1 {
 			t.Fatalf("single-lane dynamic path visited %d after %d; want block-sequential order",
 				order[k], order[k-1])
-		}
-	}
-
-	// The multi-worker path must report the identical Block for each
-	// index (assignment to workers varies; block identity does not).
-	multi := Policy{Kind: GPU, Workers: 3, Block: block}
-	blocks := make([]int32, hi-lo)
-	ForallRange(multi, Range{lo, hi}, func(c Ctx, i int) {
-		atomic.StoreInt32(&blocks[i-lo], int32(c.Block))
-	})
-	for k, b := range blocks {
-		if int(b) != k/block {
-			t.Fatalf("multi-lane: index %d reported block %d, want %d", lo+k, b, k/block)
-		}
-	}
-}
-
-// TestStaticCtxBlockMatchesWorker verifies the static schedule reports
-// the chunk index through both Worker and Block on pool and spawn paths.
-func TestStaticCtxBlockMatchesWorker(t *testing.T) {
-	for _, pool := range []*Pool{nil, NewPool(2)} {
-		p := Policy{Kind: Par, Workers: 4, Pool: pool}
-		var bad atomic.Int32
-		Forall(p, 10_000, func(c Ctx, i int) {
-			if c.Block != c.Worker {
-				bad.Add(1)
-			}
-		})
-		if bad.Load() != 0 {
-			t.Fatalf("static schedule: %d iterations saw Block != Worker", bad.Load())
-		}
-		if pool != nil {
-			pool.Close()
 		}
 	}
 }

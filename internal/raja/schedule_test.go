@@ -54,55 +54,68 @@ func TestScheduleEquivalence(t *testing.T) {
 // frontEnd is one of the executor's entry points, reduced to a visit per
 // index. run reports false when the entry point cannot express p's
 // schedule: StaticChunks is static only and DynamicBlocks dynamic only.
+// Forall shows each index its Ctx's Worker but not its granule.
 // ForallSpan, StaticChunks and DynamicBlocks hand their body no Ctx:
-// StaticChunks and DynamicBlocks rebuild it from what they expose, the
-// chunk index and the block index (with Worker 0), and ForallSpan's
-// granules are checked against scheduleCtx's block boundaries.
+// StaticChunks and DynamicBlocks show what they expose, the chunk index
+// (as Worker and granule) and the block index (with Worker 0), and
+// ForallSpan's granules are checked against scheduleCtx's granule
+// boundaries.
 type frontEnd struct {
 	name string
-	run  func(p Policy, r Range, visit Body) bool
+	run  func(p Policy, r Range, visit func(at placed, i int)) bool
 }
 
+// placed is what a front-end shows of where an index ran: the Worker of
+// its Ctx and the ordinal of its scheduling granule.
+type placed struct{ Worker, Granule int }
+
+// hidden marks a granule ordinal the front-end does not show, and
+// straddles a ForallSpan granule that splits or straddles the schedule's
+// granules, which checkCoverage rejects.
+const (
+	hidden    = -2
+	straddles = -3
+)
+
 var frontEnds = []frontEnd{
-	{"Forall", func(p Policy, r Range, visit Body) bool {
-		ForallRange(p, r, visit)
+	{"Forall", func(p Policy, r Range, visit func(placed, int)) bool {
+		ForallRange(p, r, func(c Ctx, i int) { visit(placed{c.Worker, hidden}, i) })
 		return true
 	}},
-	{"ForallSpan", func(p Policy, r Range, visit Body) bool {
-		// Each granule must be one whole chunk or block: it takes the Ctx
-		// scheduleCtx gives its first index, and Block -1 if that index
-		// does not start a block, so a granule that splits or straddles
-		// one reports a Ctx checkCoverage rejects.
+	{"ForallSpan", func(p Policy, r Range, visit func(placed, int)) bool {
+		// Each granule must be one whole chunk or block: it shows the place
+		// scheduleCtx gives its first index, and straddles if that index
+		// does not start a granule.
 		want := scheduleCtx(p, r)
 		ForallSpan(p, r.Len(), func(lo, hi int) {
-			c := Ctx{Worker: max(want[lo].Worker, 0), Block: want[lo].Block}
-			if lo > 0 && want[lo-1].Block == c.Block {
-				c.Block = -1
+			at := placed{max(want[lo].Worker, 0), want[lo].Granule}
+			if lo > 0 && want[lo-1].Granule == at.Granule {
+				at.Granule = straddles
 			}
 			for i := lo; i < hi; i++ {
-				visit(c, r.Begin+i)
+				visit(at, r.Begin+i)
 			}
 		})
 		return true
 	}},
-	{"StaticChunks", func(p Policy, r Range, visit Body) bool {
+	{"StaticChunks", func(p Policy, r Range, visit func(placed, int)) bool {
 		if p.schedule() != ScheduleStatic {
 			return false
 		}
 		p.pool().StaticChunks(p.Workers, r.Len(), func(w, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				visit(Ctx{Worker: w, Block: w}, r.Begin+i)
+				visit(placed{w, w}, r.Begin+i)
 			}
 		})
 		return true
 	}},
-	{"DynamicBlocks", func(p Policy, r Range, visit Body) bool {
+	{"DynamicBlocks", func(p Policy, r Range, visit func(placed, int)) bool {
 		if p.schedule() != ScheduleDynamic {
 			return false
 		}
 		p.pool().DynamicBlocks(p.Workers, p.Block, r.Len(), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				visit(Ctx{Block: lo / p.block()}, r.Begin+i)
+				visit(placed{0, lo / p.block()}, r.Begin+i)
 			}
 		})
 		return true
@@ -110,14 +123,14 @@ var frontEnds = []frontEnd{
 }
 
 // checkCoverage runs fe over r under p and checks that every index runs
-// exactly once, on a Worker below MaxWorkers, with the Ctx fields
-// scheduleCtx fixes.
+// exactly once, on a Worker below MaxWorkers, in the place scheduleCtx
+// fixes.
 func checkCoverage(t *testing.T, name string, fe frontEnd, p Policy, r Range) {
 	t.Helper()
 	n := r.Len()
 	hits := make([]int32, n)
-	ctxs := make([]Ctx, n)
-	ran := fe.run(p, r, func(c Ctx, i int) {
+	ctxs := make([]placed, n)
+	ran := fe.run(p, r, func(c placed, i int) {
 		if i < r.Begin || i >= r.End {
 			t.Errorf("%s: index %d outside range", name, i)
 			return
@@ -140,21 +153,22 @@ func checkCoverage(t *testing.T, name string, fe frontEnd, p Policy, r Range) {
 		if c.Worker < 0 || c.Worker >= maxWorker {
 			t.Fatalf("%s: index %d saw Worker %d outside [0,%d)", name, r.Begin+k, c.Worker, maxWorker)
 		}
-		if (want.Worker >= 0 && c.Worker != want.Worker) || (want.Block >= 0 && c.Block != want.Block) {
+		if (want.Worker >= 0 && c.Worker != want.Worker) ||
+			(want.Granule >= 0 && c.Granule != hidden && c.Granule != want.Granule) {
 			t.Fatalf("%s: index %d ran with %+v, want %+v", name, r.Begin+k, c, want)
 		}
 	}
 }
 
-// scheduleCtx is the schedules' definition of the Ctx of each index of r
-// under parallel policy p: the chunk index as Worker and Block under
+// scheduleCtx is the schedules' definition of where each index of r runs
+// under parallel policy p: the chunk index as Worker and granule under
 // static, the block index under dynamic, and Worker 0 with the replayed
 // granule sequence whenever a single lane takes part. -1 marks a field
 // the race between lanes decides: the lane of a dynamic block, and the
 // lane and grab ordinal of a multi-lane guided grab.
-func scheduleCtx(p Policy, r Range) []Ctx {
+func scheduleCtx(p Policy, r Range) []placed {
 	n := r.Len()
-	want := make([]Ctx, n)
+	want := make([]placed, n)
 	if n == 0 {
 		return want
 	}
@@ -163,7 +177,7 @@ func scheduleCtx(p Policy, r Range) []Ctx {
 	case ScheduleStatic:
 		chunk := (n + workers - 1) / workers
 		for k := range want {
-			want[k] = Ctx{Worker: k / chunk, Block: k / chunk}
+			want[k] = placed{k / chunk, k / chunk}
 		}
 	case ScheduleDynamic:
 		block := p.block()
@@ -172,19 +186,19 @@ func scheduleCtx(p Policy, r Range) []Ctx {
 			worker = 0
 		}
 		for k := range want {
-			want[k] = Ctx{Worker: worker, Block: k / block}
+			want[k] = placed{worker, k / block}
 		}
 	default:
 		if workers > 1 {
 			for k := range want {
-				want[k] = Ctx{Worker: -1, Block: -1}
+				want[k] = placed{-1, -1}
 			}
 			break
 		}
 		for cur, g := 0, 0; cur < n; g++ {
 			take := min(max((n-cur)/2, p.guidedMin()), n-cur)
 			for k := cur; k < cur+take; k++ {
-				want[k] = Ctx{Block: g}
+				want[k] = placed{0, g}
 			}
 			cur += take
 		}

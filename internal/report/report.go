@@ -16,16 +16,15 @@ import (
 	"rajaperf/internal/raja"
 )
 
-// Config selects what to run and how.
+// Config selects what to run and how. Every kernel runs its Base_Seq,
+// RAJA_Seq, Base_OpenMP and RAJA_OpenMP variants.
 type Config struct {
-	Kernels  []string // full names; empty = all registered
-	Variants []kernels.VariantID
-	Size     int // per-rank problem size (0 = kernel defaults)
-	Reps     int // repetitions (0 = kernel defaults)
-	Workers  int
-	GPUBlock int
-	// Schedule selects the parallel loop schedule for the OpenMP and GPU
-	// back-ends (0 = back-end default).
+	Kernels []string // full names; empty = all registered
+	Size    int      // per-rank problem size (0 = kernel defaults)
+	Reps    int      // repetitions (0 = kernel defaults)
+	Workers int
+	// Schedule selects the parallel loop schedule of the OpenMP variants
+	// (0 = back-end default).
 	Schedule raja.Schedule
 }
 
@@ -71,12 +70,9 @@ func Run(cfg Config) (*Report, error) {
 	if len(names) == 0 {
 		names = kernels.Names()
 	}
-	variants := cfg.Variants
-	if len(variants) == 0 {
-		variants = []kernels.VariantID{
-			kernels.BaseSeq, kernels.RAJASeq,
-			kernels.BaseOpenMP, kernels.RAJAOpenMP,
-		}
+	variants := []kernels.VariantID{
+		kernels.BaseSeq, kernels.RAJASeq,
+		kernels.BaseOpenMP, kernels.RAJAOpenMP,
 	}
 	rep := &Report{Variants: variants}
 	for _, name := range names {
@@ -86,8 +82,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 		rp := kernels.RunParams{
 			Size: cfg.Size, Reps: cfg.Reps,
-			Workers: cfg.Workers, GPUBlock: cfg.GPUBlock,
-			Schedule: cfg.Schedule,
+			Workers: cfg.Workers, Schedule: cfg.Schedule,
 		}
 		res := KernelResult{
 			Name:      name,

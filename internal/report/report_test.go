@@ -14,10 +14,7 @@ import (
 func smallConfig() Config {
 	return Config{
 		Kernels: []string{"Stream_TRIAD", "Stream_DOT", "Basic_DAXPY"},
-		Variants: []kernels.VariantID{
-			kernels.BaseSeq, kernels.RAJASeq, kernels.RAJAOpenMP,
-		},
-		Size: 10_000, Reps: 1, Workers: 2,
+		Size:    10_000, Reps: 1, Workers: 2,
 	}
 }
 

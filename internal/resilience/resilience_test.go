@@ -278,7 +278,7 @@ func TestWatchdogTimeout(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
 	beats := func() int64 { return time.Now().UnixNano() } // always progressing
-	w := Watch(cancel, WatchdogConfig{Timeout: 30 * time.Millisecond, StallTimeout: time.Second, Poll: 5 * time.Millisecond}, beats)
+	w := Watch(cancel, WatchdogConfig{Timeout: 30 * time.Millisecond, StallTimeout: time.Second}, beats)
 	select {
 	case <-ctx.Done():
 	case <-time.After(2 * time.Second):
@@ -294,7 +294,7 @@ func TestWatchdogStallAndProgress(t *testing.T) {
 	// A frozen heartbeat trips the stall detector...
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
-	w := Watch(cancel, WatchdogConfig{StallTimeout: 40 * time.Millisecond, Poll: 5 * time.Millisecond},
+	w := Watch(cancel, WatchdogConfig{StallTimeout: 40 * time.Millisecond},
 		func() int64 { return 7 })
 	select {
 	case <-ctx.Done():
@@ -323,7 +323,7 @@ func TestWatchdogStallAndProgress(t *testing.T) {
 			}
 		}
 	}()
-	w2 := Watch(cancel2, WatchdogConfig{StallTimeout: 40 * time.Millisecond, Poll: 5 * time.Millisecond}, beat.Load)
+	w2 := Watch(cancel2, WatchdogConfig{StallTimeout: 40 * time.Millisecond}, beat.Load)
 	select {
 	case <-ctx2.Done():
 		t.Errorf("progressing run canceled: %v", context.Cause(ctx2))

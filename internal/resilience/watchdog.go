@@ -26,11 +26,9 @@ type WatchdogConfig struct {
 	// for this long (0 = stall detection off). Distinct from Timeout: a
 	// slow-but-progressing run survives StallTimeout and dies only at
 	// Timeout, while a wedged run dies after StallTimeout no matter how
-	// generous the deadline is.
+	// generous the deadline is. The heartbeat is sampled every
+	// StallTimeout/4, but at least every 100ms.
 	StallTimeout time.Duration
-	// Poll is the heartbeat sampling interval (0 = StallTimeout/4,
-	// capped at 100ms).
-	Poll time.Duration
 }
 
 // Watchdog watches one run: it samples a heartbeat counter and cancels
@@ -68,13 +66,7 @@ func (w *Watchdog) run(cancel context.CancelCauseFunc, cfg WatchdogConfig, beat 
 	}
 	var tick <-chan time.Time
 	if cfg.StallTimeout > 0 && beat != nil {
-		poll := cfg.Poll
-		if poll <= 0 {
-			poll = cfg.StallTimeout / 4
-			if poll > 100*time.Millisecond {
-				poll = 100 * time.Millisecond
-			}
-		}
+		poll := min(cfg.StallTimeout/4, 100*time.Millisecond)
 		if poll <= 0 {
 			poll = time.Millisecond
 		}

@@ -95,14 +95,13 @@ func (r *Rank) match(src, tag int) Message {
 // Request represents a nonblocking operation.
 type Request struct {
 	done <-chan []float64
-	data []float64
 }
 
 // Wait blocks until the operation completes and returns the received
 // payload (nil for sends).
 func (q *Request) Wait() []float64 {
 	if q.done == nil {
-		return q.data
+		return nil
 	}
 	return <-q.done
 }

@@ -3,8 +3,7 @@ package telemetry
 // The debug/telemetry HTTP server: one address serving pprof, metrics,
 // health, the expvar-style snapshot, and the live SSE event stream —
 // the serving surface the rajaperfd daemon will grow from. Served on
-// -metrics-addr (the retired -pprof-http flag remains a one-release
-// deprecated alias).
+// -metrics-addr.
 
 import (
 	"context"

@@ -58,9 +58,6 @@ func (m Metrics) String() string {
 // Result carries the slot breakdown plus the modeled execution profile.
 type Result struct {
 	Metrics Metrics
-	// CyclesPerIter is the modeled core cycles spent per kernel
-	// iteration (one unit of problem size).
-	CyclesPerIter float64
 	// SecondsPerRep is the modeled node-level wall time of one rep.
 	SecondsPerRep float64
 	// Counters holds PAPI-style raw counter values per rep, suitable
@@ -234,7 +231,6 @@ func (md *Model) Analyze(mix kernels.Mix, am kernels.AnalyticMetrics, n int) Res
 
 	return Result{
 		Metrics:       m,
-		CyclesPerIter: totalCyc,
 		SecondsPerRep: sec,
 		Counters:      counters,
 	}

@@ -44,7 +44,7 @@ func TestQuickTupleValidity(t *testing.T) {
 		if math.Abs(sum-1) > 1e-9 {
 			return false
 		}
-		if !(r.SecondsPerRep > 0) || !(r.CyclesPerIter > 0) {
+		if !(r.SecondsPerRep > 0) || !(r.Counters["PAPI_TOT_CYC"] > 0) {
 			return false
 		}
 		for _, v := range r.Counters {

@@ -14,20 +14,31 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// exceptions lists the declarations that no non-test code reaches but that
-// stay, keyed as in the test's failure lines (package.Name or
-// package.Type.Method), each with the reason it stays.
+// exceptions lists the declarations that no non-test code reaches, and the
+// fields that it never reads or never sets, that stay, keyed as in the
+// test's failure lines (package.Name, package.Type.Method or
+// package.Type.Field), each with the reason it stays.
 var exceptions = map[string]string{
 	"caliper.FileError.Unwrap":         "reached through errors.Is/As on a FileError",
 	"resilience.TransientError.Unwrap": "reached through errors.Is/As on a TransientError",
 	"kernels.ByGroup":                  "each kernel group's tests (basic, lcals, polybench, stream, apps, algorithms, comm) enumerate their group through it",
 	"resilience.Injector.Fired":        "campaign and suite fault tests observe which fault points fired through it",
+
+	"gpusim.Result.Bottleneck":         "gpusim's tests check through it which resource limits each probe kernel",
+	"gpusim.Counters.L1LocalLoad":      "part of Table IV's NCU metric set; the model has no local-memory traffic, so profiles record zero",
+	"gpusim.Counters.L1LocalStore":     "part of Table IV's NCU metric set; the model has no local-memory traffic, so profiles record zero",
+	"gpusim.Counters.L2Red":            "part of Table IV's NCU metric set; the model has no reduction traffic, so profiles record zero",
+	"campaign.Options.Metrics":         "tests inject an isolated registry through it; registries stay injectable (ROADMAP item 9)",
+	"fabric.Config.Metrics":            "tests inject an isolated registry through it; registries stay injectable (ROADMAP item 9)",
+	"telemetry.ServerOptions.Registry": "tests inject an isolated registry through it; registries stay injectable (ROADMAP item 9)",
+	"fabric.Config.Assign":             "tests force a skewed plan through it, so that the steal path runs",
 }
 
 // exemptPackages are test-support packages: their declarations exist for
@@ -60,7 +71,9 @@ type sourcePackage struct {
 // the module or of an imported standard-library package has one of its name
 // and signature, or a generic interface of the module has one of its name
 // (see interfaceMethods); an interface's own method counts only when a use
-// names it.
+// names it. It also fails on a field of a package-level named struct type
+// of the root module that no such code reads, or that it reads but never
+// sets (see fieldUses and fields).
 // Standard-library types come from compiler export data that one
 // `go list -export` run locates; a failure there or a type error fails the
 // test rather than skipping it. perfbench counts as a caller: it
@@ -82,9 +95,10 @@ func TestExportsReachable(t *testing.T) {
 	})
 
 	info := &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	checked := map[string]*types.Package{}
 	conf := types.Config{
@@ -131,6 +145,38 @@ func TestExportsReachable(t *testing.T) {
 	sort.Strings(dead)
 	for _, d := range dead {
 		t.Errorf("%s: declared but never reached outside tests; delete it or list it in exceptions", d)
+	}
+
+	read, written := fieldUses(pkgs, info)
+	hashed := mapKeyFields(info)
+	var unread, unset []string
+	for _, path := range order {
+		dir := pkgs[path].dir
+		if exemptPackages[dir] || dir == "perfbench" || strings.HasPrefix(dir, "perfbench/") {
+			continue
+		}
+		for _, d := range fields(checked[path], hashed) {
+			pos := fset.Position(d.obj.Pos())
+			at := fmt.Sprintf("%s:%d %s", pos.Filename, pos.Line, d.key)
+			declared[d.key] = read[d.obj] && written[d.obj]
+			if _, ok := exceptions[d.key]; ok {
+				continue
+			}
+			switch {
+			case !read[d.obj]:
+				unread = append(unread, at)
+			case !written[d.obj]:
+				unset = append(unset, at)
+			}
+		}
+	}
+	sort.Strings(unread)
+	sort.Strings(unset)
+	for _, d := range unread {
+		t.Errorf("%s: field written but never read outside tests; delete it or list it in exceptions", d)
+	}
+	for _, d := range unset {
+		t.Errorf("%s: field read but never set outside tests; make it a constant or list it in exceptions", d)
 	}
 	for key := range exceptions {
 		live, ok := declared[key]
@@ -422,4 +468,193 @@ func objectKey(obj types.Object) string {
 		}
 	}
 	return prefix + obj.Name()
+}
+
+// fields returns the fields of pkg's package-level named struct types that
+// the field rules check: not blank, without a json tag, since
+// encoding/json reads and fills those, and not in hashed, the fields of
+// map-key struct types.
+func fields(pkg *types.Package, hashed map[types.Object]bool) []declaration {
+	var out []declaration
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if _, tagged := reflect.StructTag(st.Tag(i)).Lookup("json"); f.Name() == "_" || tagged || hashed[f] {
+				continue
+			}
+			out = append(out, declaration{pkg.Name() + "." + name + "." + f.Name(), f})
+		}
+	}
+	return out
+}
+
+// mapKeyFields returns the fields of every struct type used as a map key,
+// nested structs included: hashing the key reads them all.
+func mapKeyFields(info *types.Info) map[types.Object]bool {
+	hashed := map[types.Object]bool{}
+	var mark func(t types.Type)
+	mark = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				hashed[u.Field(i).Origin()] = true
+				mark(u.Field(i).Type())
+			}
+		case *types.Array:
+			mark(u.Elem())
+		}
+	}
+	for _, tv := range info.Types {
+		if m, ok := tv.Type.Underlying().(*types.Map); ok {
+			mark(m.Key())
+		}
+	}
+	return hashed
+}
+
+// fieldUses returns the struct fields that non-test code outside the
+// exempt packages reads and those it writes. A selector x.f reads f unless
+// it is the direct left side of an assignment or of ++ or --, which only
+// write it. &x.f, a pointer-method call x.f.M(), x.f as the base of an
+// element, field or indirection that is assigned (x.f[i] = v, x.f.g = v,
+// *x.f = v) and x.f as the first argument of copy or clear both read and
+// write f. Every embedded field on a promoted path is read, and written
+// too when the promoted access writes. An element of a composite literal,
+// keyed or positional, writes its field.
+func fieldUses(pkgs map[string]*sourcePackage, info *types.Info) (read, written map[types.Object]bool) {
+	read, written = map[types.Object]bool{}, map[types.Object]bool{}
+	for _, p := range pkgs {
+		if exemptPackages[p.dir] {
+			continue
+		}
+		for _, f := range p.files {
+			var stack []ast.Node
+			ast.Inspect(f, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				stack = append(stack, n)
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := deref(info.Types[n].Type).Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							written[origin(info.Uses[kv.Key.(*ast.Ident)])] = true
+						} else {
+							written[st.Field(i).Origin()] = true
+						}
+					}
+				case *ast.SelectorExpr:
+					sel := info.Selections[n]
+					if sel == nil {
+						return true
+					}
+					r, w := access(stack, info)
+					if sel.Kind() == types.FieldVal {
+						if r {
+							read[origin(sel.Obj())] = true
+						}
+						if w {
+							written[origin(sel.Obj())] = true
+						}
+					} else {
+						w = pointerMethod(sel.Obj())
+					}
+					t := sel.Recv()
+					for _, i := range sel.Index()[:len(sel.Index())-1] {
+						f := deref(t).Underlying().(*types.Struct).Field(i)
+						read[f.Origin()] = true
+						written[f.Origin()] = written[f.Origin()] || w
+						t = f.Type()
+					}
+				}
+				return true
+			})
+		}
+	}
+	return read, written
+}
+
+// access reports whether the selector on top of stack, whose entries are
+// its enclosing nodes, is read and whether it is written (see fieldUses).
+func access(stack []ast.Node, info *types.Info) (read, write bool) {
+	child, direct := stack[len(stack)-1], true
+	for i := len(stack) - 2; i >= 0; i-- {
+		switch p := stack[i].(type) {
+		case *ast.ParenExpr:
+		case *ast.StarExpr:
+			direct = false
+		case *ast.IndexExpr:
+			if p.X != child {
+				return true, false
+			}
+			direct = false
+		case *ast.SliceExpr:
+			if p.X != child {
+				return true, false
+			}
+			direct = false
+		case *ast.SelectorExpr:
+			sel := info.Selections[p]
+			if sel.Kind() != types.FieldVal {
+				_, isPtr := info.Types[child.(ast.Expr)].Type.Underlying().(*types.Pointer)
+				return true, pointerMethod(sel.Obj()) && !isPtr
+			}
+			direct = false
+		case *ast.AssignStmt:
+			for _, lhs := range p.Lhs {
+				if lhs == child {
+					return !direct, true
+				}
+			}
+			return true, false
+		case *ast.IncDecStmt:
+			return !direct, true
+		case *ast.UnaryExpr:
+			return true, p.Op == token.AND
+		case *ast.CallExpr:
+			fn, ok := ast.Unparen(p.Fun).(*ast.Ident)
+			if !ok || len(p.Args) == 0 || p.Args[0] != child {
+				return true, false
+			}
+			b, ok := info.Uses[fn].(*types.Builtin)
+			return true, ok && (b.Name() == "copy" || b.Name() == "clear")
+		default:
+			return true, false
+		}
+		child = stack[i]
+	}
+	return true, false
+}
+
+// pointerMethod reports whether obj is a method with a pointer receiver.
+func pointerMethod(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return false
+	}
+	_, ptr := fn.Type().(*types.Signature).Recv().Type().(*types.Pointer)
+	return ptr
+}
+
+// deref returns the element type of a pointer type, and any other type as
+// it is.
+func deref(t types.Type) types.Type {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
 }
