@@ -127,9 +127,9 @@ func realMain() int {
 	log := telemetry.NewLogger(os.Stderr, telemetry.ParseLevel(*quiet, *verbose))
 	telemetry.SetDefault(log)
 
-	// Every parallel region of the process — suite runs, reports, and
-	// scaling studies alike — dispatches through the shared persistent
-	// worker pool; release its workers on the way out.
+	// Every parallel region of the process but a scaling study's, which
+	// sizes its own pool, dispatches through the shared persistent worker
+	// pool; release its workers on the way out.
 	defer raja.Default().Close()
 
 	// Fabric worker mode: this process is one shard of a distributed
@@ -627,12 +627,10 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-// runReport executes the classic timing/checksum reports on the host.
+// runReport prints the classic timing/checksum reports from one host
+// suite run per variant (size 0 = 100,000).
 func runReport(kerns string, size, reps, workers int, sched raja.Schedule) error {
 	cfg := report.Config{Size: size, Reps: reps, Workers: workers, Schedule: sched}
-	if size == 0 {
-		cfg.Size = 100_000 // host-friendly default for real execution
-	}
 	if kerns != "" {
 		cfg.Kernels = strings.Split(kerns, ",")
 	}
@@ -640,7 +638,7 @@ func runReport(kerns string, size, reps, workers int, sched raja.Schedule) error
 	if err != nil {
 		return err
 	}
-	fmt.Println("Timing report (best of 2 passes):")
+	fmt.Println("Timing report (one suite run per variant):")
 	fmt.Print(rep.Timing())
 	fmt.Println("\nChecksum report:")
 	fmt.Print(rep.Checksums())

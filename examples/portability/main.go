@@ -1,9 +1,10 @@
 // Portability: measure the RAJA abstraction overhead the suite was
-// originally built to quantify — run Base, Lambda, and RAJA variants of
+// originally built to quantify — run the Base and RAJA variants of
 // several kernels on the host with real wall-clock timing and report
 // RAJA-vs-Base ratios per back-end. Base and RAJA run the kernel's one
 // loop body, so a ratio away from 1.00 is the portability layer's
-// dispatch cost (or timing noise).
+// dispatch cost (or timing noise). Each variant is one host suite run,
+// and a ratio divides two kernel nodes' wall_time.
 //
 //	go run ./examples/portability
 package main
@@ -11,60 +12,56 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
+	"rajaperf/internal/caliper"
 	"rajaperf/internal/kernels"
-	_ "rajaperf/internal/kernels/apps"
-	_ "rajaperf/internal/kernels/basic"
-	_ "rajaperf/internal/kernels/lcals"
-	_ "rajaperf/internal/kernels/stream"
+	"rajaperf/internal/machine"
+	"rajaperf/internal/suite"
 )
 
-func timeVariant(k kernels.Kernel, v kernels.VariantID, rp kernels.RunParams) (float64, bool) {
-	if !k.Info().HasVariant(v) {
+// wallTime returns the kernel's measured wall time in p, or false when
+// the kernel lacks p's variant.
+func wallTime(p *caliper.Profile, name string) (float64, bool) {
+	rec := p.Find(name)
+	if rec == nil {
 		return 0, false
 	}
-	// Warm up once, then take the best of three.
-	if err := k.Run(v, rp); err != nil {
-		log.Fatalf("%s %s: %v", k.Info().FullName(), v, err)
+	if rec.Metrics["error"] != 0 {
+		log.Fatalf("%s %v: %v", name, p.Metadata["variant"], p.Metadata["errors"])
 	}
-	best := 0.0
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		if err := k.Run(v, rp); err != nil {
-			log.Fatal(err)
-		}
-		if el := time.Since(start).Seconds(); best == 0 || el < best {
-			best = el
-		}
-	}
-	return best, true
+	return rec.Metrics["wall_time"], true
 }
 
 func main() {
-	rp := kernels.RunParams{Size: 400_000, Reps: 3}
+	names := []string{
+		"Stream_TRIAD", "Stream_DOT", "Basic_DAXPY", "Basic_IF_QUAD",
+		"Lcals_HYDRO_1D", "Lcals_EOS", "Apps_FIR", "Apps_VOL3D",
+	}
 	pairs := []struct{ base, raja kernels.VariantID }{
 		{kernels.BaseSeq, kernels.RAJASeq},
 		{kernels.BaseOpenMP, kernels.RAJAOpenMP},
 		{kernels.BaseGPU, kernels.RAJAGPU},
 	}
+	profiles := map[kernels.VariantID]*caliper.Profile{}
+	for _, p := range pairs {
+		for _, v := range []kernels.VariantID{p.base, p.raja} {
+			prof, err := suite.Run(suite.Config{Machine: machine.Host(), Variant: v,
+				Execute: true, Kernels: names, SizePerNode: 400_000, Reps: 3})
+			if err != nil {
+				log.Fatal(err)
+			}
+			profiles[v] = prof
+		}
+	}
 
 	fmt.Println("RAJA/Base wall-time ratio per back-end (host execution;")
 	fmt.Println("1.00 = zero abstraction overhead, lower is faster than Base).")
 	fmt.Printf("%-20s %10s %10s %10s\n", "kernel", "Seq", "OpenMP", "GPU-style")
-	for _, name := range []string{
-		"Stream_TRIAD", "Stream_DOT", "Basic_DAXPY", "Basic_IF_QUAD",
-		"Lcals_HYDRO_1D", "Lcals_EOS", "Apps_FIR", "Apps_VOL3D",
-	} {
-		k, err := kernels.New(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		k.SetUp(rp)
+	for _, name := range names {
 		fmt.Printf("%-20s", name)
 		for _, p := range pairs {
-			tb, ok1 := timeVariant(k, p.base, rp)
-			tr, ok2 := timeVariant(k, p.raja, rp)
+			tb, ok1 := wallTime(profiles[p.base], name)
+			tr, ok2 := wallTime(profiles[p.raja], name)
 			if !ok1 || !ok2 {
 				fmt.Printf(" %10s", "n/a")
 				continue
@@ -72,6 +69,5 @@ func main() {
 			fmt.Printf(" %10.2f", tr/tb)
 		}
 		fmt.Println()
-		k.TearDown()
 	}
 }

@@ -1,6 +1,8 @@
 // Quickstart: run a handful of suite kernels in several variants on the
 // host, verify their checksums agree across variants, and print the
-// analytic metrics — the smallest useful tour of the public API.
+// analytic metrics — the smallest useful tour of the public API. Each
+// variant is one suite run, whose profile carries every kernel's
+// measured wall time and checksum beside its analytic metrics.
 //
 //	go run ./examples/quickstart
 package main
@@ -10,49 +12,50 @@ import (
 	"log"
 	"time"
 
+	"rajaperf/internal/caliper"
 	"rajaperf/internal/kernels"
-	_ "rajaperf/internal/kernels/basic"
-	_ "rajaperf/internal/kernels/stream"
+	"rajaperf/internal/machine"
+	"rajaperf/internal/suite"
 )
 
 func main() {
-	rp := kernels.RunParams{Size: 500_000, Reps: 5, Workers: 0}
+	names := []string{"Stream_TRIAD", "Stream_DOT", "Basic_DAXPY", "Basic_PI_REDUCE"}
 	variants := []kernels.VariantID{
 		kernels.BaseSeq, kernels.RAJASeq,
 		kernels.BaseOpenMP, kernels.RAJAOpenMP, kernels.RAJAGPU,
 	}
-
-	for _, name := range []string{"Stream_TRIAD", "Stream_DOT", "Basic_DAXPY", "Basic_PI_REDUCE"} {
-		k, err := kernels.New(name)
+	profiles := make([]*caliper.Profile, len(variants))
+	for i, v := range variants {
+		p, err := suite.Run(suite.Config{Machine: machine.Host(), Variant: v,
+			Execute: true, Kernels: names, SizePerNode: 500_000, Reps: 5})
 		if err != nil {
 			log.Fatal(err)
 		}
-		k.SetUp(rp)
-		m := k.Metrics()
-		fmt.Printf("%s  (%.1f MB touched, %.2f flops/byte per rep)\n",
-			name, (m.BytesRead+m.BytesWritten)/1e6, m.FlopsPerByte())
+		profiles[i] = p
+	}
 
+	for _, name := range names {
 		var ref float64
 		for i, v := range variants {
-			start := time.Now()
-			if err := k.Run(v, rp); err != nil {
-				log.Fatalf("%s %s: %v", name, v, err)
+			rec := profiles[i].Find(name)
+			if rec == nil || rec.Metrics["error"] != 0 {
+				log.Fatalf("%s %s did not run: %v", name, v, profiles[i].Metadata["errors"])
 			}
-			elapsed := time.Since(start)
-			cs := k.Checksum()
+			m := rec.Metrics
+			cs := m["checksum"]
 			status := "ref"
-			if i > 0 {
-				if kernels.ChecksumsClose(cs, ref) {
-					status = "OK"
-				} else {
-					status = fmt.Sprintf("MISMATCH (ref %v)", ref)
-				}
-			} else {
+			if i == 0 {
 				ref = cs
+				fmt.Printf("%s  (%.1f MB touched, %.2f flops/byte per rep)\n",
+					name, (m["Bytes/Rep Read"]+m["Bytes/Rep Written"])/1e6, m["FlopsPerByte"])
+			} else if kernels.ChecksumsClose(cs, ref) {
+				status = "OK"
+			} else {
+				status = fmt.Sprintf("MISMATCH (ref %v)", ref)
 			}
+			elapsed := time.Duration(m["wall_time"] * float64(time.Second))
 			fmt.Printf("  %-14s %10v  checksum %-18.10g %s\n", v, elapsed.Round(time.Microsecond), cs, status)
 		}
-		k.TearDown()
 		fmt.Println()
 	}
 }

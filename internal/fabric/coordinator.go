@@ -194,7 +194,7 @@ func (c *Coordinator) spawn(shard int) (*workerConn, error) {
 	}
 	w := &workerConn{shard: shard, conn: conn}
 	if err := w.send(&frame{Type: frameWelcome, Shard: shard, Proto: protoVersion,
-		Config: &c.cfg.Worker}); err != nil {
+		Fleet: c.cfg.Workers, Config: &c.cfg.Worker}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("fabric: welcome %s: %w", w.name(), err)
 	}

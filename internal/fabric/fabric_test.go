@@ -294,6 +294,50 @@ func TestFabricOracleEquivalence(t *testing.T) {
 	}
 }
 
+// TestFabricPoolLanesMatchLocal: fabric workers share the host as a
+// local campaign's concurrent runs do, so a 2-worker fabric campaign's
+// profiles record the executor.lanes and executor.workers of a Workers: 2
+// local campaign: max(1, NumCPU/2) each, not all cores.
+func TestFabricPoolLanesMatchLocal(t *testing.T) {
+	plan := campaign.Plan{
+		Machines: []string{"Host"},
+		Variants: []string{"RAJA_OpenMP"},
+		Sizes:    []int{10_000, 20_000},
+		Reps:     1,
+		Kernels:  []string{"Stream_TRIAD"},
+		Execute:  true,
+	}
+	localDir := t.TempDir()
+	if _, err := campaign.Run(context.Background(), plan, campaign.Options{
+		OutDir: localDir, Workers: 2, Metrics: new(telemetry.Registry),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fabDir := t.TempDir()
+	runFabric(t, fabDir, 2, plan, nil, nil)
+
+	// executor reads each spec's executor shape from dir's profiles.
+	executor := func(dir string) map[string]string {
+		man, err := campaign.LoadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for id, e := range man.Entries {
+			p, err := caliper.ReadFile(dir + "/" + e.File)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[id] = fmt.Sprintf("lanes %v, workers %v", p.Metadata["executor.lanes"], p.Metadata["executor.workers"])
+		}
+		return out
+	}
+	local, fab := executor(localDir), executor(fabDir)
+	if len(local) != 2 || !reflect.DeepEqual(local, fab) {
+		t.Errorf("executor shape per spec: local %v, fabric %v", local, fab)
+	}
+}
+
 // TestFabricResumeZeroReruns: a resume over a completed fabric
 // campaign's directory — whether resumed in-process or through a fresh
 // fleet — re-runs nothing.
@@ -502,7 +546,7 @@ func TestSocketpairCloseOnExec(t *testing.T) {
 func TestFrameRoundtrip(t *testing.T) {
 	spec := campaign.RunSpec{Machine: "SPR-DDR", Variant: "RAJA_Seq", Size: 10_000, Schedule: "default"}
 	frames := []*frame{
-		{Type: frameWelcome, Shard: 3, Proto: protoVersion,
+		{Type: frameWelcome, Shard: 3, Proto: protoVersion, Fleet: 4,
 			Config: &WorkerConfig{OutDir: "/tmp/x", MaxAttempts: 2, HeartbeatEvery: time.Second}},
 		{Type: frameAssign, Spec: &spec},
 		{Type: frameResult, Result: &wireResult{ID: spec.ID(), Status: campaign.StatusDone, Attempts: 1}},

@@ -45,7 +45,7 @@ import (
 // result and heartbeat. Closing the socket ends the session: the worker
 // sees EOF, the coordinator sees a dead worker.
 const (
-	frameWelcome   = "welcome"   // coordinator → worker: shard, protocol version, execution config
+	frameWelcome   = "welcome"   // coordinator → worker: shard, protocol version, fleet size, execution config
 	frameAssign    = "assign"    // coordinator → worker: run one spec
 	frameResult    = "result"    // worker → coordinator: terminal outcome
 	frameHeartbeat = "heartbeat" // worker → coordinator: liveness tick, no payload
@@ -55,7 +55,7 @@ const (
 // changes whenever the frame layout does. A respawn runs the binary from
 // disk again, which may have been rebuilt mid-campaign, so a worker
 // refuses a version it does not speak instead of failing obscurely.
-const protoVersion = 3
+const protoVersion = 4
 
 // maxFrame bounds a decoded frame; anything larger is protocol
 // corruption, not data.
@@ -141,9 +141,12 @@ type frame struct {
 	Type string `json:"type"`
 
 	// welcome: the worker's shard index, the coordinator's protocol
-	// version, and the execution configuration.
+	// version, the fleet size (the coordinator's worker count, which
+	// sizes each run's pool to the worker's share of the host), and the
+	// execution configuration.
 	Shard  int           `json:"shard,omitempty"`
 	Proto  int           `json:"proto,omitempty"`
+	Fleet  int           `json:"fleet,omitempty"`
 	Config *WorkerConfig `json:"config,omitempty"`
 
 	// assign. Crash carries the worker.crash fault decision: the worker

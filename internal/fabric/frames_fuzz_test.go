@@ -33,7 +33,7 @@ func FuzzFrame(f *testing.F) {
 		return b
 	}
 	spec := campaign.RunSpec{Machine: "SPR-DDR", Variant: "RAJA_Seq", Size: 10_000, Schedule: "default"}
-	f.Add(seed(&frame{Type: frameWelcome, Shard: 2, Proto: protoVersion,
+	f.Add(seed(&frame{Type: frameWelcome, Shard: 2, Proto: protoVersion, Fleet: 4,
 		Config: &WorkerConfig{OutDir: "/tmp/x", MaxAttempts: 2, HeartbeatEvery: time.Second}}))
 	f.Add(seed(&frame{Type: frameAssign, Spec: &spec, Crash: true}))
 	f.Add(seed(&frame{Type: frameResult,

@@ -2,11 +2,11 @@ package fabric
 
 // The worker: one process owning one shard of a distributed campaign.
 // It reads the welcome frame on the socket its coordinator handed it —
-// learning its shard and verifying the protocol version — and then runs
-// each assigned spec behind the same campaign.LocalExecutor the
-// in-process backend uses — retry loop, per-attempt pool, run watchdogs,
-// profile write — so a spec's execution semantics do not depend on which
-// backend ran it.
+// learning its shard and the fleet size and verifying the protocol
+// version — and then runs each assigned spec behind the same
+// campaign.LocalExecutor the in-process backend uses — retry loop,
+// per-attempt pool, run watchdogs, profile write — so a spec's execution
+// semantics do not depend on which backend ran it.
 //
 // Durability ordering per spec: the profile reaches the shared OutDir
 // (inside LocalExecutor.Submit), then the outcome is appended and
@@ -62,9 +62,12 @@ func RunWorker(ctx context.Context, conn net.Conn) error {
 	if err != nil {
 		return fmt.Errorf("fabric: worker faults: %w", err)
 	}
+	// The fleet shares the host as a local campaign's concurrent runs do,
+	// so each run's pool gets max(1, NumCPU/fleet) lanes, not all cores.
+	// The read loop below keeps one spec in flight per worker.
 	exec := campaign.NewLocalExecutor(campaign.Options{
 		OutDir:       cfg.OutDir,
-		Workers:      1, // one spec in flight per worker: the fabric's capacity discipline
+		Workers:      f.Fleet,
 		Retry:        resilience.Policy{MaxAttempts: cfg.MaxAttempts},
 		RunTimeout:   cfg.RunTimeout,
 		StallTimeout: cfg.StallTimeout,

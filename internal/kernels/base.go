@@ -1,6 +1,10 @@
 package kernels
 
-import "math"
+import (
+	"math"
+	"os"
+	"unsafe"
+)
 
 // Alloc returns a float64 buffer of n elements, or nil when the run is
 // model-only: SetUp then computes analytic metrics and instruction mixes
@@ -8,27 +12,28 @@ import "math"
 // helpers are no-ops on nil buffers, so SetUp code is written once for
 // both modes; explicit element writes must be guarded. Run is never called
 // on a model-only set-up.
-func (rp RunParams) Alloc(n int) []float64 {
-	if rp.ModelOnly {
-		return nil
-	}
-	return make([]float64, n)
-}
+func (rp RunParams) Alloc(n int) []float64 { return alloc[float64](rp, n) }
 
 // AllocI64 is Alloc for int64 buffers.
-func (rp RunParams) AllocI64(n int) []int64 {
-	if rp.ModelOnly {
-		return nil
-	}
-	return make([]int64, n)
-}
+func (rp RunParams) AllocI64(n int) []int64 { return alloc[int64](rp, n) }
 
 // AllocI32 is Alloc for int32 buffers.
-func (rp RunParams) AllocI32(n int) []int32 {
+func (rp RunParams) AllocI32(n int) []int32 { return alloc[int32](rp, n) }
+
+// alloc backs the Alloc helpers. make returns zeroed memory that the OS
+// may not have mapped yet, so the first store to each page faults; one
+// store per page here makes SetUp pay those faults instead of the first
+// timed Run of whichever buffer SetUp leaves uninitialized.
+func alloc[T float64 | int64 | int32](rp RunParams, n int) []T {
 	if rp.ModelOnly {
 		return nil
 	}
-	return make([]int32, n)
+	x := make([]T, n)
+	step := os.Getpagesize() / int(unsafe.Sizeof(x[0]))
+	for i := 0; i < n; i += step {
+		x[i] = 0
+	}
+	return x
 }
 
 // KernelBase carries the state common to every kernel implementation:

@@ -50,7 +50,7 @@ func newHaloDomain(rp kernels.RunParams, size, rank int) *haloDomain {
 	}
 	total := h.e * h.e * h.e
 	for v := 0; v < haloVars; v++ {
-		h.vars[v] = make([]float64, total)
+		h.vars[v] = rp.Alloc(total)
 		kernels.InitData(h.vars[v], float64(v+1)+0.1*float64(rank))
 	}
 	idx := func(i, j, k int) int32 { return int32((k*h.e+j)*h.e + i) }
@@ -86,7 +86,7 @@ func newHaloDomain(rp kernels.RunParams, size, rank int) *haloDomain {
 			}
 		}
 		for v := 0; v < haloVars; v++ {
-			h.buffers[v][f] = make([]float64, area)
+			h.buffers[v][f] = rp.Alloc(area)
 		}
 	}
 	return h

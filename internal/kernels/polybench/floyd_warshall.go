@@ -9,7 +9,8 @@ import "rajaperf/internal/kernels"
 type FloydWarshall struct {
 	kernels.KernelBase
 	pin, pout []float64
-	n         int // vertex count (matrix edge)
+	work      []float64 // per-rep working copy of pin
+	n         int       // vertex count (matrix edge)
 }
 
 func init() { kernels.Register(NewFloydWarshall) }
@@ -32,6 +33,7 @@ func (k *FloydWarshall) SetUp(rp kernels.RunParams) {
 	d := k.n
 	k.pin = rp.Alloc(d * d)
 	k.pout = rp.Alloc(d * d)
+	k.work = rp.Alloc(d * d)
 	// Deterministic pseudo-random edge weights.
 	kernels.InitDataRand(k.pin, 31337)
 	for i := range k.pin {
@@ -60,12 +62,9 @@ func (k *FloydWarshall) SetUp(rp kernels.RunParams) {
 func (k *FloydWarshall) Run(v kernels.VariantID, rp kernels.RunParams) error {
 	d := k.n
 	for r := 0; r < rp.EffectiveReps(k.Info()); r++ {
-		src := k.pin
-		dst := k.pout
 		// Work on a copy so every rep computes the same result.
-		work := make([]float64, len(src))
-		copy(work, src)
-		src = work
+		src, dst := k.work, k.pout
+		copy(src, k.pin)
 		for kk := 0; kk < d; kk++ {
 			kk := kk
 			srcL, dstL := src, dst
@@ -98,4 +97,4 @@ func (k *FloydWarshall) Run(v kernels.VariantID, rp kernels.RunParams) error {
 }
 
 // TearDown implements kernels.Kernel.
-func (k *FloydWarshall) TearDown() { k.pin, k.pout = nil, nil }
+func (k *FloydWarshall) TearDown() { k.pin, k.pout, k.work = nil, nil, nil }

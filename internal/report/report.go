@@ -1,26 +1,33 @@
 // Package report generates the RAJA Performance Suite's classic run
 // reports: the per-kernel timing report comparing variants (the suite's
 // RAJAPerf-timing output), the checksum report verifying that all variants
-// of each kernel compute the same answer (RAJAPerf-checksum), and a CSV
-// form of the timing data for external tooling. Reports come from real
-// host execution, not the hardware models.
+// of each kernel compute the same answer (RAJAPerf-checksum), and the
+// strong-scaling table. Reports are views over host suite runs: each time
+// and checksum is a kernel node's wall_time and checksum from suite.Run
+// on machine.Host(), the numbers a Host -execute profile records.
 package report
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
+	"rajaperf/internal/caliper"
 	"rajaperf/internal/kernels"
+	"rajaperf/internal/machine"
 	"rajaperf/internal/raja"
+	"rajaperf/internal/suite"
 )
+
+// defaultSize is the problem size of a report whose Config leaves it at
+// zero: small enough to execute every kernel on a host in seconds.
+const defaultSize = 100_000
 
 // Config selects what to run and how. Every kernel runs its Base_Seq,
 // RAJA_Seq, Base_OpenMP and RAJA_OpenMP variants.
 type Config struct {
 	Kernels []string // full names; empty = all registered
-	Size    int      // per-rank problem size (0 = kernel defaults)
+	Size    int      // problem size (0 = 100,000)
 	Reps    int      // repetitions (0 = kernel defaults)
 	Workers int
 	// Schedule selects the parallel loop schedule of the OpenMP variants
@@ -28,12 +35,11 @@ type Config struct {
 	Schedule raja.Schedule
 }
 
-// KernelResult holds one kernel's measurements across variants.
+// KernelResult holds one kernel's measurements of the variants that ran.
 type KernelResult struct {
 	Name      string
-	Times     map[kernels.VariantID]float64 // best-of-passes wall seconds
+	Times     map[kernels.VariantID]float64 // wall seconds over all reps
 	Checksums map[kernels.VariantID]float64
-	Skipped   []kernels.VariantID // declared variants that failed to run
 }
 
 // ChecksumConsistent reports whether all measured variants agree with the
@@ -63,62 +69,47 @@ type Report struct {
 	Results  []KernelResult
 }
 
-// Run executes the configured kernels and variants on the host and
-// gathers timing and checksum data.
+// hostRun executes cfg's kernels on the host and returns the profile.
+func hostRun(cfg suite.Config) (*caliper.Profile, error) {
+	cfg.Machine, cfg.Execute = machine.Host(), true
+	if cfg.SizePerNode <= 0 {
+		cfg.SizePerNode = defaultSize
+	}
+	return suite.Run(cfg)
+}
+
+// Run makes one host suite run per variant and reads each kernel's time
+// and checksum from its node. Every run sets up each kernel afresh, so
+// kernels that accumulate into their outputs compare the same pass.
 func Run(cfg Config) (*Report, error) {
 	names := cfg.Kernels
 	if len(names) == 0 {
 		names = kernels.Names()
 	}
-	variants := []kernels.VariantID{
-		kernels.BaseSeq, kernels.RAJASeq,
-		kernels.BaseOpenMP, kernels.RAJAOpenMP,
+	rep := &Report{
+		Variants: []kernels.VariantID{kernels.BaseSeq, kernels.RAJASeq,
+			kernels.BaseOpenMP, kernels.RAJAOpenMP},
+		Results: make([]KernelResult, len(names)),
 	}
-	rep := &Report{Variants: variants}
-	for _, name := range names {
-		k, err := kernels.New(name)
+	for i, name := range names {
+		rep.Results[i] = KernelResult{Name: name,
+			Times: map[kernels.VariantID]float64{}, Checksums: map[kernels.VariantID]float64{}}
+	}
+	for _, v := range rep.Variants {
+		p, err := hostRun(suite.Config{Variant: v, Kernels: names,
+			SizePerNode: cfg.Size, Reps: cfg.Reps, Workers: cfg.Workers,
+			Schedule: cfg.Schedule})
 		if err != nil {
 			return nil, err
 		}
-		rp := kernels.RunParams{
-			Size: cfg.Size, Reps: cfg.Reps,
-			Workers: cfg.Workers, Schedule: cfg.Schedule,
-		}
-		res := KernelResult{
-			Name:      name,
-			Times:     map[kernels.VariantID]float64{},
-			Checksums: map[kernels.VariantID]float64{},
-		}
-		for _, v := range variants {
-			if !k.Info().HasVariant(v) {
-				continue
-			}
-			// Fresh state per variant: some kernels accumulate into
-			// their outputs, so checksums are only comparable when
-			// every variant runs the same passes from SetUp.
-			k.SetUp(rp)
-			best := 0.0
-			var cs float64
-			ok := true
-			for pass := 0; pass < 2; pass++ {
-				start := time.Now()
-				if err := k.Run(v, rp); err != nil {
-					res.Skipped = append(res.Skipped, v)
-					ok = false
-					break
-				}
-				if el := time.Since(start).Seconds(); pass == 0 || el < best {
-					best = el
-				}
-				cs = k.Checksum()
-			}
-			k.TearDown()
-			if ok {
-				res.Times[v] = best
-				res.Checksums[v] = cs
+		// A kernel without the variant has no node, and a failed one has
+		// an error and no wall_time.
+		for _, res := range rep.Results {
+			if rec := p.Find(res.Name); rec != nil && rec.Metrics["error"] == 0 {
+				res.Times[v] = rec.Metrics["wall_time"]
+				res.Checksums[v] = rec.Metrics["checksum"]
 			}
 		}
-		rep.Results = append(rep.Results, res)
 	}
 	return rep, nil
 }

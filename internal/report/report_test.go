@@ -8,7 +8,9 @@ import (
 	_ "rajaperf/internal/kernels/basic"
 	_ "rajaperf/internal/kernels/comm"
 	_ "rajaperf/internal/kernels/stream"
+	"rajaperf/internal/machine"
 	"rajaperf/internal/raja"
+	"rajaperf/internal/suite"
 )
 
 func smallConfig() Config {
@@ -55,6 +57,33 @@ func TestChecksumReportPasses(t *testing.T) {
 	}
 	if strings.Contains(out, "FAIL") {
 		t.Errorf("unexpected FAIL:\n%s", out)
+	}
+}
+
+// TestChecksumsAreSuiteViews: each report checksum is the checksum a Host
+// suite profile records for the same kernels, size, reps, workers and
+// variant. Basic_DAXPY adds into its output, so a checksum read after a
+// second pass differs. The sequential variants must match bit for bit;
+// the parallel ones may combine Stream_DOT's partial sums in another
+// order, so they are held to the checksum tolerance.
+func TestChecksumsAreSuiteViews(t *testing.T) {
+	cfg := smallConfig()
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range rep.Variants {
+		p, err := suite.Run(suite.Config{Machine: machine.Host(), Variant: v, Execute: true,
+			Kernels: cfg.Kernels, SizePerNode: cfg.Size, Reps: cfg.Reps, Workers: cfg.Workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range rep.Results {
+			got, want := res.Checksums[v], p.Find(res.Name).Metrics["checksum"]
+			if got != want && (!v.IsOpenMP() || !kernels.ChecksumsClose(got, want)) {
+				t.Errorf("%s %s: report checksum %v, suite profile %v", res.Name, v, got, want)
+			}
+		}
 	}
 }
 

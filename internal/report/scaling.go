@@ -4,28 +4,31 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
+	"rajaperf/internal/caliper"
 	"rajaperf/internal/kernels"
 	"rajaperf/internal/raja"
+	"rajaperf/internal/suite"
 )
 
 // ScalingRow is one kernel's strong-scaling measurement: wall time per
 // worker count, the parallel efficiency at the largest count, and the
-// lane load-imbalance percentage per worker count (from the executor's
-// per-lane instrumentation, aggregated over all timing passes).
+// lane load-imbalance percentage per worker count (the suite's imbalance
+// service).
 type ScalingRow struct {
 	Kernel     string
-	Times      map[int]float64 // workers -> best wall seconds
+	Times      map[int]float64 // workers -> wall seconds over all reps
 	Efficiency float64         // t(1) / (t(max) * max)
 	Imbalance  map[int]float64 // workers -> (max-avg)/max busy-time %
 }
 
 // ScalingStudy measures strong scaling of the given kernels' RAJA_OpenMP
 // variant on the host across worker counts — the "kernel scalability with
-// the increase in computational resources" evaluation of Sec II-C. All
-// worker counts dispatch through one persistent pool sized for the
-// largest count, so the study measures scheduling, not goroutine churn.
+// the increase in computational resources" evaluation of Sec II-C. Each
+// worker count is one host suite run with the imbalance service, and all
+// of them dispatch through one persistent pool sized for the largest
+// count, so the study measures scheduling, not goroutine churn. A size of
+// zero means 100,000.
 func ScalingStudy(names []string, workerCounts []int, size, reps int, sched raja.Schedule) ([]ScalingRow, error) {
 	if len(workerCounts) == 0 {
 		workerCounts = []int{1, 2, 4}
@@ -33,43 +36,38 @@ func ScalingStudy(names []string, workerCounts []int, size, reps int, sched raja
 	sort.Ints(workerCounts)
 	pool := raja.NewPool(workerCounts[len(workerCounts)-1])
 	defer pool.Close()
-	pool.Instrument(true)
 	var rows []ScalingRow
-	for _, name := range names {
-		k, err := kernels.New(name)
+	for i, w := range workerCounts {
+		p, err := hostRun(suite.Config{Variant: kernels.RAJAOpenMP, Kernels: names,
+			SizePerNode: size, Reps: reps, Workers: w, Schedule: sched, Pool: pool,
+			Services: caliper.Services{caliper.ServiceImbalance: true}})
 		if err != nil {
 			return nil, err
 		}
-		if !k.Info().HasVariant(kernels.RAJAOpenMP) {
-			continue
+		if errs, ok := p.Metadata["errors"].([]string); ok {
+			return nil, fmt.Errorf("report: RAJA_OpenMP with %d workers: %s", w, strings.Join(errs, "; "))
 		}
-		row := ScalingRow{Kernel: name,
-			Times: map[int]float64{}, Imbalance: map[int]float64{}}
-		for _, w := range workerCounts {
-			rp := kernels.RunParams{Size: size, Reps: reps, Workers: w,
-				Schedule: sched, Pool: pool}
-			k.SetUp(rp)
-			best := 0.0
-			before := pool.InstrSnapshot()
-			for pass := 0; pass < 3; pass++ {
-				start := time.Now()
-				if err := k.Run(kernels.RAJAOpenMP, rp); err != nil {
-					k.TearDown()
-					return nil, err
-				}
-				if el := time.Since(start).Seconds(); pass == 0 || el < best {
-					best = el
-				}
+		// Kernels without RAJA_OpenMP have no node and no row.
+		row := 0
+		for _, name := range names {
+			rec := p.Find(name)
+			if rec == nil {
+				continue
 			}
-			k.TearDown()
-			row.Times[w] = best
-			row.Imbalance[w] = raja.ComputeImbalance(before, pool.InstrSnapshot()).Pct
+			if i == 0 {
+				rows = append(rows, ScalingRow{Kernel: name,
+					Times: map[int]float64{}, Imbalance: map[int]float64{}})
+			}
+			rows[row].Times[w] = rec.Metrics["wall_time"]
+			rows[row].Imbalance[w] = rec.Metrics["imbalance_pct"]
+			row++
 		}
-		lo, hi := workerCounts[0], workerCounts[len(workerCounts)-1]
-		if t := row.Times[hi]; t > 0 && hi > lo {
-			row.Efficiency = row.Times[lo] * float64(lo) / (t * float64(hi))
+	}
+	lo, hi := workerCounts[0], workerCounts[len(workerCounts)-1]
+	for i := range rows {
+		if t := rows[i].Times[hi]; t > 0 && hi > lo {
+			rows[i].Efficiency = rows[i].Times[lo] * float64(lo) / (t * float64(hi))
 		}
-		rows = append(rows, row)
 	}
 	return rows, nil
 }
