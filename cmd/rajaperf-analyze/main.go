@@ -41,7 +41,7 @@ func main() {
 	flag.Parse()
 
 	telemetry.SetDefault(telemetry.NewLogger(os.Stderr, telemetry.ParseLevel(*quiet, *verbose)))
-	raja.Default().EnableTelemetry(nil)
+	raja.Default().Observe(telemetry.NewPoolMetrics(telemetry.Default()))
 	_, teleStop, err := telemetry.Boot(telemetry.BootOptions{
 		Addr:       *metricsAddr,
 		FlushDir:   *exportDir,

@@ -190,7 +190,7 @@ func realMain() int {
 	// The telemetry plane: the default pool's dispatch metrics, the event
 	// bus every progress consumer shares, the HTTP server, and the
 	// periodic snapshotter.
-	raja.Default().EnableTelemetry(nil)
+	raja.Default().Observe(telemetry.NewPoolMetrics(telemetry.Default()))
 	bus := new(telemetry.Bus)
 	_, teleStop, err := telemetry.Boot(telemetry.BootOptions{
 		Addr:       *metricsAddr,

@@ -14,9 +14,8 @@ import (
 // approximate cumulative total (bucket count x bucket midpoint), which
 // deltas cleanly between two samples.
 type runtimeSource struct {
-	names    []string // runtime/metrics keys, parallel to counters
 	counters []Counter
-	samples  []metrics.Sample // reusable read buffer
+	samples  []metrics.Sample // reusable read buffer, parallel to counters
 }
 
 // runtimeMetrics maps the runtime/metrics keys we sample to the metric
@@ -37,7 +36,6 @@ var runtimeMetrics = []struct {
 func newRuntimeSource() CounterSource {
 	s := &runtimeSource{}
 	for _, m := range runtimeMetrics {
-		s.names = append(s.names, m.key)
 		s.counters = append(s.counters, Counter{Name: m.name, Gauge: m.gauge})
 		s.samples = append(s.samples, metrics.Sample{Name: m.key})
 	}

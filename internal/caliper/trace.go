@@ -51,7 +51,10 @@ const DefaultTraceEvents = 1 << 15
 // Tracer is the streaming event-trace service. Lane 0 of the underlying
 // storage records region events from the goroutine driving the
 // Recorder; executor lanes record scheduling-granule events through
-// LaneEvent. All write paths are lock-free and safe for concurrent use.
+// Granule. With Dispatch and Done, Granule makes a Tracer a raja.Observer
+// by its method set, so a pool reports to it without this package
+// importing raja. All write paths are lock-free and safe for concurrent
+// use.
 type Tracer struct {
 	epoch   time.Time
 	lanes   []laneTraceBuf
@@ -82,19 +85,26 @@ func (t *Tracer) RegionEvent(name string, start time.Time, dur time.Duration) {
 		Ts: t.micros(start), Dur: dur.Seconds() * 1e6, Pid: 1, Tid: 0})
 }
 
-// LaneEvent records one executor scheduling granule (chunk, block, or
-// grab) on lane's thread track. Its signature matches raja's lane-trace
-// hook so the suite can wire the pool straight into the tracer.
-func (t *Tracer) LaneEvent(lane int, name string, start time.Time, dur time.Duration) {
+// Dispatch asks the executor to time the granules of a dispatch.
+func (t *Tracer) Dispatch(lanes int, spawned bool) (timeDispatch, timeGranules bool) {
+	return false, true
+}
+
+// Granule records one executor scheduling granule (chunk, block, or
+// grab) on lane's thread track, named by its kind.
+func (t *Tracer) Granule(lane, owner int, kind string, start time.Time, dur time.Duration) {
 	if lane < 0 {
 		lane = 0
 	}
 	// Spawn-fallback paths can report lane indices past the executor's
 	// lane count; fold them onto the existing tracks.
 	buf := 1 + lane%(len(t.lanes)-1)
-	t.record(buf, TraceEvent{Name: name, Cat: "lane", Ph: "X",
+	t.record(buf, TraceEvent{Name: kind, Cat: "lane", Ph: "X",
 		Ts: t.micros(start), Dur: dur.Seconds() * 1e6, Pid: 1, Tid: buf})
 }
+
+// Done does nothing: the trace records granules, not whole dispatches.
+func (t *Tracer) Done(spawned bool, d time.Duration) {}
 
 func (t *Tracer) micros(at time.Time) float64 {
 	return float64(at.Sub(t.epoch).Nanoseconds()) / 1e3

@@ -19,8 +19,8 @@ func TestTraceChromeSchema(t *testing.T) {
 	tr := NewTracer(2, 64)
 	base := tr.epoch
 	tr.RegionEvent("suite", base, 10*time.Millisecond)
-	tr.LaneEvent(0, "block", base.Add(time.Millisecond), time.Millisecond)
-	tr.LaneEvent(1, "block", base.Add(2*time.Millisecond), time.Millisecond)
+	tr.Granule(0, 0, "block", base.Add(time.Millisecond), time.Millisecond)
+	tr.Granule(1, 1, "block", base.Add(2*time.Millisecond), time.Millisecond)
 
 	var buf bytes.Buffer
 	if err := tr.WriteChromeTrace(&buf); err != nil {
@@ -129,7 +129,7 @@ func TestTraceDeterministicMerge(t *testing.T) {
 			go func(l int) {
 				defer wg.Done()
 				for i := 0; i < 32; i++ {
-					tr.LaneEvent(l, fmt.Sprintf("b%d", i),
+					tr.Granule(l, l, fmt.Sprintf("b%d", i),
 						base.Add(time.Duration(i)*time.Millisecond), time.Millisecond)
 				}
 			}(l)
@@ -163,7 +163,7 @@ func TestTraceDropWhenFull(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				tr.LaneEvent(0, "e", base, time.Microsecond)
+				tr.Granule(0, 0, "e", base, time.Microsecond)
 			}
 		}()
 	}
@@ -186,7 +186,7 @@ func TestTraceDropWhenFull(t *testing.T) {
 func TestTraceRoundTrip(t *testing.T) {
 	tr := NewTracer(2, 16)
 	tr.RegionEvent("r", tr.epoch, time.Millisecond)
-	tr.LaneEvent(1, "chunk", tr.epoch, time.Millisecond)
+	tr.Granule(1, 1, "chunk", tr.epoch, time.Millisecond)
 	path := t.TempDir() + "/sub/trace.json"
 	if err := tr.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -216,8 +216,8 @@ func TestTraceRoundTrip(t *testing.T) {
 // tracks instead of panicking.
 func TestTraceLaneFolding(t *testing.T) {
 	tr := NewTracer(2, 16)
-	tr.LaneEvent(-1, "e", tr.epoch, time.Microsecond)
-	tr.LaneEvent(7, "e", tr.epoch, time.Microsecond)
+	tr.Granule(-1, -1, "e", tr.epoch, time.Microsecond)
+	tr.Granule(7, 7, "e", tr.epoch, time.Microsecond)
 	evs := tr.Events()
 	if len(evs) != 2 {
 		t.Fatalf("events = %d, want 2", len(evs))

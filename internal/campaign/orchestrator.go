@@ -538,18 +538,19 @@ func runAttempt(ctx context.Context, spec RunSpec, lanes int, opts Options, atte
 
 	// A private pool per in-flight run: executed kernels of concurrent
 	// runs never contend for lanes, and each run's worker count stays
-	// within its share of the machine. Dispatch telemetry aggregates the
-	// per-run pools into the campaign registry's raja.pool.* series
-	// (counters only — the liveness gauges belong to the process pool).
-	// An explicit per-run worker request (spec Workers / -workers) wins
-	// over the derived lane count: the pool grows to match, so a small
-	// host still exercises pooled parallel regions instead of silently
-	// serializing them through the workers<=1 bypass.
+	// within its share of the machine. A PoolMetrics observer records
+	// the run's dispatches into the campaign registry's raja.pool.*
+	// series, which every run's pool shares; the pool dies with the run,
+	// so the observer is never stopped. An explicit per-run worker
+	// request (spec Workers / -workers) wins over the derived lane count:
+	// the pool grows to match, so a small host still exercises pooled
+	// parallel regions instead of silently serializing them through the
+	// workers<=1 bypass.
 	if cfg.Workers > lanes {
 		lanes = cfg.Workers
 	}
 	pool := raja.NewPool(lanes)
-	pool.EnableDispatchTelemetry(tele.reg)
+	pool.Observe(telemetry.NewPoolMetrics(tele.reg))
 	cfg.Pool = pool
 	if cfg.Workers <= 0 {
 		cfg.Workers = lanes

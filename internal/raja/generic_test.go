@@ -253,18 +253,19 @@ func checkBits(t *testing.T, name string, got, want []float64) {
 }
 
 // TestSpanDispatchInstrumentation verifies the observability contract on
-// ForallSpan: per-lane stats, the trace hook, and the heartbeat keep
+// ForallSpan: lane statistics, granule observers, and the heartbeat keep
 // firing for span dispatches on both the pooled path and the spawn
 // fallback (pool held busy by a concurrent dispatch).
 func TestSpanDispatchInstrumentation(t *testing.T) {
 	for _, sched := range []Schedule{ScheduleStatic, ScheduleDynamic, ScheduleGuided} {
 		for _, busy := range []bool{false, true} {
 			pool := NewPool(4)
-			pool.Instrument(true)
+			stats := NewLaneStats(pool.Lanes())
+			pool.Observe(stats)
 			var traced atomic.Int64
-			pool.SetLaneTrace(func(lane int, name string, start time.Time, dur time.Duration) {
+			pool.Observe(granuleFunc(func(int, int, string, time.Time, time.Duration) {
 				traced.Add(1)
-			})
+			}))
 			p := Policy{Kind: Par, Workers: 4, Schedule: sched, Pool: pool}
 
 			release := make(chan struct{})
@@ -292,13 +293,9 @@ func TestSpanDispatchInstrumentation(t *testing.T) {
 			if traced.Load() == 0 {
 				t.Fatalf("sched %v busy=%v: lane trace never fired on span dispatch", sched, busy)
 			}
-			var granules, wakes int64
-			for _, l := range pool.InstrSnapshot() {
-				granules += l.Granules
-				wakes += l.Wakes
-			}
-			if granules == 0 || wakes == 0 {
-				t.Fatalf("sched %v busy=%v: instr recorded granules=%d wakes=%d", sched, busy, granules, wakes)
+			if im := stats.Imbalance(); im.Granules == 0 || im.Wakes == 0 {
+				t.Fatalf("sched %v busy=%v: lane statistics recorded granules=%d wakes=%d",
+					sched, busy, im.Granules, im.Wakes)
 			}
 			pool.Close()
 		}

@@ -21,30 +21,29 @@ func triangularBody(sink *[]float64) Body {
 	}
 }
 
-// runSkewed executes the triangular workload under sched on a freshly
-// instrumented pool and returns the measured imbalance. When spawned is
-// true the pool is closed first, forcing the spawn-fallback dispatch
-// path (which must be instrumented identically).
+// runSkewed executes the triangular workload under sched on a pool
+// observed by fresh lane statistics and returns the measured imbalance.
+// When spawned is true the pool is closed first, forcing the
+// spawn-fallback dispatch path (which must be observed identically).
 func runSkewed(t *testing.T, sched Schedule, spawned bool) Imbalance {
 	t.Helper()
 	const lanes, n = 4, 64
 	pool := NewPool(lanes)
 	defer pool.Close()
-	pool.Instrument(true)
+	stats := NewLaneStats(lanes)
+	pool.Observe(stats)
 	if spawned {
 		pool.Close()
 	}
 	y := make([]float64, n)
 	p := Policy{Kind: Par, Workers: lanes, Schedule: sched, Block: 4, Pool: pool}
-	before := pool.InstrSnapshot()
 	Forall(p, n, triangularBody(&y))
-	after := pool.InstrSnapshot()
 	for i := range y {
 		if y[i] == 0 {
 			t.Fatalf("schedule %v: index %d not executed", sched, i)
 		}
 	}
-	return ComputeImbalance(before, after)
+	return stats.Imbalance()
 }
 
 // TestImbalanceSkewedSchedules is the load-imbalance conformance check:
@@ -92,13 +91,16 @@ func TestInstrGranuleAccounting(t *testing.T) {
 	const lanes = 4
 	pool := NewPool(lanes)
 	defer pool.Close()
-	pool.Instrument(true)
 	y := make([]float64, 1000)
 	body := func(c Ctx, i int) { y[i]++ }
+	measure := func(p Policy) Imbalance {
+		stats := NewLaneStats(lanes)
+		defer pool.Observe(stats)()
+		Forall(p, 1000, body)
+		return stats.Imbalance()
+	}
 
-	before := pool.InstrSnapshot()
-	Forall(Policy{Kind: Par, Workers: lanes, Pool: pool}, 1000, body)
-	im := ComputeImbalance(before, pool.InstrSnapshot())
+	im := measure(Policy{Kind: Par, Workers: lanes, Pool: pool})
 	if im.Granules != lanes {
 		t.Errorf("static granules = %d, want %d chunks", im.Granules, lanes)
 	}
@@ -109,9 +111,7 @@ func TestInstrGranuleAccounting(t *testing.T) {
 		t.Errorf("static wakes = %d, want %d", im.Wakes, lanes)
 	}
 
-	before = pool.InstrSnapshot()
-	Forall(Policy{Kind: GPU, Workers: lanes, Block: 100, Pool: pool}, 1000, body)
-	im = ComputeImbalance(before, pool.InstrSnapshot())
+	im = measure(Policy{Kind: GPU, Workers: lanes, Block: 100, Pool: pool})
 	if im.Granules != 10 {
 		t.Errorf("dynamic granules = %d, want 10 blocks", im.Granules)
 	}
@@ -120,42 +120,85 @@ func TestInstrGranuleAccounting(t *testing.T) {
 	}
 }
 
-// TestInstrDisabledCostsNothing verifies the uninstrumented path records
-// nothing and InstrSnapshot stays nil until Instrument(true).
-func TestInstrDisabledCostsNothing(t *testing.T) {
-	pool := NewPool(2)
-	defer pool.Close()
-	if snap := pool.InstrSnapshot(); snap != nil {
-		t.Fatalf("snapshot before Instrument = %v, want nil", snap)
-	}
-	y := make([]float64, 100)
-	Forall(Policy{Kind: Par, Workers: 2, Pool: pool}, 100, func(c Ctx, i int) { y[i]++ })
-	if snap := pool.InstrSnapshot(); snap != nil {
-		t.Fatalf("uninstrumented dispatch produced a snapshot: %v", snap)
-	}
-	pool.Instrument(true)
-	Forall(Policy{Kind: Par, Workers: 2, Pool: pool}, 100, func(c Ctx, i int) { y[i]++ })
-	im := ComputeImbalance(nil, pool.InstrSnapshot())
-	if im.Granules == 0 {
-		t.Error("instrumented dispatch recorded no granules")
-	}
-	pool.Instrument(false)
-	before := pool.InstrSnapshot()
-	Forall(Policy{Kind: Par, Workers: 2, Pool: pool}, 100, func(c Ctx, i int) { y[i]++ })
-	im = ComputeImbalance(before, pool.InstrSnapshot())
-	if im.Granules != 0 {
-		t.Errorf("disabled instrumentation still recorded %d granules", im.Granules)
+// recorder is a test Observer that counts its events and asks for the
+// timing it is set up with.
+type recorder struct {
+	timeDispatch, timeGranules bool
+
+	dispatches, granules, dones, timedDones atomic.Int64
+}
+
+func (r *recorder) Dispatch(int, bool) (bool, bool) {
+	r.dispatches.Add(1)
+	return r.timeDispatch, r.timeGranules
+}
+
+func (r *recorder) Granule(int, int, string, time.Time, time.Duration) { r.granules.Add(1) }
+
+func (r *recorder) Done(_ bool, d time.Duration) {
+	r.dones.Add(1)
+	if d > 0 {
+		r.timedDones.Add(1)
 	}
 }
 
-// TestComputeImbalanceUnit checks the imbalance arithmetic directly.
-func TestComputeImbalanceUnit(t *testing.T) {
-	after := []LaneSnapshot{
-		{Busy: 4 * time.Second, Granules: 4},
-		{Busy: 2 * time.Second, Granules: 2},
-		{}, // idle lane: excluded
+// granuleFunc is a test Observer that asks for granule timing and hands
+// every granule to the function.
+type granuleFunc func(lane, owner int, kind string, start time.Time, d time.Duration)
+
+func (f granuleFunc) Dispatch(int, bool) (bool, bool) { return false, true }
+
+func (f granuleFunc) Granule(lane, owner int, kind string, start time.Time, d time.Duration) {
+	f(lane, owner, kind, start, d)
+}
+
+func (f granuleFunc) Done(bool, time.Duration) {}
+
+// TestInstrDisabledCostsNothing verifies that an observer gets no timing
+// it did not ask for — no Granule call and a zero dispatch duration — and
+// that lane statistics stop recording when their observer is stopped.
+func TestInstrDisabledCostsNothing(t *testing.T) {
+	pool := NewPool(2)
+	defer pool.Close()
+	y := make([]float64, 100)
+	p := Policy{Kind: Par, Workers: 2, Pool: pool}
+	body := func(c Ctx, i int) { y[i]++ }
+
+	quiet := &recorder{}
+	stop := pool.Observe(quiet)
+	Forall(p, 100, body)
+	stop()
+	if d, g, e, td := quiet.dispatches.Load(), quiet.granules.Load(), quiet.dones.Load(),
+		quiet.timedDones.Load(); d != 1 || e != 1 || g != 0 || td != 0 {
+		t.Errorf("untimed observer: %d dispatches, %d dones, %d granules, %d timed dones; want 1, 1, 0, 0",
+			d, e, g, td)
 	}
-	im := ComputeImbalance(nil, after)
+
+	stats := NewLaneStats(2)
+	stop = pool.Observe(stats)
+	Forall(p, 100, body)
+	stop()
+	im := stats.Imbalance()
+	if im.Granules == 0 {
+		t.Error("observed dispatch recorded no granules")
+	}
+	Forall(p, 100, body)
+	if got := stats.Imbalance(); got != im {
+		t.Errorf("stopped lane statistics still recorded: %+v, then %+v", im, got)
+	}
+}
+
+// TestLaneStatsImbalanceUnit checks the imbalance arithmetic directly.
+func TestLaneStatsImbalanceUnit(t *testing.T) {
+	s := NewLaneStats(3)
+	s.Dispatch(2, false)
+	for i := 0; i < 4; i++ {
+		s.Granule(0, i%2, granuleBlock, time.Time{}, time.Second)
+	}
+	for i := 0; i < 2; i++ {
+		s.Granule(1, 1, granuleBlock, time.Time{}, time.Second)
+	}
+	im := s.Imbalance() // lane 2 idle: excluded
 	if im.Lanes != 2 {
 		t.Errorf("lanes = %d, want 2 (idle excluded)", im.Lanes)
 	}
@@ -165,30 +208,34 @@ func TestComputeImbalanceUnit(t *testing.T) {
 	if im.Pct != 25 {
 		t.Errorf("pct = %v, want 25", im.Pct)
 	}
-	balanced := ComputeImbalance(nil, []LaneSnapshot{
-		{Busy: time.Second, Granules: 1}, {Busy: time.Second, Granules: 1},
-	})
-	if balanced.Pct != 0 {
-		t.Errorf("balanced pct = %v, want 0", balanced.Pct)
+	if im.Granules != 6 || im.Steals != 2 || im.Wakes != 2 {
+		t.Errorf("granules/steals/wakes = %d/%d/%d, want 6/2/2", im.Granules, im.Steals, im.Wakes)
 	}
-	if empty := ComputeImbalance(nil, nil); empty.Lanes != 0 || empty.Pct != 0 {
+	balanced := NewLaneStats(2)
+	balanced.Granule(0, 0, granuleChunk, time.Time{}, time.Second)
+	balanced.Granule(1, 1, granuleChunk, time.Time{}, time.Second)
+	if pct := balanced.Imbalance().Pct; pct != 0 {
+		t.Errorf("balanced pct = %v, want 0", pct)
+	}
+	if empty := NewLaneStats(2).Imbalance(); empty != (Imbalance{}) {
 		t.Errorf("empty imbalance = %+v", empty)
 	}
 }
 
-// TestLaneTraceHook verifies the per-granule trace hook fires once per
-// scheduling granule on pooled and spawned paths, concurrently safely.
+// TestLaneTraceHook verifies that an observer asking for granule timing
+// hears once per scheduling granule on pooled and spawned paths,
+// concurrently safely, and not after it is stopped.
 func TestLaneTraceHook(t *testing.T) {
 	const lanes = 4
 	pool := NewPool(lanes)
 	defer pool.Close()
 	var events atomic.Int64
-	pool.SetLaneTrace(func(lane int, name string, start time.Time, dur time.Duration) {
-		if name != granuleBlock {
-			t.Errorf("granule kind = %q, want %q", name, granuleBlock)
+	stop := pool.Observe(granuleFunc(func(lane, owner int, kind string, start time.Time, d time.Duration) {
+		if kind != granuleBlock {
+			t.Errorf("granule kind = %q, want %q", kind, granuleBlock)
 		}
 		events.Add(1)
-	})
+	}))
 	y := make([]float64, 1000)
 	body := func(c Ctx, i int) { y[i]++ }
 	Forall(Policy{Kind: GPU, Workers: lanes, Block: 100, Pool: pool}, 1000, body)
@@ -203,10 +250,10 @@ func TestLaneTraceHook(t *testing.T) {
 		t.Errorf("spawned trace events = %d, want 10 blocks", got)
 	}
 
-	pool.SetLaneTrace(nil)
+	stop()
 	events.Store(0)
 	Forall(Policy{Kind: GPU, Workers: lanes, Block: 100, Pool: pool}, 1000, body)
 	if got := events.Load(); got != 0 {
-		t.Errorf("removed hook still fired %d times", got)
+		t.Errorf("stopped observer still heard %d granules", got)
 	}
 }

@@ -83,28 +83,17 @@ type Pool struct {
 	done    chan struct{}
 	task    poolTask
 
-	// Observability services (see instr.go): per-lane statistics for
-	// the load-imbalance service and the per-granule trace hook. Both
-	// are read atomically at dispatch time, so enabling them is safe
-	// while the pool is running, and both apply to the spawn fallback
-	// as well as pooled dispatches.
-	instr   atomic.Pointer[Instr]
-	instrOn atomic.Bool
-	trace   atomic.Pointer[LaneTrace]
-
-	// tele is the dispatch-level telemetry hook (see telemetry.go): nil
-	// until EnableTelemetry, read atomically once per dispatch. active
-	// tracks parallel regions in flight for the queue-depth gauge.
-	tele   atomic.Pointer[poolTele]
-	active atomic.Int64
+	// observers is the pool's instrumentation (see Observe), read once
+	// per multi-lane dispatch, pooled or spawned.
+	observers atomic.Pointer[[]*observer]
 
 	// beats is the pool's liveness counter: it advances once per executed
 	// scheduling granule of every multi-lane dispatch, pooled or on the
 	// spawn fallback; single-lane dispatches run inline and do not beat.
-	// Unlike the Instr service it is always on — a single atomic add per
+	// Unlike the observers it is always on — a single atomic add per
 	// granule — so run watchdogs can distinguish a hung dispatch (beats
-	// frozen) from a slow one (beats advancing) without enabling
-	// instrumentation.
+	// frozen) from a slow one (beats advancing) without observing the
+	// pool.
 	beats atomic.Int64
 }
 
@@ -156,13 +145,12 @@ type poolTask struct {
 	grabs   atomic.Int64 // guided: grab ordinal, for steal accounting
 	pending atomic.Int32
 
-	// Observability, captured once per dispatch so one dispatch sees one
-	// consistent configuration. All nil on the single-lane walk; instr
-	// and trace are nil when their services are off, keeping the
-	// uninstrumented hot path to a pair of nil checks per granule.
-	instr *Instr
-	trace LaneTrace
-	beats *atomic.Int64 // the owning pool's heartbeat counter
+	// Observation, fixed by begin so that one dispatch reports to one
+	// set of observers. All zero on the single-lane walk, and without
+	// observers the hot path is one flag test per granule.
+	obs          []dispatchObserver
+	timeGranules bool          // some observer asked for granule timing
+	beats        *atomic.Int64 // the owning pool's heartbeat counter
 }
 
 // NewPool returns a pool with n execution lanes (n-1 parked goroutines
@@ -274,7 +262,7 @@ func (p *Pool) dispatch(sched Schedule, workers, size int, r Range, w spanWork) 
 	if lanes <= 1 {
 		// The single-lane walk replays the multi-lane granule sequence
 		// (one chunk, every block in order, the guided grabs) without
-		// observability services.
+		// observers or heartbeat.
 		t := poolTask{sched: sched, work: w, r: r, lanes: 1, size: size}
 		t.runLane(0)
 		return 1
@@ -290,29 +278,25 @@ func (p *Pool) dispatch(sched Schedule, workers, size int, r Range, w spanWork) 
 		t.cursor.Store(0)
 		t.grabs.Store(0)
 	}
-	t.instr, t.trace, t.beats = p.activeInstr(), p.activeTrace(), &p.beats
-	tele, start := p.dispatchStart()
+	start := t.begin(p, false)
 	t.pending.Store(int32(t.lanes - 1))
 	for i := 0; i < t.lanes-1; i++ {
 		p.workers[i].wake <- struct{}{}
 	}
 	t.runLane(0)
 	<-p.done
-	t.work, t.instr, t.trace = nil, nil, nil
+	t.end(false, start)
+	t.work = nil
 	p.mu.Unlock()
-	p.dispatchEnd(tele, start)
 	return lanes
 }
 
 // spawnLanes is the fallback for a dispatch that cannot have the pool
 // (busy, nested, closed, or single-lane): it runs the same lane loops on
-// t, one fresh goroutine per lane, with the pool's instrumentation,
-// trace and heartbeat wired exactly as on the pooled path.
+// t, one fresh goroutine per lane, with the pool's observers and
+// heartbeat wired exactly as on the pooled path.
 func (p *Pool) spawnLanes(t *poolTask) {
-	if p.fallbackStart() {
-		defer p.active.Add(-1)
-	}
-	t.instr, t.trace, t.beats = p.activeInstr(), p.activeTrace(), &p.beats
+	start := t.begin(p, true)
 	var wg sync.WaitGroup
 	wg.Add(t.lanes)
 	for lane := 0; lane < t.lanes; lane++ {
@@ -322,6 +306,7 @@ func (p *Pool) spawnLanes(t *poolTask) {
 		}()
 	}
 	wg.Wait()
+	t.end(true, start)
 }
 
 // StaticChunks executes f over one contiguous chunk of [0, n) per worker
@@ -347,9 +332,6 @@ func (p *Pool) DynamicBlocks(workers, block, n int, f func(lo, hi int)) {
 
 // runLane executes one lane's share of the task.
 func (t *poolTask) runLane(lane int) {
-	if t.instr != nil {
-		t.instr.wake(lane)
-	}
 	switch t.sched {
 	case ScheduleStatic:
 		t.runStatic(lane)
@@ -405,27 +387,25 @@ func (t *poolTask) runGuided(lane int) {
 	}
 }
 
-// runGranule executes one granule and records it: a heartbeat, and into
-// the instrumentation and trace services when they are on. owner is the
+// runGranule executes one granule and records it: a heartbeat, and a
+// timed Granule event to every observer that asked for one. owner is the
 // lane a static round-robin assignment would have given the granule.
 func (t *poolTask) runGranule(lane, owner int, kind string, c Ctx, lo, hi int) {
-	measured := t.instr != nil || t.trace != nil
 	var start time.Time
-	if measured {
+	if t.timeGranules {
 		start = time.Now()
 	}
 	t.work.runSpan(c, lo, hi)
 	if t.beats != nil {
 		t.beats.Add(1)
 	}
-	if !measured {
+	if !t.timeGranules {
 		return
 	}
 	d := time.Since(start)
-	if t.instr != nil {
-		t.instr.granule(lane, owner, d)
-	}
-	if t.trace != nil {
-		t.trace(lane, kind, start, d)
+	for _, o := range t.obs {
+		if o.timeGranules {
+			o.Granule(lane, owner, kind, start, d)
+		}
 	}
 }

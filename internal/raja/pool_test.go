@@ -6,6 +6,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rajaperf/internal/caliper"
+	"rajaperf/internal/telemetry"
 )
 
 // TestPoolReusesWorkers verifies the executor is actually persistent:
@@ -184,7 +187,9 @@ func TestDynamicDegenerateBlockCtx(t *testing.T) {
 }
 
 // TestForallPoolPathAllocs verifies the steady-state pooled Forall path
-// does not allocate: that is the point of the persistent executor.
+// does not allocate: that is the point of the persistent executor. It
+// holds with the suite's three observers (dispatch telemetry, lane
+// statistics and the event trace) as well as without any.
 func TestForallPoolPathAllocs(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
@@ -195,20 +200,27 @@ func TestForallPoolPathAllocs(t *testing.T) {
 			x[i]++
 		}
 	}
-	for _, p := range []Policy{
-		{Kind: Par, Workers: 4, Pool: pool},
-		{Kind: Par, Workers: 4, Schedule: ScheduleDynamic, Block: 256, Pool: pool},
-		{Kind: Par, Workers: 4, Schedule: ScheduleGuided, Pool: pool},
-		{Kind: GPU, Workers: 4, Block: 256, Pool: pool},
-	} {
-		Forall(p, len(x), body) // warm up the workers
-		avg := testing.AllocsPerRun(100, func() { Forall(p, len(x), body) })
-		if avg > 1 {
-			t.Errorf("policy %+v: %.1f allocs per pooled Forall, want ~0", p, avg)
+	for _, observed := range []bool{false, true} {
+		if observed {
+			pool.Observe(telemetry.NewPoolMetrics(&telemetry.Registry{}))
+			pool.Observe(NewLaneStats(pool.Lanes()))
+			pool.Observe(caliper.NewTracer(pool.Lanes(), 1024))
 		}
-		avg = testing.AllocsPerRun(100, func() { ForallSpan(p, len(x), span) })
-		if avg > 0 {
-			t.Errorf("policy %+v: %.1f allocs per pooled ForallSpan, want 0", p, avg)
+		for _, p := range []Policy{
+			{Kind: Par, Workers: 4, Pool: pool},
+			{Kind: Par, Workers: 4, Schedule: ScheduleDynamic, Block: 256, Pool: pool},
+			{Kind: Par, Workers: 4, Schedule: ScheduleGuided, Pool: pool},
+			{Kind: GPU, Workers: 4, Block: 256, Pool: pool},
+		} {
+			Forall(p, len(x), body) // warm up the workers
+			avg := testing.AllocsPerRun(100, func() { Forall(p, len(x), body) })
+			if avg > 1 {
+				t.Errorf("observed=%v policy %+v: %.1f allocs per pooled Forall, want ~0", observed, p, avg)
+			}
+			avg = testing.AllocsPerRun(100, func() { ForallSpan(p, len(x), span) })
+			if avg > 0 {
+				t.Errorf("observed=%v policy %+v: %.1f allocs per pooled ForallSpan, want 0", observed, p, avg)
+			}
 		}
 	}
 }

@@ -1,24 +1,24 @@
 package raja
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rajaperf/internal/telemetry"
 )
 
-// TestPoolTelemetry: enabling telemetry mid-flight wires the dispatch
-// counters and gauges; pooled dispatches and spawn fallbacks are
-// attributed correctly.
+// TestPoolTelemetry: a PoolMetrics observer records the dispatch
+// counters; pooled dispatches and spawn fallbacks are attributed
+// correctly.
 func TestPoolTelemetry(t *testing.T) {
 	reg := &telemetry.Registry{}
 	pool := NewPool(4)
 	defer pool.Close()
-	pool.EnableTelemetry(reg)
+	pool.Observe(telemetry.NewPoolMetrics(reg))
 
 	n := 10_000
 	y := make([]float64, n)
@@ -47,24 +47,8 @@ func TestPoolTelemetry(t *testing.T) {
 		t.Errorf("raja.pool.spawn_fallbacks = %d, want >= 1 from nesting", got)
 	}
 
-	snap := reg.Snapshot()
-	gauges := map[string]float64{}
-	for _, g := range snap.Gauges {
-		gauges[g.Name] = g.Value
-	}
-	if gauges["raja.pool.lanes"] != 4 {
-		t.Errorf("raja.pool.lanes gauge = %v, want 4", gauges["raja.pool.lanes"])
-	}
-	if gauges["raja.pool.heartbeat"] < 5 {
-		t.Errorf("raja.pool.heartbeat gauge = %v, want >= 5", gauges["raja.pool.heartbeat"])
-	}
-	if gauges["raja.pool.active_dispatches"] != 0 {
-		t.Errorf("active_dispatches = %v at rest, want 0", gauges["raja.pool.active_dispatches"])
-	}
-	for lane := 0; lane < 4; lane++ {
-		if _, ok := gauges[fmt.Sprintf(`raja.pool.lane_busy_sec{lane="%d"}`, lane)]; !ok {
-			t.Errorf("per-lane busy gauge missing for lane %d", lane)
-		}
+	if got := reg.Gauge("raja.pool.active_dispatches").Value(); got != 0 {
+		t.Errorf("active_dispatches = %v at rest, want 0", got)
 	}
 }
 
@@ -83,7 +67,7 @@ func TestPoolActiveDispatchesCountsFallbacks(t *testing.T) {
 	t.Run("closed_pool", func(t *testing.T) {
 		reg := &telemetry.Registry{}
 		pool := NewPool(2)
-		pool.EnableTelemetry(reg)
+		pool.Observe(telemetry.NewPoolMetrics(reg))
 		pool.Close()
 		var inside [2]float64
 		parent := active(reg)
@@ -99,7 +83,7 @@ func TestPoolActiveDispatchesCountsFallbacks(t *testing.T) {
 		reg := &telemetry.Registry{}
 		pool := NewPool(2)
 		defer pool.Close()
-		pool.EnableTelemetry(reg)
+		pool.Observe(telemetry.NewPoolMetrics(reg))
 		p := Policy{Kind: Par, Workers: 2, Pool: pool}
 		var parent float64
 		var inner [2]float64
@@ -119,36 +103,97 @@ func TestPoolActiveDispatchesCountsFallbacks(t *testing.T) {
 	})
 }
 
-// TestPoolTelemetryConcurrentEnable: flipping telemetry on while
-// dispatches are running races nothing (run under -race) and loses no
-// dispatch completions after the enable.
-func TestPoolTelemetryConcurrentEnable(t *testing.T) {
-	reg := &telemetry.Registry{}
+// TestObserveWhileDispatching adds and stops observers while two other
+// goroutines dispatch on the pool, one of them mostly on the spawn
+// fallback (run under -race): every Dispatch an observer hears ends in a
+// Done, each observer gets only the timing it asked for, and once the
+// dispatches in flight at stop have finished, a stopped observer hears
+// nothing more.
+func TestObserveWhileDispatching(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	p := Policy{Kind: Par, Workers: 4, Pool: pool}
-	y := make([]float64, 1000)
-	body := func(c Ctx, i int) { y[i]++ }
 
+	var completed [2]atomic.Int64
+	quit := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			Forall(p, len(y), body)
-		}
-	}()
-	pool.EnableTelemetry(reg)
-	wg.Wait()
-	Forall(p, len(y), body)
-	if got := reg.Counter("raja.pool.dispatches").Value(); got < 1 {
-		t.Errorf("no dispatches recorded after enable: %d", got)
+	for g := range completed {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			y := make([]float64, 1000)
+			for {
+				select {
+				case <-quit:
+					return
+				default:
+				}
+				Forall(p, len(y), func(c Ctx, i int) { y[i]++ })
+				completed[g].Add(1)
+			}
+		}()
 	}
+	// settle waits until both dispatching goroutines have finished two
+	// more dispatches: the one in flight now and one begun after it.
+	settle := func() {
+		var want [2]int64
+		for g := range completed {
+			want[g] = completed[g].Load() + 2
+		}
+		for g := range completed {
+			for completed[g].Load() < want[g] {
+				runtime.Gosched()
+			}
+		}
+	}
+
+	for i := 0; i < 30; i++ {
+		rs := []*recorder{
+			{timeDispatch: true},
+			{timeGranules: true},
+			{timeDispatch: true, timeGranules: true},
+		}
+		stops := make([]func(), len(rs))
+		for k, r := range rs {
+			stops[k] = pool.Observe(r)
+		}
+		settle()
+		for k, r := range rs {
+			stops[k]()
+			stops[k]() // stop is idempotent
+			settle()
+			heard := r.dispatches.Load()
+			if heard == 0 || r.dones.Load() != heard {
+				t.Fatalf("round %d observer %d: %d dispatches, %d dones; want equal and > 0",
+					i, k, heard, r.dones.Load())
+			}
+			// Observers that asked for different timing share every
+			// dispatch; each gets only what it asked for.
+			wantTimed := int64(0)
+			if r.timeDispatch {
+				wantTimed = heard
+			}
+			if got := r.timedDones.Load(); got != wantTimed {
+				t.Fatalf("round %d observer %d: %d timed dones of %d, want %d", i, k, got, heard, wantTimed)
+			}
+			if got := r.granules.Load(); (got > 0) != r.timeGranules {
+				t.Fatalf("round %d observer %d asked timeGranules=%v, heard %d granules",
+					i, k, r.timeGranules, got)
+			}
+			settle()
+			if got := r.dispatches.Load(); got != heard {
+				t.Fatalf("round %d observer %d: heard %d dispatches after stop", i, k, got-heard)
+			}
+		}
+	}
+	close(quit)
+	wg.Wait()
 }
 
 // BenchmarkPoolDispatchTelemetry is the overhead gate's measurement: the
-// same empty-body dispatch as BenchmarkPoolDispatch with telemetry off
-// (one atomic pointer load) and on (two time.Now + three atomic ops).
+// same empty-body dispatch as BenchmarkPoolDispatch without observers
+// (one atomic pointer load) and observed by a PoolMetrics (three atomic
+// updates and, on one dispatch in eight, two clock reads).
 // EXPERIMENTS.md records the delta against BenchmarkForallPar, where the
 // budget is <= 1% of a real kernel dispatch.
 func BenchmarkPoolDispatchTelemetry(b *testing.B) {
@@ -159,7 +204,7 @@ func BenchmarkPoolDispatchTelemetry(b *testing.B) {
 		pool := NewPool(lanes)
 		defer pool.Close()
 		if enable {
-			pool.EnableTelemetry(&telemetry.Registry{})
+			pool.Observe(telemetry.NewPoolMetrics(&telemetry.Registry{}))
 		}
 		p := Policy{Kind: Par, Workers: lanes, Pool: pool}
 		Forall(p, n, body)
@@ -193,7 +238,7 @@ func TestDispatchTelemetryOverheadPaired(t *testing.T) {
 	defer off.Close()
 	on := NewPool(lanes)
 	defer on.Close()
-	on.EnableTelemetry(&telemetry.Registry{})
+	on.Observe(telemetry.NewPoolMetrics(&telemetry.Registry{}))
 	pOff := Policy{Kind: Par, Workers: lanes, Pool: off}
 	pOn := Policy{Kind: Par, Workers: lanes, Pool: on}
 	Forall(pOff, n, body)

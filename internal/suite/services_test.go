@@ -165,3 +165,84 @@ func TestServicesMetricsGroupable(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedPoolRunsKeepTheirServices runs a whole run A on run B's pool
+// between two of B's kernels, each run with the imbalance service and its
+// own tracer: every kernel of both runs must record its lanes, and A's
+// end must not switch off B's lane statistics or trace.
+func TestSharedPoolRunsKeepTheirServices(t *testing.T) {
+	svc, err := caliper.ParseServices("imbalance")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := raja.NewPool(2)
+	defer pool.Close()
+	config := func(names []string, tr *caliper.Tracer) Config {
+		return Config{
+			Machine:     machine.Host(),
+			Variant:     kernels.RAJAOpenMP,
+			SizePerNode: 20_000,
+			Reps:        1,
+			Workers:     2,
+			Kernels:     names,
+			Execute:     true,
+			Pool:        pool,
+			Services:    svc,
+			Tracer:      tr,
+		}
+	}
+	laneEvents := func(tr *caliper.Tracer) (n int) {
+		for _, ev := range tr.Events() {
+			if ev.Cat == "lane" {
+				n++
+			}
+		}
+		return n
+	}
+
+	trA, trB := caliper.NewTracer(2, 4096), caliper.NewTracer(2, 4096)
+	cfgA := config([]string{"Stream_COPY"}, trA)
+	cfgB := config([]string{"Stream_TRIAD", "Basic_DAXPY", "Stream_ADD"}, trB)
+	var pA *caliper.Profile
+	var errA error
+	boundaries, bEventsAtAEnd := 0, 0
+	cfgB.Heartbeat = func() {
+		if boundaries++; boundaries == 2 {
+			pA, errA = Run(cfgA)
+			bEventsAtAEnd = laneEvents(trB)
+		}
+	}
+	pB, err := Run(cfgB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errA != nil {
+		t.Fatal(errA)
+	}
+
+	for _, run := range []struct {
+		name string
+		p    *caliper.Profile
+		cfg  Config
+	}{{"A", pA, cfgA}, {"B", pB, cfgB}} {
+		for _, name := range run.cfg.Kernels {
+			rec := run.p.Find(name)
+			if rec == nil {
+				t.Fatalf("run %s: %s missing", run.name, name)
+			}
+			for _, metric := range []string{"lane_granules", "lanes_used"} {
+				if rec.Metrics[metric] <= 0 {
+					t.Errorf("run %s: %s recorded %s = %v, want > 0",
+						run.name, name, metric, rec.Metrics[metric])
+				}
+			}
+		}
+	}
+	if laneEvents(trA) == 0 {
+		t.Error("run A's tracer holds no lane events")
+	}
+	if got := laneEvents(trB); got <= bEventsAtAEnd {
+		t.Errorf("run B's tracer holds %d lane events, all %d of them from before run A ended",
+			got, bEventsAtAEnd)
+	}
+}

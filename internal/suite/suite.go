@@ -9,8 +9,9 @@
 // A run is structured as three explicit phases that package campaign
 // orchestrates across many configurations:
 //
-//   - prepare resolves sizes, validates the kernel list, wires the
-//     executor pool and measurement services, and records run metadata;
+//   - prepare resolves sizes, validates the kernel list, picks the
+//     executor pool, builds the hardware models and the recorder, and
+//     records run metadata;
 //   - runKernel executes and models one kernel with per-kernel fault
 //     isolation — a failing or panicking kernel is recorded in the
 //     profile ("error" metric, "errors"/"kernels_failed" metadata) and
@@ -87,8 +88,10 @@ type Config struct {
 	// the per-lane imbalance instrumentation, and the event trace. Nil or
 	// empty means wall-clock timing only.
 	Services caliper.Services
-	// Tracer receives the run's region and lane events when the trace
-	// service is enabled. The caller owns writing it out after Run.
+	// Tracer receives the run's region events and, observing the run's
+	// pool while the run lasts, the lane events of its dispatches, when
+	// the trace service is enabled. The caller owns writing it out after
+	// Run.
 	Tracer *caliper.Tracer
 }
 
@@ -119,7 +122,9 @@ func RunContext(ctx context.Context, cfg Config) (*caliper.Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer r.close()
+	if cfg.Tracer != nil {
+		defer r.pool.Observe(cfg.Tracer)()
+	}
 
 	r.rec.Begin("suite")
 	for _, k := range r.kernels {
@@ -161,19 +166,12 @@ type run struct {
 	skipped   int
 	failed    []string // "kernel: message", in run order
 	wallStart time.Time
-
-	// cleanups restore the pool state touched by prepare (lane
-	// instrumentation, lane-trace hooks), run in reverse order by close.
-	// Model-only mode needs none: it is a per-kernel RunParams field, so
-	// Execute and model-only runs may overlap in one process.
-	cleanups []func()
 }
 
 // prepare resolves the configuration into a ready-to-execute run: problem
 // decomposition, validated kernel instances, hardware models, the executor
-// pool with its measurement services, and the recorder primed with run
-// metadata. It performs no kernel work, so a configuration error costs
-// nothing.
+// pool, and the recorder primed with run metadata. It performs no kernel
+// work and touches no pool, so a configuration error costs nothing.
 func prepare(cfg Config) (*run, error) {
 	if cfg.Machine == nil {
 		return nil, fmt.Errorf("suite: config needs a machine")
@@ -208,15 +206,6 @@ func prepare(cfg Config) (*run, error) {
 	r.pool = cfg.Pool
 	if r.pool == nil {
 		r.pool = raja.Default()
-	}
-	pool := r.pool
-	if cfg.Services.Enabled(caliper.ServiceImbalance) {
-		pool.Instrument(true)
-		r.cleanups = append(r.cleanups, func() { pool.Instrument(false) })
-	}
-	if cfg.Tracer != nil {
-		pool.SetLaneTrace(cfg.Tracer.LaneEvent)
-		r.cleanups = append(r.cleanups, func() { pool.SetLaneTrace(nil) })
 	}
 
 	switch cfg.Machine.Kind {
@@ -256,14 +245,6 @@ func prepare(cfg Config) (*run, error) {
 	r.rec.AddMetadata("collection_begin", adiak.Timestamp())
 	r.wallStart = time.Now()
 	return r, nil
-}
-
-// close restores the pool state touched by prepare, in reverse order.
-func (r *run) close() {
-	for i := len(r.cleanups) - 1; i >= 0; i-- {
-		r.cleanups[i]()
-	}
-	r.cleanups = nil
 }
 
 // finalize closes the run: end-of-collection metadata, failure accounting,
@@ -402,12 +383,13 @@ func (r *run) executeKernel(k kernels.Kernel, rp kernels.RunParams) (ex executio
 		return ex, nil
 	}
 	name := k.Info().FullName()
-	// A pool instrumented by an earlier run may still hold counters;
-	// only this run's imbalance service records lane metrics.
-	imbalance := r.cfg.Services.Enabled(caliper.ServiceImbalance)
-	var before []raja.LaneSnapshot
-	if imbalance {
-		before = r.pool.InstrSnapshot()
+	// The imbalance service observes the pool with a fresh LaneStats for
+	// this kernel's Run alone, so its totals need no differencing and no
+	// other run's observers are touched.
+	var stats *raja.LaneStats
+	if r.cfg.Services.Enabled(caliper.ServiceImbalance) {
+		stats = raja.NewLaneStats(r.pool.Lanes())
+		defer r.pool.Observe(stats)()
 	}
 	start := time.Now()
 	if err := k.Run(r.cfg.Variant, rp); err != nil {
@@ -415,9 +397,8 @@ func (r *run) executeKernel(k kernels.Kernel, rp kernels.RunParams) (ex executio
 	}
 	r.rec.SetMetric("wall_time", time.Since(start).Seconds())
 	r.rec.SetMetric("checksum", k.Checksum())
-	if imbalance {
-		ex.im = raja.ComputeImbalance(before, r.pool.InstrSnapshot())
-		ex.measured = true
+	if stats != nil {
+		ex.im, ex.measured = stats.Imbalance(), true
 	}
 	return ex, nil
 }

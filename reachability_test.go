@@ -523,8 +523,9 @@ func mapKeyFields(info *types.Info) map[types.Object]bool {
 
 // fieldUses returns the struct fields that non-test code outside the
 // exempt packages reads and those it writes. A selector x.f reads f unless
-// it is the direct left side of an assignment or of ++ or --, which only
-// write it. &x.f, a pointer-method call x.f.M(), x.f as the base of an
+// it is the direct left side of an assignment or of ++ or --, or the
+// first argument of an append assigned back to it (x.f = append(x.f, v)),
+// which only write it. &x.f, a pointer-method call x.f.M(), x.f as the base of an
 // element, field or indirection that is assigned (x.f[i] = v, x.f.g = v,
 // *x.f = v) and x.f as the first argument of copy or clear both read and
 // write f. Every embedded field on a promoted path is read, and written
@@ -631,13 +632,34 @@ func access(stack []ast.Node, info *types.Info) (read, write bool) {
 				return true, false
 			}
 			b, ok := info.Uses[fn].(*types.Builtin)
-			return true, ok && (b.Name() == "copy" || b.Name() == "clear")
+			if !ok {
+				return true, false
+			}
+			if b.Name() == "append" && i > 0 && assignedBack(stack[i-1], p, p.Args[0]) {
+				return !direct, true
+			}
+			return true, b.Name() == "copy" || b.Name() == "clear"
 		default:
 			return true, false
 		}
 		child = stack[i]
 	}
 	return true, false
+}
+
+// assignedBack reports whether parent assigns call to the expression
+// written as arg, as x.f = append(x.f, v) does.
+func assignedBack(parent ast.Node, call *ast.CallExpr, arg ast.Expr) bool {
+	as, ok := parent.(*ast.AssignStmt)
+	if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
+		return false
+	}
+	for j, rhs := range as.Rhs {
+		if rhs == call {
+			return types.ExprString(as.Lhs[j]) == types.ExprString(arg)
+		}
+	}
+	return false
 }
 
 // pointerMethod reports whether obj is a method with a pointer receiver.
