@@ -8,18 +8,21 @@ package caliper
 //   - appendProfile writes exactly the bytes json.MarshalIndent(p, "", " ")
 //     writes, so the on-disk format is the one every earlier release wrote;
 //   - Rows.decode accepts exactly the inputs json.Unmarshal accepts into a
-//     Profile, and Rows.Profile then returns a Profile reflect.DeepEqual to
-//     the one json.Unmarshal fills: case-insensitive field names, merged
-//     duplicate objects, slices decoded in place, null ignored or zeroing
-//     as encoding/json does, U+FFFD for invalid UTF-8 and unpaired
-//     surrogates, and float64 numbers.
+//     Profile, and Rows.Profile then returns the Profile json.Unmarshal
+//     fills, bit for bit: case-insensitive field names, merged duplicate
+//     objects, slices decoded in place, null ignored or zeroing as
+//     encoding/json does, U+FFFD for invalid UTF-8 and unpaired
+//     surrogates, and float64 numbers that strconv.ParseFloat would
+//     return, -0 included.
 //
 // The decoder writes no per-record map: records land in a Rows' flat
 // arenas. It interns metric names and path segments in a table its Rows
 // keeps across the files it is reused for, so every record, and every
 // file a walk decodes into that Rows, carries the same string for "time";
 // frame.Builder's name cache keys on string identity and hits for
-// decoded profiles too.
+// decoded profiles too. The same table lets the decoder guess each metric
+// name from the last metrics object (see key), and most numbers convert
+// in the pass that scans them (see numberLiteral).
 
 import (
 	"bytes"
@@ -318,8 +321,8 @@ func (e *encoder) str(s string) {
 const maxDepth = 10000
 
 // decoder parses one profile file in a single pass over its bytes. The
-// Rows that holds it keeps its intern table, its string scratch and its
-// marks from file to file.
+// Rows that holds it keeps its intern table, its string scratch, its
+// marks and its metric name guesses from file to file.
 type decoder struct {
 	data  []byte
 	pos   int
@@ -329,6 +332,7 @@ type decoder struct {
 	strs  []string         // interned strings by id
 	marks []mark           // per interned string
 	stamp uint32           // last value next handed out
+	guess []int32          // metric name ids by position in an object
 }
 
 // mark records, for one interned string, the last metrics object that
@@ -380,15 +384,24 @@ func (d *decoder) wrongType(what string) error {
 	return fmt.Errorf("offset %d: %s has the wrong type", d.pos, what)
 }
 
-func (d *decoder) space() {
-	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
-		case ' ', '\t', '\n', '\r':
-			d.pos++
-		default:
-			return
-		}
+// whitespace marks JSON's four whitespace bytes.
+var whitespace = [256]bool{' ': true, '\t': true, '\n': true, '\r': true}
+
+// plainByte marks the bytes a string literal holds as themselves: ASCII
+// from the space up, but not the quote or the backslash.
+var plainByte = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
 	}
+	return t
+}()
+
+func (d *decoder) space() {
+	data, pos := d.data, d.pos
+	for pos < len(data) && whitespace[data[pos]] {
+		pos++
+	}
+	d.pos = pos
 }
 
 // peek returns the first byte of the next value, or 0 at end of input.
@@ -403,7 +416,9 @@ func (d *decoder) peek() byte {
 // members walks the object at d.pos, calling member with each key once
 // the reader sits on that key's value; member must consume the value.
 // The key aliases the input or d.buf and is only valid during the call.
-func (d *decoder) members(member func(key []byte) error) error {
+// Given a guess table, members also interns each key and passes its id
+// (see key); without one the id is -1.
+func (d *decoder) members(guess *[]int32, member func(key []byte, id int32) error) error {
 	if err := d.enter(); err != nil {
 		return err
 	}
@@ -412,11 +427,11 @@ func (d *decoder) members(member func(key []byte) error) error {
 		d.depth--
 		return nil
 	}
-	for {
+	for i := 0; ; i++ {
 		if d.peek() != '"' {
 			return d.syntax("looking for beginning of object key string")
 		}
-		key, err := d.str()
+		key, id, err := d.key(guess, i)
 		if err != nil {
 			return err
 		}
@@ -424,7 +439,7 @@ func (d *decoder) members(member func(key []byte) error) error {
 			return d.syntax("after object key")
 		}
 		d.pos++
-		if err := member(key); err != nil {
+		if err := member(key, id); err != nil {
 			return err
 		}
 		switch d.peek() {
@@ -438,6 +453,52 @@ func (d *decoder) members(member func(key []byte) error) error {
 			return d.syntax("after object key:value pair")
 		}
 	}
+}
+
+// key reads the string at d.pos, the key at position i of its object.
+// Without a guess table it returns what str returns and id -1. With one
+// it also interns the key and returns its id. The objects that share a
+// table mostly hold the same names in the same order, so the key is
+// first compared with (*guess)[i], the name the last such object held at
+// i: when the input spells that name and then its closing quote, the
+// name is taken with no scan and no hash. Otherwise the key is scanned,
+// interned and becomes the guess at i, but only if it is plain (every
+// byte a plainByte): then, and only then, its spelling in the input is
+// the name itself, which str would read through to the same quote. A
+// name such as `x\` is spelled `x\\`, and comparing `x\` with the input
+// would accept `"x\"`, which does not end the string.
+func (d *decoder) key(guess *[]int32, i int) ([]byte, int32, error) {
+	if guess == nil {
+		key, err := d.str()
+		return key, -1, err
+	}
+	g := *guess
+	if i < len(g) && g[i] >= 0 {
+		s := d.strs[g[i]]
+		start, end := d.pos+1, d.pos+1+len(s)
+		if end < len(d.data) && d.data[end] == '"' && string(d.data[start:end]) == s {
+			d.pos = end + 1
+			return d.data[start:end], g[i], nil
+		}
+	}
+	key, err := d.str()
+	if err != nil {
+		return nil, -1, err
+	}
+	_, id := d.intern(key)
+	next := id
+	for _, c := range key {
+		if !plainByte[c] {
+			next = -1
+			break
+		}
+	}
+	if i < len(g) {
+		g[i] = next
+	} else {
+		*guess = append(g, next)
+	}
+	return key, id, nil
 }
 
 // elements walks the array at d.pos, calling elem with each index once
@@ -534,7 +595,7 @@ func (r *Rows) profile() error {
 	default:
 		return d.wrongType("profile")
 	}
-	return d.members(func(key []byte) error {
+	return d.members(nil, func(key []byte, _ int32) error {
 		switch field(key, "metadata", "records") {
 		case 0:
 			return d.metadata(&r.Metadata)
@@ -557,7 +618,7 @@ func (d *decoder) metadata(m *map[string]any) error {
 	if *m == nil {
 		*m = make(map[string]any, 32)
 	}
-	return d.members(func(key []byte) error {
+	return d.members(nil, func(key []byte, _ int32) error {
 		k := string(key)
 		v, err := d.any()
 		(*m)[k] = v
@@ -609,7 +670,7 @@ func (r *Rows) record(i int) error {
 	default:
 		return d.wrongType("record")
 	}
-	return d.members(func(key []byte) error {
+	return d.members(nil, func(key []byte, _ int32) error {
 		switch field(key, "path", "metrics") {
 		case 0:
 			return r.path(&r.recs[i])
@@ -689,8 +750,7 @@ func (r *Rows) metrics(rec *rowRec) error {
 		m := &d.marks[d.ids[r.names[j]]]
 		m.run, m.at = run, j
 	}
-	err := d.members(func(key []byte) error {
-		name, id := d.intern(key)
+	err := d.members(&d.guess, func(_ []byte, id int32) error {
 		v := 0.0
 		switch d.peek() {
 		case 'n':
@@ -709,7 +769,7 @@ func (r *Rows) metrics(rec *rowRec) error {
 			r.vals[m.at] = v
 		} else {
 			m.run, m.at = run, int32(len(r.vals))
-			r.names = append(r.names, name)
+			r.names = append(r.names, d.strs[id])
 			r.vals = append(r.vals, v)
 		}
 		return nil
@@ -724,7 +784,7 @@ func (d *decoder) any() (any, error) {
 	switch c := d.peek(); c {
 	case '{':
 		m := map[string]any{}
-		err := d.members(func(key []byte) error {
+		err := d.members(nil, func(key []byte, _ int32) error {
 			k := string(key)
 			v, err := d.any()
 			m[k] = v
@@ -760,7 +820,7 @@ func (d *decoder) any() (any, error) {
 func (d *decoder) skip() error {
 	switch c := d.peek(); c {
 	case '{':
-		return d.members(func([]byte) error { return d.skip() })
+		return d.members(nil, func([]byte, int32) error { return d.skip() })
 	case '[':
 		return d.elements(func(int) error { return d.skip() })
 	case '"':
@@ -773,7 +833,7 @@ func (d *decoder) skip() error {
 	case 'n':
 		return d.literal("null")
 	case '-', '0', '1', '2', '3', '4', '5', '6', '7', '8', '9':
-		_, err := d.numberLiteral()
+		_, _, _, err := d.numberLiteral()
 		return err
 	}
 	return d.syntax("looking for beginning of value")
@@ -792,55 +852,104 @@ func (d *decoder) literal(lit string) error {
 // number reads a number literal and converts it as encoding/json does;
 // a literal out of float64 range is an error.
 func (d *decoder) number() (float64, error) {
-	lit, err := d.numberLiteral()
-	if err != nil {
-		return 0, err
+	lit, f, exact, err := d.numberLiteral()
+	if err != nil || exact {
+		return f, err
 	}
 	// The literal is only read during the call: no copy needed.
-	f, err := strconv.ParseFloat(unsafe.String(&lit[0], len(lit)), 64)
+	f, err = strconv.ParseFloat(unsafe.String(&lit[0], len(lit)), 64)
 	if err != nil {
 		return 0, fmt.Errorf("offset %d: number %s is out of range", d.pos, lit)
 	}
 	return f, nil
 }
 
-// numberLiteral scans -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?.
-func (d *decoder) numberLiteral() ([]byte, error) {
+// pow10 holds the powers of ten that a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// maxExact is the largest mantissa of the fast path: every integer up to
+// 2^53 is a float64.
+const maxExact = 1 << 53
+
+// numberLiteral scans -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and,
+// in the same pass, converts the literals of Clinger's fast path: those
+// whose significant digits form an integer m of at most 2^53 and whose
+// decimal exponent e lies within ±22. Both float64(m) and 10^|e| are then
+// exact, so one multiplication or division rounds once, correctly, to
+// what strconv.ParseFloat returns. The sign comes last, so -0 stays
+// negative. exact reports whether f holds the literal's value; otherwise
+// the caller converts lit itself.
+func (d *decoder) numberLiteral() (lit []byte, f float64, exact bool, err error) {
 	start := d.pos
-	if d.pos < len(d.data) && d.data[d.pos] == '-' {
+	neg := d.pos < len(d.data) && d.data[d.pos] == '-'
+	if neg {
 		d.pos++
 	}
-	switch {
-	case d.pos < len(d.data) && d.data[d.pos] == '0':
+	var m uint64
+	e := 0 // the power of ten m scales by
+	if at := d.pos; d.pos < len(d.data) && d.data[d.pos] == '0' {
 		d.pos++
-	case !d.digits():
-		return nil, d.syntax("in numeric literal")
+	} else if m = d.digits(0); d.pos == at {
+		return nil, 0, false, d.syntax("in numeric literal")
 	}
 	if d.pos < len(d.data) && d.data[d.pos] == '.' {
 		d.pos++
-		if !d.digits() {
-			return nil, d.syntax("after decimal point in numeric literal")
+		at := d.pos
+		if m = d.digits(m); d.pos == at {
+			return nil, 0, false, d.syntax("after decimal point in numeric literal")
 		}
+		e = at - d.pos
 	}
 	if d.pos < len(d.data) && (d.data[d.pos] == 'e' || d.data[d.pos] == 'E') {
 		d.pos++
-		if d.pos < len(d.data) && (d.data[d.pos] == '+' || d.data[d.pos] == '-') {
+		expNeg := d.pos < len(d.data) && d.data[d.pos] == '-'
+		if expNeg || d.pos < len(d.data) && d.data[d.pos] == '+' {
 			d.pos++
 		}
-		if !d.digits() {
-			return nil, d.syntax("in exponent of numeric literal")
+		at := d.pos
+		x := int(d.digits(0)) // saturated, it stays far outside ±22
+		switch {
+		case d.pos == at:
+			return nil, 0, false, d.syntax("in exponent of numeric literal")
+		case expNeg:
+			e -= x
+		default:
+			e += x
 		}
 	}
-	return d.data[start:d.pos], nil
+	lit = d.data[start:d.pos]
+	if m > maxExact || e < -22 || e > 22 {
+		return lit, 0, false, nil
+	}
+	if f = float64(m); e < 0 {
+		f /= pow10[-e]
+	} else {
+		f *= pow10[e]
+	}
+	if neg {
+		f = -f
+	}
+	return lit, f, true, nil
 }
 
-// digits consumes a run of decimal digits and reports whether there was one.
-func (d *decoder) digits() bool {
-	start := d.pos
-	for d.pos < len(d.data) && '0' <= d.data[d.pos] && d.data[d.pos] <= '9' {
-		d.pos++
+// digits consumes a run of decimal digits and returns m with them
+// appended. Leading zeros leave m at zero, and past maxExact m stops
+// growing: it only has to stay out of the fast path, and this way it
+// never overflows.
+func (d *decoder) digits(m uint64) uint64 {
+	data, pos := d.data, d.pos
+	for ; pos < len(data); pos++ {
+		c := data[pos] - '0'
+		if c > 9 {
+			break
+		}
+		if m <= maxExact {
+			m = m*10 + uint64(c)
+		}
 	}
-	return d.pos > start
+	d.pos = pos
+	return m
 }
 
 // intern returns the string for b, the same string for every equal b
@@ -860,18 +969,14 @@ func (d *decoder) intern(b []byte) (string, int32) {
 // unquoted as encoding/json unquotes them. The result aliases the input
 // or d.buf, so callers copy it before the next read.
 func (d *decoder) str() ([]byte, error) {
-	d.pos++
-	start := d.pos
-	for d.pos < len(d.data) {
-		c := d.data[d.pos]
-		if c == '"' {
-			d.pos++
-			return d.data[start : d.pos-1], nil
-		}
-		if c < 0x20 || c == '\\' || c >= utf8.RuneSelf {
-			break
-		}
+	data, start := d.data, d.pos+1
+	end := start
+	for end < len(data) && plainByte[data[end]] {
+		end++
+	}
+	if d.pos = end; end < len(data) && data[end] == '"' {
 		d.pos++
+		return data[start:end], nil
 	}
 	b := append(d.buf[:0], d.data[start:d.pos]...)
 	for d.pos < len(d.data) {

@@ -9,10 +9,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -168,6 +171,16 @@ var edgeCases = []string{
 	`{"records":[{"path":["k"],"metrics":{"x":1e-400,"y":4.9e-324,"z":-0.0}}]}`,
 	`{"records":[{"path":["k"],"metrics":{"a":-0,"b":999999999999999,"c":-999999999999999,` +
 		`"d":9999999999999999,"e":9007199254740993,"f":00}}]}`,
+	// The edges of the decoder's own conversion: the sign of zero, the 2^53
+	// mantissa bound, the ±22 exponent bound and the 19 digits a uint64
+	// mantissa holds, as metric values and as metadata numbers.
+	`{"metadata":{"a":-0,"b":-0.0,"c":9007199254740992,"d":9007199254740993,"e":900719925474099.3},` +
+		`"records":[{"path":["k"],"metrics":{"a":-0,"b":-0.0,"c":9007199254740992,"d":9007199254740993,` +
+		`"e":900719925474099.3,"f":-9007199254740992,"g":-900719925474099.3}}]}`,
+	`{"metadata":{"a":0.0000000000000000000001,"b":0.00000000000000000000001,"c":1e23},` +
+		`"records":[{"path":["k"],"metrics":{"a":0.0000000000000000000001,"b":0.00000000000000000000001,` +
+		`"c":1234567890123456789,"d":12345678901234567890,"e":1e22,"f":1e23,"g":123e-24,` +
+		`"h":-0.0000000000000000000001,"i":-1e22,"j":-123e-24,"k":-0e-30,"l":0.1e23,"m":10e-23}}]}`,
 	`{"metadata":{"a":01}}`,
 	`{"metadata":{"a":1.}}`,
 	`{"metadata":{"a":-}}`,
@@ -178,6 +191,22 @@ var edgeCases = []string{
 	`{"metadata":{"a":-01}}`,
 	`{"metadata":{"a":0x1}}`,
 	`{"metadata":{"a":NaN}}`,
+	// Metric name guesses. A name that is not plain (an escape, a quote, a
+	// control or non-ASCII byte) is never guessed, a guess holds only up to
+	// its closing quote, an escaped spelling of a guess is the same name,
+	// and a duplicate at a guessed position still merges.
+	`{"records":[{"path":["a"],"metrics":{"x\\":1}},{"path":["b"],"metrics":{"x\":1,"y":2}}]}`,
+	`{"records":[{"path":["a"],"metrics":{"x\"":1}},{"path":["b"],"metrics":{"x"":2}}]}`,
+	"{\"records\":[{\"path\":[\"a\"],\"metrics\":{\"a\\nb\":1}},{\"path\":[\"b\"],\"metrics\":{\"a\nb\":2}}]}",
+	`{"records":[{"path":["a"],"metrics":{"a":1}},{"path":["b"],"metrics":{"\u0061":2}}]}`,
+	`{"records":[{"path":["a"],"metrics":{"\u0061":1}},{"path":["b"],"metrics":{"a":2,"a\u0062":3}}]}`,
+	`{"records":[{"path":["a"],"metrics":{"a":1}},{"path":["b"],"metrics":{"ab":2}},{"path":["c"],"metrics":{"a":3}}]}`,
+	`{"records":[{"path":["a"],"metrics":{"ab":1}},{"path":["b"],"metrics":{"a":2}}]}`,
+	`{"records":[{"path":["a"],"metrics":{"µs":1,"x":2}},{"path":["b"],"metrics":{"µs":3,"x":4}}]}`,
+	"{\"records\":[{\"path\":[\"a\"],\"metrics\":{\"m\xfe\":1}},{\"path\":[\"b\"],\"metrics\":{\"m\xef\xbf\xbd\":2,\"m\xfe\":3}}]}",
+	`{"records":[{"path":["a"],"metrics":{"x":1,"y":2}},{"path":["b"],"metrics":{"x":3,"x":4,"y":5}}]}`,
+	`{"records":[{"path":["a"],"metrics":{"x":1,"x":2}},{"path":["b"],"metrics":{"x":3,"x":4}}]}`,
+	`{"records":[{"path":["a"],"metrics":{"x":1,"y":2}},{"path":["b"],"metrics":{"y":3,"x":4}},{"path":["c"],"metrics":{"":5}}]}`,
 	// Literals.
 	`{"metadata":{"a":true,"b":false}}`,
 	`{"metadata":{"a":tru}}`,
@@ -250,7 +279,14 @@ func smallProfile(tb testing.TB) []byte {
 // both reject).
 func sameDecode(t *testing.T, data []byte) *caliper.Profile {
 	t.Helper()
-	got, gerr := codecRead(data)
+	got, err := codecRead(data)
+	return sameAsReference(t, data, got, err)
+}
+
+// sameAsReference checks the codec's result for data, got or gerr,
+// against encoding/json's, value for value and bit for bit.
+func sameAsReference(t *testing.T, data []byte, got *caliper.Profile, gerr error) *caliper.Profile {
+	t.Helper()
 	want, werr := referenceRead(data)
 	if (gerr == nil) != (werr == nil) {
 		t.Fatalf("codec error %v, encoding/json error %v, for %.200q", gerr, werr, data)
@@ -258,10 +294,93 @@ func sameDecode(t *testing.T, data []byte) *caliper.Profile {
 	if gerr != nil {
 		return nil
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("decoded %#v, encoding/json decoded %#v, from %.200q", got, want, data)
+	if diff := bitsDiff(reflect.ValueOf(got), reflect.ValueOf(want), "profile"); diff != "" {
+		t.Fatalf("%s, from %.200q", diff, data)
 	}
 	return got
+}
+
+// bitsDiff describes the first difference between a and b, or returns ""
+// if there is none. It is reflect.DeepEqual for the values a decoded
+// profile holds, except that floats compare by math.Float64bits: == takes
+// -0 for 0.
+func bitsDiff(a, b reflect.Value, at string) string {
+	if a.Kind() != b.Kind() || a.IsValid() && a.Type() != b.Type() {
+		return fmt.Sprintf("%s: %v against %v", at, a, b)
+	}
+	switch a.Kind() {
+	case reflect.Invalid:
+		return ""
+	case reflect.Float64:
+		if x, y := math.Float64bits(a.Float()), math.Float64bits(b.Float()); x != y {
+			return fmt.Sprintf("%s: %v (%#x) against %v (%#x)", at, a.Float(), x, b.Float(), y)
+		}
+	case reflect.String:
+		if a.String() != b.String() {
+			return fmt.Sprintf("%s: %q against %q", at, a.String(), b.String())
+		}
+	case reflect.Bool:
+		if a.Bool() != b.Bool() {
+			return fmt.Sprintf("%s: %v against %v", at, a.Bool(), b.Bool())
+		}
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() != b.IsNil() {
+			return fmt.Sprintf("%s: nil %v against nil %v", at, a.IsNil(), b.IsNil())
+		}
+		if !a.IsNil() {
+			return bitsDiff(a.Elem(), b.Elem(), at)
+		}
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if d := bitsDiff(a.Field(i), b.Field(i), at+"."+a.Type().Field(i).Name); d != "" {
+				return d
+			}
+		}
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return fmt.Sprintf("%s: %d elements (nil %v) against %d (nil %v)", at, a.Len(), a.IsNil(), b.Len(), b.IsNil())
+		}
+		for i := 0; i < a.Len(); i++ {
+			if d := bitsDiff(a.Index(i), b.Index(i), fmt.Sprintf("%s[%d]", at, i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Map:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return fmt.Sprintf("%s: %d entries (nil %v) against %d (nil %v)", at, a.Len(), a.IsNil(), b.Len(), b.IsNil())
+		}
+		for it := a.MapRange(); it.Next(); {
+			k := it.Key()
+			bv := b.MapIndex(k)
+			if !bv.IsValid() {
+				return fmt.Sprintf("%s: key %q only on one side", at, k)
+			}
+			if d := bitsDiff(it.Value(), bv, fmt.Sprintf("%s[%q]", at, k)); d != "" {
+				return d
+			}
+		}
+	default:
+		return fmt.Sprintf("%s: cannot compare a %s", at, a.Kind())
+	}
+	return ""
+}
+
+// TestBitsDiffSeesTheSignOfZero: reflect.DeepEqual, which sameDecode used
+// to call, takes -0 for 0, in a map too.
+func TestBitsDiffSeesTheSignOfZero(t *testing.T) {
+	neg := map[string]float64{"x": math.Copysign(0, -1)}
+	pos := map[string]float64{"x": 0}
+	if !reflect.DeepEqual(neg, pos) {
+		t.Fatal("reflect.DeepEqual tells -0 from 0 after all")
+	}
+	if bitsDiff(reflect.ValueOf(neg), reflect.ValueOf(pos), "m") == "" {
+		t.Fatal("bitsDiff takes -0 for 0")
+	}
+	a := &caliper.Profile{Metadata: map[string]any{"a": []any{map[string]any{"b": math.Copysign(0, -1)}}}}
+	b := &caliper.Profile{Metadata: map[string]any{"a": []any{map[string]any{"b": 0.0}}}}
+	if bitsDiff(reflect.ValueOf(a), reflect.ValueOf(b), "profile") == "" {
+		t.Fatal("bitsDiff takes a nested metadata -0 for 0")
+	}
 }
 
 // TestReadProfileNestingLimit: encoding/json rejects more than 10000
@@ -373,13 +492,53 @@ func frameText(t *testing.T, tk *thicket.Thicket) string {
 	return b.String()
 }
 
-// TestDecodeInternsNames: every record of a decoded file shares one
-// string per metric name and path segment.
-func TestDecodeInternsNames(t *testing.T) {
-	p, err := caliper.DecodeProfile(marshal(t, corpus(t)[0].p))
-	if err != nil {
-		t.Fatal(err)
+// profileNamed returns the corpus profile whose name starts with prefix.
+func profileNamed(tb testing.TB, prefix string) *caliper.Profile {
+	tb.Helper()
+	for _, np := range corpus(tb) {
+		if strings.HasPrefix(np.name, prefix) {
+			return np.p
+		}
 	}
+	tb.Fatalf("no %s profile in the corpus", prefix)
+	return nil
+}
+
+// TestDecodeReusesRows decodes files one after another into one Rows, as
+// a walk does, so each file's metric names are guessed from the names
+// the last file held at their positions: a CPU profile, a GPU profile
+// whose records hold other names, a CPU profile again, then small files
+// that leave guesses the next file must not take. Each file must decode
+// exactly as encoding/json decodes it.
+func TestDecodeReusesRows(t *testing.T) {
+	files := []string{
+		string(marshal(t, profileNamed(t, "SPR-DDR"))),
+		string(marshal(t, profileNamed(t, "P9-V100"))),
+		string(marshal(t, profileNamed(t, "SPR-HBM"))),
+		`{"records":[{"path":["a"],"metrics":{"x\\":1}}]}`,
+		`{"records":[{"path":["b"],"metrics":{"x\":1,"y":2}}]}`,
+		`{"records":[{"path":["a"],"metrics":{"a":1,"x\"":2}}]}`,
+		`{"records":[{"path":["b"],"metrics":{"ab":1,"x"":2}}]}`,
+		`{"records":[{"path":["b"],"metrics":{"a":1,"x":2}}]}`,
+		`{"records":[{"path":["b"],"metrics":{"\u0061":1,"x":2,"x":3}}]}`,
+		string(marshal(t, profileNamed(t, "SPR-DDR"))),
+	}
+	var dec caliper.Decoder
+	for _, f := range files {
+		data := []byte(f)
+		p, err := dec.Decode(data)
+		if err == nil {
+			err = p.Validate()
+		}
+		sameAsReference(t, data, p, err)
+	}
+}
+
+// TestDecodeInternsNames: every record of a decoded file shares one
+// string per metric name and path segment, and so does every file
+// decoded into the same Rows. Past a file's first record, and in the
+// later files, most metric names are taken through a guess.
+func TestDecodeInternsNames(t *testing.T) {
 	seen := map[string]*byte{}
 	check := func(s string) {
 		ptr := unsafe.StringData(s)
@@ -388,17 +547,99 @@ func TestDecodeInternsNames(t *testing.T) {
 		}
 		seen[s] = ptr
 	}
-	for _, r := range p.Records {
-		for _, seg := range r.Path {
-			check(seg)
+	var dec caliper.Decoder
+	for _, name := range []string{"SPR-DDR", "P9-V100", "SPR-DDR"} {
+		p, err := dec.Decode(marshal(t, profileNamed(t, name)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for m := range r.Metrics {
-			check(m)
+		for _, r := range p.Records {
+			for _, seg := range r.Path {
+				check(seg)
+			}
+			for m := range r.Metrics {
+				check(m)
+			}
 		}
 	}
 	if len(seen) < 20 {
 		t.Fatalf("only %d distinct names checked", len(seen))
 	}
+}
+
+// numberSeeds are FuzzNumber's starting points: the edges of the
+// decoder's exact conversion and of float64, the grammar's corners, and
+// random decimals of 15, 16, 17 and 19 digits, the lengths around the
+// 2^53 mantissa bound.
+func numberSeeds() []string {
+	seeds := []string{
+		"0", "-0", "0.0", "-0.0", "-0e-30", "0e400", "1", "-1", "0.1", "1.5e3", "1E-7", "-1e+2",
+		"9007199254740991", "9007199254740992", "9007199254740993", "9007199254740994",
+		"900719925474099.3", "90071992547409.93", "-9007199254740993e-5",
+		"0.0000000000000000000001", "0.00000000000000000000001",
+		"1234567890123456789", "12345678901234567890", "1234567890123456789e-22",
+		"1e22", "1e23", "1e-22", "1e-23", "123e-24", "0.1e23", "10e-23", "9e22", "1e21",
+		"1.7976931348623157e308", "1.7976931348623159e308", "1e309", "-1e309", "1e400",
+		"2.2250738585072014e-308", "4.9e-324", "2e-324", "1e-400", "1e999999999999999999999",
+		"0.30000000000000004", "5.179e-06", "3.408e-06", "12.5", "32000000",
+		// Not numbers, or not only numbers, which the decoder must refuse.
+		"", "-", "01", "-01", "1.", ".5", "1e", "1e+", "+1", "0x1", "NaN", "Infinity", "1 ", " 1", "1,", "1_0",
+	}
+	rng := rand.New(rand.NewPCG(32, 1))
+	for _, digits := range []int{15, 16, 17, 19} {
+		for range 12 {
+			b := []byte{byte('1' + rng.IntN(9))}
+			for len(b) < digits {
+				b = append(b, byte('0'+rng.IntN(10)))
+			}
+			if point := rng.IntN(digits + 1); point > 0 && point < digits {
+				b = append(b[:point], append([]byte{'.'}, b[point:]...)...)
+			}
+			if rng.IntN(2) == 0 {
+				b = append(b, 'e')
+				b = strconv.AppendInt(b, int64(rng.IntN(61)-30), 10)
+			}
+			if rng.IntN(4) == 0 {
+				b = append([]byte{'-'}, b...)
+			}
+			seeds = append(seeds, string(b))
+		}
+	}
+	return seeds
+}
+
+// isNumber reports whether s alone is a JSON number: json.Valid takes
+// it, with no whitespace around it.
+func isNumber(s string) bool {
+	return s != "" && (s[0] == '-' || '0' <= s[0] && s[0] <= '9') &&
+		strings.TrimSpace(s) == s && json.Valid([]byte(s))
+}
+
+// FuzzNumber holds the decoder's number conversion to strconv.ParseFloat,
+// which encoding/json calls: every literal json.Valid takes for a number
+// converts to the same bits, and fails exactly where ParseFloat reports a
+// range error. The decoder refuses anything else.
+func FuzzNumber(f *testing.F) {
+	for _, s := range numberSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, lit string) {
+		got, err := caliper.ParseNumber([]byte(lit))
+		if !isNumber(lit) {
+			if err == nil {
+				t.Fatalf("decoder converted %q, which is not a JSON number, to %v", lit, got)
+			}
+			return
+		}
+		want, werr := strconv.ParseFloat(lit, 64)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("decoder error %v, strconv.ParseFloat error %v, for %q", err, werr, lit)
+		}
+		if err == nil && math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("decoder converted %q to %v (%#x), strconv.ParseFloat to %v (%#x)",
+				lit, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
 }
 
 // metadataTypes covers every metadata value type the repo records, the
@@ -520,8 +761,8 @@ func TestWriteFileMatchesMarshalIndent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(back, ref) {
-			t.Fatalf("%s: ReadFile after WriteFile = %#v, want %#v", c.name, back, ref)
+		if diff := bitsDiff(reflect.ValueOf(back), reflect.ValueOf(ref), "profile"); diff != "" {
+			t.Fatalf("%s: ReadFile after WriteFile: %s", c.name, diff)
 		}
 		path2 := filepath.Join(dir, "again"+caliper.FileExt)
 		if err := back.WriteFile(path2); err != nil {
@@ -531,8 +772,8 @@ func TestWriteFileMatchesMarshalIndent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(again, back) {
-			t.Fatalf("%s: second round trip changed the profile", c.name)
+		if diff := bitsDiff(reflect.ValueOf(again), reflect.ValueOf(back), "profile"); diff != "" {
+			t.Fatalf("%s: second round trip changed the profile: %s", c.name, diff)
 		}
 	}
 }

@@ -13,6 +13,18 @@ var AppendProfile = appendProfile
 func DecodeProfile(data []byte) (*Profile, error) {
 	r := getRows()
 	defer putRows(r)
+	return decodeProfile(r, data)
+}
+
+// Decoder decodes files one after another into one Rows, which keeps its
+// interned strings and its metric name guesses from file to file, as
+// each decoder of a walk does.
+type Decoder struct{ r Rows }
+
+// Decode is DecodeProfile through d's Rows.
+func (d *Decoder) Decode(data []byte) (*Profile, error) { return decodeProfile(&d.r, data) }
+
+func decodeProfile(r *Rows, data []byte) (*Profile, error) {
 	if err := r.decode(data); err != nil {
 		return nil, err
 	}
@@ -23,4 +35,15 @@ func DecodeProfile(data []byte) (*Profile, error) {
 		}
 	}
 	return p, nil
+}
+
+// ParseNumber converts lit as the decoder converts a metric value. It
+// fails unless lit is one whole JSON number in float64 range.
+func ParseNumber(lit []byte) (float64, error) {
+	d := decoder{data: lit}
+	f, err := d.number()
+	if err == nil && d.pos < len(lit) {
+		err = d.syntax("after number")
+	}
+	return f, err
 }

@@ -181,7 +181,9 @@ type Builder struct {
 // bytes; a decoded file misses at most on its first record. Two strings
 // with equal data pointer and length are the same string, so a hit is
 // always correct: the cached pointer keeps its string alive, so its
-// address is never reused for another string while cached.
+// address is never reused for another string while cached. An empty
+// string may have a nil data pointer, as an unused slot does, so a nil
+// pointer never hits.
 type nameCache struct {
 	ptrs [nameCacheSize]*byte
 	lens [nameCacheSize]int
@@ -298,11 +300,12 @@ func (b *Builder) cell(row int, name string, v float64) uint64 {
 	f := b.f
 	var mi int32
 	nc := &b.names
-	if i := nc.slot(name); nc.ptrs[i] == unsafe.StringData(name) && nc.lens[i] == len(name) {
+	p := unsafe.StringData(name)
+	if i := nc.slot(name); p != nil && nc.ptrs[i] == p && nc.lens[i] == len(name) {
 		mi = nc.ids[i]
 	} else {
 		mi = f.metrics.Intern(name)
-		nc.ptrs[i] = unsafe.StringData(name)
+		nc.ptrs[i] = p
 		nc.lens[i] = len(name)
 		nc.ids[i] = mi
 	}

@@ -146,3 +146,30 @@ func TestBuilderFrameInvariants(t *testing.T) {
 		t.Fatalf("MetaString = %q, %q", f.MetaString(0, "machine"), f.MetaString(0, "absent"))
 	}
 }
+
+// TestBuilderEmptyMetricName: the empty string, whose data pointer is
+// nil as an unused name cache slot's is, is a metric name of its own and
+// not the first name the builder interned. The caliper decoder interns
+// an empty name with a nil pointer too.
+func TestBuilderEmptyMetricName(t *testing.T) {
+	b := NewBuilder()
+	b.StartProfile(nil)
+	b.AddCells([]string{"a"}, []string{"x", "y"}, []float64{1, 2})
+	b.AddCells([]string{"b"}, []string{string([]byte{})}, []float64{5})
+	b.AddRow([]string{"c"}, map[string]float64{"": 6})
+	f := b.Finish()
+	empty := f.Column("")
+	if empty == nil {
+		t.Fatal("no column for the empty metric name")
+	}
+	for row, want := range map[int32]float64{1: 5, 2: 6} {
+		if v, ok := empty.Value(row); !ok || v != want {
+			t.Fatalf("empty-name metric at row %d = %v, %v; want %v", row, v, ok, want)
+		}
+		for _, name := range []string{"x", "y"} {
+			if v, ok := f.Column(name).Value(row); ok {
+				t.Fatalf("%s at row %d = %v, want absent", name, row, v)
+			}
+		}
+	}
+}

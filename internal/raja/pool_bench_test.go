@@ -2,6 +2,7 @@ package raja
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 )
@@ -140,4 +141,45 @@ func BenchmarkPoolDispatch(b *testing.B) {
 			Forall(p, n, body)
 		}
 	})
+}
+
+// BenchmarkTwoLaneWake runs a compute-bound body, eight dependent
+// math.Sqrt per element, sequentially and through StaticChunks on a fresh
+// 2-lane pool, at the 8,000 elements perfbench's raja.par_speedup reads
+// and at 64,000. Two lanes should take about half the sequential time;
+// the gap at 8,000 is what waking the second lane costs.
+//
+//	go test -run '^$' -bench BenchmarkTwoLaneWake ./internal/raja/
+func BenchmarkTwoLaneWake(b *testing.B) {
+	for _, n := range []int{8_000, 64_000} {
+		x := make([]float64, n)
+		y := make([]float64, n)
+		for i := range x {
+			x[i] = float64(i)
+		}
+		body := func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				v := x[i]
+				for range 8 {
+					v = math.Sqrt(v + 1)
+				}
+				y[i] = v
+			}
+		}
+		b.Run(fmt.Sprintf("seq/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				body(0, n)
+			}
+		})
+		b.Run(fmt.Sprintf("pool/n=%d", n), func(b *testing.B) {
+			pool := NewPool(2)
+			defer pool.Close()
+			chunk := func(_, lo, hi int) { body(lo, hi) }
+			pool.StaticChunks(2, n, chunk) // start the workers outside the timer
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pool.StaticChunks(2, n, chunk)
+			}
+		})
+	}
 }
